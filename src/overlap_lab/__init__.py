@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from ._kernels import USING_NUMBA, warmup
+from ._kernels import warmup
 from .eigen import EigenResult, is_psd, is_psd_dense, symmetric_eigenvalues
 from .errors import (AcceptanceTooLow, BadWeights, BadZeta, EventMassTooSmall,
                      EventNull, GridTooSmall, NoConvergence, NotSymmetric,

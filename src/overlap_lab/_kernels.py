@@ -1,30 +1,42 @@
-"""Hot numeric kernels: numba @njit versions with pure-numpy fallbacks.
+"""Hot numeric kernels, one numpy implementation each.
 
-Set OVERLAP_LAB_NO_NUMBA=1 to force the numpy path (the same switch the
-benchmark uses to compare both). Every public name here dispatches to one
-of the two implementations at import time; `_nb`/`_np` suffixed privates
-stay importable so tests and benchmarks can compare them directly.
+Callers look kernels up as module attributes (`_kernels.eval_stats`), so a
+wrapper installed on this module sees every call.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-_DISABLE = os.environ.get("OVERLAP_LAB_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
+# kept for callers that report which backend ran; numpy is the only one
+USING_NUMBA = False
 
-if not _DISABLE:
-    try:
-        from numba import njit
 
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
+# ---------------------------------------------------------------------------
+# Shared predicates
+# ---------------------------------------------------------------------------
 
-USING_NUMBA = HAVE_NUMBA
+@lru_cache(maxsize=64)
+def _pairs(n):
+    """Row and column indices of the strict upper triangle of an n x n matrix."""
+    iu, ju = np.triu_indices(int(n), k=1)
+    iu.flags.writeable = ju.flags.writeable = False  # shared by every caller
+    return iu, ju
+
+
+def all_below(levels_batch, n, threshold):
+    """Per matrix: are all pairwise levels among the first n replicas <= threshold?"""
+    iu, ju = _pairs(n)
+    return (levels_batch[:, iu, ju] <= threshold).all(axis=1)
+
+
+def _unique_min(x, y, z):
+    """True where the minimum of three pairwise levels is attained exactly once."""
+    m3 = np.minimum(np.minimum(x, y), z)
+    hits = (x == m3).astype(np.int8) + (y == m3) + (z == m3)
+    return hits == 1
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +51,7 @@ def _off_norm(A):
     return float(np.linalg.norm(off))
 
 
-def _jacobi_np(A, tol, max_sweeps):
+def jacobi_raw(A, tol, max_sweeps):
     """Cyclic Jacobi on a symmetric matrix; numpy row/col rotations.
 
     Returns (diag, vecs, sweeps, off_residual); diag unsorted.
@@ -85,98 +97,21 @@ def _jacobi_np(A, tol, max_sweeps):
     return np.diag(A).copy(), V, sweeps, off
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _jacobi_nb(A_in, tol, max_sweeps):  # pragma: no cover - exercised via dispatch
-        n = A_in.shape[0]
-        A = A_in.copy()
-        V = np.eye(n)
-        scale = 0.0
-        for i in range(n):
-            for j in range(n):
-                v = abs(A[i, j])
-                if v > scale:
-                    scale = v
-        if scale == 0.0 or n == 1:
-            d = np.empty(n)
-            for i in range(n):
-                d[i] = A[i, i]
-            return d, V, 0, 0.0
-        sweeps = 0
-        off2 = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    off2 += A[i, j] * A[i, j]
-        off = np.sqrt(off2)
-        while off > tol * scale and sweeps < max_sweeps:
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    app = A[p, p]
-                    aqq = A[q, q]
-                    for j in range(n):
-                        rp = A[p, j]
-                        rq = A[q, j]
-                        A[p, j] = c * rp - s * rq
-                        A[q, j] = s * rp + c * rq
-                    for i in range(n):
-                        cp = A[i, p]
-                        cq = A[i, q]
-                        A[i, p] = c * cp - s * cq
-                        A[i, q] = s * cp + c * cq
-                    A[p, p] = app - t * apq
-                    A[q, q] = aqq + t * apq
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    for i in range(n):
-                        vp = V[i, p]
-                        V[i, p] = c * vp - s * V[i, q]
-                        V[i, q] = s * vp + c * V[i, q]
-            sweeps += 1
-            off2 = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        off2 += A[i, j] * A[i, j]
-            off = np.sqrt(off2)
-        d = np.empty(n)
-        for i in range(n):
-            d[i] = A[i, i]
-        return d, V, sweeps, off
-
-    jacobi_raw = _jacobi_nb
-else:
-    jacobi_raw = _jacobi_np
-
-
 # ---------------------------------------------------------------------------
 # Ultrametric triple scan on a level matrix
 # ---------------------------------------------------------------------------
 # A triple violates when the minimum of its three pairwise levels is unique.
 
-def _ultra_full_np(levels):
+def ultra_full(levels):
     n = levels.shape[0]
     checked = 0
     violations = 0
     witness = np.full(6, -1, dtype=np.int64)
     for a in range(n - 2):
         row = levels[a]
-        sub = levels[a + 1 :, a + 1 :]
         x = row[a + 1 :][:, None]  # level (a,b)
         y = row[a + 1 :][None, :]  # level (a,c)
-        m3 = np.minimum(np.minimum(x, y), sub)
-        hits = (x == m3).astype(np.int8) + (y == m3) + (sub == m3)
-        bad = np.triu(hits == 1, k=1)
+        bad = np.triu(_unique_min(x, y, levels[a + 1 :, a + 1 :]), k=1)
         checked += (n - 1 - a) * (n - 2 - a) // 2
         cnt = int(bad.sum())
         if cnt and violations == 0:
@@ -189,15 +124,13 @@ def _ultra_full_np(levels):
     return checked, violations, witness
 
 
-def _ultra_triples_np(levels_batch, triples):
+def ultra_triples(levels_batch, triples):
     """Count violations over explicit (t, a, b, c) rows into a matrix batch."""
     t, a, b, c = triples[:, 0], triples[:, 1], triples[:, 2], triples[:, 3]
     x = levels_batch[t, a, b]
     y = levels_batch[t, a, c]
     z = levels_batch[t, b, c]
-    m3 = np.minimum(np.minimum(x, y), z)
-    hits = (x == m3).astype(np.int8) + (y == m3) + (z == m3)
-    bad = hits == 1
+    bad = _unique_min(x, y, z)
     violations = int(bad.sum())
     witness = np.full(6, -1, dtype=np.int64)
     if violations:
@@ -206,111 +139,13 @@ def _ultra_triples_np(levels_batch, triples):
     return len(triples), violations, witness
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _ultra_full_nb(levels):  # pragma: no cover - exercised via dispatch
-        n = levels.shape[0]
-        checked = 0
-        violations = 0
-        witness = np.full(6, -1, dtype=np.int64)
-        for a in range(n - 2):
-            for b in range(a + 1, n - 1):
-                for c in range(b + 1, n):
-                    x = levels[a, b]
-                    y = levels[a, c]
-                    z = levels[b, c]
-                    m3 = min(x, min(y, z))
-                    hits = 0
-                    if x == m3:
-                        hits += 1
-                    if y == m3:
-                        hits += 1
-                    if z == m3:
-                        hits += 1
-                    checked += 1
-                    if hits == 1:
-                        if violations == 0:
-                            witness[0] = a
-                            witness[1] = b
-                            witness[2] = c
-                            witness[3] = x
-                            witness[4] = y
-                            witness[5] = z
-                        violations += 1
-        return checked, violations, witness
-
-    @njit(cache=True, nogil=True)
-    def _ultra_triples_nb(levels_batch, triples):  # pragma: no cover
-        checked = triples.shape[0]
-        violations = 0
-        witness = np.full(6, -1, dtype=np.int64)
-        for r in range(checked):
-            t = triples[r, 0]
-            a = triples[r, 1]
-            b = triples[r, 2]
-            c = triples[r, 3]
-            x = levels_batch[t, a, b]
-            y = levels_batch[t, a, c]
-            z = levels_batch[t, b, c]
-            m3 = min(x, min(y, z))
-            hits = 0
-            if x == m3:
-                hits += 1
-            if y == m3:
-                hits += 1
-            if z == m3:
-                hits += 1
-            if hits == 1:
-                if violations == 0:
-                    witness[0] = a
-                    witness[1] = b
-                    witness[2] = c
-                    witness[3] = x
-                    witness[4] = y
-                    witness[5] = z
-                violations += 1
-        return checked, violations, witness
-
-    ultra_full = _ultra_full_nb
-    ultra_triples = _ultra_triples_nb
-else:
-    ultra_full = _ultra_full_np
-    ultra_triples = _ultra_triples_np
-
-
 # ---------------------------------------------------------------------------
 # Rejection filter: keep index tuples whose pairwise levels stay <= threshold
 # ---------------------------------------------------------------------------
 
-def _accept_mask_np(idx, table, threshold):
-    lv = table[idx[:, :, None], idx[:, None, :]]
-    n = idx.shape[1]
-    iu, ju = np.triu_indices(n, k=1)
-    return (lv[:, iu, ju] <= threshold).all(axis=1)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _accept_mask_nb(idx, table, threshold):  # pragma: no cover
-        c, n = idx.shape
-        out = np.empty(c, dtype=np.bool_)
-        for r in range(c):
-            ok = True
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    if table[idx[r, i], idx[r, j]] > threshold:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            out[r] = ok
-        return out
-
-    accept_mask = _accept_mask_nb
-else:
-    accept_mask = _accept_mask_np
+def accept_mask(idx, table, threshold):
+    return all_below(table[idx[:, :, None], idx[:, None, :]], idx.shape[1],
+                     threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +158,7 @@ else:
 #   * sorted-triple match I(sorted(e01,e02,e12) == given sorted levels)
 # S statistics are packed side by side with ptr offset arrays.
 
-def _eval_stats_np(levels_batch, vals, pack):
+def eval_stats(levels_batch, vals, pack):
     (pat_ptr, pat_i, pat_j, pat_req, mono_ptr, mono_i, mono_j, mono_pow,
      thr_ptr, thr_r, thr_t, srt_ptr, srt_lvl) = pack
     T = levels_batch.shape[0]
@@ -334,10 +169,7 @@ def _eval_stats_np(levels_batch, vals, pack):
         for p in range(pat_ptr[s], pat_ptr[s + 1]):
             v = v * (levels_batch[:, pat_i[p], pat_j[p]] == pat_req[p])
         for r in range(thr_ptr[s], thr_ptr[s + 1]):
-            nr = thr_r[r]
-            iu, ju = np.triu_indices(nr, k=1)
-            ok = (levels_batch[:, iu, ju] <= thr_t[r]).all(axis=1)
-            v = v * ok
+            v = v * all_below(levels_batch, thr_r[r], thr_t[r])
         for w in range(srt_ptr[s], srt_ptr[s + 1]):
             tri = np.sort(
                 np.stack(
@@ -355,223 +187,57 @@ def _eval_stats_np(levels_batch, vals, pack):
     return out
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _eval_stats_nb(levels_batch, vals, pat_ptr, pat_i, pat_j, pat_req,
-                       mono_ptr, mono_i, mono_j, mono_pow,
-                       thr_ptr, thr_r, thr_t, srt_ptr, srt_lvl):  # pragma: no cover
-        T = levels_batch.shape[0]
-        S = len(pat_ptr) - 1
-        out = np.empty((T, S))
-        for t in range(T):
-            for s in range(S):
-                v = 1.0
-                for p in range(pat_ptr[s], pat_ptr[s + 1]):
-                    if levels_batch[t, pat_i[p], pat_j[p]] != pat_req[p]:
-                        v = 0.0
-                if v != 0.0:
-                    for r in range(thr_ptr[s], thr_ptr[s + 1]):
-                        nr = thr_r[r]
-                        for i in range(nr - 1):
-                            for j in range(i + 1, nr):
-                                if levels_batch[t, i, j] > thr_t[r]:
-                                    v = 0.0
-                if v != 0.0:
-                    for w in range(srt_ptr[s], srt_ptr[s + 1]):
-                        a = levels_batch[t, 0, 1]
-                        b = levels_batch[t, 0, 2]
-                        c = levels_batch[t, 1, 2]
-                        lo = min(a, min(b, c))
-                        hi = max(a, max(b, c))
-                        mid = a + b + c - lo - hi
-                        if (lo != srt_lvl[3 * w] or mid != srt_lvl[3 * w + 1]
-                                or hi != srt_lvl[3 * w + 2]):
-                            v = 0.0
-                if v != 0.0:
-                    for q in range(mono_ptr[s], mono_ptr[s + 1]):
-                        base = vals[levels_batch[t, mono_i[q], mono_j[q]]]
-                        v = v * base ** np.float64(mono_pow[q])
-                out[t, s] = v
-        return out
-
-    def _eval_stats_nb_wrap(levels_batch, vals, pack):
-        return _eval_stats_nb(levels_batch, vals, *pack)
-
-    eval_stats = _eval_stats_nb_wrap
-else:
-    eval_stats = _eval_stats_np
+# Enumeration calls the evaluator through this name, so a wrapper installed
+# on `eval_stats` counts sampled batches only, not enumeration chunks.
+_eval_stats = eval_stats
 
 
 # ---------------------------------------------------------------------------
 # Exact enumeration over all m**n atom tuples
 # ---------------------------------------------------------------------------
 
-def _enum_stats_np(weights, table, n, threshold, vals, pack, chunk=200_000):
+def _tuple_chunks(weights, table, n, threshold, chunk):
+    """Yield (tuple weights, level matrices) over all m**n tuples, in order.
+
+    Tuples are enumerated in lexicographic order, `chunk` at a time. With
+    threshold >= 0 the weight of each tuple outside the event is zeroed.
+    """
     m = len(weights)
     total = m**n
     radix = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    event_mass = 0.0
-    sums = np.zeros(len(pack[0]) - 1)
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        lin = np.arange(start, stop, dtype=np.int64)
+        lin = np.arange(start, min(start + chunk, total), dtype=np.int64)
         idx = (lin[:, None] // radix[None, :]) % m
         w = np.prod(weights[idx], axis=1)
         lv = table[idx[:, :, None], idx[:, None, :]]
         if threshold >= 0:
-            iu, ju = np.triu_indices(n, k=1)
-            ok = (lv[:, iu, ju] <= threshold).all(axis=1)
-            w = w * ok
+            w = w * all_below(lv, n, threshold)
+        yield w, lv
+
+
+def enum_stats(weights, table, n, threshold, vals, pack, chunk=200_000):
+    """Event mass and weighted statistic sums over all m**n atom tuples."""
+    event_mass = 0.0
+    sums = np.zeros(len(pack[0]) - 1)
+    for w, lv in _tuple_chunks(weights, table, n, threshold, chunk):
         event_mass += float(w.sum())
-        stat = _eval_stats_np(lv, vals, pack)
-        sums += stat.T @ w
+        sums += _eval_stats(lv, vals, pack).T @ w
     return event_mass, sums
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _enum_stats_nb(weights, table, n, threshold, vals,
-                       pat_ptr, pat_i, pat_j, pat_req,
-                       mono_ptr, mono_i, mono_j, mono_pow,
-                       thr_ptr, thr_r, thr_t, srt_ptr, srt_lvl):  # pragma: no cover
-        m = len(weights)
-        S = len(pat_ptr) - 1
-        idx = np.zeros(n, dtype=np.int64)
-        lv = np.zeros((n, n), dtype=table.dtype)
-        event_mass = 0.0
-        sums = np.zeros(S)
-        while True:
-            w = 1.0
-            for i in range(n):
-                w *= weights[idx[i]]
-            for i in range(n):
-                for j in range(n):
-                    lv[i, j] = table[idx[i], idx[j]]
-            ok = True
-            if threshold >= 0:
-                for i in range(n - 1):
-                    for j in range(i + 1, n):
-                        if lv[i, j] > threshold:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                event_mass += w
-                for s in range(S):
-                    v = 1.0
-                    for p in range(pat_ptr[s], pat_ptr[s + 1]):
-                        if lv[pat_i[p], pat_j[p]] != pat_req[p]:
-                            v = 0.0
-                    if v != 0.0:
-                        for r in range(thr_ptr[s], thr_ptr[s + 1]):
-                            nr = thr_r[r]
-                            for i in range(nr - 1):
-                                for j in range(i + 1, nr):
-                                    if lv[i, j] > thr_t[r]:
-                                        v = 0.0
-                    if v != 0.0:
-                        for t in range(srt_ptr[s], srt_ptr[s + 1]):
-                            a = lv[0, 1]
-                            b = lv[0, 2]
-                            c = lv[1, 2]
-                            lo = min(a, min(b, c))
-                            hi = max(a, max(b, c))
-                            mid = a + b + c - lo - hi
-                            if (lo != srt_lvl[3 * t] or mid != srt_lvl[3 * t + 1]
-                                    or hi != srt_lvl[3 * t + 2]):
-                                v = 0.0
-                    if v != 0.0:
-                        for q in range(mono_ptr[s], mono_ptr[s + 1]):
-                            base = vals[lv[mono_i[q], mono_j[q]]]
-                            v = v * base ** np.float64(mono_pow[q])
-                    sums[s] += v * w
-            pos = n - 1
-            while pos >= 0 and idx[pos] == m - 1:
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
-            idx[pos] += 1
-        return event_mass, sums
-
-    def _enum_stats_nb_wrap(weights, table, n, threshold, vals, pack):
-        return _enum_stats_nb(weights, table, n, threshold, vals, *pack)
-
-    enum_stats = _enum_stats_nb_wrap
-else:
-    enum_stats = _enum_stats_np
-
-
-def _enum_law_np(weights, table, n, threshold, n_levels, chunk=200_000):
-    m = len(weights)
-    total = m**n
-    radix = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    iu, ju = np.triu_indices(n, k=1)
-    n_pos = len(iu)
-    base = n_levels + 1
-    mass = np.zeros(base**n_pos)
-    key_radix = base ** np.arange(n_pos, dtype=np.int64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        lin = np.arange(start, stop, dtype=np.int64)
-        idx = (lin[:, None] // radix[None, :]) % m
-        w = np.prod(weights[idx], axis=1)
-        lv = table[idx[:, :, None], idx[:, None, :]][:, iu, ju].astype(np.int64)
-        if threshold >= 0:
-            ok = (lv <= threshold).all(axis=1)
-            w = w * ok
-        keys = lv @ key_radix
+def enum_law(weights, table, n, threshold, n_levels, chunk=200_000):
+    """Mass of each upper-triangle level tuple, keyed in base n_levels + 1."""
+    iu, ju = _pairs(n)
+    key_radix = (n_levels + 1) ** np.arange(len(iu), dtype=np.int64)
+    mass = np.zeros((n_levels + 1) ** len(iu))
+    for w, lv in _tuple_chunks(weights, table, n, threshold, chunk):
+        keys = lv[:, iu, ju].astype(np.int64) @ key_radix
         mass += np.bincount(keys, weights=w, minlength=len(mass))
     return mass
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _enum_law_nb(weights, table, n, threshold, n_levels):  # pragma: no cover
-        m = len(weights)
-        n_pos = n * (n - 1) // 2
-        base = n_levels + 1
-        size = 1
-        for _ in range(n_pos):
-            size *= base
-        mass = np.zeros(size)
-        idx = np.zeros(n, dtype=np.int64)
-        while True:
-            w = 1.0
-            for i in range(n):
-                w *= weights[idx[i]]
-            ok = True
-            key = 0
-            mult = 1
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    lv = table[idx[i], idx[j]]
-                    if threshold >= 0 and lv > threshold:
-                        ok = False
-                    key += lv * mult
-                    mult *= base
-            if ok:
-                mass[key] += w
-            pos = n - 1
-            while pos >= 0 and idx[pos] == m - 1:
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
-            idx[pos] += 1
-        return mass
-
-    enum_law = _enum_law_nb
-else:
-    enum_law = _enum_law_np
-
-
 def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
+    """Run every kernel once on tiny inputs."""
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     jacobi_raw(a, 1e-12, 30)
     lv = np.zeros((3, 3), dtype=np.int16)

@@ -68,6 +68,9 @@ def parse_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
 
+    if not isinstance(raw, dict):
+        raise ValidationError(["config: must be a JSON object"])
+
     problems = []
     measure = raw.get("measure")
     if not isinstance(measure, dict):
@@ -90,15 +93,20 @@ def parse_config(path) -> ExperimentConfig:
         mc = chk.get("mc", {})
         if isinstance(mc, dict):
             for key in ("outer", "inner"):
-                if key in mc and (not isinstance(mc[key], int) or mc[key] < 1):
+                if key in mc and not _is_int(mc[key], 1):
                     problems.append(f"checks[{i}].mc.{key}: must be an integer >= 1")
         else:
             problems.append(f"checks[{i}].mc: must be an object")
-        if name == "criterion" and "q" not in chk:
-            problems.append(f"checks[{i}]: criterion needs a threshold q")
+        if name == "ultra" and not _is_int(chk.get("n", 8), 3):
+            problems.append(f"checks[{i}].n: ultra needs an integer n >= 3")
+        if name == "criterion":
+            if "q" not in chk:
+                problems.append(f"checks[{i}]: criterion needs a threshold q")
+            elif not _is_number(chk["q"]):
+                problems.append(f"checks[{i}].q: must be a number")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         problems.append("seed: must be an integer")
         seed = 0
 
@@ -106,6 +114,9 @@ def parse_config(path) -> ExperimentConfig:
     out_dir = output.get("dir", "out") if isinstance(output, dict) else "out"
     formats = output.get("formats", ["csv", "json"]) if isinstance(output, dict) \
         else ["csv", "json"]
+    if not isinstance(formats, list):
+        problems.append("output.formats: must be a list")
+        formats = []
     for f in formats:
         if f not in ("csv", "json"):
             problems.append(f"output.formats: unknown format {f!r}")
@@ -113,6 +124,16 @@ def parse_config(path) -> ExperimentConfig:
     if problems:
         raise ValidationError(problems)
     return ExperimentConfig(measure, checks, seed, out_dir, list(formats), raw)
+
+
+def _is_int(v, minimum=None) -> bool:
+    # bool is a subclass of int, but true/false is never a count or a seed
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and (minimum is None or v >= minimum))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _validate_measure(measure: dict) -> list:

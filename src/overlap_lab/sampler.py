@@ -9,7 +9,7 @@ each drawn measure as one observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -87,10 +87,8 @@ def combined_threshold(model, event_threshold: Optional[int]) -> Optional[int]:
 def _accept(measure: DiscreteMeasure, idx: np.ndarray, threshold: int) -> np.ndarray:
     if measure.table is not None:
         return _kernels.accept_mask(idx, measure.table, threshold)
-    lv = measure.levels_from_indices(idx)
-    n = idx.shape[1]
-    iu, ju = np.triu_indices(n, k=1)
-    return (lv[:, iu, ju] <= threshold).all(axis=1)
+    return _kernels.all_below(measure.levels_from_indices(idx), idx.shape[1],
+                              threshold)
 
 
 def draw_index_batch(measure: DiscreteMeasure, n: int, count: int,
@@ -220,37 +218,17 @@ def influence_se(h: np.ndarray) -> float:
     return float(np.std(h, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
 
 
-def estimate_expectation(model, stat, n: int, mc: MCConfig, seed: int,
+def estimate_expectation(model, stat: Statistic, n: int, mc: MCConfig, seed: int,
                          event: Optional[EventSpec] = None) -> EstimateReport:
     """Nested Monte Carlo estimate of E<stat> or E<stat | event>.
 
     The conditional form is the ratio E<stat * I_event> / E<I_event>;
-    acceptance_rate reports the estimated event mass. stat is a Statistic
-    or any callable on LevelMatrix; callables take the slow per-draw path.
+    acceptance_rate reports the estimated event mass.
     """
     model = as_model(model)
     t = event.threshold(model.grid) if event is not None else None
-    conditioned = combined_threshold(model, t) is not None
-    if isinstance(stat, Statistic):
-        means = outer_stat_means(model, [stat], n, mc, seed, t)
-    else:
-        threshold = combined_threshold(model, t)
-        means = np.empty((mc.outer, 2))
-        for j in range(mc.outer):
-            measure = model.measure_at(j)
-            rng = rng_from(seed, _INNER_KEY, j)
-            idx = measure.sample_indices(n, mc.inner, rng)
-            lv = measure.levels_from_indices(idx)
-            ind = np.ones(mc.inner)
-            if threshold is not None:
-                iu, ju = np.triu_indices(n, k=1)
-                ind = (lv[:, iu, ju] <= threshold).all(axis=1).astype(np.float64)
-            svals = np.zeros(mc.inner)
-            for t_ in range(mc.inner):
-                if ind[t_]:  # rejected draws can fall outside a descended grid
-                    svals[t_] = stat(LevelMatrix(lv[t_], model.grid))
-            means[j] = [(svals * ind).mean(), ind.mean()]
-    if not conditioned:
+    means = outer_stat_means(model, [stat], n, mc, seed, t)
+    if combined_threshold(model, t) is None:
         est, se = mean_and_se(means[:, 0])
         return EstimateReport(est, se, mc.inner, mc.outer, None)
     r, h, dbar = ratio_from_means(means)
@@ -269,17 +247,13 @@ def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
     """
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
-    iu = ju = None
     for j in range(mc.outer):
         measure = model.measure_at(j)
         rng = rng_from(seed, key, j)
         idx = measure.sample_indices(n, mc.inner, rng)
         lv = measure.levels_from_indices(idx)
         if threshold is not None:
-            if iu is None:
-                iu, ju = np.triu_indices(n, k=1)
-            mask = (lv[:, iu, ju] <= threshold).all(axis=1)
-            lv = lv[mask]
+            lv = lv[_kernels.all_below(lv, n, threshold)]
         yield measure, lv
 
 
@@ -306,39 +280,12 @@ def enumerate_statistics(measure: DiscreteMeasure, stats: Sequence[Statistic],
     return sums / mass, float(mass)
 
 
-def enumerate_statistic(measure: DiscreteMeasure,
-                        stat: Union[Statistic, Callable], n: int,
+def enumerate_statistic(measure: DiscreteMeasure, stat: Statistic, n: int,
                         event: Optional[EventSpec] = None) -> float:
     """Exact <stat> or <stat | event> for one fixed measure."""
     t = event.threshold(measure.grid) if event is not None else None
-    if isinstance(stat, Statistic):
-        out, _ = enumerate_statistics(measure, [stat], n, t)
-        return float(out[0])
-    _enum_guard(measure, n)
-    table = measure.require_table()
-    m = measure.m
-    total = 0.0
-    mass = 0.0
-    idx = np.zeros(n, dtype=np.int64)
-    iu, ju = np.triu_indices(n, k=1)
-    while True:
-        lv = table[np.ix_(idx, idx)].astype(np.int16)
-        lv[np.diag_indices(n)] = 0
-        ok = t is None or (lv[iu, ju] <= t).all()
-        if ok:
-            w = float(np.prod(measure.weights[idx]))
-            mass += w
-            total += w * float(stat(LevelMatrix(lv, measure.grid)))
-        pos = n - 1
-        while pos >= 0 and idx[pos] == m - 1:
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        idx[pos] += 1
-    if mass <= 0.0:
-        raise EventNull("conditioning event has zero mass")
-    return total / mass
+    out, _ = enumerate_statistics(measure, [stat], n, t)
+    return float(out[0])
 
 
 def enumerate_matrix_law(measure: DiscreteMeasure, n: int,

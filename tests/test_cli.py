@@ -80,6 +80,24 @@ class TestParseConfig:
             parse_config(p)
         assert len(err.value.problems) >= 3
 
+    @pytest.mark.parametrize("cfg, field", [
+        ([{"measure": {"type": "adversarial"}}], "config: must be a JSON object"),
+        ({"output": {"formats": "csv"}}, "output.formats: must be a list"),
+        ({"checks": [{"name": "ultra", "n": 2}]}, "checks[0].n"),
+        ({"checks": [{"name": "ultra", "n": 3.5}]}, "checks[0].n"),
+        ({"checks": [{"name": "gg", "mc": {"outer": True}}]}, "checks[0].mc.outer"),
+        ({"seed": True}, "seed"),
+        ({"checks": [{"name": "criterion", "q": "abc"}]}, "checks[0].q"),
+    ])
+    def test_malformed_field_named(self, tmp_path, cfg, field):
+        if isinstance(cfg, dict):
+            cfg = {"measure": {"type": "adversarial"},
+                   "checks": [{"name": "support"}], **cfg}
+        with pytest.raises(ValidationError) as err:
+            parse_config(write_config(tmp_path / "c.json", cfg))
+        assert any(p.startswith(field) for p in err.value.problems), \
+            err.value.problems
+
     def test_hash_stable_under_key_reordering(self, tmp_path):
         a = {"measure": {"type": "adversarial"}, "checks": [{"name": "support"}],
              "seed": 1}

@@ -120,15 +120,6 @@ class TestEstimateExpectation:
         rep = estimate_expectation(m, stat, 2, MCConfig(200, 100), seed=5)
         assert abs(rep.estimate - exact) <= 3 * rep.std_error + 1e-9
 
-    def test_callable_matches_statistic(self):
-        m = three_atoms()
-        stat = Statistic(2).with_pattern(0, 1, 1)
-        a = estimate_expectation(m, stat, 2, MCConfig(30, 20), seed=5)
-        b = estimate_expectation(
-            m, lambda lm: float(lm.entries[0, 1] == 1), 2,
-            MCConfig(30, 20), seed=5)
-        assert np.isclose(a.estimate, b.estimate, atol=1e-12)
-
     def test_conditional_acceptance_rate(self):
         # E-level acceptance of distinctness matches the mass formula shape
         model = TreeModel(TreeMeasureSpec((0.5,), 300, (0.5,), seed=3))
@@ -165,16 +156,6 @@ class TestEnumeration:
         m = build_tree_measure(TreeMeasureSpec((0.5,), 500, (0.5,), seed=1))
         with pytest.raises(TooLarge):
             enumerate_statistic(m, Statistic(3), 3)
-
-    def test_callable_matches_packed(self):
-        m = three_atoms((0.5, 0.3, 0.2))
-        stat = Statistic(3).with_pattern(0, 1, 1).with_monomial(0, 2, 1)
-        fast = enumerate_statistic(m, stat, 3)
-        vals = np.array([0.7, 0.3, 0.7])
-        slow = enumerate_statistic(
-            m, lambda lm: float(lm.entries[0, 1] == 1) * vals[lm.entries[0, 2]],
-            3)
-        assert np.isclose(fast, slow, atol=1e-14)
 
     def test_hand_computed_value(self):
         # equal weights: P(R12 = 0.3 level) = 6/9 * ... pairwise distinct = 2/3
