@@ -26,6 +26,14 @@ def _pairs(n):
     return iu, ju
 
 
+@lru_cache(maxsize=64)
+def _upper(n):
+    """Boolean mask of the strict upper triangle of an n x n matrix."""
+    mask = np.triu(np.ones((int(n), int(n)), dtype=bool), k=1)
+    mask.flags.writeable = False  # shared by every caller
+    return mask
+
+
 def all_below(levels_batch, n, threshold):
     """Per matrix: are all pairwise levels among the first n replicas <= threshold?"""
     iu, ju = _pairs(n)
@@ -104,6 +112,7 @@ def jacobi_raw(A, tol, max_sweeps):
 
 def ultra_full(levels):
     n = levels.shape[0]
+    upper = _upper(n)
     checked = 0
     violations = 0
     witness = np.full(6, -1, dtype=np.int64)
@@ -111,14 +120,13 @@ def ultra_full(levels):
         row = levels[a]
         x = row[a + 1 :][:, None]  # level (a,b)
         y = row[a + 1 :][None, :]  # level (a,c)
-        bad = np.triu(_unique_min(x, y, levels[a + 1 :, a + 1 :]), k=1)
+        bad = _unique_min(x, y, levels[a + 1 :, a + 1 :]) & upper[a + 1 :, a + 1 :]
         checked += (n - 1 - a) * (n - 2 - a) // 2
         cnt = int(bad.sum())
         if cnt and violations == 0:
-            bs, cs = np.nonzero(bad)
-            order = np.lexsort((cs, bs))
-            b = int(bs[order[0]]) + a + 1
-            c = int(cs[order[0]]) + a + 1
+            # first (b, c) in row-major order
+            b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            b, c = int(b) + a + 1, int(c) + a + 1
             witness[:] = (a, b, c, levels[a, b], levels[a, c], levels[b, c])
         violations += cnt
     return checked, violations, witness

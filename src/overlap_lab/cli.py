@@ -42,6 +42,11 @@ from .verify import (conditional_marginal_check, consistency_check,
 CHECK_NAMES = ("gg", "mass", "lemma1", "consistency", "marginal", "support",
                "positivity", "ultra", "descend", "criterion")
 
+# integer fields of one check type: (check name, field, minimum)
+CHECK_INT_FIELDS = (("mass", "n_max", 2), ("criterion", "n_max", 3),
+                    ("ultra", "n", 3), ("descend", "n_condition", 1),
+                    ("descend", "psd_outer", 1), ("descend", "psd_inner", 1))
+
 
 @dataclass
 class ExperimentConfig:
@@ -97,8 +102,12 @@ def parse_config(path) -> ExperimentConfig:
                     problems.append(f"checks[{i}].mc.{key}: must be an integer >= 1")
         else:
             problems.append(f"checks[{i}].mc: must be an object")
-        if name == "ultra" and not _is_int(chk.get("n", 8), 3):
-            problems.append(f"checks[{i}].n: ultra needs an integer n >= 3")
+        for check, key, minimum in CHECK_INT_FIELDS:
+            if name == check and key in chk and not _is_int(chk[key], minimum):
+                problems.append(f"checks[{i}].{key}: must be an integer >= {minimum}")
+        for key in ("abs_tol", "z"):
+            if key in chk and not (_is_number(chk[key]) and chk[key] >= 0):
+                problems.append(f"checks[{i}].{key}: must be a number >= 0")
         if name == "criterion":
             if "q" not in chk:
                 problems.append(f"checks[{i}]: criterion needs a threshold q")
@@ -111,9 +120,11 @@ def parse_config(path) -> ExperimentConfig:
         seed = 0
 
     output = raw.get("output", {})
-    out_dir = output.get("dir", "out") if isinstance(output, dict) else "out"
-    formats = output.get("formats", ["csv", "json"]) if isinstance(output, dict) \
-        else ["csv", "json"]
+    if not isinstance(output, dict):
+        problems.append("output: must be an object")
+        output = {}
+    out_dir = output.get("dir", "out")
+    formats = output.get("formats", ["csv", "json"])
     if not isinstance(formats, list):
         problems.append("output.formats: must be a list")
         formats = []

@@ -132,6 +132,7 @@ class DiscreteMeasure:
             raise ValueError("need atom norms")
         self._cum = np.cumsum(weights)
         self._cum[-1] = 1.0
+        self._cum.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -301,17 +302,23 @@ class TreeStructure:
         leaves = np.arange(m, dtype=np.int64)
         self.digits = ((leaves[:, None] // radix[None, :]) % B).astype(np.int32)
         self.d = int((B ** np.arange(1, k + 1)).sum())
-        self.norm_sq = float(np.sum(self.coefs**2))
+        # every measure on this structure shares these arrays
+        self.norms_sq = np.full(m, float(np.sum(self.coefs**2)))
+        self.norms_sq.flags.writeable = False
+        # prefixes[j]: index of the depth-(j+1) ancestor of each leaf
+        prefixes = [leaves // B ** (k - 1 - j) for j in range(k)]
         if m <= TABLE_CAP:
-            eq = self.digits[:, None, :] == self.digits[None, :, :]
-            self.table = (np.cumprod(eq, axis=2).sum(axis=2) + 1).astype(np.int16)
+            # pair level = 1 + number of ancestors the two leaves share
+            table = np.ones((m, m), dtype=np.int16)
+            for prefix in prefixes:
+                table += prefix[:, None] == prefix[None, :]
+            self.table = table
         else:
             self.table = None
         if m * self.d <= DENSE_ATOM_CAP:
             atoms = np.zeros((m, self.d))
             offset = 0
-            for j in range(k):
-                prefix = leaves // (B ** (k - 1 - j)) % (B ** (j + 1))
+            for j, prefix in enumerate(prefixes):
                 atoms[leaves, offset + prefix] = self.coefs[j]
                 offset += B ** (j + 1)
             self.atoms = atoms
@@ -369,8 +376,9 @@ def build_tree_measure(spec: TreeMeasureSpec,
     """Assemble the measure: geometry + seeded weights + emergent grid probs."""
     st = structure if structure is not None else TreeStructure(spec.q, spec.branching)
     W = tree_leaf_weights(st, spec.zetas, spec.seed)
+    W.flags.writeable = False  # a model may hand this measure to every check
     probs = _tree_level_probs(W, st.digits)
     grid = OverlapGrid(st.grid_levels, tuple(probs), st.grid_levels[-1])
     return DiscreteMeasure(
         W, grid, "tree", atoms=st.atoms, table=st.table, tree_digits=st.digits,
-        norms_sq=np.full(st.m, st.norm_sq))
+        norms_sq=st.norms_sq)

@@ -2,8 +2,9 @@
 
 A model yields one DiscreteMeasure per outer replication index. Tree
 models redraw the random weights (the outer randomness) while sharing
-the fixed geometry; frozen models return the same measure every time,
-so the outer expectation degenerates to the inner average.
+the fixed geometry, and keep the measures they built up to MEMO_BYTES so
+that every check reuses them; frozen models return the same measure
+every time, so the outer expectation degenerates to the inner average.
 
 A descended model represents the conditioned-and-truncated ensemble of
 the induction step: sampling n replicas from it means rejection-sampling
@@ -13,6 +14,7 @@ k-fold descent composes to a single threshold, so the stack stays flat.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 from typing import Optional
 
@@ -22,6 +24,11 @@ from .measures import (DiscreteMeasure, TreeMeasureSpec, TreeStructure,
                        build_tree_measure, derive_seed)
 
 _OUTER_KEY = 0x5EED
+
+# Bytes of outer measures a TreeModel keeps, counted as 16 per atom (weights
+# and their cumulative sums). Measures are kept first come, never evicted:
+# every check scans j = 0, 1, ... again, so the first ones are the ones reused.
+MEMO_BYTES = 64 * 2**20
 
 
 class TreeModel:
@@ -38,10 +45,20 @@ class TreeModel:
         qs = ",".join(f"{v:g}" for v in spec.q)
         zs = ",".join(f"{z:g}" for z in spec.zetas)
         self.model_id = f"tree(q=[{qs}],B={spec.branching},z=[{zs}],seed={spec.seed})"
+        self._memo = {}
+        self._memo_lock = threading.Lock()
 
     def measure_at(self, j: int) -> DiscreteMeasure:
+        measure = self._memo.get(j)
+        if measure is not None:
+            return measure
+        # threads may race to build the same j; the result is the same
         child = derive_seed(self.spec.seed, _OUTER_KEY, j)
-        return build_tree_measure(replace(self.spec, seed=child), self.structure)
+        measure = build_tree_measure(replace(self.spec, seed=child), self.structure)
+        with self._memo_lock:
+            if 16 * measure.m * (len(self._memo) + 1) <= MEMO_BYTES:
+                self._memo.setdefault(j, measure)
+        return measure
 
 
 class FrozenModel:

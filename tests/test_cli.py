@@ -88,6 +88,14 @@ class TestParseConfig:
         ({"checks": [{"name": "gg", "mc": {"outer": True}}]}, "checks[0].mc.outer"),
         ({"seed": True}, "seed"),
         ({"checks": [{"name": "criterion", "q": "abc"}]}, "checks[0].q"),
+        ({"checks": [{"name": "mass", "n_max": 0}]}, "checks[0].n_max"),
+        ({"checks": [{"name": "criterion", "q": 0.5, "n_max": 1}]},
+         "checks[0].n_max"),
+        ({"checks": [{"name": "descend", "psd_outer": 0}]}, "checks[0].psd_outer"),
+        ({"checks": [{"name": "descend", "psd_inner": "x"}]}, "checks[0].psd_inner"),
+        ({"checks": [{"name": "gg", "abs_tol": "x"}]}, "checks[0].abs_tol"),
+        ({"checks": [{"name": "gg", "z": "x"}]}, "checks[0].z"),
+        ({"output": "out"}, "output: must be an object"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):

@@ -1,3 +1,7 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +10,14 @@ from hypothesis import strategies as st
 from overlap_lab.errors import (BadWeights, BadZeta, OffGridOverlap,
                                 TooManyAtoms)
 from overlap_lab.grid import OverlapGrid
+from overlap_lab import models
 from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
                                   TreeMeasureSpec, TreeStructure,
                                   adversarial_measure, build_tree_measure,
-                                  explicit_measure, measure_from_gram,
-                                  sample_pd_weights, tree_leaf_weights)
+                                  derive_seed, explicit_measure,
+                                  measure_from_gram, sample_pd_weights,
+                                  tree_leaf_weights)
+from overlap_lab.models import DescendedModel, TreeModel
 
 
 class TestPdWeights:
@@ -157,14 +164,81 @@ class TestTreeMeasure:
     def test_probs_survive_degenerate_weight_draws(self):
         # heavy-tailed draws can put ~all mass on one leaf; the emergent
         # probabilities must stay positive (no cancellation to zero)
-        from overlap_lab.models import TreeModel
-
         tm = TreeModel(TreeMeasureSpec((0.3, 0.7), 30, (0.3, 0.6), seed=7))
         smallest = 1.0
         for j in range(300):
             m = tm.measure_at(j)
             smallest = min(smallest, min(m.grid.probs))
         assert smallest > 0.0
+
+
+class TestTreeStructureTable:
+    @pytest.mark.parametrize("B, k", [(3, 1), (4, 2), (3, 3), (7, 2)])
+    def test_table_matches_cumprod_reference(self, B, k):
+        st = TreeStructure(tuple(np.linspace(0.2, 0.8, k)), B)
+        # reference: 1 + length of the common leading run of path digits
+        eq = st.digits[:, None, :] == st.digits[None, :, :]
+        want = (np.cumprod(eq, axis=2).sum(axis=2) + 1).astype(np.int16)
+        assert st.table.dtype == np.int16
+        assert np.array_equal(st.table, want)
+
+
+class TestTreeModelMemo:
+    SPEC = TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=13)
+
+    def assert_fresh(self, measure, j):
+        child = derive_seed(self.SPEC.seed, models._OUTER_KEY, j)
+        fresh = build_tree_measure(replace(self.SPEC, seed=child))
+        assert np.array_equal(measure.weights, fresh.weights)
+        assert measure.grid.probs == fresh.grid.probs
+
+    def test_repeat_calls_match_fresh_build(self):
+        model = TreeModel(self.SPEC)
+        for j in (0, 5, 0, 5):
+            self.assert_fresh(model.measure_at(j), j)
+        assert model.measure_at(5) is model.measure_at(5)
+        assert DescendedModel(model).measure_at(5) is model.measure_at(5)
+
+    def test_budget_caps_memo_first_come(self, monkeypatch):
+        cap = 3
+        monkeypatch.setattr(models, "MEMO_BYTES", 16 * self.SPEC.branching**2 * cap)
+        model = TreeModel(self.SPEC)
+        for j in [*range(8), *range(8)]:
+            self.assert_fresh(model.measure_at(j), j)
+            assert len(model._memo) <= cap
+        assert sorted(model._memo) == [0, 1, 2]
+
+    def test_threads_keep_cap_and_values(self, monkeypatch):
+        cap = 3
+        monkeypatch.setattr(models, "MEMO_BYTES", 16 * self.SPEC.branching**2 * cap)
+        model = TreeModel(self.SPEC)
+        got = {}
+
+        def worker(w):
+            for j in np.random.default_rng(w).permutation(8):
+                got[(w, int(j))] = model.measure_at(int(j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 6 * 8
+        assert len(model._memo) <= cap
+        for (_, j), measure in got.items():
+            self.assert_fresh(measure, j)
+
+    def test_stored_arrays_read_only(self):
+        measure = TreeModel(self.SPEC).measure_at(0)
+        for arr in (measure.weights, measure.norms_sq):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
 
 
 class TestExplicitMeasure:
