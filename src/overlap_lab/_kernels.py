@@ -172,6 +172,7 @@ def eval_stats(levels_batch, vals, pack):
     T = levels_batch.shape[0]
     S = len(pat_ptr) - 1
     out = np.ones((T, S))
+    tri = None  # sorted (e01, e02, e12) of each matrix, built on first use
     for s in range(S):
         v = np.ones(T)
         for p in range(pat_ptr[s], pat_ptr[s + 1]):
@@ -179,13 +180,9 @@ def eval_stats(levels_batch, vals, pack):
         for r in range(thr_ptr[s], thr_ptr[s + 1]):
             v = v * all_below(levels_batch, thr_r[r], thr_t[r])
         for w in range(srt_ptr[s], srt_ptr[s + 1]):
-            tri = np.sort(
-                np.stack(
-                    [levels_batch[:, 0, 1], levels_batch[:, 0, 2], levels_batch[:, 1, 2]],
-                    axis=1,
-                ),
-                axis=1,
-            )
+            if tri is None:
+                tri = np.sort(np.stack([levels_batch[:, 0, 1], levels_batch[:, 0, 2],
+                                        levels_batch[:, 1, 2]], axis=1), axis=1)
             want = srt_lvl[3 * w : 3 * w + 3]
             v = v * (tri == want[None, :]).all(axis=1)
         for q in range(mono_ptr[s], mono_ptr[s + 1]):
@@ -203,24 +200,74 @@ _eval_stats = eval_stats
 # ---------------------------------------------------------------------------
 # Exact enumeration over all m**n atom tuples
 # ---------------------------------------------------------------------------
+# A block of T tuples of r replicas is (weights, atoms, levels) with shapes
+# (T,), (r, T) and (r, r, T): tuple index last, so that every per-pair row a
+# join writes, and every levels[:, i, j] the evaluator reads, is contiguous.
+
+def _join(head, tail, weights, table, threshold):
+    """Every head tuple followed by every tail tuple, in lexicographic order.
+
+    Returns the weights and level matrices of the joined tuples, and the mask
+    of the head-major (head, tail) pairs kept (None when all are kept).
+    Weights multiply left to right, as np.prod over the joined tuple would.
+    With threshold >= 0, joins with a head-tail level above it are dropped:
+    they lie outside the event, and each block's own pairs were checked when
+    it was built.
+    """
+    hw, hi, hl = head
+    _, ti, tl = tail
+    (r, K), (s, T) = hi.shape, ti.shape
+    # cross[i, j, k, t]: level of head replica i of k and tail replica j of t
+    cross = np.take(table[hi], ti, axis=2).transpose(0, 2, 1, 3)
+    w = hw[:, None]
+    for col in weights[ti]:
+        w = w * col
+    lv = np.empty((r + s, r + s, K, T), dtype=table.dtype)
+    lv[:r, :r] = hl[:, :, :, None]
+    lv[:r, r:] = cross
+    lv[r:, :r] = cross.transpose(1, 0, 2, 3)
+    lv[r:, r:] = tl[:, :, None, :]
+    w, lv = w.ravel(), lv.reshape(r + s, r + s, K * T)
+    keep = None
+    if threshold >= 0:
+        keep = (cross <= threshold).all(axis=(0, 1)).ravel()
+        w, lv = w[keep], np.compress(keep, lv, axis=2)
+    return w, lv, keep
+
 
 def _tuple_chunks(weights, table, n, threshold, chunk):
     """Yield (tuple weights, level matrices) over all m**n tuples, in order.
 
-    Tuples are enumerated in lexicographic order, `chunk` at a time. With
-    threshold >= 0 the weight of each tuple outside the event is zeroed.
+    Tuples come in lexicographic order, at most `chunk` per block. With
+    threshold >= 0, tuples outside the event are skipped, prefix by prefix.
+    The tail is the last s replicas, the largest s with m**s <= chunk; it is
+    built once and joined to each surviving head prefix in turn.
     """
     m = len(weights)
-    total = m**n
-    radix = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        lin = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        idx = (lin[:, None] // radix[None, :]) % m
-        w = np.prod(weights[idx], axis=1)
-        lv = table[idx[:, :, None], idx[:, None, :]]
-        if threshold >= 0:
-            w = w * all_below(lv, n, threshold)
-        yield w, lv
+    s = 0
+    while s < n and m ** (s + 1) <= chunk:
+        s += 1
+    atoms = np.arange(m)
+    unit = (weights, atoms[None, :], table[atoms, atoms][None, None, :])
+
+    def grow(block, replicas):
+        for _ in range(replicas):
+            w, lv, keep = _join(block, unit, weights, table, threshold)
+            hi = block[1]
+            grown = np.concatenate([np.repeat(hi, m, axis=1),
+                                    np.tile(atoms, (1, hi.shape[1]))])
+            block = (w, grown if keep is None else grown[:, keep], lv)
+        return block
+
+    empty = (np.ones(1), np.zeros((0, 1), dtype=np.int64),
+             np.zeros((0, 0, 1), dtype=table.dtype))
+    tail, heads = grow(empty, s), grow(empty, n - s)
+    hw, hi, hl = heads
+    for h in range(len(hw)):
+        w, lv, _ = _join((hw[h : h + 1], hi[:, h : h + 1], hl[:, :, h : h + 1]),
+                         tail, weights, table, threshold)
+        if len(w):
+            yield w, lv.transpose(2, 0, 1)
 
 
 def enum_stats(weights, table, n, threshold, vals, pack, chunk=200_000):
@@ -234,14 +281,24 @@ def enum_stats(weights, table, n, threshold, vals, pack, chunk=200_000):
 
 
 def enum_law(weights, table, n, threshold, n_levels, chunk=200_000):
-    """Mass of each upper-triangle level tuple, keyed in base n_levels + 1."""
+    """Realized upper-triangle level tuples and the mass of each.
+
+    Returns (keys, mass): the sorted distinct keys of the row-major level
+    tuples of the tuples in the event, in base n_levels + 1 with the first
+    pair as the lowest digit, and the summed weight of each.
+    """
     iu, ju = _pairs(n)
+    if (n_levels + 1) ** len(iu) > np.iinfo(np.int64).max:
+        raise OverflowError(f"level tuples of {n} replicas overflow an int64 key")
     key_radix = (n_levels + 1) ** np.arange(len(iu), dtype=np.int64)
-    mass = np.zeros((n_levels + 1) ** len(iu))
+    keys = np.zeros(0, dtype=np.int64)
+    mass = np.zeros(0)
     for w, lv in _tuple_chunks(weights, table, n, threshold, chunk):
-        keys = lv[:, iu, ju].astype(np.int64) @ key_radix
-        mass += np.bincount(keys, weights=w, minlength=len(mass))
-    return mass
+        keys, inv = np.unique(np.concatenate([keys, lv[:, iu, ju] @ key_radix]),
+                              return_inverse=True)
+        mass = np.bincount(inv, weights=np.concatenate([mass, w]),
+                           minlength=len(keys))
+    return keys, mass
 
 
 def warmup():

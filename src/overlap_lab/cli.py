@@ -32,7 +32,8 @@ from .grid import OverlapGrid
 from .measures import (TreeMeasureSpec, adversarial_measure, derive_seed,
                        explicit_measure)
 from .models import FrozenModel, TreeModel
-from .observables import ObservableSpec, Psi, default_gg_observables
+from .observables import (MAX_MONOMIAL_POWER, ObservableSpec, Psi,
+                          default_gg_observables)
 from .pipeline import DescendConfig, criterion_run, descend
 from .sampler import EventSpec, MCConfig
 from .verify import (conditional_marginal_check, consistency_check,
@@ -113,6 +114,19 @@ def parse_config(path) -> ExperimentConfig:
                 problems.append(f"checks[{i}]: criterion needs a threshold q")
             elif not _is_number(chk["q"]):
                 problems.append(f"checks[{i}].q: must be a number")
+            pats = chk.get("patterns", [[[1, 1, 1]]])
+            if not (isinstance(pats, list) and pats and all(
+                    _is_int_triples(p, 1) and p for p in pats)):
+                problems.append(
+                    f"checks[{i}].patterns: must be a nonempty list of nonempty "
+                    "lists of [a, b, c] integer level triples, levels >= 1")
+        if name == "gg":
+            problems.extend(_gg_problems(chk, f"checks[{i}]"))
+        if name in ("lemma1", "consistency"):
+            n = chk.get("n", 2)
+            problems.extend(_f_problems({"f_pattern": chk.get("f_pattern", [])},
+                                        max(n, 2) if _is_int(n) else None,
+                                        f"checks[{i}]"))
 
     seed = raw.get("seed", 0)
     if not _is_int(seed):
@@ -145,6 +159,72 @@ def _is_int(v, minimum=None) -> bool:
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int_triples(v, minimum=None) -> bool:
+    """A list of [a, b, c] integer triples, every entry >= minimum."""
+    return isinstance(v, list) and all(
+        isinstance(t, list) and len(t) == 3
+        and all(_is_int(x, minimum) for x in t) for t in v)
+
+
+def _f_problems(d: dict, n, where: str) -> list:
+    """The f_pattern / f_monomial lists of one observable, on n replicas."""
+    problems = []
+    for key, what, top in (("f_pattern", "level >= 1", None),
+                           ("f_monomial", f"power 1..{MAX_MONOMIAL_POWER}",
+                            MAX_MONOMIAL_POWER)):
+        v = d.get(key, [])
+        if not (_is_int_triples(v, 1) and all(
+                l < lp and (n is None or lp <= n) and (top is None or x <= top)
+                for l, lp, x in v)):
+            problems.append(f"{where}.{key}: must be a list of [l, l', x] "
+                            f"integer triples, 1 <= l < l' <= n, {what}")
+    if d.get("f_pattern") and d.get("f_monomial"):
+        problems.append(f"{where}: choose f_pattern or f_monomial, not both")
+    return problems
+
+
+def _gg_problems(chk: dict, where: str) -> list:
+    """The observables and the conditioning event of a gg check."""
+    problems = []
+    observables = chk.get("observables", "default")
+    if observables != "default":
+        if not (isinstance(observables, list) and observables):
+            problems.append(f'{where}.observables: must be "default" or a '
+                            "nonempty list of objects")
+            observables = []
+        for j, d in enumerate(observables):
+            at = f"{where}.observables[{j}]"
+            if not isinstance(d, dict):
+                problems.append(f"{at}: must be an object")
+                continue
+            n = d.get("n")
+            if not _is_int(n, 2):
+                problems.append(f"{at}.n: must be an integer >= 2")
+                n = None
+            psi = d.get("psi")
+            if not (isinstance(psi, dict) and len(psi) == 1 and (
+                    _is_int(psi.get("monomial"), 1)
+                    and psi["monomial"] <= MAX_MONOMIAL_POWER
+                    or _is_int(psi.get("indicator"), 1))):
+                problems.append(f'{at}.psi: must be {{"monomial": 1..'
+                                f'{MAX_MONOMIAL_POWER}}} or {{"indicator": '
+                                "level >= 1}")
+            problems.extend(_f_problems(d, n, at))
+    cond = chk.get("conditioned")
+    if cond and not isinstance(cond, dict):
+        problems.append(f"{where}.conditioned: must be an object")
+    elif cond:
+        at = f"{where}.conditioned"
+        if cond.get("kind") not in ("A_n", "A_nq"):
+            problems.append(f'{at}.kind: must be "A_n" or "A_nq"')
+        if "n" in cond and not _is_int(cond["n"], 3):
+            problems.append(f"{at}.n: must be an integer >= 3")
+        if ("q" in cond or cond.get("kind") == "A_nq") and not _is_number(
+                cond.get("q")):
+            problems.append(f"{at}.q: must be a number")
+    return problems
 
 
 def _validate_measure(measure: dict) -> list:

@@ -298,21 +298,13 @@ def enumerate_matrix_law(measure: DiscreteMeasure, n: int,
     table = measure.require_table()
     t = -1 if event_threshold is None else int(event_threshold)
     k = measure.grid.k
-    mass = _kernels.enum_law(measure.weights, table, n, t, k)
+    keys, mass = _kernels.enum_law(measure.weights, table, n, t, k)
     total = float(mass.sum())
     if total <= 0.0:
         raise EventNull("conditioning event has zero mass")
-    n_pos = n * (n - 1) // 2
-    base = k + 1
-    out = {}
-    for key in np.nonzero(mass)[0]:
-        digits = []
-        rem = int(key)
-        for _ in range(n_pos):
-            digits.append(rem % base)
-            rem //= base
-        out[tuple(digits)] = float(mass[key]) / total
-    return out
+    hit = mass != 0.0
+    digits = keys[hit, None] // (k + 1) ** np.arange(n * (n - 1) // 2) % (k + 1)
+    return dict(zip(map(tuple, digits.tolist()), (mass[hit] / total).tolist()))
 
 
 def empirical_matrix_law(measure: DiscreteMeasure, n: int, draws: int, seed,

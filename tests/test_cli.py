@@ -96,6 +96,32 @@ class TestParseConfig:
         ({"checks": [{"name": "gg", "abs_tol": "x"}]}, "checks[0].abs_tol"),
         ({"checks": [{"name": "gg", "z": "x"}]}, "checks[0].z"),
         ({"output": "out"}, "output: must be an object"),
+        ({"checks": [{"name": "gg", "observables": [
+            {"n": "x", "psi": {"monomial": 1}}]}]}, "checks[0].observables[0].n"),
+        ({"checks": [{"name": "gg", "observables": [
+            {"n": 2, "psi": {"monomial": 9}}]}]}, "checks[0].observables[0].psi"),
+        ({"checks": [{"name": "gg", "observables": [
+            {"n": 2, "psi": {"indicator": 1}, "f_pattern": [[1, 3, 1]]}]}]},
+         "checks[0].observables[0].f_pattern"),
+        ({"checks": [{"name": "gg", "observables": [
+            {"n": 2, "psi": {"indicator": 1}, "f_monomial": [[1, 2, "x"]]}]}]},
+         "checks[0].observables[0].f_monomial"),
+        ({"checks": [{"name": "gg", "observables": "all"}]},
+         "checks[0].observables"),
+        ({"checks": [{"name": "gg", "conditioned": {"kind": "B_n"}}]},
+         "checks[0].conditioned.kind"),
+        ({"checks": [{"name": "gg", "conditioned": {"kind": "A_n", "n": "x"}}]},
+         "checks[0].conditioned.n"),
+        ({"checks": [{"name": "gg", "conditioned": {"kind": "A_nq"}}]},
+         "checks[0].conditioned.q"),
+        ({"checks": [{"name": "gg", "conditioned": "A_n"}]},
+         "checks[0].conditioned"),
+        ({"checks": [{"name": "criterion", "q": 0.5, "patterns": [[[1, 1]]]}]},
+         "checks[0].patterns"),
+        ({"checks": [{"name": "criterion", "q": 0.5, "patterns": [[1, 1, 1]]}]},
+         "checks[0].patterns"),
+        ({"checks": [{"name": "lemma1", "f_pattern": [["a", 2, 1]]}]},
+         "checks[0].f_pattern"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from overlap_lab import _kernels
+from overlap_lab.errors import EventNull
+from overlap_lab.grid import OverlapGrid
+from overlap_lab.measures import measure_from_gram
 from overlap_lab.observables import Statistic, pack_statistics
+from overlap_lab.sampler import enumerate_statistics
 
 
 def random_stats(rng, n, k):
     stats = []
     s = Statistic(n).with_pattern(0, 1, int(rng.integers(1, k + 1)))
     stats.append(s)
-    stats.append(Statistic(n).with_monomial(0, 1, 2).with_monomial(1, 2, 1))
+    mono = Statistic(n).with_monomial(0, 1, 2)
+    stats.append(mono.with_monomial(1, 2, 1) if n >= 3 else mono)
     stats.append(Statistic(n).with_threshold(n, k - 1))
     if n >= 3:
         stats.append(Statistic(n).with_sorted_triple((1, 1, min(2, k))))
@@ -59,52 +64,98 @@ class TestStatisticReference:
 
 
 class TestEnumerationReference:
-    """Chunked enumeration matches a brute-force sum over itertools.product."""
+    """Enumeration matches a brute-force sum over itertools.product.
 
-    m, n, k = 4, 3, 3
+    chunk=1 runs the head loop over every replica, chunk=7 and chunk=m a
+    one-replica tail, chunk=m**2 a two-replica tail and chunk=10**6 the
+    whole enumeration as one block. Atom 1 has zero weight. t=2 keeps the
+    tuples of distinct atoms; t=1 prunes hardest and leaves no tuple at n=4.
+    """
+
+    m, k = 5, 3
+    chunks = [1, 7, m, m**2, 10**6]
+    table = np.array([[3, 1, 1, 1, 2],
+                      [1, 3, 1, 2, 1],
+                      [1, 1, 3, 1, 2],
+                      [1, 2, 1, 3, 1],
+                      [2, 1, 2, 1, 3]], dtype=np.int16)
 
     def setup_method(self):
-        rng = np.random.default_rng(5)
-        self.w = rng.random(self.m)
-        self.w /= self.w.sum()
-        table = symmetric_levels(rng, (self.m, self.m), self.k)
-        np.fill_diagonal(table, self.k)
-        self.table = table
+        w = np.random.default_rng(5).random(self.m)
+        w[1] = 0.0
+        self.w = w / w.sum()
         self.vals = np.array([1.0, 0.1, 0.4, 0.9])
-        self.stats = random_stats(rng, self.n, self.k)
 
-    def tuples(self, t):
+    def tuples(self, n, t):
         """(weight, level matrix) of every tuple inside the event."""
-        for tup in itertools.product(range(self.m), repeat=self.n):
+        for tup in itertools.product(range(self.m), repeat=n):
             lv = self.table[np.ix_(tup, tup)]
             if t >= 0 and any(lv[i, j] > t for i, j in
-                              itertools.combinations(range(self.n), 2)):
+                              itertools.combinations(range(n), 2)):
                 continue
             yield float(np.prod(self.w[list(tup)])), lv
 
-    @pytest.mark.parametrize("t", [-1, 2])
+    @pytest.mark.parametrize("t", [-1, 1, 2])
     def test_enum_stats(self, t):
-        mass = 0.0
-        sums = np.zeros(len(self.stats))
-        for w, lv in self.tuples(t):
-            mass += w
-            sums += w * np.array([st.evaluate_one(lv, self.vals)
-                                  for st in self.stats])
-        got_mass, got_sums = _kernels.enum_stats(
-            self.w, self.table, self.n, t, self.vals,
-            pack_statistics(self.stats), chunk=7)
-        assert mass > 0.0
-        assert np.isclose(got_mass, mass, rtol=0, atol=1e-14)
-        assert np.allclose(got_sums, sums, rtol=0, atol=1e-14)
+        for n in (2, 3, 4):
+            stats = random_stats(np.random.default_rng(n), n, self.k)
+            if n >= 3:  # a second statistic on the same sorted triple
+                stats.append(Statistic(n).with_sorted_triple((2, 3, 3)))
+            mass = 0.0
+            sums = np.zeros(len(stats))
+            for w, lv in self.tuples(n, t):
+                mass += w
+                sums += w * np.array([st.evaluate_one(lv, self.vals)
+                                      for st in stats])
+            for chunk in self.chunks:
+                got_mass, got_sums = _kernels.enum_stats(
+                    self.w, self.table, n, t, self.vals,
+                    pack_statistics(stats), chunk=chunk)
+                assert np.isclose(got_mass, mass, rtol=0, atol=1e-14), (n, chunk)
+                assert np.allclose(got_sums, sums, rtol=0, atol=1e-14), (n, chunk)
 
-    @pytest.mark.parametrize("t", [-1, 2])
+    @pytest.mark.parametrize("t", [-1, 1, 2])
     def test_enum_law(self, t):
         base = self.k + 1
-        law = np.zeros(base ** 3)
-        for w, lv in self.tuples(t):
-            law[lv[0, 1] + base * lv[0, 2] + base**2 * lv[1, 2]] += w
-        got = _kernels.enum_law(self.w, self.table, self.n, t, self.k, chunk=7)
-        assert np.allclose(got, law, rtol=0, atol=1e-14)
+        for n in (2, 3, 4):
+            law = {}
+            for w, lv in self.tuples(n, t):
+                key = sum(int(lv[i, j]) * base**p for p, (i, j) in
+                          enumerate(itertools.combinations(range(n), 2)))
+                law[key] = law.get(key, 0.0) + w
+            for chunk in self.chunks:
+                keys, mass = _kernels.enum_law(self.w, self.table, n, t,
+                                               self.k, chunk=chunk)
+                assert keys.tolist() == sorted(law), (n, chunk)
+                assert np.allclose(mass, [law[key] for key in sorted(law)],
+                                   rtol=0, atol=1e-14), (n, chunk)
+
+    def test_enum_law_holds_realized_keys_only(self):
+        # 3**15 possible keys at n=6, k=2; 3**6 tuples realize far fewer
+        m, n, k = 3, 6, 2
+        table = np.array([[2, 1, 1], [1, 2, 2], [1, 2, 2]], dtype=np.int16)
+        w = np.array([0.5, 0.3, 0.2])
+        realized = {tuple(int(table[a[i], a[j]]) for i, j in
+                          itertools.combinations(range(n), 2))
+                    for a in itertools.product(range(m), repeat=n)}
+        keys, mass = _kernels.enum_law(w, table, n, -1, k)
+        assert len(keys) == len(mass) == len(realized)
+        digits = (keys[:, None] // (k + 1) ** np.arange(n * (n - 1) // 2)) % (k + 1)
+        assert {tuple(row) for row in digits.tolist()} == realized
+        assert np.isclose(mass.sum(), 1.0, rtol=0, atol=1e-14)
+
+    def test_enum_law_key_overflow_raises(self):
+        # 3**45 keys for the 45 pairs of n=10 replicas at k=2 exceed int64
+        with pytest.raises(OverflowError):
+            _kernels.enum_law(np.array([1.0]), np.full((1, 1), 2, np.int16),
+                              10, -1, 2)
+
+    def test_impossible_event_raises(self):
+        grid = OverlapGrid((0.3, 0.7), None, 0.7)
+        gram = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
+        measure = measure_from_gram(gram, np.array([0.5, 0.3, 0.2]), grid)
+        with pytest.raises(EventNull):
+            enumerate_statistics(measure, [Statistic(3)], 3, 0)
 
 
 class TestTripleScanReference:
