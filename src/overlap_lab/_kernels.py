@@ -27,11 +27,15 @@ def _pairs(n):
 
 
 @lru_cache(maxsize=64)
-def _upper(n):
-    """Boolean mask of the strict upper triangle of an n x n matrix."""
-    mask = np.triu(np.ones((int(n), int(n)), dtype=bool), k=1)
-    mask.flags.writeable = False  # shared by every caller
-    return mask
+def _triples(n):
+    """Index arrays (a, b, c) of every triple a < b < c of n replicas, in
+    lexicographic order."""
+    r = np.arange(int(n))
+    abc = np.nonzero((r[:, None, None] < r[None, :, None])
+                     & (r[None, :, None] < r[None, None, :]))
+    for arr in abc:
+        arr.flags.writeable = False  # shared by every caller
+    return abc
 
 
 def all_below(levels_batch, n, threshold):
@@ -106,45 +110,36 @@ def jacobi_raw(A, tol, max_sweeps):
 
 
 # ---------------------------------------------------------------------------
-# Ultrametric triple scan on a level matrix
+# Ultrametric triple scan on level matrices
 # ---------------------------------------------------------------------------
 # A triple violates when the minimum of its three pairwise levels is unique.
 
+# Most (matrix, triple) cells one pass of ultra_full gathers.
+TRIPLE_BLOCK = 1 << 20
+
+
 def ultra_full(levels):
-    n = levels.shape[0]
-    upper = _upper(n)
-    checked = 0
+    """Scan every triple of one (n, n) level matrix or of a (T, n, n) batch.
+
+    Returns (triples checked, violations, witness). The witness is
+    (a, b, c, level ab, level ac, level bc) of the first violating matrix's
+    first violating triple in lexicographic order, or all -1.
+    """
+    batch = levels[None] if levels.ndim == 2 else levels
+    a, b, c = _triples(batch.shape[1])
+    step = max(1, TRIPLE_BLOCK // max(1, len(a)))
     violations = 0
     witness = np.full(6, -1, dtype=np.int64)
-    for a in range(n - 2):
-        row = levels[a]
-        x = row[a + 1 :][:, None]  # level (a,b)
-        y = row[a + 1 :][None, :]  # level (a,c)
-        bad = _unique_min(x, y, levels[a + 1 :, a + 1 :]) & upper[a + 1 :, a + 1 :]
-        checked += (n - 1 - a) * (n - 2 - a) // 2
-        cnt = int(bad.sum())
+    for start in range(0, len(batch), step):
+        block = batch[start : start + step]
+        x, y, z = block[:, a, b], block[:, a, c], block[:, b, c]
+        bad = _unique_min(x, y, z)
+        cnt = int(np.count_nonzero(bad))
         if cnt and violations == 0:
-            # first (b, c) in row-major order
-            b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            b, c = int(b) + a + 1, int(c) + a + 1
-            witness[:] = (a, b, c, levels[a, b], levels[a, c], levels[b, c])
+            t, p = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            witness[:] = (a[p], b[p], c[p], x[t, p], y[t, p], z[t, p])
         violations += cnt
-    return checked, violations, witness
-
-
-def ultra_triples(levels_batch, triples):
-    """Count violations over explicit (t, a, b, c) rows into a matrix batch."""
-    t, a, b, c = triples[:, 0], triples[:, 1], triples[:, 2], triples[:, 3]
-    x = levels_batch[t, a, b]
-    y = levels_batch[t, a, c]
-    z = levels_batch[t, b, c]
-    bad = _unique_min(x, y, z)
-    violations = int(bad.sum())
-    witness = np.full(6, -1, dtype=np.int64)
-    if violations:
-        i = int(np.flatnonzero(bad)[0])
-        witness[:] = (a[i], b[i], c[i], x[i], y[i], z[i])
-    return len(triples), violations, witness
+    return len(batch) * len(a), violations, witness
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +300,8 @@ def warmup():
     """Run every kernel once on tiny inputs."""
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     jacobi_raw(a, 1e-12, 30)
-    lv = np.zeros((3, 3), dtype=np.int16)
-    ultra_full(lv)
     batch = np.zeros((1, 3, 3), dtype=np.int16)
-    ultra_triples(batch, np.array([[0, 0, 1, 2]], dtype=np.int64))
+    ultra_full(batch)
     table = np.zeros((2, 2), dtype=np.int16)
     accept_mask(np.zeros((2, 2), dtype=np.int64), table, np.int16(1))
     pack = empty_pack()

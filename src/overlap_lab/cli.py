@@ -189,7 +189,9 @@ def _gg_problems(chk: dict, where: str) -> list:
     """The observables and the conditioning event of a gg check."""
     problems = []
     observables = chk.get("observables", "default")
+    obs_ns = {obs.n for obs in default_gg_observables(1)}
     if observables != "default":
+        obs_ns = set()
         if not (isinstance(observables, list) and observables):
             problems.append(f'{where}.observables: must be "default" or a '
                             "nonempty list of objects")
@@ -203,6 +205,8 @@ def _gg_problems(chk: dict, where: str) -> list:
             if not _is_int(n, 2):
                 problems.append(f"{at}.n: must be an integer >= 2")
                 n = None
+            else:
+                obs_ns.add(n)
             psi = d.get("psi")
             if not (isinstance(psi, dict) and len(psi) == 1 and (
                     _is_int(psi.get("monomial"), 1)
@@ -221,6 +225,10 @@ def _gg_problems(chk: dict, where: str) -> list:
             problems.append(f'{at}.kind: must be "A_n" or "A_nq"')
         if "n" in cond and not _is_int(cond["n"], 3):
             problems.append(f"{at}.n: must be an integer >= 3")
+        elif "n" in cond and any(cond["n"] != n + 1 for n in obs_ns):
+            # each observable is conditioned on its own n + 1 replicas
+            problems.append(f"{at}.n: must be omitted or equal n + 1 for "
+                            f"every observable (n in {sorted(obs_ns)})")
         if ("q" in cond or cond.get("kind") == "A_nq") and not _is_number(
                 cond.get("q")):
             problems.append(f"{at}.q: must be a number")

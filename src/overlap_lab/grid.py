@@ -155,73 +155,21 @@ def realize(matrix: LevelMatrix) -> np.ndarray:
 
 def check_ultrametric(matrix: LevelMatrix) -> ViolationReport:
     """Count triples whose minimum pairwise level is attained only once."""
-    if matrix.n < 3:
-        return ViolationReport(0, 0, None)
-    checked, violations, witness = _kernels.ultra_full(matrix.entries)
-    first = None
-    if violations > 0:
-        a, b, c, lab, lac, lbc = (int(x) for x in witness)
-        first = ((a, b, c), (lab, lac, lbc))
-    return ViolationReport(int(checked), int(violations), first)
+    return check_ultrametric_batch(matrix.entries)
 
 
-def check_ultrametric_batch(levels_batch: np.ndarray,
-                            triples: Optional[np.ndarray] = None) -> ViolationReport:
-    """Triple scan over a (T, n, n) batch of level matrices.
+def check_ultrametric_batch(levels_batch: np.ndarray) -> ViolationReport:
+    """Triple scan over every triple of every matrix of a (T, n, n) batch.
 
-    With triples=None every triple of every matrix is checked; otherwise
-    triples is an (S, 4) array of (t, a, b, c) rows.
+    The witness is the first violating matrix's first triple, in
+    lexicographic order.
     """
-    T, n, _ = levels_batch.shape
-    if triples is None:
-        checked = 0
-        violations = 0
-        first = None
-        for t in range(T):
-            c, v, w = _kernels.ultra_full(levels_batch[t])
-            checked += int(c)
-            if v and first is None:
-                a, b, cc, lab, lac, lbc = (int(x) for x in w)
-                first = ((a, b, cc), (lab, lac, lbc))
-            violations += int(v)
-        return ViolationReport(checked, violations, first)
-    checked, violations, witness = _kernels.ultra_triples(levels_batch, triples)
+    checked, violations, witness = _kernels.ultra_full(levels_batch)
     first = None
     if violations > 0:
         a, b, c, lab, lac, lbc = (int(x) for x in witness)
         first = ((a, b, c), (lab, lac, lbc))
     return ViolationReport(int(checked), int(violations), first)
-
-
-def sample_triples(n: int, count: int, rng: np.random.Generator,
-                   n_matrices: int = 1) -> np.ndarray:
-    """Uniform (t, a, b, c) rows with a < b < c, for sampled triple scans."""
-    if n < 3:
-        raise ValueError("need n >= 3 to sample triples")
-    t = rng.integers(0, n_matrices, size=count)
-    rows = []
-    need = count
-    while need > 0:
-        cand = rng.integers(0, n, size=(int(need * 1.3) + 8, 3))
-        distinct = ((cand[:, 0] != cand[:, 1]) & (cand[:, 0] != cand[:, 2])
-                    & (cand[:, 1] != cand[:, 2]))
-        cand = cand[distinct][:need]
-        rows.append(cand)
-        need -= len(cand)
-    abc = np.sort(np.concatenate(rows), axis=1)
-    return np.column_stack([t, abc])
-
-
-FULL_SCAN_LIMIT = 200  # enumerate all C(n,3) triples up to this n
-
-
-def check_ultrametric_adaptive(matrix: LevelMatrix, rng: np.random.Generator,
-                               sampled: int = 1_000_000) -> ViolationReport:
-    """Full scan for n <= FULL_SCAN_LIMIT, uniform sampled triples beyond."""
-    if matrix.n <= FULL_SCAN_LIMIT:
-        return check_ultrametric(matrix)
-    triples = sample_triples(matrix.n, sampled, rng)
-    return check_ultrametric_batch(matrix.entries[None, :, :], triples)
 
 
 def truncate(matrix: LevelMatrix) -> LevelMatrix:

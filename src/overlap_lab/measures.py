@@ -12,6 +12,7 @@ Three families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -101,14 +102,15 @@ class DiscreteMeasure:
     Overlap levels of atom pairs are precomputed: either as an m x m
     int16 table (small m) or derived on the fly from tree path digits
     (large hierarchical measures). A table entry of -1 marks an inner
-    product matching no grid level; drawing such a pair raises.
+    product matching no grid level; drawing such a pair raises. A tree
+    measure takes its table, digits, norms and atoms from its TreeStructure,
+    which every measure on that structure shares.
     """
 
     def __init__(self, weights: np.ndarray, grid: OverlapGrid, kind: str,
                  atoms: Optional[np.ndarray] = None,
                  table: Optional[np.ndarray] = None,
-                 tree_digits: Optional[np.ndarray] = None,
-                 norms_sq: Optional[np.ndarray] = None):
+                 tree: Optional["TreeStructure"] = None):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 1 or len(weights) == 0:
             raise BadWeights("weights must be a nonempty vector")
@@ -116,20 +118,21 @@ class DiscreteMeasure:
             raise BadWeights("weights must be positive")
         if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise BadWeights(f"weights sum to {weights.sum()!r}, not 1")
-        if table is None and tree_digits is None:
-            raise ValueError("need a pair-level table or tree digits")
         self.weights = weights
         self.grid = grid
         self.kind = kind
-        self.atoms = atoms
-        self._table = table
-        self._digits = tree_digits
-        if norms_sq is not None:
-            self.norms_sq = np.asarray(norms_sq, dtype=np.float64)
-        elif atoms is not None:
-            self.norms_sq = np.einsum("ij,ij->i", atoms, atoms)
-        else:
+        self._atoms = atoms
+        self._tree = tree
+        if tree is not None:
+            self._table, self._digits = tree.table, tree.digits
+            self.norms_sq = tree.norms_sq
+        elif table is None:
+            raise ValueError("need a pair-level table or a tree structure")
+        elif atoms is None:
             raise ValueError("need atom norms")
+        else:
+            self._table, self._digits = table, None
+            self.norms_sq = np.einsum("ij,ij->i", atoms, atoms)
         self._cum = np.cumsum(weights)
         self._cum[-1] = 1.0
         self._cum.flags.writeable = False
@@ -139,8 +142,20 @@ class DiscreteMeasure:
         return len(self.weights)
 
     @property
+    def atoms(self) -> Optional[np.ndarray]:
+        """(m, d) atom coordinates; None for a tree too large to materialize."""
+        return self._tree.atoms if self._tree is not None else self._atoms
+
+    @property
     def table(self) -> Optional[np.ndarray]:
         return self._table
+
+    def shares_levels(self, other: "DiscreteMeasure") -> bool:
+        """True when other reads pair levels and level values from the same
+        arrays and grid levels, so one levels_from_indices serves both."""
+        return (self._table is other._table and self._digits is other._digits
+                and self.grid.levels == other.grid.levels
+                and self.grid.self_overlap == other.grid.self_overlap)
 
     def require_table(self) -> np.ndarray:
         if self._table is None:
@@ -305,25 +320,34 @@ class TreeStructure:
         # every measure on this structure shares these arrays
         self.norms_sq = np.full(m, float(np.sum(self.coefs**2)))
         self.norms_sq.flags.writeable = False
-        # prefixes[j]: index of the depth-(j+1) ancestor of each leaf
-        prefixes = [leaves // B ** (k - 1 - j) for j in range(k)]
         if m <= TABLE_CAP:
             # pair level = 1 + number of ancestors the two leaves share
             table = np.ones((m, m), dtype=np.int16)
-            for prefix in prefixes:
+            for prefix in self._prefixes():
                 table += prefix[:, None] == prefix[None, :]
             self.table = table
         else:
             self.table = None
-        if m * self.d <= DENSE_ATOM_CAP:
-            atoms = np.zeros((m, self.d))
-            offset = 0
-            for j, prefix in enumerate(prefixes):
-                atoms[leaves, offset + prefix] = self.coefs[j]
-                offset += B ** (j + 1)
-            self.atoms = atoms
-        else:
-            self.atoms = None
+
+    def _prefixes(self):
+        """Per depth j + 1, the index of each leaf's ancestor at that depth."""
+        leaves = np.arange(self.m, dtype=np.int64)
+        return [leaves // self.B ** (self.k - 1 - j) for j in range(self.k)]
+
+    @cached_property
+    def atoms(self) -> Optional[np.ndarray]:
+        """(m, d) leaf coordinates, built on first read; None above
+        DENSE_ATOM_CAP. No check reads them, only serialization and tests."""
+        if self.m * self.d > DENSE_ATOM_CAP:
+            return None
+        atoms = np.zeros((self.m, self.d))
+        leaves = np.arange(self.m)
+        offset = 0
+        for j, prefix in enumerate(self._prefixes()):
+            atoms[leaves, offset + prefix] = self.coefs[j]
+            offset += self.B ** (j + 1)
+        atoms.flags.writeable = False  # shared by every measure
+        return atoms
 
 
 def tree_leaf_weights(structure: TreeStructure, zetas: tuple, seed: int) -> np.ndarray:
@@ -335,16 +359,18 @@ def tree_leaf_weights(structure: TreeStructure, zetas: tuple, seed: int) -> np.n
     the effective mass of a subtree is then biased by its own partition
     function, exactly as in the classical cascade. Each internal vertex
     gets its own derived seed stream keyed by (seed, level, vertex index),
-    so the result is independent of traversal order.
+    so the result is independent of traversal order. Each vertex's stream
+    fills its own row of the level's exponential block, so one cumulative
+    sum and one power per level give pd_points of every vertex.
     """
     B, k = structure.B, structure.k
     W = np.ones(1)
     for level in range(k):
-        n_vertices = B**level
-        child = np.empty((n_vertices, B))
-        for v in range(n_vertices):
-            child[v] = pd_points(zetas[level], B, rng_from(seed, level, v))
-        W = (W[:, None] * child).ravel()
+        arrivals = np.empty((B**level, B))
+        for v, row in enumerate(arrivals):
+            rng_from(seed, level, v).standard_exponential(out=row)
+        points = np.cumsum(arrivals, axis=1) ** (-1.0 / zetas[level])
+        W = (W[:, None] * points).ravel()
     return W / W.sum()
 
 
@@ -379,6 +405,4 @@ def build_tree_measure(spec: TreeMeasureSpec,
     W.flags.writeable = False  # a model may hand this measure to every check
     probs = _tree_level_probs(W, st.digits)
     grid = OverlapGrid(st.grid_levels, tuple(probs), st.grid_levels[-1])
-    return DiscreteMeasure(
-        W, grid, "tree", atoms=st.atoms, table=st.table, tree_digits=st.digits,
-        norms_sq=st.norms_sq)
+    return DiscreteMeasure(W, grid, "tree", tree=st)

@@ -25,6 +25,10 @@ DEFAULT_MAX_ATTEMPTS = 10**6
 
 _INNER_KEY = 0x1A7E
 
+# Most replica rows outer_stat_means evaluates in one kernel call; whole
+# outer draws are grouped up to this bound (one draw when inner exceeds it).
+OUTER_BLOCK_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class EventSpec:
@@ -165,6 +169,12 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
 
     Each outer draw gets its own measure and a derived inner seed stream,
     so results do not depend on evaluation order or parallelism.
+
+    Consecutive outer draws are evaluated together, up to OUTER_BLOCK_ROWS
+    replica rows per block: every measure of a model shares one pair-level
+    table or digit array (a TreeModel's measures share its TreeStructure, a
+    frozen model has one measure), so the first measure of a block turns
+    all of the block's index rows into level matrices.
     """
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
@@ -175,13 +185,21 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
         cols.append(Statistic(n).with_threshold(n, threshold))
     pack = pack_statistics(cols)
     means = np.empty((mc.outer, len(cols)))
-    for j in range(mc.outer):
-        measure = model.measure_at(j)
-        rng = rng_from(seed, _INNER_KEY, j)
-        idx = measure.sample_indices(n, mc.inner, rng)
-        lv = measure.levels_from_indices(idx)
-        vals = measure.grid.values_by_index()
-        means[j] = _kernels.eval_stats(np.ascontiguousarray(lv), vals, pack).mean(axis=0)
+    draws = max(1, OUTER_BLOCK_ROWS // mc.inner)
+    for start in range(0, mc.outer, draws):
+        stop = min(start + draws, mc.outer)
+        first = model.measure_at(start)
+        idx = []
+        for j in range(start, stop):
+            measure = first if j == start else model.measure_at(j)
+            if not first.shares_levels(measure):
+                raise ValueError("outer measures of one model must share "
+                                 "their pair levels")
+            rng = rng_from(seed, _INNER_KEY, j)
+            idx.append(measure.sample_indices(n, mc.inner, rng))
+        lv = first.levels_from_indices(np.concatenate(idx))
+        out = _kernels.eval_stats(lv, first.grid.values_by_index(), pack)
+        means[start:stop] = out.reshape(stop - start, mc.inner, -1).mean(axis=1)
     return means
 
 

@@ -122,6 +122,12 @@ class TestParseConfig:
          "checks[0].patterns"),
         ({"checks": [{"name": "lemma1", "f_pattern": [["a", 2, 1]]}]},
          "checks[0].f_pattern"),
+        ({"checks": [{"name": "gg", "conditioned": {"kind": "A_n", "n": 4}}]},
+         "checks[0].conditioned.n"),
+        ({"checks": [{"name": "gg", "observables": [
+            {"n": 2, "psi": {"monomial": 1}}, {"n": 3, "psi": {"monomial": 1}}],
+            "conditioned": {"kind": "A_n", "n": 3}}]},
+         "checks[0].conditioned.n"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):
@@ -131,6 +137,15 @@ class TestParseConfig:
             parse_config(write_config(tmp_path / "c.json", cfg))
         assert any(p.startswith(field) for p in err.value.problems), \
             err.value.problems
+
+    def test_conditioned_n_matching_every_observable_accepted(self, tmp_path):
+        obs = [{"n": 3, "psi": {"monomial": 1}},
+               {"n": 3, "psi": {"indicator": 1}}]
+        cfg = parse_config(write_config(tmp_path / "c.json", {
+            "measure": {"type": "adversarial"},
+            "checks": [{"name": "gg", "observables": obs,
+                        "conditioned": {"kind": "A_n", "n": 4}}]}))
+        assert cfg.checks[0]["conditioned"]["n"] == 4
 
     def test_hash_stable_under_key_reordering(self, tmp_path):
         a = {"measure": {"type": "adversarial"}, "checks": [{"name": "support"}],

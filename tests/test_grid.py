@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from overlap_lab.errors import GridTooSmall
 from overlap_lab.grid import (DIAG, LevelMatrix, OverlapGrid, check_ultrametric,
                               check_ultrametric_batch, matrix_from_offdiag,
-                              realize, sample_triples, truncate)
+                              realize, truncate)
 
 
 def grid2():
@@ -188,34 +188,3 @@ class TestTruncate:
             m = draw_replicas(measure, 6, seed=seed).matrix
             ok, lo = is_psd(truncate(m))
             assert lo >= -1e-8
-
-
-def test_sample_triples_valid():
-    rng = np.random.default_rng(0)
-    t = sample_triples(10, 500, rng, n_matrices=3)
-    assert t.shape == (500, 4)
-    assert (t[:, 1] < t[:, 2]).all() and (t[:, 2] < t[:, 3]).all()
-    assert t[:, 0].max() < 3
-
-
-def test_adaptive_check_samples_large_matrices():
-    from overlap_lab.grid import check_ultrametric_adaptive
-
-    rng = np.random.default_rng(1)
-    g = OverlapGrid((0.3, 0.7), None, 0.7)
-    n = 250
-    # block structure: ultrametric by construction
-    entries = np.full((n, n), 1, dtype=np.int16)
-    entries[:100, :100] = 2
-    entries[100:, 100:] = 2
-    entries[np.diag_indices(n)] = DIAG
-    m = LevelMatrix(entries, g)
-    rep = check_ultrametric_adaptive(m, rng, sampled=20_000)
-    assert rep.triples_checked == 20_000
-    assert rep.violations == 0
-    # unique-minimum defect on one edge is found by sampling
-    bad = entries.copy()
-    bad[0, 1] = bad[1, 0] = 1
-    rep2 = check_ultrametric_adaptive(LevelMatrix(bad, g), rng,
-                                      sampled=200_000)
-    assert rep2.violations > 0

@@ -170,17 +170,50 @@ class TestTripleScanReference:
             assert (checked, violations) == want[:2]
             assert list(witness) == want[2]
 
-    def test_ultra_triples_all(self):
+    def test_ultra_full_batch(self):
         rng = np.random.default_rng(2)
         batch = symmetric_levels(rng, (6, 5, 5), 3)
-        triples = np.array([(t, *abc) for t in range(6)
-                            for abc in itertools.combinations(range(5), 3)],
-                           dtype=np.int64)
-        checked, violations, witness = _kernels.ultra_triples(batch, triples)
-        want = ultra_reference(batch, triples.tolist())
+        triples = [(t, *abc) for t in range(6)
+                   for abc in itertools.combinations(range(5), 3)]
+        checked, violations, witness = _kernels.ultra_full(batch)
+        want = ultra_reference(batch, triples)
         assert violations > 0
         assert (checked, violations) == want[:2]
         assert list(witness) == want[2]
+
+    @pytest.mark.parametrize("T", [1, 5])
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_ultra_full_batch_sizes(self, T, n):
+        rng = np.random.default_rng(10 * T + n)
+        triples = [(t, *abc) for t in range(T)
+                   for abc in itertools.combinations(range(n), 3)]
+        for _ in range(5):
+            batch = symmetric_levels(rng, (T, n, n), 3)
+            checked, violations, witness = _kernels.ultra_full(batch)
+            want = ultra_reference(batch, triples)
+            assert (checked, violations) == want[:2]
+            assert list(witness) == want[2]
+
+    def test_ultra_full_witness_from_first_violating_matrix(self):
+        n = 6
+        batch = np.full((5, n, n), 2, dtype=np.int16)  # all ties: ultrametric
+        batch[3, 2, 4] = batch[3, 4, 2] = 1  # unique minimum in matrix 3
+        batch[4, 0, 1] = batch[4, 1, 0] = 1  # and earlier triples in matrix 4
+        triples = [(t, *abc) for t in range(5)
+                   for abc in itertools.combinations(range(n), 3)]
+        checked, violations, witness = _kernels.ultra_full(batch)
+        want = ultra_reference(batch, triples)
+        assert (checked, violations) == want[:2]
+        assert list(witness) == want[2] == [0, 2, 4, 2, 2, 1]
+
+    def test_ultra_full_blocks_agree(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        batch = symmetric_levels(rng, (7, 6, 6), 3)
+        whole = _kernels.ultra_full(batch)
+        monkeypatch.setattr(_kernels, "TRIPLE_BLOCK", 50)  # 2 matrices a block
+        blocked = _kernels.ultra_full(batch)
+        assert whole[:2] == blocked[:2]
+        assert list(whole[2]) == list(blocked[2])
 
 
 class TestAcceptMaskReference:

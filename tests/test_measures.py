@@ -15,8 +15,8 @@ from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
                                   TreeMeasureSpec, TreeStructure,
                                   adversarial_measure, build_tree_measure,
                                   derive_seed, explicit_measure,
-                                  measure_from_gram, sample_pd_weights,
-                                  tree_leaf_weights)
+                                  measure_from_gram, pd_points, rng_from,
+                                  sample_pd_weights, tree_leaf_weights)
 from overlap_lab.models import DescendedModel, TreeModel
 
 
@@ -170,6 +170,37 @@ class TestTreeMeasure:
             m = tm.measure_at(j)
             smallest = min(smallest, min(m.grid.probs))
         assert smallest > 0.0
+
+
+class TestTreeLeafWeightsReference:
+    @pytest.mark.parametrize("B, k", [(3, 1), (4, 2), (3, 3)])
+    def test_matches_per_vertex_pd_points(self, B, k):
+        st = TreeStructure(tuple(np.linspace(0.2, 0.8, k)), B)
+        zetas = tuple(np.linspace(0.25, 0.75, k))
+        seed = 17
+        # reference: one pd_points draw per vertex, from its own stream
+        W = np.ones(1)
+        for level in range(k):
+            child = np.array([pd_points(zetas[level], B, rng_from(seed, level, v))
+                              for v in range(B**level)])
+            W = (W[:, None] * child).ravel()
+        got = tree_leaf_weights(st, zetas, seed)
+        assert got.tobytes() == (W / W.sum()).tobytes()
+
+
+class TestLazyTreeAtoms:
+    def test_atoms_built_on_first_read_and_shared(self):
+        spec = TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), seed=2)
+        st = TreeStructure(spec.q, spec.branching)
+        a = build_tree_measure(spec, st)
+        b = build_tree_measure(replace(spec, seed=3), st)
+        assert "atoms" not in vars(st)
+        assert a.atoms is st.atoms and b.atoms is st.atoms
+        # level l of a pair is grid value l - 1, the diagonal included
+        want = np.array(st.grid_levels)[st.table - 1]
+        assert np.allclose(a.atoms @ a.atoms.T, want, atol=1e-12)
+        with pytest.raises(ValueError):
+            a.atoms[0, 0] = 1.0
 
 
 class TestTreeStructureTable:

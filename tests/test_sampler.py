@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
+from overlap_lab import _kernels, sampler
 from overlap_lab.errors import (AcceptanceTooLow, EventNull, OffGridOverlap,
                                 TooLarge)
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
                                   build_tree_measure, explicit_measure,
-                                  measure_from_gram)
-from overlap_lab.models import DescendedModel, FrozenModel, TreeModel
-from overlap_lab.observables import Statistic
-from overlap_lab.sampler import (EventSpec, MCConfig, conditional_draw,
-                                 draw_index_batch, draw_replicas,
-                                 empirical_matrix_law, enumerate_matrix_law,
-                                 enumerate_statistic, estimate_expectation,
-                                 outer_stat_means, ratio_from_means,
-                                 total_variation)
+                                  measure_from_gram, rng_from)
+from overlap_lab.models import (DescendedModel, FrozenModel, TreeModel,
+                                as_model)
+from overlap_lab.observables import Statistic, pack_statistics
+from overlap_lab.sampler import (EventSpec, MCConfig, combined_threshold,
+                                 conditional_draw, draw_index_batch,
+                                 draw_replicas, empirical_matrix_law,
+                                 enumerate_matrix_law, enumerate_statistic,
+                                 estimate_expectation, outer_stat_means,
+                                 ratio_from_means, total_variation)
 
 
 def single_atom():
@@ -214,3 +216,72 @@ class TestExchangeability:
         b = estimate_expectation(model, f23, 3, MCConfig(400, 100), seed=4)
         comb = np.hypot(a.std_error, b.std_error)
         assert abs(a.estimate - b.estimate) <= 3 * comb
+
+
+def outer_stat_means_per_draw(model, stats, n, mc, seed, event_threshold=None):
+    """Reference: one level batch and one eval_stats call per outer draw."""
+    model = as_model(model)
+    threshold = combined_threshold(model, event_threshold)
+    if threshold is None:
+        cols = list(stats) + [Statistic(n)]
+    else:
+        cols = [s.with_threshold(n, threshold) for s in stats]
+        cols.append(Statistic(n).with_threshold(n, threshold))
+    pack = pack_statistics(cols)
+    means = np.empty((mc.outer, len(cols)))
+    for j in range(mc.outer):
+        measure = model.measure_at(j)
+        rng = rng_from(seed, sampler._INNER_KEY, j)
+        idx = measure.sample_indices(n, mc.inner, rng)
+        lv = measure.levels_from_indices(idx)
+        vals = measure.grid.values_by_index()
+        means[j] = _kernels.eval_stats(lv, vals, pack).mean(axis=0)
+    return means
+
+
+class TestOuterBlocksReference:
+    """Blocked outer_stat_means equals the per-draw loop bit for bit."""
+
+    STATS = [Statistic(3).with_pattern(0, 1, 1),
+             Statistic(3).with_monomial(0, 2, 2).with_monomial(1, 2, 1),
+             Statistic(3).with_sorted_triple((1, 1, 2))]
+
+    @staticmethod
+    def models():
+        tree = TreeModel(TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=5))
+        digits = TreeModel(TreeMeasureSpec((0.3, 0.7), 60, (0.3, 0.6), seed=6))
+        assert digits.measure_at(0).table is None  # the digit path
+        return {"tree": tree, "tree_digits": digits,
+                "frozen": FrozenModel(three_atoms((0.5, 0.3, 0.2))),
+                "descended": DescendedModel(tree, 1)}
+
+    @pytest.mark.parametrize("name", ["tree", "tree_digits", "frozen",
+                                      "descended"])
+    @pytest.mark.parametrize("threshold", [None, 1])
+    @pytest.mark.parametrize("block_rows, outer, inner", [
+        (None, 12, 30),  # the module's block: one block
+        (64, 10, 20),    # three draws a block, outer not a multiple of it
+        (64, 4, 100),    # inner above the block's rows: one draw a block
+    ])
+    def test_matches_per_draw_loop(self, monkeypatch, name, threshold,
+                                   block_rows, outer, inner):
+        if block_rows is not None:
+            monkeypatch.setattr(sampler, "OUTER_BLOCK_ROWS", block_rows)
+        model = self.models()[name]
+        mc = MCConfig(outer, inner)
+        got = outer_stat_means(model, self.STATS, 3, mc, 9, threshold)
+        want = outer_stat_means_per_draw(model, self.STATS, 3, mc, 9, threshold)
+        assert got.shape == (outer, len(self.STATS) + 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_measures_with_other_levels_rejected(self):
+        class Mixed:
+            frozen = False
+            threshold = None
+            grid = three_atoms().grid
+
+            def measure_at(self, j):
+                return three_atoms() if j % 2 else three_atoms((0.5, 0.3, 0.2))
+
+        with pytest.raises(ValueError, match="share"):
+            outer_stat_means(Mixed(), [Statistic(2)], 2, MCConfig(4, 5), 1)
