@@ -142,6 +142,14 @@ def ultra_full(levels):
     return len(batch) * len(a), violations, witness
 
 
+def top_tie_triples(levels, top):
+    """Triples of a (T, n, n) level batch with exactly two pairs at level top."""
+    a, b, c = _triples(levels.shape[1])
+    hits = ((levels[:, a, b] == top).astype(np.int8) + (levels[:, a, c] == top)
+            + (levels[:, b, c] == top))
+    return int(np.count_nonzero(hits == 2))
+
+
 # ---------------------------------------------------------------------------
 # Rejection filter: keep index tuples whose pairwise levels stay <= threshold
 # ---------------------------------------------------------------------------
@@ -302,6 +310,7 @@ def warmup():
     jacobi_raw(a, 1e-12, 30)
     batch = np.zeros((1, 3, 3), dtype=np.int16)
     ultra_full(batch)
+    top_tie_triples(batch, 1)
     table = np.zeros((2, 2), dtype=np.int16)
     accept_mask(np.zeros((2, 2), dtype=np.int64), table, np.int16(1))
     pack = empty_pack()

@@ -16,10 +16,8 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,10 +41,17 @@ from .verify import (conditional_marginal_check, consistency_check,
 CHECK_NAMES = ("gg", "mass", "lemma1", "consistency", "marginal", "support",
                "positivity", "ultra", "descend", "criterion")
 
-# integer fields of one check type: (check name, field, minimum)
-CHECK_INT_FIELDS = (("mass", "n_max", 2), ("criterion", "n_max", 3),
-                    ("ultra", "n", 3), ("descend", "n_condition", 1),
-                    ("descend", "psd_outer", 1), ("descend", "psd_inner", 1))
+# The ultra scan caches three index arrays of 24 bytes a triple for each n:
+# about 4 MB at n = 100, and 148 MB more at n = 300.
+ULTRA_MAX_N = 100
+
+# integer fields of one check type: (check name, field, minimum, maximum)
+CHECK_INT_FIELDS = (("mass", "n_max", 2, None), ("criterion", "n_max", 3, None),
+                    ("ultra", "n", 3, ULTRA_MAX_N), ("lemma1", "n", 2, None),
+                    ("consistency", "n", 2, None),
+                    ("descend", "n_condition", 1, None),
+                    ("descend", "psd_outer", 1, None),
+                    ("descend", "psd_inner", 1, None))
 
 
 @dataclass
@@ -103,9 +108,18 @@ def parse_config(path) -> ExperimentConfig:
                     problems.append(f"checks[{i}].mc.{key}: must be an integer >= 1")
         else:
             problems.append(f"checks[{i}].mc: must be an object")
-        for check, key, minimum in CHECK_INT_FIELDS:
-            if name == check and key in chk and not _is_int(chk[key], minimum):
-                problems.append(f"checks[{i}].{key}: must be an integer >= {minimum}")
+        for check, key, minimum, maximum in CHECK_INT_FIELDS:
+            if name != check or key not in chk:
+                continue
+            if not _is_int(chk[key], minimum) or (
+                    maximum is not None and chk[key] > maximum):
+                bound = "" if maximum is None else f" and <= {maximum}"
+                problems.append(f"checks[{i}].{key}: must be an integer "
+                                f">= {minimum}{bound}")
+        if chk.get("method", "mc") not in ("mc", "enumerate"):
+            problems.append(f'checks[{i}].method: must be "mc" or "enumerate"')
+        if name == "descend" and not isinstance(chk.get("force", False), bool):
+            problems.append(f"checks[{i}].force: must be true or false")
         for key in ("abs_tol", "z"):
             if key in chk and not (_is_number(chk[key]) and chk[key] >= 0):
                 problems.append(f"checks[{i}].{key}: must be a number >= 0")
@@ -125,7 +139,7 @@ def parse_config(path) -> ExperimentConfig:
         if name in ("lemma1", "consistency"):
             n = chk.get("n", 2)
             problems.extend(_f_problems({"f_pattern": chk.get("f_pattern", [])},
-                                        max(n, 2) if _is_int(n) else None,
+                                        n if _is_int(n, 2) else None,
                                         f"checks[{i}]"))
 
     seed = raw.get("seed", 0)
@@ -189,7 +203,7 @@ def _gg_problems(chk: dict, where: str) -> list:
     """The observables and the conditioning event of a gg check."""
     problems = []
     observables = chk.get("observables", "default")
-    obs_ns = {obs.n for obs in default_gg_observables(1)}
+    obs_ns = {obs.n for obs in default_gg_observables()}
     if observables != "default":
         obs_ns = set()
         if not (isinstance(observables, list) and observables):
@@ -256,7 +270,9 @@ def _validate_measure(measure: dict) -> list:
             except (ValueError, KeyError, TypeError) as e:
                 problems.append(f"measure.grid: {e}")
         weights = measure.get("weights")
-        if weights is not None and abs(sum(weights) - 1.0) > 1e-9:
+        if not (isinstance(weights, list) and all(map(_is_number, weights))):
+            problems.append("measure.weights: must be a list of numbers")
+        elif abs(sum(weights) - 1.0) > 1e-9:
             problems.append(
                 f"measure.weights: sum to {sum(weights)!r}, expected 1")
         if not measure.get("atoms"):
@@ -318,7 +334,7 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
     if name == "gg":
         obs_cfg = chk.get("observables", "default")
         if obs_cfg == "default":
-            observables = default_gg_observables(model.grid.k)
+            observables = default_gg_observables()
         else:
             observables = [_parse_observable(d) for d in obs_cfg]
         cond_cfg = chk.get("conditioned")
@@ -347,7 +363,7 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
         n = int(chk.get("n", 2))
         fpat = tuple(((int(l), int(lp)), int(v))
                      for l, lp, v in chk.get("f_pattern", ((1, 2, 1),)))
-        f = ObservableSpec(max(n, 2), Psi("monomial", 1), f_pattern=fpat)
+        f = ObservableSpec(n, Psi("monomial", 1), f_pattern=fpat)
         fn = lemma1_check if name == "lemma1" else consistency_check
         rep = fn(model, f, n, mc, seed, abs_tol=abs_tol, z=z, method=method)
         return [rep.row(name)], {"residual": rep.residual,
@@ -447,6 +463,10 @@ def emit_plot_data(rows, path: Path):
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    out_dir=None, formats=None, seed=None,
                    oracle: bool = False) -> int:
+    """Run the checks in config order, one at a time, and write the reports.
+
+    jobs is only recorded in the manifest.
+    """
     t0 = time.time()
     seed = config.seed if seed is None else seed
     formats = formats or config.formats
@@ -468,35 +488,25 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 
     _kernels.warmup()
 
-    def task(i_chk):
-        i, chk = i_chk
-        start = time.time()
-        try:
-            rows, obj, ok = _run_check(chk, model, derive_seed(seed, i), oracle)
-            status = "pass" if ok else "fail"
-            return i, rows, obj, status, None, time.time() - start
-        except Exception as e:  # noqa: BLE001 - gather all per-check errors
-            return i, [], {}, "error", f"{type(e).__name__}: {e}", \
-                time.time() - start
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(task, enumerate(config.checks)))
-    results.sort(key=lambda r: r[0])
-
     all_rows = []
     check_summaries = []
     statuses = []
-    for i, rows, obj, status, err, wall in results:
+    for i, chk in enumerate(config.checks):
+        start = time.time()
+        rows, obj, err = [], {}, None
+        try:
+            rows, obj, ok = _run_check(chk, model, derive_seed(seed, i), oracle)
+            status = "pass" if ok else "fail"
+        except Exception as e:  # noqa: BLE001 - gather all per-check errors
+            status, err = "error", f"{type(e).__name__}: {e}"
+            print(f"error in check {chk['name']}: {err}", file=sys.stderr)
         all_rows.extend(rows)
         statuses.append(status)
         check_summaries.append({
-            "name": config.checks[i]["name"], "status": status,
-            "error": err, "wall_time_s": wall,
+            "name": chk["name"], "status": status,
+            "error": err, "wall_time_s": time.time() - start,
             "rows": [r.__dict__ for r in rows], "summary": obj,
         })
-        if err:
-            print(f"error in check {config.checks[i]['name']}: {err}",
-                  file=sys.stderr)
 
     manifest = {
         "config_hash": config.config_hash(),
@@ -555,9 +565,9 @@ def main(argv=None) -> int:
         description="verification lab for discrete replica overlap arrays")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads across checks "
-                             "(default: OVERLAP_LAB_JOBS or 1)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="recorded in the manifest; checks always run "
+                             "one at a time")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory override")
     parser.add_argument("--format", choices=("csv", "json", "both"),
@@ -568,9 +578,6 @@ def main(argv=None) -> int:
         p.add_argument("config")
     args = parser.parse_args(argv)
 
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("OVERLAP_LAB_JOBS", "1"))
     formats = None
     if args.format:
         formats = ["csv", "json"] if args.format == "both" else [args.format]
@@ -598,7 +605,7 @@ def main(argv=None) -> int:
     if args.command == "describe-measure":
         return describe_measure(config)
     oracle = args.command == "oracle"
-    return run_experiment(config, jobs=jobs, out_dir=args.out,
+    return run_experiment(config, jobs=args.jobs, out_dir=args.out,
                           formats=formats, seed=args.seed, oracle=oracle)
 
 

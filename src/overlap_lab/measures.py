@@ -280,14 +280,12 @@ ADVERSARIAL_GRAM = np.array([
 ])
 
 
-def adversarial_measure(seed: int = 0) -> DiscreteMeasure:
+def adversarial_measure() -> DiscreteMeasure:
     """Fixed 3-atom equal-weight measure with a non-ultrametric overlap pattern.
 
     The pattern (0.7, 0.7, 0.3) has a unique minimum, so three distinct
     replicas always violate ultrametricity; the Gram matrix is still PSD.
-    The seed is accepted for interface uniformity and ignored.
     """
-    del seed
     grid = OverlapGrid((0.3, 0.7, 1.0), (2 / 9, 4 / 9, 3 / 9), 1.0)
     return measure_from_gram(ADVERSARIAL_GRAM, np.full(3, 1 / 3), grid,
                              kind="adversarial")

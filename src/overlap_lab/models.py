@@ -14,7 +14,6 @@ k-fold descent composes to a single threshold, so the stack stays flat.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import replace
 from typing import Optional
 
@@ -46,18 +45,15 @@ class TreeModel:
         zs = ",".join(f"{z:g}" for z in spec.zetas)
         self.model_id = f"tree(q=[{qs}],B={spec.branching},z=[{zs}],seed={spec.seed})"
         self._memo = {}
-        self._memo_lock = threading.Lock()
 
     def measure_at(self, j: int) -> DiscreteMeasure:
         measure = self._memo.get(j)
         if measure is not None:
             return measure
-        # threads may race to build the same j; the result is the same
         child = derive_seed(self.spec.seed, _OUTER_KEY, j)
         measure = build_tree_measure(replace(self.spec, seed=child), self.structure)
-        with self._memo_lock:
-            if 16 * measure.m * (len(self._memo) + 1) <= MEMO_BYTES:
-                self._memo.setdefault(j, measure)
+        if 16 * measure.m * (len(self._memo) + 1) <= MEMO_BYTES:
+            self._memo[j] = measure
         return measure
 
 
@@ -67,10 +63,10 @@ class FrozenModel:
     frozen = True
     threshold: Optional[int] = None
 
-    def __init__(self, measure: DiscreteMeasure, model_id: Optional[str] = None):
+    def __init__(self, measure: DiscreteMeasure):
         self.measure = measure
         self.grid = measure.grid
-        self.model_id = model_id or f"frozen-{measure.kind}(m={measure.m})"
+        self.model_id = f"frozen-{measure.kind}(m={measure.m})"
 
     def measure_at(self, j: int) -> DiscreteMeasure:
         return self.measure

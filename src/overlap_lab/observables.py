@@ -10,7 +10,7 @@ to a product-of-factors statistic evaluated by the kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -206,23 +206,19 @@ def evaluate_statistics(levels_batch: np.ndarray, values: np.ndarray,
     return _kernels.eval_stats(np.ascontiguousarray(levels_batch), values, pack)
 
 
-def default_gg_observables(grid_k: int, n_values=(2, 3, 4),
-                           indicator_level: int = 1,
-                           pattern_level: Optional[int] = None) -> list:
+def default_gg_observables(n_values=(2, 3, 4)) -> list:
     """The standard grid of GG observables used by acceptance runs.
 
-    Per n: f in {level pattern on (1,2), linear monomial on (1,2)} crossed
-    with psi in {x, x^2, level indicator}; 4 specs per n keeps the total
+    Per n: f in {level-1 pattern on (1,2), linear monomial on (1,2)} crossed
+    with psi in {x, x^2, level-1 indicator}; 4 specs per n keeps the total
     at 12 for three n values.
     """
-    if pattern_level is None:
-        pattern_level = min(indicator_level, grid_k)
+    fpat = (((1, 2), 1),)   # R12 at level 1
+    fmono = (((1, 2), 1),)  # R12 to the first power
     out = []
     for n in n_values:
-        fpat = (((1, 2), pattern_level),)
-        fmono = (((1, 2), 1),)
         out.append(ObservableSpec(n, Psi("monomial", 1), f_pattern=fpat))
         out.append(ObservableSpec(n, Psi("monomial", 2), f_pattern=fpat))
-        out.append(ObservableSpec(n, Psi("indicator", indicator_level), f_pattern=fpat))
+        out.append(ObservableSpec(n, Psi("indicator", 1), f_pattern=fpat))
         out.append(ObservableSpec(n, Psi("monomial", 1), f_monomial=fmono))
     return out

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .eigen import is_psd_dense
 from .errors import (AcceptanceTooLow, EventMassTooSmall, EventNull,
                      NullConditioning)
@@ -113,31 +114,21 @@ class DescendConfig:
     mc: MCConfig = field(default_factory=MCConfig)
     psd_outer: int = 50
     psd_inner: int = 20
-    psd_tol: float = 1e-8
-    ultra_n: int = 6
     abs_tol: float = DEFAULT_ABS_TOL
     z: float = DEFAULT_Z
     force: bool = False
-    gg_observables: tuple = ()
     method: str = "mc"
 
 
-def _default_level_observables() -> tuple:
-    pat = (((1, 2), 1),)
-    return (ObservableSpec(2, Psi("monomial", 1), f_pattern=pat),
-            ObservableSpec(2, Psi("indicator", 1), f_pattern=pat),
-            ObservableSpec(3, Psi("monomial", 1), f_pattern=pat))
-
-
-def _top_tie_violations(lv: np.ndarray, K: int) -> int:
-    """Triples with two top-level ties whose closing edge is below top."""
-    A = (lv == K).astype(np.int64)
-    pairs = np.einsum("tab,tac->tbc", A, A)
-    open_edge = (lv != K) & (lv != 0)
-    viol2 = pairs * open_edge
-    n = lv.shape[1]
-    viol2[:, np.arange(n), np.arange(n)] = 0
-    return int(viol2.sum()) // 2
+# Fixed at every level: a truncated sample fails the PSD check below
+# -PSD_TOL, top-level ties are scanned on ULTRA_N replicas, and the
+# conditioned identities are checked on LEVEL_OBSERVABLES.
+PSD_TOL = 1e-8
+ULTRA_N = 6
+_PAT = (((1, 2), 1),)
+LEVEL_OBSERVABLES = (ObservableSpec(2, Psi("monomial", 1), f_pattern=_PAT),
+                     ObservableSpec(2, Psi("indicator", 1), f_pattern=_PAT),
+                     ObservableSpec(3, Psi("monomial", 1), f_pattern=_PAT))
 
 
 def descend(model, config: DescendConfig, seed: int) -> LevelReport:
@@ -161,18 +152,15 @@ def _descend_level(model, config: DescendConfig, seed: int,
         collision_pass = True
 
     violations = 0
-    n_ultra = max(3, config.ultra_n)
-    for _, lv in filtered_level_batches(model, n_ultra, config.mc, seed,
+    for _, lv in filtered_level_batches(model, ULTRA_N, config.mc, seed,
                                         key=0xA11):
-        if len(lv):
-            violations += _top_tie_violations(lv, K)
+        violations += _kernels.top_tie_triples(lv, K)
 
     gg_pass = True
     max_resid = 0.0
     skipped = 0
     if K >= 2:
-        observables = config.gg_observables or _default_level_observables()
-        for i, obs in enumerate(observables):
+        for i, obs in enumerate(LEVEL_OBSERVABLES):
             event = EventSpec("A_n", obs.n + 1)
             try:
                 rep = gg_residual(model, obs, config.mc,
@@ -201,10 +189,10 @@ def _descend_level(model, config: DescendConfig, seed: int,
                                             key=0xBD):
             for t in range(lv.shape[0]):
                 dense = vals[lv[t]]
-                _, lo = is_psd_dense(dense, tol=1e-9)
+                _, lo = is_psd_dense(dense)
                 min_eig = min(min_eig, lo)
                 psd_samples += 1
-                if lo < -config.psd_tol:
+                if lo < -PSD_TOL:
                     psd_pass = False
     details["min_eigenvalue"] = min_eig if min_eig != float("inf") else 0.0
     details["psd_samples"] = psd_samples

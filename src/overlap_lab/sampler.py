@@ -98,21 +98,16 @@ def _accept(measure: DiscreteMeasure, idx: np.ndarray, threshold: int) -> np.nda
 def draw_index_batch(measure: DiscreteMeasure, n: int, count: int,
                      rng: np.random.Generator,
                      threshold: Optional[int] = None,
-                     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                     allow_partial: bool = False):
+                     max_attempts: int = DEFAULT_MAX_ATTEMPTS):
     """(count, n) atom indices and the number of candidate tuples consumed.
 
     With a threshold the batch is rejection-sampled: redraw until every
     pairwise level of the tuple is <= threshold, which realizes the
-    conditional law of the event for this fixed measure exactly. With
-    allow_partial, exhausting the attempt budget returns the accepted
-    prefix instead of raising.
+    conditional law of the event for this fixed measure exactly.
     """
     if threshold is None:
         return measure.sample_indices(n, count, rng), count
     if threshold < 1:
-        if allow_partial:
-            return np.empty((0, n), dtype=np.int64), 0
         raise AcceptanceTooLow("conditioning event is impossible on this grid")
     chunks = [np.empty((0, n), dtype=np.int64)]
     got = 0
@@ -120,8 +115,6 @@ def draw_index_batch(measure: DiscreteMeasure, n: int, count: int,
     batch = max(2 * count, 64)
     while got < count:
         if attempts >= max_attempts:
-            if allow_partial:
-                break
             raise AcceptanceTooLow(
                 f"{got}/{count} acceptances in {max_attempts} attempts "
                 f"for threshold {threshold}")
@@ -210,8 +203,7 @@ def mean_and_se(per_outer: np.ndarray):
     return est, se
 
 
-def ratio_from_means(means: np.ndarray, z: float = 3.0,
-                     require_positive: bool = True):
+def ratio_from_means(means: np.ndarray, z: float = 3.0):
     """Conditional estimates from an indicator-augmented means matrix.
 
     Returns (ratios (S,), per-outer influence values (M, S), denominator
@@ -222,7 +214,7 @@ def ratio_from_means(means: np.ndarray, z: float = 3.0,
     """
     D = means[:, -1]
     dbar, dse = mean_and_se(D)
-    if require_positive and (dbar <= 0.0 or dbar <= z * dse):
+    if dbar <= 0.0 or dbar <= z * dse:
         raise EventMassTooSmall(
             f"event mass {dbar:.3g} (se {dse:.3g}) too close to zero")
     N = means[:, :-1]

@@ -36,6 +36,13 @@ DEFAULT_ABS_TOL = 0.01
 EXACT_ABS_TOL = 1e-12
 DEFAULT_Z = 3.0
 
+# support: atoms above the weight floor must have squared norm within
+# SUPPORT_TOL of the top level; positivity: no sampled overlap below
+# -POSITIVITY_TOL.
+SUPPORT_WEIGHT_FLOOR = 1e-12
+SUPPORT_TOL = 1e-10
+POSITIVITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -317,13 +324,13 @@ class SupportReport:
                         self.passed)
 
 
-def support_check(measure: DiscreteMeasure, weight_floor: float = 1e-12,
-                  tol: float = 1e-10) -> SupportReport:
+def support_check(measure: DiscreteMeasure) -> SupportReport:
     """Max deviation of atom squared norms from the top grid level."""
-    mask = measure.weights > weight_floor
+    mask = measure.weights > SUPPORT_WEIGHT_FLOOR
     dev = np.abs(measure.norms_sq[mask] - measure.grid.levels[-1])
     max_dev = float(dev.max()) if dev.size else 0.0
-    return SupportReport(max_dev, int(mask.sum()), bool(max_dev <= tol))
+    return SupportReport(max_dev, int(mask.sum()),
+                         bool(max_dev <= SUPPORT_TOL))
 
 
 @dataclass(frozen=True)
@@ -338,8 +345,7 @@ class PositivityReport:
                         0.0, self.passed)
 
 
-def positivity_check(model, mc: MCConfig, seed: int,
-                     tol: float = 1e-12) -> PositivityReport:
+def positivity_check(model, mc: MCConfig, seed: int) -> PositivityReport:
     """Minimum sampled two-replica overlap across all draws."""
     model = as_model(model)
     K = model.grid.k
@@ -355,7 +361,7 @@ def positivity_check(model, mc: MCConfig, seed: int,
         raise EventMassTooSmall("no pairs observed")
     min_overlap = float(min(values[l] for l in observed))
     return PositivityReport(min_overlap, tuple(observed),
-                            bool(min_overlap >= -tol))
+                            bool(min_overlap >= -POSITIVITY_TOL))
 
 
 @dataclass(frozen=True)

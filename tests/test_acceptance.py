@@ -50,7 +50,7 @@ def duplicated_atom_model():
 
 def test_01_exact_identities_on_degenerate_families():
     t0 = time.time()
-    observables = default_gg_observables(1, n_values=(2, 3, 4))
+    observables = default_gg_observables(n_values=(2, 3, 4))
     assert len(observables) >= 12
     worst = 0.0
     for model in (single_atom_model(), duplicated_atom_model()):
@@ -199,7 +199,7 @@ def test_06_truncation_positivity():
 
 def test_07_conditioned_identities_k1_tree():
     t0 = time.time()
-    observables = default_gg_observables(2, n_values=(2, 3))
+    observables = default_gg_observables(n_values=(2, 3))
     passes = 0
     for s in range(20):
         model = TreeModel(TreeMeasureSpec((0.5,), 500, (0.5,), seed=3000 + s))

@@ -128,6 +128,14 @@ class TestParseConfig:
             {"n": 2, "psi": {"monomial": 1}}, {"n": 3, "psi": {"monomial": 1}}],
             "conditioned": {"kind": "A_n", "n": 3}}]},
          "checks[0].conditioned.n"),
+        ({"checks": [{"name": "lemma1", "n": "x"}]}, "checks[0].n"),
+        ({"checks": [{"name": "consistency", "n": 1}]}, "checks[0].n"),
+        ({"checks": [{"name": "gg", "method": "foo"}]}, "checks[0].method"),
+        ({"checks": [{"name": "descend", "force": "no"}]}, "checks[0].force"),
+        ({"measure": {"type": "explicit",
+                      "grid": {"levels": [1.0], "self_overlap": 1.0},
+                      "atoms": [[1.0]], "weights": "ab"}}, "measure.weights"),
+        ({"checks": [{"name": "ultra", "n": 101}]}, "checks[0].n"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):
@@ -308,12 +316,12 @@ class TestMainEntry:
         assert (out / "report.csv").exists()
         assert not (out / "report.json").exists()
 
-    def test_jobs_env_fallback(self, tmp_path, monkeypatch):
-        p = write_config(tmp_path / "c.json", tree_config(tmp_path / "envout"))
-        monkeypatch.setenv("OVERLAP_LAB_JOBS", "3")
-        assert main(["run", str(p)]) == 0
-        manifest = json.loads((tmp_path / "envout" / "manifest.json").read_text())
-        assert manifest["jobs"] == 3
+    def test_jobs_recorded_in_manifest(self, tmp_path):
+        p = write_config(tmp_path / "c.json", tree_config(tmp_path / "out"))
+        for argv, jobs in (([], 1), (["--jobs", "3"], 3)):
+            assert main([*argv, "run", str(p)]) == 0
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["jobs"] == jobs
 
     def test_every_check_dispatch(self, tmp_path):
         out = tmp_path / "out"

@@ -46,6 +46,17 @@ def ultra_reference(levels, triples):
     return len(triples), violations, witness
 
 
+def top_tie_reference(levels, top):
+    """Triples with two top-level pairs whose closing pair is below top,
+    counted as ordered (b, c) pairs around each apex a and halved."""
+    A = (levels == top).astype(np.int64)
+    pairs = np.einsum("tab,tac->tbc", A, A)
+    viol2 = pairs * ((levels != top) & (levels != 0))
+    n = levels.shape[1]
+    viol2[:, np.arange(n), np.arange(n)] = 0
+    return int(viol2.sum()) // 2
+
+
 class TestStatisticReference:
     """Kernel evaluation matches the plain-python Statistic oracle."""
 
@@ -214,6 +225,17 @@ class TestTripleScanReference:
         blocked = _kernels.ultra_full(batch)
         assert whole[:2] == blocked[:2]
         assert list(whole[2]) == list(blocked[2])
+
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 6, 9])
+    def test_top_tie_triples(self, n, K):
+        rng = np.random.default_rng(10 * n + K)
+        batch = symmetric_levels(rng, (200, n, n), K)
+        want = top_tie_reference(batch, K)
+        assert want > 0 or K == 1  # one level: every triple has three ties
+        assert _kernels.top_tie_triples(batch, K) == want
+        assert _kernels.top_tie_triples(batch[:0], K) == 0
 
 
 class TestAcceptMaskReference:

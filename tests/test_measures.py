@@ -1,5 +1,3 @@
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -239,32 +237,6 @@ class TestTreeModelMemo:
             assert len(model._memo) <= cap
         assert sorted(model._memo) == [0, 1, 2]
 
-    def test_threads_keep_cap_and_values(self, monkeypatch):
-        cap = 3
-        monkeypatch.setattr(models, "MEMO_BYTES", 16 * self.SPEC.branching**2 * cap)
-        model = TreeModel(self.SPEC)
-        got = {}
-
-        def worker(w):
-            for j in np.random.default_rng(w).permutation(8):
-                got[(w, int(j))] = model.measure_at(int(j))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(got) == 6 * 8
-        assert len(model._memo) <= cap
-        for (_, j), measure in got.items():
-            self.assert_fresh(measure, j)
-
     def test_stored_arrays_read_only(self):
         measure = TreeModel(self.SPEC).measure_at(0)
         for arr in (measure.weights, measure.norms_sq):
@@ -347,9 +319,3 @@ class TestAdversarialMeasure:
         lv = m.levels_from_indices(np.array([[0, 1, 2]]))[0]
         rep = check_ultrametric(LevelMatrix(lv, m.grid))
         assert rep.violations == 1
-
-    def test_seed_ignored(self):
-        a = adversarial_measure(0)
-        b = adversarial_measure(123)
-        assert np.array_equal(a.weights, b.weights)
-        assert np.allclose(a.atoms, b.atoms)

@@ -40,7 +40,7 @@ class TestObservableSpec:
             ObservableSpec(1, Psi("monomial", 1))
 
     def test_ids_are_distinct(self):
-        obs = default_gg_observables(2)
+        obs = default_gg_observables()
         ids = [o.observable_id() for o in obs]
         assert len(set(ids)) == len(ids) == 12
 

@@ -96,12 +96,6 @@ class TestConditionalDraw:
             off = d.matrix.entries[np.triu_indices(3, 1)]
             assert (off == 1).all()  # only level q1=0.3 lies below 0.5
 
-    def test_partial_batch(self):
-        idx, att = draw_index_batch(single_atom(), 2, 10,
-                                    np.random.default_rng(0), threshold=0,
-                                    allow_partial=True)
-        assert len(idx) == 0 and att == 0
-
 
 class TestEstimateExpectation:
     def test_constant_statistic(self):

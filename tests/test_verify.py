@@ -51,7 +51,7 @@ def k2_tree_model(seed=11):
 class TestGGResidual:
     def test_single_level_models_are_exact(self):
         for model in (single_atom_model(), duplicated_atom_model()):
-            for obs in default_gg_observables(1):
+            for obs in default_gg_observables():
                 rep = gg_residual(model, obs, MCConfig(30, 40), seed=3,
                                   abs_tol=1e-12)
                 assert abs(rep.residual) <= 1e-12
