@@ -45,6 +45,15 @@ CHECK_NAMES = ("gg", "mass", "lemma1", "consistency", "marginal", "support",
 # about 4 MB at n = 100, and 148 MB more at n = 300.
 ULTRA_MAX_N = 100
 
+# The fields _run_check reads: those of every check, then those of each type
+COMMON_CHECK_FIELDS = ("name", "mc", "abs_tol", "z", "method")
+CHECK_FIELDS = {"gg": ("observables", "conditioned"), "mass": ("n_max",),
+                "lemma1": ("n", "f_pattern"), "consistency": ("n", "f_pattern"),
+                "marginal": (), "support": (), "positivity": (), "ultra": ("n",),
+                "descend": ("n_condition", "psd_outer", "psd_inner", "force"),
+                "criterion": ("q", "patterns", "n_max")}
+MC_FIELDS = ("outer", "inner")
+
 # integer fields of one check type: (check name, field, minimum, maximum)
 CHECK_INT_FIELDS = (("mass", "n_max", 2, None), ("criterion", "n_max", 3, None),
                     ("ultra", "n", 3, ULTRA_MAX_N), ("lemma1", "n", 2, None),
@@ -101,9 +110,14 @@ def parse_config(path) -> ExperimentConfig:
                 f"checks[{i}].name: unknown check {name!r}; allowed: "
                 + ", ".join(CHECK_NAMES))
             continue
+        allowed = COMMON_CHECK_FIELDS + CHECK_FIELDS[name]
+        problems.extend(_unknown_fields(chk, allowed, f"checks[{i}]",
+                                        f"check {name!r}"))
         mc = chk.get("mc", {})
         if isinstance(mc, dict):
-            for key in ("outer", "inner"):
+            problems.extend(_unknown_fields(mc, MC_FIELDS, f"checks[{i}].mc",
+                                            "mc"))
+            for key in MC_FIELDS:
                 if key in mc and not _is_int(mc[key], 1):
                     problems.append(f"checks[{i}].mc.{key}: must be an integer >= 1")
         else:
@@ -163,6 +177,12 @@ def parse_config(path) -> ExperimentConfig:
     if problems:
         raise ValidationError(problems)
     return ExperimentConfig(measure, checks, seed, out_dir, list(formats), raw)
+
+
+def _unknown_fields(d: dict, allowed: tuple, where: str, what: str) -> list:
+    """One problem per key of d that is not in allowed, naming the field."""
+    return [f"{where}.{key}: unknown field for {what}; allowed: "
+            + ", ".join(allowed) for key in d if key not in allowed]
 
 
 def _is_int(v, minimum=None) -> bool:

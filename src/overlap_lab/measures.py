@@ -12,7 +12,7 @@ Three families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,6 +40,73 @@ def rng_from(*keys) -> np.random.Generator:
 def derive_seed(*keys) -> int:
     """Collapse a key tuple into a single 64-bit child seed."""
     return int(seed_sequence(*keys).generate_state(1, np.uint64)[0])
+
+
+# SeedSequence.generate_state's output hash (numpy/random/bit_generator.pyx):
+# word i of PCG64's eight uint32 seed words is pool[i % 4] ^ INIT_B * MULT_B**i,
+# times INIT_B * MULT_B**(i + 1), xor-shifted right by 16
+_HASH_CONSTS = np.array([0x8B51F9DD * 0x58F38DED**i & 0xFFFFFFFF
+                         for i in range(9)], dtype=np.uint32)
+
+
+def _key_words(key: int) -> list:
+    """The uint32 words SeedSequence splits a (masked) int key into."""
+    key = int(key) & 0xFFFFFFFFFFFFFFFF
+    words = [key & 0xFFFFFFFF]
+    while key > 0xFFFFFFFF:
+        key >>= 32
+        words.append(key & 0xFFFFFFFF)
+    return words
+
+
+@cache
+def _words_seed_class():
+    """A seed source handing PCG64 precomputed state words; defined on first
+    use so that importing the package does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordsSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds only PCG64's four uint64 seed words")
+            return self.words
+
+    return WordsSeed
+
+
+def rngs_from(*prefix, lasts):
+    """rng_from(*prefix, v) for each v of the int array lasts, in order.
+
+    Each stream is bit for bit the one rng_from derives. Every row of
+    entropy words is mixed by its own SeedSequence, as numpy splits the int
+    keys; the four PCG64 seed words of all rows then come from one numpy
+    pass of generate_state's output hash over the stacked pools. Returns an
+    iterator, so only the seed words of all rows are held at once.
+    """
+    lasts = np.asarray(lasts)
+    if (lasts >> 32).any():
+        raise ValueError("last keys must lie in [0, 2**32)")
+    head = [w for key in prefix for w in _key_words(key)]
+    rows = np.empty((len(lasts), len(head) + 1), dtype=np.uint32)
+    rows[:, :-1] = head
+    rows[:, -1] = lasts
+    seq = np.random.SeedSequence
+    pool = np.empty((len(lasts), 4), dtype=np.uint32)
+    for row, out in zip(rows, pool):
+        out[:] = seq(row).pool
+    state = np.concatenate((pool, pool), axis=1)  # pool words, cycled
+    state ^= _HASH_CONSTS[:8]
+    state *= _HASH_CONSTS[1:]
+    state ^= state >> 16
+    # pair the uint32 words into uint64 words little-endian, as numpy does
+    words = state.astype("<u4", copy=False).view("<u8")
+    words = words.astype(np.uint64, copy=False)
+    seed_class = _words_seed_class()
+    pcg, gen = np.random.PCG64, np.random.Generator
+    return (gen(pcg(seed_class(w))) for w in words)
 
 
 def pd_points(zeta: float, B: int, rng: np.random.Generator) -> np.ndarray:
@@ -356,17 +423,19 @@ def tree_leaf_weights(structure: TreeStructure, zetas: tuple, seed: int) -> np.n
     of the measure approach the replica identities as branching grows:
     the effective mass of a subtree is then biased by its own partition
     function, exactly as in the classical cascade. Each internal vertex
-    gets its own derived seed stream keyed by (seed, level, vertex index),
-    so the result is independent of traversal order. Each vertex's stream
-    fills its own row of the level's exponential block, so one cumulative
-    sum and one power per level give pd_points of every vertex.
+    gets its own derived seed stream, rng_from(seed, level, vertex index),
+    so the result is independent of traversal order; one rngs_from call per
+    level seeds all of that level's streams. Each vertex's stream fills its
+    own row of the level's exponential block, so one cumulative sum and one
+    power per level give pd_points of every vertex.
     """
     B, k = structure.B, structure.k
     W = np.ones(1)
     for level in range(k):
         arrivals = np.empty((B**level, B))
-        for v, row in enumerate(arrivals):
-            rng_from(seed, level, v).standard_exponential(out=row)
+        rngs = rngs_from(seed, level, lasts=np.arange(B**level))
+        for rng, row in zip(rngs, arrivals):
+            rng.standard_exponential(out=row)
         points = np.cumsum(arrivals, axis=1) ** (-1.0 / zetas[level])
         W = (W[:, None] * points).ravel()
     return W / W.sum()

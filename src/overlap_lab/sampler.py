@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .errors import AcceptanceTooLow, EventMassTooSmall, EventNull, TooLarge
 from .grid import LevelMatrix, OverlapGrid
-from .measures import DiscreteMeasure, rng_from
+from .measures import DiscreteMeasure, rng_from, rngs_from
 from .models import as_model
 from .observables import Statistic, pack_statistics
 
@@ -161,7 +161,9 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
     the denominator column is identically one.
 
     Each outer draw gets its own measure and a derived inner seed stream,
-    so results do not depend on evaluation order or parallelism.
+    rng_from(seed, _INNER_KEY, j), so results do not depend on evaluation
+    order or parallelism; the streams of a block are seeded together by
+    rngs_from.
 
     Consecutive outer draws are evaluated together, up to OUTER_BLOCK_ROWS
     replica rows per block: every measure of a model shares one pair-level
@@ -182,13 +184,13 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
     for start in range(0, mc.outer, draws):
         stop = min(start + draws, mc.outer)
         first = model.measure_at(start)
+        rngs = rngs_from(seed, _INNER_KEY, lasts=np.arange(start, stop))
         idx = []
-        for j in range(start, stop):
+        for j, rng in zip(range(start, stop), rngs):
             measure = first if j == start else model.measure_at(j)
             if not first.shares_levels(measure):
                 raise ValueError("outer measures of one model must share "
                                  "their pair levels")
-            rng = rng_from(seed, _INNER_KEY, j)
             idx.append(measure.sample_indices(n, mc.inner, rng))
         lv = first.levels_from_indices(np.concatenate(idx))
         out = _kernels.eval_stats(lv, first.grid.values_by_index(), pack)

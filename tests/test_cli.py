@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +139,13 @@ class TestParseConfig:
                       "grid": {"levels": [1.0], "self_overlap": 1.0},
                       "atoms": [[1.0]], "weights": "ab"}}, "measure.weights"),
         ({"checks": [{"name": "ultra", "n": 101}]}, "checks[0].n"),
+        ({"checks": [{"name": "mass", "n_mx": 3}]}, "checks[0].n_mx"),
+        ({"checks": [{"name": "ultra", "nn": 4, "mc": {"outr": 5}}]},
+         "checks[0].nn"),
+        ({"checks": [{"name": "ultra", "nn": 4, "mc": {"outr": 5}}]},
+         "checks[0].mc.outr"),
+        ({"checks": [{"name": "support", "n": 3}]}, "checks[0].n"),
+        ({"checks": [{"name": "gg", "n_max": 3}]}, "checks[0].n_max"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):
@@ -175,6 +185,27 @@ class TestBuildModel:
                    "on_sphere": False}
         model, warnings = build_model(measure)
         assert warnings and "negative" in warnings[0]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_setup_does_not_import_numpy_random():
+    """Set-up (import, parse_config, build_model, kernel warm-up) leaves
+    numpy.random unimported; its import would add to every invocation."""
+    code = ("import sys\n"
+            "from overlap_lab import _kernels\n"
+            "from overlap_lab.cli import build_model, parse_config\n"
+            "build_model(parse_config(sys.argv[1]).measure)\n"
+            "_kernels.warmup()\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "configs" / "tree_k2.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestRunExperiment:

@@ -14,7 +14,8 @@ from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
                                   adversarial_measure, build_tree_measure,
                                   derive_seed, explicit_measure,
                                   measure_from_gram, pd_points, rng_from,
-                                  sample_pd_weights, tree_leaf_weights)
+                                  rngs_from, sample_pd_weights,
+                                  tree_leaf_weights)
 from overlap_lab.models import DescendedModel, TreeModel
 
 
@@ -184,6 +185,40 @@ class TestTreeLeafWeightsReference:
             W = (W[:, None] * child).ravel()
         got = tree_leaf_weights(st, zetas, seed)
         assert got.tobytes() == (W / W.sum()).tobytes()
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1,
+         *(int(s) for s in np.random.default_rng(2024).integers(
+             0, 2**64, 4, dtype=np.uint64))]
+
+
+class TestRngsFromReference:
+    """rngs_from gives rng_from's stream for each last key, bit for bit."""
+
+    LASTS = np.array([0, 1, 2**32 - 1], dtype=np.int64)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("middle", [(), (3,), (2**40,)])
+    def test_matches_seed_sequence_and_rng_from(self, seed, middle):
+        prefix = (seed, *middle)
+        got = list(rngs_from(*prefix, lasts=self.LASTS))
+        assert len(got) == len(self.LASTS)
+        for v, rng in zip(self.LASTS.tolist(), got):
+            masked = [k & (2**64 - 1) for k in (*prefix, v)]
+            words = np.random.SeedSequence(masked).generate_state(4, np.uint64)
+            assert rng.bit_generator._seed_seq.words.tobytes() == words.tobytes()
+            want = rng_from(*prefix, v)
+            assert rng.random(8).tobytes() == want.random(8).tobytes()
+            assert rng.standard_exponential(5).tobytes() == \
+                want.standard_exponential(5).tobytes()
+
+    def test_empty_lasts(self):
+        assert list(rngs_from(5, lasts=np.arange(0))) == []
+
+    @pytest.mark.parametrize("lasts", [[-1], [0, 2**32], [2**33, 3]])
+    def test_last_key_out_of_range_raises(self, lasts):
+        with pytest.raises(ValueError, match="last keys"):
+            rngs_from(7, 1, lasts=np.array(lasts, dtype=np.int64))
 
 
 class TestLazyTreeAtoms:
