@@ -38,9 +38,6 @@ from .verify import (conditional_marginal_check, consistency_check,
                      distinct_mass_check, gg_residual, lemma1_check,
                      positivity_check, support_check, ultrametricity_check)
 
-CHECK_NAMES = ("gg", "mass", "lemma1", "consistency", "marginal", "support",
-               "positivity", "ultra", "descend", "criterion")
-
 # The ultra scan caches three index arrays of 24 bytes a triple for each n:
 # about 4 MB at n = 100, and 148 MB more at n = 300.
 ULTRA_MAX_N = 100
@@ -52,6 +49,7 @@ CHECK_FIELDS = {"gg": ("observables", "conditioned"), "mass": ("n_max",),
                 "marginal": (), "support": (), "positivity": (), "ultra": ("n",),
                 "descend": ("n_condition", "psd_outer", "psd_inner", "force"),
                 "criterion": ("q", "patterns", "n_max")}
+CHECK_NAMES = tuple(CHECK_FIELDS)
 MC_FIELDS = ("outer", "inner")
 
 # integer fields of one check type: (check name, field, minimum, maximum)
