@@ -42,6 +42,16 @@ from .verify import (conditional_marginal_check, consistency_check,
 # about 4 MB at n = 100, and 148 MB more at n = 300.
 ULTRA_MAX_N = 100
 
+# The fields a config may hold: at the top level, in the measure of each type,
+# in the output object, in each gg observable and in a gg conditioning event
+CONFIG_FIELDS = ("measure", "checks", "seed", "output")
+MEASURE_FIELDS = {"tree": ("type", "q", "branching", "zetas", "seed"),
+                  "explicit": ("type", "grid", "weights", "atoms", "on_sphere"),
+                  "adversarial": ("type",)}
+OUTPUT_FIELDS = ("dir", "formats")
+OBSERVABLE_FIELDS = ("n", "psi", "f_pattern", "f_monomial")
+CONDITIONED_FIELDS = ("kind", "n", "q")
+
 # The fields _run_check reads: those of every check, then those of each type
 COMMON_CHECK_FIELDS = ("name", "mc", "abs_tol", "z", "method")
 CHECK_FIELDS = {"gg": ("observables", "conditioned"), "mass": ("n_max",),
@@ -89,7 +99,7 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValidationError(["config: must be a JSON object"])
 
-    problems = []
+    problems = _unknown_fields(raw, CONFIG_FIELDS, "", "the config")
     measure = raw.get("measure")
     if not isinstance(measure, dict):
         problems.append("measure: required object missing")
@@ -163,6 +173,7 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(output, dict):
         problems.append("output: must be an object")
         output = {}
+    problems.extend(_unknown_fields(output, OUTPUT_FIELDS, "output", "output"))
     out_dir = output.get("dir", "out")
     formats = output.get("formats", ["csv", "json"])
     if not isinstance(formats, list):
@@ -178,9 +189,11 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _unknown_fields(d: dict, allowed: tuple, where: str, what: str) -> list:
-    """One problem per key of d that is not in allowed, naming the field."""
-    return [f"{where}.{key}: unknown field for {what}; allowed: "
-            + ", ".join(allowed) for key in d if key not in allowed]
+    """One problem per key of d that is not in allowed, naming the field;
+    where is the path of d ("" at the top level)."""
+    return [(f"{where}.{key}" if where else key) + f": unknown field for "
+            f"{what}; allowed: " + ", ".join(allowed)
+            for key in d if key not in allowed]
 
 
 def _is_int(v, minimum=None) -> bool:
@@ -233,6 +246,8 @@ def _gg_problems(chk: dict, where: str) -> list:
             if not isinstance(d, dict):
                 problems.append(f"{at}: must be an object")
                 continue
+            problems.extend(_unknown_fields(d, OBSERVABLE_FIELDS, at,
+                                            "an observable"))
             n = d.get("n")
             if not _is_int(n, 2):
                 problems.append(f"{at}.n: must be an integer >= 2")
@@ -253,6 +268,8 @@ def _gg_problems(chk: dict, where: str) -> list:
         problems.append(f"{where}.conditioned: must be an object")
     elif cond:
         at = f"{where}.conditioned"
+        problems.extend(_unknown_fields(cond, CONDITIONED_FIELDS, at,
+                                        "a conditioning event"))
         if cond.get("kind") not in ("A_n", "A_nq"):
             problems.append(f'{at}.kind: must be "A_n" or "A_nq"')
         if "n" in cond and not _is_int(cond["n"], 3):
@@ -268,8 +285,11 @@ def _gg_problems(chk: dict, where: str) -> list:
 
 
 def _validate_measure(measure: dict) -> list:
-    problems = []
     mtype = measure.get("type")
+    problems = []
+    if mtype in MEASURE_FIELDS:
+        problems = _unknown_fields(measure, MEASURE_FIELDS[mtype], "measure",
+                                   f"measure type {mtype!r}")
     if mtype == "tree":
         try:
             TreeMeasureSpec(tuple(measure.get("q", ())),

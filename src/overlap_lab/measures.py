@@ -42,21 +42,116 @@ def derive_seed(*keys) -> int:
     return int(seed_sequence(*keys).generate_state(1, np.uint64)[0])
 
 
-# SeedSequence.generate_state's output hash (numpy/random/bit_generator.pyx):
-# word i of PCG64's eight uint32 seed words is pool[i % 4] ^ INIT_B * MULT_B**i,
-# times INIT_B * MULT_B**(i + 1), xor-shifted right by 16
-_HASH_CONSTS = np.array([0x8B51F9DD * 0x58F38DED**i & 0xFFFFFFFF
+# SeedSequence's hashes (numpy/random/bit_generator.pyx) each keep a running
+# multiplier: call t of the entropy hash `hashmix` xors its word with
+# INIT_A * MULT_A**t, multiplies it by INIT_A * MULT_A**(t + 1) and
+# xor-shifts it right by 16; word i of generate_state's output hash does the
+# same to pool[i % 4] with INIT_B and MULT_B. `mix(x, y)` is
+# MIX_L * x - MIX_R * y, xor-shifted right by 16. The arrays below hold one
+# word per row and one key tuple per column.
+_POOL = 4
+_HASHMIX = np.array([[0x43B0D7E5 * 0x931E8875**t & 0xFFFFFFFF]
+                     for t in range(256)], dtype=np.uint32)  # up to 63 words
+_OUTPUT_HASH = np.array([[0x8B51F9DD * 0x58F38DED**i & 0xFFFFFFFF]
                          for i in range(9)], dtype=np.uint32)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _key_words(key: int) -> list:
-    """The uint32 words SeedSequence splits a (masked) int key into."""
-    key = int(key) & 0xFFFFFFFFFFFFFFFF
-    words = [key & 0xFFFFFFFF]
-    while key > 0xFFFFFFFF:
-        key >>= 32
-        words.append(key & 0xFFFFFFFF)
-    return words
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """hashmix calls on the rows of words (or on words itself, repeated):
+    xor and mul hold each call's two multiplier values, one per row."""
+    out = words ^ xor
+    out *= mul
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x
+    out -= _MIX_R * y
+    out ^= out >> 16
+    return out
+
+
+def _calls(first: int) -> tuple:
+    """_hashmix's xor and mul for the four hashmix calls from first on."""
+    return _HASHMIX[first:first + _POOL], _HASHMIX[first + 1:first + _POOL + 1]
+
+
+# mix_entropy's all-pairs pass hashes pool word src once for each other pool
+# word d, by call 4 + 3 * src + (d - (d > src)). Row src of each step is a
+# placeholder; its result is put back unmixed.
+_PAIR_CALLS = [(_HASHMIX[t], _HASHMIX[t + 1]) for t in (
+    np.array([_POOL + (_POOL - 1) * src + d - (d > src) for d in range(_POOL)])
+    for src in range(_POOL))]
+
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence.mix_entropy of every column of a (L, N) uint32 array,
+    L >= 4: the (4, N) pools.
+
+    numpy hashes a key shorter than the pool as if it were padded with
+    zero words, so short tuples come padded. The pool words that one
+    source word is mixed into do not depend on each other, so one vector
+    pass serves them all.
+    """
+    if _POOL * len(entropy) >= len(_HASHMIX):
+        raise ValueError("key tuple too long")
+    pool = _hashmix(entropy[:_POOL], *_calls(0))
+    for src, calls in enumerate(_PAIR_CALLS):
+        word = pool[src].copy()
+        pool = _mix(pool, _hashmix(word, *calls))
+        pool[src] = word
+    for i, word in enumerate(entropy[_POOL:]):
+        pool = _mix(pool, _hashmix(word, *_calls(_POOL * (_POOL + i))))
+    return pool
+
+
+def seed_words(*keys) -> np.ndarray:
+    """PCG64's four uint64 seed words for each key tuple, bit for bit those
+    np.random.SeedSequence([k & (2**64 - 1) for k in keys]) generates.
+
+    Each key is an int or an int array; they broadcast against each other
+    to the shape S of the tuples, and the result has shape (*S, 4). Word 0
+    of a tuple is derive_seed(*tuple). numpy splits a key into one uint32
+    word below 2**32 and two from there on, so tuples are grouped by which
+    of their keys are wide, and each group is hashed in one numpy pass.
+    """
+    arrays = [np.asarray(k) for k in keys if not isinstance(k, int)]
+    shape = np.broadcast(*arrays).shape if arrays else ()
+    # per tuple: lo_0, hi_0, lo_1, hi_1, ..., then a zero word for padding
+    split = np.zeros((*shape, 2 * len(keys) + 1), dtype=np.uint32)
+    for c, key in enumerate(keys):
+        if isinstance(key, int):
+            key &= 0xFFFFFFFFFFFFFFFF
+            split[..., 2 * c:2 * c + 2] = key & 0xFFFFFFFF, key >> 32
+        else:
+            key = np.ascontiguousarray(key, dtype="<u8")
+            split[..., 2 * c:2 * c + 2] = key[..., None].view("<u4")
+    split = split.reshape(-1, split.shape[-1])
+    wide = split[:, 1:-1:2] != 0
+    if (wide == wide[:1]).all():
+        groups, distinct = None, wide[:1] @ (1 << np.arange(len(keys)))
+    else:
+        groups = wide @ (1 << np.arange(len(keys)))
+        distinct = np.unique(groups)
+    pool = np.empty((_POOL, len(split)), dtype=np.uint32)
+    for g in distinct:
+        words = [w for c in range(len(keys))
+                 for w in (2 * c, 2 * c + 1)[:1 + (g >> c & 1)]]
+        words += [split.shape[1] - 1] * (_POOL - len(words))
+        if groups is None:
+            pool = _mix_entropy(split.T[words])
+        else:
+            rows = groups == g
+            pool[:, rows] = _mix_entropy(split[rows].T[words])
+    state = np.concatenate((pool, pool))  # pool words, cycled
+    state ^= _OUTPUT_HASH[:8]
+    state *= _OUTPUT_HASH[1:]
+    state ^= state >> 16
+    # pair the uint32 words into uint64 words little-endian, as numpy does
+    words = np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8")
+    return words.astype(np.uint64, copy=False).reshape(*shape, 4)
 
 
 @cache
@@ -80,30 +175,16 @@ def _words_seed_class():
 def rngs_from(*prefix, lasts):
     """rng_from(*prefix, v) for each v of the int array lasts, in order.
 
-    Each stream is bit for bit the one rng_from derives. Every row of
-    entropy words is mixed by its own SeedSequence, as numpy splits the int
-    keys; the four PCG64 seed words of all rows then come from one numpy
-    pass of generate_state's output hash over the stacked pools. Returns an
-    iterator, so only the seed words of all rows are held at once.
+    Each stream is bit for bit the one rng_from derives: seed_words hashes
+    all the key tuples in one numpy pass, and each generator is handed its
+    four words. Prefix keys may be arrays too; they broadcast against
+    lasts, and the streams come in the row-major order of the result.
+    Returns an iterator, so only the seed words are held at once.
     """
     lasts = np.asarray(lasts)
     if (lasts >> 32).any():
         raise ValueError("last keys must lie in [0, 2**32)")
-    head = [w for key in prefix for w in _key_words(key)]
-    rows = np.empty((len(lasts), len(head) + 1), dtype=np.uint32)
-    rows[:, :-1] = head
-    rows[:, -1] = lasts
-    seq = np.random.SeedSequence
-    pool = np.empty((len(lasts), 4), dtype=np.uint32)
-    for row, out in zip(rows, pool):
-        out[:] = seq(row).pool
-    state = np.concatenate((pool, pool), axis=1)  # pool words, cycled
-    state ^= _HASH_CONSTS[:8]
-    state *= _HASH_CONSTS[1:]
-    state ^= state >> 16
-    # pair the uint32 words into uint64 words little-endian, as numpy does
-    words = state.astype("<u4", copy=False).view("<u8")
-    words = words.astype(np.uint64, copy=False)
+    words = seed_words(*prefix, lasts).reshape(-1, 4)
     seed_class = _words_seed_class()
     pcg, gen = np.random.PCG64, np.random.Generator
     return (gen(pcg(seed_class(w))) for w in words)
@@ -424,21 +505,42 @@ def tree_leaf_weights(structure: TreeStructure, zetas: tuple, seed: int) -> np.n
     the effective mass of a subtree is then biased by its own partition
     function, exactly as in the classical cascade. Each internal vertex
     gets its own derived seed stream, rng_from(seed, level, vertex index),
-    so the result is independent of traversal order; one rngs_from call per
-    level seeds all of that level's streams. Each vertex's stream fills its
-    own row of the level's exponential block, so one cumulative sum and one
-    power per level give pd_points of every vertex.
+    so the result is independent of traversal order. The streams of all
+    vertices are seeded in one numpy pass (rngs_from); build_tree_measures
+    draws the weights of many trees in the same way, in one pass for all
+    of them.
+    """
+    W = _leaf_weight_rows(structure, zetas, _seed_array([seed]))[0]
+    return W / W.sum()
+
+
+def _seed_array(seeds) -> np.ndarray:
+    return np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+
+
+def _leaf_weight_rows(structure: TreeStructure, zetas: tuple,
+                      seeds: np.ndarray) -> np.ndarray:
+    """Unnormalized leaf weights of one tree per uint64 seed, one row each.
+
+    One rngs_from call seeds the vertex streams of every level of every
+    tree, level by level; each stream fills its own row of an exponential
+    block, so one cumulative sum and one power per level give pd_points of
+    every vertex of every tree.
     """
     B, k = structure.B, structure.k
-    W = np.ones(1)
-    for level in range(k):
-        arrivals = np.empty((B**level, B))
-        rngs = rngs_from(seed, level, lasts=np.arange(B**level))
-        for rng, row in zip(rngs, arrivals):
-            rng.standard_exponential(out=row)
-        points = np.cumsum(arrivals, axis=1) ** (-1.0 / zetas[level])
-        W = (W[:, None] * points).ravel()
-    return W / W.sum()
+    sizes = [len(seeds) * B**level for level in range(k)]
+    trees = np.concatenate([np.repeat(seeds, B**level) for level in range(k)])
+    levels = np.repeat(np.arange(k), sizes)
+    vertices = np.concatenate([np.tile(np.arange(B**level), len(seeds))
+                               for level in range(k)])
+    arrivals = np.empty((len(trees), B))
+    for rng, row in zip(rngs_from(trees, levels, lasts=vertices), arrivals):
+        rng.standard_exponential(out=row)
+    W = np.ones((len(seeds), 1))
+    for level, block in enumerate(np.split(arrivals, np.cumsum(sizes)[:-1])):
+        points = np.cumsum(block, axis=1) ** (-1.0 / zetas[level])
+        W = (W[:, :, None] * points.reshape(len(seeds), -1, B)).reshape(len(seeds), -1)
+    return W
 
 
 def _tree_level_probs(W: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -464,12 +566,22 @@ def _tree_level_probs(W: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return probs
 
 
+def build_tree_measures(spec: TreeMeasureSpec, seeds,
+                        structure: Optional[TreeStructure] = None) -> list:
+    """build_tree_measure(replace(spec, seed=s)) for each int s of seeds,
+    bit for bit, with the leaf weights of all of them drawn together."""
+    st = structure if structure is not None else TreeStructure(spec.q, spec.branching)
+    measures = []
+    for W in _leaf_weight_rows(st, spec.zetas, _seed_array(seeds)):
+        W = W / W.sum()
+        W.flags.writeable = False  # a model may hand this measure to every check
+        probs = _tree_level_probs(W, st.digits)
+        grid = OverlapGrid(st.grid_levels, tuple(probs), st.grid_levels[-1])
+        measures.append(DiscreteMeasure(W, grid, "tree", tree=st))
+    return measures
+
+
 def build_tree_measure(spec: TreeMeasureSpec,
                        structure: Optional[TreeStructure] = None) -> DiscreteMeasure:
     """Assemble the measure: geometry + seeded weights + emergent grid probs."""
-    st = structure if structure is not None else TreeStructure(spec.q, spec.branching)
-    W = tree_leaf_weights(st, spec.zetas, spec.seed)
-    W.flags.writeable = False  # a model may hand this measure to every check
-    probs = _tree_level_probs(W, st.digits)
-    grid = OverlapGrid(st.grid_levels, tuple(probs), st.grid_levels[-1])
-    return DiscreteMeasure(W, grid, "tree", tree=st)
+    return build_tree_measures(spec, [spec.seed], structure)[0]

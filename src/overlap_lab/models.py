@@ -3,8 +3,13 @@
 A model yields one DiscreteMeasure per outer replication index. Tree
 models redraw the random weights (the outer randomness) while sharing
 the fixed geometry, and keep the measures they built up to MEMO_BYTES so
-that every check reuses them; frozen models return the same measure
-every time, so the outer expectation degenerates to the inner average.
+that every check reuses them. While the memo has room they build them in
+blocks of consecutive indices, bounded by OUTER_BLOCK_ATOMS: one numpy
+seeding pass for the block's child seeds, one for all of its vertex
+streams, and one cumulative sum and one power per tree level; each
+measure is bit for bit the one built alone. Frozen models return the same
+measure every time, so the outer expectation degenerates to the inner
+average.
 
 A descended model represents the conditioned-and-truncated ensemble of
 the induction step: sampling n replicas from it means rejection-sampling
@@ -14,13 +19,14 @@ k-fold descent composes to a single threshold, so the stack stays flat.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
+
+import numpy as np
 
 from .errors import GridTooSmall
 from .grid import OverlapGrid
 from .measures import (DiscreteMeasure, TreeMeasureSpec, TreeStructure,
-                       build_tree_measure, derive_seed)
+                       build_tree_measures, seed_words)
 
 _OUTER_KEY = 0x5EED
 
@@ -28,6 +34,19 @@ _OUTER_KEY = 0x5EED
 # and their cumulative sums). Measures are kept first come, never evicted:
 # every check scans j = 0, 1, ... again, so the first ones are the ones reused.
 MEMO_BYTES = 64 * 2**20
+
+# Most atoms of the outer measures a TreeModel builds in one block.
+OUTER_BLOCK_ATOMS = 1 << 16
+
+
+def build_tree_measure(spec: TreeMeasureSpec, structure: TreeStructure,
+                       outer) -> list:
+    """A tree model's outer measures j of the int sequence outer, built as
+    one block: measure j is measures.build_tree_measure on the child seed
+    derive_seed(spec.seed, _OUTER_KEY, j), bit for bit. Every build of a
+    TreeModel goes through this name."""
+    seeds = seed_words(spec.seed, _OUTER_KEY, np.asarray(outer))[:, 0]
+    return build_tree_measures(spec, seeds, structure)
 
 
 class TreeModel:
@@ -50,11 +69,21 @@ class TreeModel:
         measure = self._memo.get(j)
         if measure is not None:
             return measure
-        child = derive_seed(self.spec.seed, _OUTER_KEY, j)
-        measure = build_tree_measure(replace(self.spec, seed=child), self.structure)
-        if 16 * measure.m * (len(self._memo) + 1) <= MEMO_BYTES:
-            self._memo[j] = measure
-        return measure
+        m = self.structure.m
+        room = MEMO_BYTES // (16 * m) - len(self._memo)
+        # Checks scan j = 0, 1, 2, ...: a scan that has reached j is taken
+        # to go on to about 2j, so the block at j holds at most j measures
+        # and a scan that stops short leaves fewer than half of what it
+        # built unused. Only measures the memo will keep are built ahead;
+        # past its cap each one is built alone, when it is asked for.
+        size = min(room, max(1, OUTER_BLOCK_ATOMS // m), max(1, j))
+        block = [j]
+        while len(block) < size and block[-1] + 1 not in self._memo:
+            block.append(block[-1] + 1)
+        built = build_tree_measure(self.spec, self.structure, block)
+        if room > 0:
+            self._memo.update(zip(block, built))
+        return built[0]
 
 
 class FrozenModel:

@@ -146,6 +146,20 @@ class TestParseConfig:
          "checks[0].mc.outr"),
         ({"checks": [{"name": "support", "n": 3}]}, "checks[0].n"),
         ({"checks": [{"name": "gg", "n_max": 3}]}, "checks[0].n_max"),
+        ({"measure": {"type": "tree", "branching": 3, "zetas": [0.5],
+                      "q": [0.5], "sed": 7}}, "measure.sed"),
+        ({"measure": {"type": "adversarial", "seed": 7}}, "measure.seed"),
+        ({"measure": {"type": "explicit",
+                      "grid": {"levels": [1.0], "self_overlap": 1.0},
+                      "atoms": [[1.0]], "weights": [1.0], "on_spehre": False}},
+         "measure.on_spehre"),
+        ({"checks": [{"name": "gg", "observables": [
+            {"n": 2, "psi": {"monomial": 1}, "f_patern": [[1, 2, 1]]}]}]},
+         "checks[0].observables[0].f_patern"),
+        ({"checks": [{"name": "gg", "conditioned": {"kind": "A_n", "qq": 0.5}}]},
+         "checks[0].conditioned.qq"),
+        ({"output": {"dir": "out", "fromats": ["csv"]}}, "output.fromats"),
+        ({"outptu": {"dir": "out"}}, "outptu: unknown field"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):

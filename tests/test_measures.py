@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +13,11 @@ from overlap_lab import models
 from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
                                   TreeMeasureSpec, TreeStructure,
                                   adversarial_measure, build_tree_measure,
-                                  derive_seed, explicit_measure,
-                                  measure_from_gram, pd_points, rng_from,
-                                  rngs_from, sample_pd_weights,
-                                  tree_leaf_weights)
+                                  build_tree_measures, derive_seed,
+                                  explicit_measure, measure_from_gram,
+                                  pd_points, rng_from, rngs_from,
+                                  sample_pd_weights, seed_words,
+                                  tree_leaf_weights, _mix_entropy)
 from overlap_lab.models import DescendedModel, TreeModel
 
 
@@ -219,6 +221,120 @@ class TestRngsFromReference:
     def test_last_key_out_of_range_raises(self, lasts):
         with pytest.raises(ValueError, match="last keys"):
             rngs_from(7, 1, lasts=np.array(lasts, dtype=np.int64))
+
+
+KEYS = [0, 2**32 - 1, 2**32, 2**64 - 1, -1]
+
+
+def seed_sequence_words(keys):
+    masked = [int(k) & (2**64 - 1) for k in keys]
+    return np.random.SeedSequence(masked).generate_state(4, np.uint64)
+
+
+class TestSeedWordsReference:
+    """The numpy SeedSequence mixer gives numpy's pools and seed words."""
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_mix_entropy_matches_pool(self, length):
+        # more than four words runs the mixer's tail loop
+        rows = np.random.default_rng(length).integers(
+            0, 2**32, (6, length), dtype=np.uint32)
+        rows[0], rows[1] = 0, 2**32 - 1
+        padded = np.zeros((len(rows), max(length, 4)), dtype=np.uint32)
+        padded[:, :length] = rows
+        got = _mix_entropy(padded.T)
+        for row, pool in zip(rows, got.T):
+            assert pool.tobytes() == np.random.SeedSequence(row).pool.tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_key_tuples_of_one_to_seven_words(self, length):
+        # every tuple of KEYS of this length, all in one call: each key is
+        # one or two words, so word counts mix within the call
+        tuples = [t for t in itertools.product(KEYS, repeat=length)
+                  if sum(1 + (k & (2**64 - 1) >= 2**32) for k in t) <= 7]
+        cols = [np.array([t[c] & (2**64 - 1) for t in tuples], dtype=np.uint64)
+                for c in range(length)]
+        got = seed_words(*cols)
+        assert got.shape == (len(tuples), 4)
+        for t, words in zip(tuples, got):
+            assert words.tobytes() == seed_sequence_words(t).tobytes()
+
+    @pytest.mark.parametrize("keys", [(5,), (-1, 3), (2**32, 7, 2**64 - 1),
+                                      (1, 2, 3, 4, 5, 6, 7)])
+    def test_int_keys_and_derive_seed(self, keys):
+        got = seed_words(*keys)
+        assert got.shape == (4,)
+        assert got.tobytes() == seed_sequence_words(keys).tobytes()
+        assert int(got[0]) == derive_seed(*keys)
+
+    def test_broadcast_shape_and_order(self):
+        a = np.array([[0], [2**40]])
+        b = np.array([-1, 2**33, 5])  # int64, -1 read as 2**64 - 1
+        got = seed_words(a, 9, b)
+        assert got.shape == (2, 3, 4)
+        for i, j in itertools.product(range(2), range(3)):
+            want = seed_sequence_words((a[i, 0], 9, b[j]))
+            assert got[i, j].tobytes() == want.tobytes()
+        assert seed_words(np.arange(0)).shape == (0, 4)
+
+
+class TestTreeModelBlocks:
+    """Block-built outer measures equal a fresh build per j, bit for bit."""
+
+    SPEC = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=2**63 + 11)
+
+    def fresh(self, j):
+        child = derive_seed(self.SPEC.seed, models._OUTER_KEY, j)
+        return build_tree_measure(replace(self.SPEC, seed=child))
+
+    def test_blocks_across_boundaries_and_cap(self, monkeypatch):
+        m = self.SPEC.branching**2
+        monkeypatch.setattr(models, "MEMO_BYTES", 16 * m * 11)
+        monkeypatch.setattr(models, "OUTER_BLOCK_ATOMS", 4 * m)
+        model = TreeModel(self.SPEC)
+        for j in [*range(20), 3, 12, 19]:
+            got, want = model.measure_at(j), self.fresh(j)
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert np.array(got.grid.probs).tobytes() == \
+                np.array(want.grid.probs).tobytes()
+            assert not got.weights.flags.writeable
+        assert sorted(model._memo) == list(range(11))
+
+    def test_build_tree_measures_matches_single_builds(self):
+        seeds = [0, 1, 2**32, 2**64 - 1, -3]
+        st = TreeStructure((0.2, 0.5, 0.8), 3)
+        spec = TreeMeasureSpec(st.q, 3, (0.2, 0.4, 0.6))
+        for seed, got in zip(seeds, build_tree_measures(spec, seeds, st)):
+            want = build_tree_measure(replace(spec, seed=seed), st)
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.grid.probs == want.grid.probs
+
+    @pytest.mark.parametrize("block_atoms", [None, 2 * 25])
+    def test_no_j_under_cap_built_twice(self, monkeypatch, block_atoms):
+        cap = 40
+        monkeypatch.setattr(models, "MEMO_BYTES", 16 * 25 * cap)
+        if block_atoms is not None:
+            monkeypatch.setattr(models, "OUTER_BLOCK_ATOMS", block_atoms)
+        built = []
+        block_builder = models.build_tree_measure
+
+        def counting(spec, structure, outer):
+            built.extend(outer)
+            return block_builder(spec, structure, outer)
+
+        monkeypatch.setattr(models, "build_tree_measure", counting)
+        model = TreeModel(self.SPEC)
+        asked = [5, 13]  # out of order first, then scans as checks make them
+        for outer in (10, 30, 25, 60, 60, 5):
+            asked.extend(range(outer))
+        for j in asked:
+            model.measure_at(j)
+        under = [j for j in built if j < cap]
+        assert len(under) == len(set(under))
+        # past the cap, each request builds once, as without blocks
+        assert sorted(j for j in built if j >= cap) == \
+            sorted(j for j in asked if j >= cap)
+        assert sorted(model._memo) == list(range(cap))
 
 
 class TestLazyTreeAtoms:
