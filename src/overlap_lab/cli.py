@@ -287,7 +287,7 @@ def _gg_problems(chk: dict, where: str) -> list:
 def _validate_measure(measure: dict) -> list:
     mtype = measure.get("type")
     problems = []
-    if mtype in MEASURE_FIELDS:
+    if isinstance(mtype, str) and mtype in MEASURE_FIELDS:
         problems = _unknown_fields(measure, MEASURE_FIELDS[mtype], "measure",
                                    f"measure type {mtype!r}")
     if mtype == "tree":

@@ -49,11 +49,17 @@ def derive_seed(*keys) -> int:
 # same to pool[i % 4] with INIT_B and MULT_B. `mix(x, y)` is
 # MIX_L * x - MIX_R * y, xor-shifted right by 16. The arrays below hold one
 # word per row and one key tuple per column.
+def _running_multiplier(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**t mod 2**32 for t < count, one per row."""
+    values = [init]
+    while len(values) < count:
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
 _POOL = 4
-_HASHMIX = np.array([[0x43B0D7E5 * 0x931E8875**t & 0xFFFFFFFF]
-                     for t in range(256)], dtype=np.uint32)  # up to 63 words
-_OUTPUT_HASH = np.array([[0x8B51F9DD * 0x58F38DED**i & 0xFFFFFFFF]
-                         for i in range(9)], dtype=np.uint32)
+_HASHMIX = _running_multiplier(0x43B0D7E5, 0x931E8875, 256)  # up to 63 words
+_OUTPUT_HASH = _running_multiplier(0x8B51F9DD, 0x58F38DED, 9)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
@@ -81,9 +87,9 @@ def _calls(first: int) -> tuple:
 # mix_entropy's all-pairs pass hashes pool word src once for each other pool
 # word d, by call 4 + 3 * src + (d - (d > src)). Row src of each step is a
 # placeholder; its result is put back unmixed.
-_PAIR_CALLS = [(_HASHMIX[t], _HASHMIX[t + 1]) for t in (
-    np.array([_POOL + (_POOL - 1) * src + d - (d > src) for d in range(_POOL)])
-    for src in range(_POOL))]
+_PAIR_T = [np.array([_POOL + (_POOL - 1) * src + d - (d > src)
+                    for d in range(_POOL)]) for src in range(_POOL)]
+_PAIR_CALLS = [(_HASHMIX[t], _HASHMIX[t + 1]) for t in _PAIR_T]
 
 
 def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
@@ -129,22 +135,17 @@ def seed_words(*keys) -> np.ndarray:
             key = np.ascontiguousarray(key, dtype="<u8")
             split[..., 2 * c:2 * c + 2] = key[..., None].view("<u4")
     split = split.reshape(-1, split.shape[-1])
-    wide = split[:, 1:-1:2] != 0
-    if (wide == wide[:1]).all():
-        groups, distinct = None, wide[:1] @ (1 << np.arange(len(keys)))
-    else:
-        groups = wide @ (1 << np.arange(len(keys)))
-        distinct = np.unique(groups)
+    groups = (split[:, 1:-1:2] != 0) @ (1 << np.arange(len(keys)))
+    distinct = np.unique(groups)
     pool = np.empty((_POOL, len(split)), dtype=np.uint32)
     for g in distinct:
+        # the words of this group's tuples: every low word, the high word
+        # of each wide key, zero words up to the pool size
         words = [w for c in range(len(keys))
                  for w in (2 * c, 2 * c + 1)[:1 + (g >> c & 1)]]
         words += [split.shape[1] - 1] * (_POOL - len(words))
-        if groups is None:
-            pool = _mix_entropy(split.T[words])
-        else:
-            rows = groups == g
-            pool[:, rows] = _mix_entropy(split[rows].T[words])
+        rows = slice(None) if len(distinct) == 1 else groups == g
+        pool[:, rows] = _mix_entropy(split[rows].T[words])
     state = np.concatenate((pool, pool))  # pool words, cycled
     state ^= _OUTPUT_HASH[:8]
     state *= _OUTPUT_HASH[1:]

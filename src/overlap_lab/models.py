@@ -35,8 +35,10 @@ _OUTER_KEY = 0x5EED
 # every check scans j = 0, 1, ... again, so the first ones are the ones reused.
 MEMO_BYTES = 64 * 2**20
 
-# Most atoms of the outer measures a TreeModel builds in one block.
-OUTER_BLOCK_ATOMS = 1 << 16
+# Most atoms of the outer measures a TreeModel builds in one block. A block
+# may run past the last index a scan asks for, so this also bounds the memory
+# of measures built ahead and never read: 16 bytes an atom, 512 KiB.
+OUTER_BLOCK_ATOMS = 1 << 15
 
 
 def build_tree_measure(spec: TreeMeasureSpec, structure: TreeStructure,

@@ -160,6 +160,7 @@ class TestParseConfig:
          "checks[0].conditioned.qq"),
         ({"output": {"dir": "out", "fromats": ["csv"]}}, "output.fromats"),
         ({"outptu": {"dir": "out"}}, "outptu: unknown field"),
+        ({"measure": {"type": ["tree"]}}, "measure.type: unknown type"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):
