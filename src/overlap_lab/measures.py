@@ -136,7 +136,7 @@ def seed_words(*keys) -> np.ndarray:
             split[..., 2 * c:2 * c + 2] = key[..., None].view("<u4")
     split = split.reshape(-1, split.shape[-1])
     groups = (split[:, 1:-1:2] != 0) @ (1 << np.arange(len(keys)))
-    distinct = np.unique(groups)
+    distinct = np.flatnonzero(np.bincount(groups))  # np.unique imports numpy.ma
     pool = np.empty((_POOL, len(split)), dtype=np.uint32)
     for g in distinct:
         # the words of this group's tuples: every low word, the high word
