@@ -7,12 +7,18 @@ Three families:
   * explicit user-specified atom/weight measures,
   * a fixed 3-atom adversarial measure whose overlap pattern is PSD and
     exchangeable but not ultrametric (the negative control).
+
+Random draws come from seeded PCG64 streams: rng_from(*keys) seeds one
+stream per key tuple, and counter_stream(seed, key, offset) reads the one
+stream of a purpose from a given position, so that draw j of a tree (or of
+a check's inner sample) is a fixed slice of it, whichever block it is
+drawn in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -42,153 +48,20 @@ def derive_seed(*keys) -> int:
     return int(seed_sequence(*keys).generate_state(1, np.uint64)[0])
 
 
-# SeedSequence's hashes (numpy/random/bit_generator.pyx) each keep a running
-# multiplier: call t of the entropy hash `hashmix` xors its word with
-# INIT_A * MULT_A**t, multiplies it by INIT_A * MULT_A**(t + 1) and
-# xor-shifts it right by 16; word i of generate_state's output hash does the
-# same to pool[i % 4] with INIT_B and MULT_B. `mix(x, y)` is
-# MIX_L * x - MIX_R * y, xor-shifted right by 16. The arrays below hold one
-# word per row and one key tuple per column.
-def _running_multiplier(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**t mod 2**32 for t < count, one per row."""
-    values = [init]
-    while len(values) < count:
-        values.append(values[-1] * mult & 0xFFFFFFFF)
-    return np.array(values, dtype=np.uint32)[:, None]
+def counter_stream(seed: int, key: int, offset: int) -> np.random.Generator:
+    """The generator of stream (seed, key), advanced by offset 64-bit words.
 
-
-_POOL = 4
-_HASHMIX = _running_multiplier(0x43B0D7E5, 0x931E8875, 256)  # up to 63 words
-_OUTPUT_HASH = _running_multiplier(0x8B51F9DD, 0x58F38DED, 9)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """hashmix calls on the rows of words (or on words itself, repeated):
-    xor and mul hold each call's two multiplier values, one per row."""
-    out = words ^ xor
-    out *= mul
-    out ^= out >> 16
-    return out
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_L * x
-    out -= _MIX_R * y
-    out ^= out >> 16
-    return out
-
-
-def _calls(first: int) -> tuple:
-    """_hashmix's xor and mul for the four hashmix calls from first on."""
-    return _HASHMIX[first:first + _POOL], _HASHMIX[first + 1:first + _POOL + 1]
-
-
-# mix_entropy's all-pairs pass hashes pool word src once for each other pool
-# word d, by call 4 + 3 * src + (d - (d > src)). Row src of each step is a
-# placeholder; its result is put back unmixed.
-_PAIR_T = [np.array([_POOL + (_POOL - 1) * src + d - (d > src)
-                    for d in range(_POOL)]) for src in range(_POOL)]
-_PAIR_CALLS = [(_HASHMIX[t], _HASHMIX[t + 1]) for t in _PAIR_T]
-
-
-def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence.mix_entropy of every column of a (L, N) uint32 array,
-    L >= 4: the (4, N) pools.
-
-    numpy hashes a key shorter than the pool as if it were padded with
-    zero words, so short tuples come padded. The pool words that one
-    source word is mixed into do not depend on each other, so one vector
-    pass serves them all.
+    Each purpose has one stream, and draw j of it reads a fixed slice: the
+    counter-based layout of Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3" (SC'11). random() turns one word into one double, so
+    a draw of s uniforms starts at word j * s, whichever block it is drawn
+    in. SeedSequence pads a short key with zero words, which makes this
+    stream rng_from(seed, key, 0) too: key must be one that no rng_from or
+    derive_seed call uses.
     """
-    if _POOL * len(entropy) >= len(_HASHMIX):
-        raise ValueError("key tuple too long")
-    pool = _hashmix(entropy[:_POOL], *_calls(0))
-    for src, calls in enumerate(_PAIR_CALLS):
-        word = pool[src].copy()
-        pool = _mix(pool, _hashmix(word, *calls))
-        pool[src] = word
-    for i, word in enumerate(entropy[_POOL:]):
-        pool = _mix(pool, _hashmix(word, *_calls(_POOL * (_POOL + i))))
-    return pool
-
-
-def seed_words(*keys) -> np.ndarray:
-    """PCG64's four uint64 seed words for each key tuple, bit for bit those
-    np.random.SeedSequence([k & (2**64 - 1) for k in keys]) generates.
-
-    Each key is an int or an int array; they broadcast against each other
-    to the shape S of the tuples, and the result has shape (*S, 4). Word 0
-    of a tuple is derive_seed(*tuple). numpy splits a key into one uint32
-    word below 2**32 and two from there on, so tuples are grouped by which
-    of their keys are wide, and each group is hashed in one numpy pass.
-    """
-    arrays = [np.asarray(k) for k in keys if not isinstance(k, int)]
-    shape = np.broadcast(*arrays).shape if arrays else ()
-    # per tuple: lo_0, hi_0, lo_1, hi_1, ..., then a zero word for padding
-    split = np.zeros((*shape, 2 * len(keys) + 1), dtype=np.uint32)
-    for c, key in enumerate(keys):
-        if isinstance(key, int):
-            key &= 0xFFFFFFFFFFFFFFFF
-            split[..., 2 * c:2 * c + 2] = key & 0xFFFFFFFF, key >> 32
-        else:
-            key = np.ascontiguousarray(key, dtype="<u8")
-            split[..., 2 * c:2 * c + 2] = key[..., None].view("<u4")
-    split = split.reshape(-1, split.shape[-1])
-    groups = (split[:, 1:-1:2] != 0) @ (1 << np.arange(len(keys)))
-    distinct = np.flatnonzero(np.bincount(groups))  # np.unique imports numpy.ma
-    pool = np.empty((_POOL, len(split)), dtype=np.uint32)
-    for g in distinct:
-        # the words of this group's tuples: every low word, the high word
-        # of each wide key, zero words up to the pool size
-        words = [w for c in range(len(keys))
-                 for w in (2 * c, 2 * c + 1)[:1 + (g >> c & 1)]]
-        words += [split.shape[1] - 1] * (_POOL - len(words))
-        rows = slice(None) if len(distinct) == 1 else groups == g
-        pool[:, rows] = _mix_entropy(split[rows].T[words])
-    state = np.concatenate((pool, pool))  # pool words, cycled
-    state ^= _OUTPUT_HASH[:8]
-    state *= _OUTPUT_HASH[1:]
-    state ^= state >> 16
-    # pair the uint32 words into uint64 words little-endian, as numpy does
-    words = np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8")
-    return words.astype(np.uint64, copy=False).reshape(*shape, 4)
-
-
-@cache
-def _words_seed_class():
-    """A seed source handing PCG64 precomputed state words; defined on first
-    use so that importing the package does not import numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class WordsSeed(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("holds only PCG64's four uint64 seed words")
-            return self.words
-
-    return WordsSeed
-
-
-def rngs_from(*prefix, lasts):
-    """rng_from(*prefix, v) for each v of the int array lasts, in order.
-
-    Each stream is bit for bit the one rng_from derives: seed_words hashes
-    all the key tuples in one numpy pass, and each generator is handed its
-    four words. Prefix keys may be arrays too; they broadcast against
-    lasts, and the streams come in the row-major order of the result.
-    Returns an iterator, so only the seed words are held at once.
-    """
-    lasts = np.asarray(lasts)
-    if (lasts >> 32).any():
-        raise ValueError("last keys must lie in [0, 2**32)")
-    words = seed_words(*prefix, lasts).reshape(-1, 4)
-    seed_class = _words_seed_class()
-    pcg, gen = np.random.PCG64, np.random.Generator
-    return (gen(pcg(seed_class(w))) for w in words)
+    bits = np.random.PCG64(seed_sequence(seed, key))
+    bits.advance(offset)
+    return np.random.Generator(bits)
 
 
 def pd_points(zeta: float, B: int, rng: np.random.Generator) -> np.ndarray:
@@ -353,8 +226,7 @@ class DiscreteMeasure:
                 raise OffGridOverlap("measure has off-grid pairs")
             out[:] = flat[1:]
         else:
-            probs = _tree_level_probs(self.weights, self._digits)
-            out[1:] = probs
+            out[1:] = _tree_level_probs(self.weights, self._tree.B)
         return out
 
     def to_json_dict(self) -> dict:
@@ -497,55 +369,50 @@ class TreeStructure:
         return atoms
 
 
-def tree_leaf_weights(structure: TreeStructure, zetas: tuple, seed: int) -> np.ndarray:
-    """Leaf weights: path products of unnormalized power-law points,
-    normalized once across all leaves.
+# The purpose key of the tree weight stream, counter_stream(seed, key).
+_WEIGHTS_KEY = 0x7EE5
+
+
+def tree_leaf_weights(structure: TreeStructure, zetas: tuple, seed: int,
+                      start: int = 0, stop: int = 1) -> np.ndarray:
+    """Leaf weights of draws start, ..., stop - 1 of a seed's tree, one row
+    each: path products of unnormalized power-law points, normalized once
+    across all leaves.
 
     Global (not per-vertex) normalization is what makes the overlap array
     of the measure approach the replica identities as branching grows:
     the effective mass of a subtree is then biased by its own partition
-    function, exactly as in the classical cascade. Each internal vertex
-    gets its own derived seed stream, rng_from(seed, level, vertex index),
-    so the result is independent of traversal order. The streams of all
-    vertices are seeded in one numpy pass (rngs_from); build_tree_measures
-    draws the weights of many trees in the same way, in one pass for all
-    of them.
+    function, exactly as in the classical cascade.
+
+    Draw j reads the V * B uniforms at [j * V * B, (j + 1) * V * B) of
+    counter_stream(seed, _WEIGHTS_KEY), V the number of internal vertices:
+    level by level, vertex by vertex, B per vertex. A vertex's points are
+    pd_points of its B uniforms turned into exponentials by -log1p(-u)
+    (standard_exponential's ziggurat takes a varying number of words, so
+    its output cannot be addressed by position). A block of draws is one
+    advance, one random call, and one cumulative sum and one power per
+    level; each draw is bit for bit the one drawn alone.
     """
-    W = _leaf_weight_rows(structure, zetas, _seed_array([seed]))[0]
-    return W / W.sum()
+    B, count = structure.B, stop - start
+    size = B * (structure.m - 1) // (B - 1)  # V * B = B + B**2 + ... + B**k
+    E = counter_stream(seed, _WEIGHTS_KEY, start * size).random((count, size))
+    np.negative(E, out=E)
+    np.log1p(E, out=E)
+    np.negative(E, out=E)
+    W = np.ones((count, 1))
+    offset = 0
+    for zeta in zetas:
+        width = W.shape[1] * B
+        points = np.cumsum(E[:, offset:offset + width].reshape(count, -1, B),
+                           axis=2) ** (-1.0 / zeta)
+        W = (W[:, :, None] * points).reshape(count, width)
+        offset += width
+    return W / W.sum(axis=1, keepdims=True)
 
 
-def _seed_array(seeds) -> np.ndarray:
-    return np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
-
-
-def _leaf_weight_rows(structure: TreeStructure, zetas: tuple,
-                      seeds: np.ndarray) -> np.ndarray:
-    """Unnormalized leaf weights of one tree per uint64 seed, one row each.
-
-    One rngs_from call seeds the vertex streams of every level of every
-    tree, level by level; each stream fills its own row of an exponential
-    block, so one cumulative sum and one power per level give pd_points of
-    every vertex of every tree.
-    """
-    B, k = structure.B, structure.k
-    sizes = [len(seeds) * B**level for level in range(k)]
-    trees = np.concatenate([np.repeat(seeds, B**level) for level in range(k)])
-    levels = np.repeat(np.arange(k), sizes)
-    vertices = np.concatenate([np.tile(np.arange(B**level), len(seeds))
-                               for level in range(k)])
-    arrivals = np.empty((len(trees), B))
-    for rng, row in zip(rngs_from(trees, levels, lasts=vertices), arrivals):
-        rng.standard_exponential(out=row)
-    W = np.ones((len(seeds), 1))
-    for level, block in enumerate(np.split(arrivals, np.cumsum(sizes)[:-1])):
-        points = np.cumsum(block, axis=1) ** (-1.0 / zetas[level])
-        W = (W[:, :, None] * points.reshape(len(seeds), -1, B)).reshape(len(seeds), -1)
-    return W
-
-
-def _tree_level_probs(W: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """Exact level probabilities for two independent leaves.
+def _tree_level_probs(W: np.ndarray, B: int) -> np.ndarray:
+    """Exact level probabilities for two independent leaves, one row per
+    row of leaf weights W (or one vector for a vector W).
 
     Index j (0-based into the emitted grid) is the chance the leaves agree
     on exactly j path digits; the last index is the same-leaf collision
@@ -554,35 +421,32 @@ def _tree_level_probs(W: np.ndarray, digits: np.ndarray) -> np.ndarray:
     probability down to zero the way a difference of near-equal square
     sums would.
     """
-    m, k = digits.shape
-    B = int(digits[:, -1].max()) + 1
-    probs = np.empty(k + 1)
-    probs[k] = float(np.sum(W**2))
+    lead = W.shape[:-1]
+    probs = [np.sum(W**2, axis=-1)]
     child = W
-    for j in range(k - 1, -1, -1):
-        grp = child.reshape(B**j, B)
-        csum = np.cumsum(grp, axis=1)
-        probs[j] = 2.0 * float(np.sum(grp[:, 1:] * csum[:, :-1]))
-        child = grp.sum(axis=1)
-    return probs
+    while child.shape[-1] > 1:
+        grp = child.reshape(*lead, -1, B)
+        cross = grp[..., 1:] * np.cumsum(grp, axis=-1)[..., :-1]
+        probs.append(2.0 * np.sum(cross.reshape(*lead, -1), axis=-1))
+        child = grp.sum(axis=-1)
+    return np.stack(probs[::-1], axis=-1)
 
 
-def build_tree_measures(spec: TreeMeasureSpec, seeds,
+def build_tree_measures(spec: TreeMeasureSpec, start: int, stop: int,
                         structure: Optional[TreeStructure] = None) -> list:
-    """build_tree_measure(replace(spec, seed=s)) for each int s of seeds,
-    bit for bit, with the leaf weights of all of them drawn together."""
+    """Draws start, ..., stop - 1 of spec's tree measure, built as one block
+    from tree_leaf_weights; each is bit for bit the one built alone."""
     st = structure if structure is not None else TreeStructure(spec.q, spec.branching)
-    measures = []
-    for W in _leaf_weight_rows(st, spec.zetas, _seed_array(seeds)):
-        W = W / W.sum()
-        W.flags.writeable = False  # a model may hand this measure to every check
-        probs = _tree_level_probs(W, st.digits)
-        grid = OverlapGrid(st.grid_levels, tuple(probs), st.grid_levels[-1])
-        measures.append(DiscreteMeasure(W, grid, "tree", tree=st))
-    return measures
+    W = tree_leaf_weights(st, spec.zetas, spec.seed, start, stop)
+    W.flags.writeable = False  # a model may hand these measures to every check
+    top = st.grid_levels[-1]
+    return [DiscreteMeasure(w, OverlapGrid(st.grid_levels, tuple(p.tolist()), top),
+                            "tree", tree=st)
+            for w, p in zip(W, _tree_level_probs(W, st.B))]
 
 
 def build_tree_measure(spec: TreeMeasureSpec,
                        structure: Optional[TreeStructure] = None) -> DiscreteMeasure:
-    """Assemble the measure: geometry + seeded weights + emergent grid probs."""
-    return build_tree_measures(spec, [spec.seed], structure)[0]
+    """Assemble the measure: geometry + seeded weights + emergent grid probs.
+    It is draw 0 of spec's tree, the first outer measure of TreeModel(spec)."""
+    return build_tree_measures(spec, 0, 1, structure)[0]

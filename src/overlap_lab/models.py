@@ -1,15 +1,14 @@
 """Measure sources for the two-layer Monte Carlo.
 
-A model yields one DiscreteMeasure per outer replication index. Tree
-models redraw the random weights (the outer randomness) while sharing
-the fixed geometry, and keep the measures they built up to MEMO_BYTES so
-that every check reuses them. While the memo has room they build them in
-blocks of consecutive indices, bounded by OUTER_BLOCK_ATOMS: one numpy
-seeding pass for the block's child seeds, one for all of its vertex
-streams, and one cumulative sum and one power per tree level; each
-measure is bit for bit the one built alone. Frozen models return the same
-measure every time, so the outer expectation degenerates to the inner
-average.
+A model yields one DiscreteMeasure per outer replication index, one at a
+time (measure_at) or a range of them in order (measures). Tree models
+redraw the random weights (the outer randomness) while sharing the fixed
+geometry: outer measure j is draw j of the model spec's tree, which reads
+its own slice of one weight stream, so a range is built as one block and
+each measure is bit for bit the one built alone. They keep the measures
+they built up to MEMO_BYTES so that every check reuses them. Frozen
+models return the same measure every time, so the outer expectation
+degenerates to the inner average.
 
 A descended model represents the conditioned-and-truncated ensemble of
 the induction step: sampling n replicas from it means rejection-sampling
@@ -19,36 +18,31 @@ k-fold descent composes to a single threshold, so the stack stays flat.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
-
-import numpy as np
 
 from .errors import GridTooSmall
 from .grid import OverlapGrid
 from .measures import (DiscreteMeasure, TreeMeasureSpec, TreeStructure,
-                       build_tree_measures, seed_words)
-
-_OUTER_KEY = 0x5EED
+                       build_tree_measures)
 
 # Bytes of outer measures a TreeModel keeps, counted as 16 per atom (weights
 # and their cumulative sums). Measures are kept first come, never evicted:
 # every check scans j = 0, 1, ... again, so the first ones are the ones reused.
 MEMO_BYTES = 64 * 2**20
 
-# Most atoms of the outer measures a TreeModel builds in one block. A block
-# may run past the last index a scan asks for, so this also bounds the memory
-# of measures built ahead and never read: 16 bytes an atom, 512 KiB.
-OUTER_BLOCK_ATOMS = 1 << 15
+# Most atoms a TreeModel builds in one block. A longer range is built in
+# consecutive blocks, so this bounds the memory of a block's weights and
+# their temporaries (8 bytes an atom each) without changing any measure.
+BLOCK_ATOMS = 1 << 15
 
 
 def build_tree_measure(spec: TreeMeasureSpec, structure: TreeStructure,
-                       outer) -> list:
-    """A tree model's outer measures j of the int sequence outer, built as
-    one block: measure j is measures.build_tree_measure on the child seed
-    derive_seed(spec.seed, _OUTER_KEY, j), bit for bit. Every build of a
-    TreeModel goes through this name."""
-    seeds = seed_words(spec.seed, _OUTER_KEY, np.asarray(outer))[:, 0]
-    return build_tree_measures(spec, seeds, structure)
+                       start: int, stop: int) -> list:
+    """A tree model's outer measures start, ..., stop - 1, built as one
+    block: measures.build_tree_measures. Every build of a TreeModel goes
+    through this name."""
+    return build_tree_measures(spec, start, stop, structure)
 
 
 class TreeModel:
@@ -68,24 +62,28 @@ class TreeModel:
         self._memo = {}
 
     def measure_at(self, j: int) -> DiscreteMeasure:
-        measure = self._memo.get(j)
-        if measure is not None:
-            return measure
+        return next(self.measures(j, j + 1))
+
+    def measures(self, start: int, stop: int):
+        """Outer measures start, ..., stop - 1, in order. Each run of them
+        that the memo lacks is built in blocks of up to BLOCK_ATOMS atoms;
+        nothing outside the range is built."""
         m = self.structure.m
-        room = MEMO_BYTES // (16 * m) - len(self._memo)
-        # Checks scan j = 0, 1, 2, ...: a scan that has reached j is taken
-        # to go on to about 2j, so the block at j holds at most j measures
-        # and a scan that stops short leaves fewer than half of what it
-        # built unused. Only measures the memo will keep are built ahead;
-        # past its cap each one is built alone, when it is asked for.
-        size = min(room, max(1, OUTER_BLOCK_ATOMS // m), max(1, j))
-        block = [j]
-        while len(block) < size and block[-1] + 1 not in self._memo:
-            block.append(block[-1] + 1)
-        built = build_tree_measure(self.spec, self.structure, block)
-        if room > 0:
-            self._memo.update(zip(block, built))
-        return built[0]
+        size = max(1, BLOCK_ATOMS // m)
+        j = start
+        while j < stop:
+            if j in self._memo:
+                yield self._memo[j]
+                j += 1
+                continue
+            end = j + 1
+            while end < min(stop, j + size) and end not in self._memo:
+                end += 1
+            built = build_tree_measure(self.spec, self.structure, j, end)
+            room = max(0, MEMO_BYTES // (16 * m) - len(self._memo))
+            self._memo.update(zip(range(j, end)[:room], built))
+            yield from built
+            j = end
 
 
 class FrozenModel:
@@ -101,6 +99,9 @@ class FrozenModel:
 
     def measure_at(self, j: int) -> DiscreteMeasure:
         return self.measure
+
+    def measures(self, start: int, stop: int):
+        return itertools.repeat(self.measure, stop - start)
 
 
 class DescendedModel:
@@ -131,6 +132,9 @@ class DescendedModel:
 
     def measure_at(self, j: int) -> DiscreteMeasure:
         return self.base.measure_at(j)
+
+    def measures(self, start: int, stop: int):
+        return self.base.measures(start, stop)
 
 
 def as_model(source):

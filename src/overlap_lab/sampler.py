@@ -3,7 +3,9 @@
 Expectations are nested: an outer average over independently drawn
 measures and an inner average over i.i.d. replica tuples from each.
 Standard errors always come from the outer replication level, treating
-each drawn measure as one observation.
+each drawn measure as one observation. Inner draw j of an estimate reads a
+fixed slice of its check's inner stream (measures.counter_stream), and the
+per-draw scans of filtered_level_batches read rng_from(seed, key, j).
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ import numpy as np
 from . import _kernels
 from .errors import AcceptanceTooLow, EventMassTooSmall, EventNull, TooLarge
 from .grid import LevelMatrix, OverlapGrid
-from .measures import DiscreteMeasure, rng_from, rngs_from
+from .measures import DiscreteMeasure, counter_stream, rng_from
 from .models import as_model
 from .observables import Statistic, pack_statistics
 
 ENUM_GUARD = 10**7
 DEFAULT_MAX_ATTEMPTS = 10**6
 
-_INNER_KEY = 0x1A7E
+# The purpose key of the inner draws' stream, counter_stream(seed, key).
+_INNER_KEY = 0xD1CE
 
 # Most replica rows outer_stat_means evaluates in one kernel call; whole
 # outer draws are grouped up to this bound (one draw when inner exceeds it).
@@ -160,16 +163,18 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
     itself is appended as the denominator column. Without any conditioning
     the denominator column is identically one.
 
-    Each outer draw gets its own measure and a derived inner seed stream,
-    rng_from(seed, _INNER_KEY, j), so results do not depend on evaluation
-    order or parallelism; the streams of a block are seeded together by
-    rngs_from.
+    Outer draw j gets measure j of the model and reads its n * inner
+    uniforms at offset j * n * inner of the stream
+    counter_stream(seed, _INNER_KEY), so results do not depend on how the
+    draws are grouped or in which order the blocks run.
 
     Consecutive outer draws are evaluated together, up to OUTER_BLOCK_ROWS
-    replica rows per block: every measure of a model shares one pair-level
-    table or digit array (a TreeModel's measures share its TreeStructure, a
-    frozen model has one measure), so the first measure of a block turns
-    all of the block's index rows into level matrices.
+    replica rows per block: the block's measures come from one
+    model.measures call, its draws read their slices in order from one
+    generator, and every measure of a model shares one pair-level table or
+    digit array (a TreeModel's measures share its TreeStructure, a frozen
+    model has one measure), so the first measure of a block turns all of
+    the block's index rows into level matrices.
     """
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
@@ -183,11 +188,11 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
     draws = max(1, OUTER_BLOCK_ROWS // mc.inner)
     for start in range(0, mc.outer, draws):
         stop = min(start + draws, mc.outer)
-        first = model.measure_at(start)
-        rngs = rngs_from(seed, _INNER_KEY, lasts=np.arange(start, stop))
-        idx = []
-        for j, rng in zip(range(start, stop), rngs):
-            measure = first if j == start else model.measure_at(j)
+        rng = counter_stream(seed, _INNER_KEY, start * n * mc.inner)
+        measures = model.measures(start, stop)
+        first = next(measures)
+        idx = [first.sample_indices(n, mc.inner, rng)]
+        for measure in measures:
             if not first.shares_levels(measure):
                 raise ValueError("outer measures of one model must share "
                                  "their pair levels")
@@ -249,9 +254,11 @@ def estimate_expectation(model, stat: Statistic, n: int, mc: MCConfig, seed: int
 
 
 def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
-                           event_threshold: Optional[int] = None,
-                           key: int = _INNER_KEY):
+                           event_threshold: Optional[int] = None, *, key: int):
     """Yield per-outer (measure, accepted level batch) pairs.
+
+    Outer draw j samples its replicas from the stream rng_from(seed, key, j);
+    each caller passes its own key.
 
     Candidates failing the combined conditioning are dropped rather than
     redrawn: every yielded matrix lies in the conditional support, which

@@ -17,10 +17,12 @@ from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
                                   build_tree_measure, explicit_measure,
                                   measure_from_gram)
 from overlap_lab.models import FrozenModel, TreeModel
-from overlap_lab.observables import ObservableSpec, Psi, default_gg_observables
 from overlap_lab.pipeline import DescendConfig, criterion_run, descend
+from overlap_lab.observables import (ObservableSpec, Psi, Statistic,
+                                    default_gg_observables)
 from overlap_lab.sampler import (EventSpec, MCConfig, empirical_matrix_law,
-                                 enumerate_matrix_law, total_variation)
+                                 enumerate_matrix_law, enumerate_statistics,
+                                 total_variation)
 from overlap_lab.verify import (conditional_marginal_check,
                                 distinct_mass_check, gg_residual,
                                 ultrametricity_check)
@@ -116,7 +118,10 @@ def _frozen_family():
 def test_04_sampler_versus_oracle_total_variation():
     t0 = time.time()
     draws = 100_000
+    # empirical_matrix_law's budget of candidate tuples
+    max_attempts = 10**8
     cases = 0
+    skipped = []
     worst = 0.0
     for name, m in _frozen_family().items():
         k = m.grid.k
@@ -133,10 +138,18 @@ def test_04_sampler_versus_oracle_total_variation():
                     law = enumerate_matrix_law(m, n, event_threshold=t)
                 except ol.EventNull:
                     continue
+                # rule fixed before any draw: rejection needs about
+                # draws / mass candidates, so a case whose exact event mass
+                # puts that past the budget is skipped, not re-seeded
+                _, mass = enumerate_statistics(m, [Statistic(n)], n, t)
+                if draws / mass > max_attempts:
+                    skipped.append(f"{name} n={n} {ev.label()} mass {mass:.3g}")
+                    continue
                 # crc32, unlike hash(), is not salted per process
                 seed = zlib.crc32(f"{name}:{n}:{t}".encode())
                 emp = empirical_matrix_law(m, n, draws, seed=seed,
-                                           event_threshold=t)
+                                           event_threshold=t,
+                                           max_attempts=max_attempts)
                 tv = total_variation(law, emp)
                 worst = max(worst, tv)
                 cases += 1
@@ -144,7 +157,8 @@ def test_04_sampler_versus_oracle_total_variation():
     elapsed = time.time() - t0
     assert cases >= 12
     assert elapsed < 120.0
-    report("4 sampler-vs-oracle", elapsed, f"{cases} cases, worst TV {worst:.4f}")
+    report("4 sampler-vs-oracle", elapsed,
+           f"{cases} cases, worst TV {worst:.4f}, skipped {skipped}")
 
 
 def test_05_ultrametricity_controls():

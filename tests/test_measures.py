@@ -1,5 +1,7 @@
-import itertools
 from dataclasses import replace
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +11,17 @@ from hypothesis import strategies as st
 from overlap_lab.errors import (BadWeights, BadZeta, OffGridOverlap,
                                 TooManyAtoms)
 from overlap_lab.grid import OverlapGrid
-from overlap_lab import models
+from overlap_lab import cli, measures, models, sampler
 from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
                                   TreeMeasureSpec, TreeStructure,
                                   adversarial_measure, build_tree_measure,
-                                  build_tree_measures, derive_seed,
+                                  build_tree_measures, counter_stream,
                                   explicit_measure, measure_from_gram,
-                                  pd_points, rng_from, rngs_from,
-                                  sample_pd_weights, seed_words,
-                                  tree_leaf_weights, _mix_entropy)
+                                  rng_from, sample_pd_weights,
+                                  tree_leaf_weights)
 from overlap_lab.models import DescendedModel, TreeModel
+from overlap_lab.observables import Statistic
+from overlap_lab.sampler import MCConfig, outer_stat_means
 
 
 class TestPdWeights:
@@ -173,168 +176,192 @@ class TestTreeMeasure:
         assert smallest > 0.0
 
 
+TREE_K2 = Path(__file__).resolve().parent.parent / "configs" / "tree_k2.json"
+
+
+def leaf_weights_reference(st, zetas, seed, j):
+    """Draw j of a seed's tree, one vertex at a time: its V * B uniforms at
+    offset j * V * B of the weight stream, B per vertex, level by level."""
+    B = st.B
+    size = B * sum(B**level for level in range(st.k))
+    u = counter_stream(seed, measures._WEIGHTS_KEY, j * size).random(size)
+    W, pos = np.ones(1), 0
+    for zeta in zetas:
+        child = []
+        for _ in W:
+            arrivals = np.cumsum(-np.log1p(-u[pos:pos + B]))
+            child.append(arrivals ** (-1.0 / zeta))
+            pos += B
+        W = (W[:, None] * np.array(child)).ravel()
+    assert pos == size
+    return W / W.sum()
+
+
+class TestCounterStream:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1, -3])
+    def test_offset_reads_the_stream_from_there(self, seed):
+        whole = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([seed & (2**64 - 1), 0x51]))).random(40)
+        for offset in (0, 1, 13, 39):
+            got = counter_stream(seed, 0x51, offset).random(40 - offset)
+            assert got.tobytes() == whole[offset:].tobytes()
+
+    def test_short_key_is_rng_from_with_a_zero_key(self):
+        # SeedSequence pads short keys with zero words: the reason a
+        # counter stream's key must be one no rng_from call uses
+        a = counter_stream(5, 0x51, 0).random(8)
+        assert a.tobytes() == rng_from(5, 0x51, 0).random(8).tobytes()
+        assert a.tobytes() == rng_from(5, 0x51).random(8).tobytes()
+
+    def test_no_derived_stream_uses_a_counter_key(self, monkeypatch, tmp_path):
+        # record every key tuple seeded during a run of all ten checks
+        seen = []
+        seed_sequence = measures.seed_sequence
+
+        def recording(*keys):
+            seen.append(tuple(int(k) & (2**64 - 1) for k in keys))
+            return seed_sequence(*keys)
+
+        monkeypatch.setattr(measures, "seed_sequence", recording)
+        cfg = json.loads(TREE_K2.read_text())
+        cfg["measure"]["branching"] = 6
+        for check in cfg["checks"]:
+            if "mc" in check:
+                check["mc"] = {"outer": 40, "inner": 20}
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["--out", str(tmp_path), "--format", "csv", "run",
+                         str(path)])
+        assert code in (0, 2)
+        counter_keys = {measures._WEIGHTS_KEY, sampler._INNER_KEY}
+        counter = {t for t in seen if len(t) == 2 and t[1] in counter_keys}
+        assert {t[1] for t in counter} == counter_keys
+        # padded with zero words, no other tuple equals a counter key tuple
+        assert all(t[1] not in counter_keys for t in seen if len(t) != 2)
+        assert not set(counter) & {t[:2] for t in seen
+                                   if len(t) > 2 and not any(t[2:])}
+        # and the streams differ from rng_from(seed, key, 0) of every key
+        # that a per-draw stream (a three-key tuple) uses
+        keys = {t[1] for t in seen if len(t) == 3}
+        assert keys
+        for seed, ckey in counter:
+            want = counter_stream(seed, ckey, 0).random(8).tobytes()
+            for key in keys:
+                assert rng_from(seed, key, 0).random(8).tobytes() != want
+
+
 class TestTreeLeafWeightsReference:
     @pytest.mark.parametrize("B, k", [(3, 1), (4, 2), (3, 3)])
     def test_matches_per_vertex_pd_points(self, B, k):
         st = TreeStructure(tuple(np.linspace(0.2, 0.8, k)), B)
         zetas = tuple(np.linspace(0.25, 0.75, k))
-        seed = 17
-        # reference: one pd_points draw per vertex, from its own stream
-        W = np.ones(1)
-        for level in range(k):
-            child = np.array([pd_points(zetas[level], B, rng_from(seed, level, v))
-                              for v in range(B**level)])
-            W = (W[:, None] * child).ravel()
-        got = tree_leaf_weights(st, zetas, seed)
-        assert got.tobytes() == (W / W.sum()).tobytes()
+        for seed in (17, 2**63 + 5):
+            for j in (0, 1, 6):
+                got = tree_leaf_weights(st, zetas, seed, j, j + 1)
+                assert got.shape == (1, st.m)
+                want = leaf_weights_reference(st, zetas, seed, j)
+                assert got[0].tobytes() == want.tobytes()
+            assert tree_leaf_weights(st, zetas, seed)[0].tobytes() == \
+                leaf_weights_reference(st, zetas, seed, 0).tobytes()
 
-
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1,
-         *(int(s) for s in np.random.default_rng(2024).integers(
-             0, 2**64, 4, dtype=np.uint64))]
-
-
-class TestRngsFromReference:
-    """rngs_from gives rng_from's stream for each last key, bit for bit."""
-
-    LASTS = np.array([0, 1, 2**32 - 1], dtype=np.int64)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("middle", [(), (3,), (2**40,)])
-    def test_matches_seed_sequence_and_rng_from(self, seed, middle):
-        prefix = (seed, *middle)
-        got = list(rngs_from(*prefix, lasts=self.LASTS))
-        assert len(got) == len(self.LASTS)
-        for v, rng in zip(self.LASTS.tolist(), got):
-            masked = [k & (2**64 - 1) for k in (*prefix, v)]
-            words = np.random.SeedSequence(masked).generate_state(4, np.uint64)
-            assert rng.bit_generator._seed_seq.words.tobytes() == words.tobytes()
-            want = rng_from(*prefix, v)
-            assert rng.random(8).tobytes() == want.random(8).tobytes()
-            assert rng.standard_exponential(5).tobytes() == \
-                want.standard_exponential(5).tobytes()
-
-    def test_empty_lasts(self):
-        assert list(rngs_from(5, lasts=np.arange(0))) == []
-
-    @pytest.mark.parametrize("lasts", [[-1], [0, 2**32], [2**33, 3]])
-    def test_last_key_out_of_range_raises(self, lasts):
-        with pytest.raises(ValueError, match="last keys"):
-            rngs_from(7, 1, lasts=np.array(lasts, dtype=np.int64))
-
-
-KEYS = [0, 2**32 - 1, 2**32, 2**64 - 1, -1]
-
-
-def seed_sequence_words(keys):
-    masked = [int(k) & (2**64 - 1) for k in keys]
-    return np.random.SeedSequence(masked).generate_state(4, np.uint64)
-
-
-class TestSeedWordsReference:
-    """The numpy SeedSequence mixer gives numpy's pools and seed words."""
-
-    @pytest.mark.parametrize("length", range(1, 8))
-    def test_mix_entropy_matches_pool(self, length):
-        # more than four words runs the mixer's tail loop
-        rows = np.random.default_rng(length).integers(
-            0, 2**32, (6, length), dtype=np.uint32)
-        rows[0], rows[1] = 0, 2**32 - 1
-        padded = np.zeros((len(rows), max(length, 4)), dtype=np.uint32)
-        padded[:, :length] = rows
-        got = _mix_entropy(padded.T)
-        for row, pool in zip(rows, got.T):
-            assert pool.tobytes() == np.random.SeedSequence(row).pool.tobytes()
-
-    @pytest.mark.parametrize("length", [1, 2, 3, 4])
-    def test_key_tuples_of_one_to_seven_words(self, length):
-        # every tuple of KEYS of this length, all in one call: each key is
-        # one or two words, so word counts mix within the call
-        tuples = [t for t in itertools.product(KEYS, repeat=length)
-                  if sum(1 + (k & (2**64 - 1) >= 2**32) for k in t) <= 7]
-        cols = [np.array([t[c] & (2**64 - 1) for t in tuples], dtype=np.uint64)
-                for c in range(length)]
-        got = seed_words(*cols)
-        assert got.shape == (len(tuples), 4)
-        for t, words in zip(tuples, got):
-            assert words.tobytes() == seed_sequence_words(t).tobytes()
-
-    @pytest.mark.parametrize("keys", [(5,), (-1, 3), (2**32, 7, 2**64 - 1),
-                                      (1, 2, 3, 4, 5, 6, 7)])
-    def test_int_keys_and_derive_seed(self, keys):
-        got = seed_words(*keys)
-        assert got.shape == (4,)
-        assert got.tobytes() == seed_sequence_words(keys).tobytes()
-        assert int(got[0]) == derive_seed(*keys)
-
-    def test_broadcast_shape_and_order(self):
-        a = np.array([[0], [2**40]])
-        b = np.array([-1, 2**33, 5])  # int64, -1 read as 2**64 - 1
-        got = seed_words(a, 9, b)
-        assert got.shape == (2, 3, 4)
-        for i, j in itertools.product(range(2), range(3)):
-            want = seed_sequence_words((a[i, 0], 9, b[j]))
-            assert got[i, j].tobytes() == want.tobytes()
-        assert seed_words(np.arange(0)).shape == (0, 4)
+    def test_build_tree_measure_is_draw_zero(self):
+        spec = TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), seed=8)
+        a = build_tree_measure(spec)
+        b = TreeModel(spec).measure_at(0)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.grid.probs == b.grid.probs
 
 
 class TestTreeModelBlocks:
-    """Block-built outer measures equal a fresh build per j, bit for bit."""
+    """Range-built outer measures equal a build of each draw alone."""
 
     SPEC = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=2**63 + 11)
 
     def fresh(self, j):
-        child = derive_seed(self.SPEC.seed, models._OUTER_KEY, j)
-        return build_tree_measure(replace(self.SPEC, seed=child))
+        return build_tree_measures(self.SPEC, j, j + 1)[0]
+
+    def assert_fresh(self, got, j):
+        want = self.fresh(j)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.grid.probs == want.grid.probs
+        assert not got.weights.flags.writeable
 
     def test_blocks_across_boundaries_and_cap(self, monkeypatch):
         m = self.SPEC.branching**2
         monkeypatch.setattr(models, "MEMO_BYTES", 16 * m * 11)
-        monkeypatch.setattr(models, "OUTER_BLOCK_ATOMS", 4 * m)
+        monkeypatch.setattr(models, "BLOCK_ATOMS", 4 * m)
         model = TreeModel(self.SPEC)
-        for j in [*range(20), 3, 12, 19]:
-            got, want = model.measure_at(j), self.fresh(j)
-            assert got.weights.tobytes() == want.weights.tobytes()
-            assert np.array(got.grid.probs).tobytes() == \
-                np.array(want.grid.probs).tobytes()
-            assert not got.weights.flags.writeable
+        for start, stop in [(0, 7), (5, 20), (18, 25)]:
+            got = list(model.measures(start, stop))
+            assert len(got) == stop - start
+            for j, measure in enumerate(got, start=start):
+                self.assert_fresh(measure, j)
+        for j in (3, 12, 19, 30):
+            self.assert_fresh(model.measure_at(j), j)
         assert sorted(model._memo) == list(range(11))
 
+    def counting(self, monkeypatch):
+        built = []
+        block_builder = models.build_tree_measure
+
+        def counting(spec, structure, start, stop):
+            built.extend(range(start, stop))
+            return block_builder(spec, structure, start, stop)
+
+        monkeypatch.setattr(models, "build_tree_measure", counting)
+        return built
+
     def test_build_tree_measures_matches_single_builds(self):
-        seeds = [0, 1, 2**32, 2**64 - 1, -3]
-        st = TreeStructure((0.2, 0.5, 0.8), 3)
-        spec = TreeMeasureSpec(st.q, 3, (0.2, 0.4, 0.6))
-        for seed, got in zip(seeds, build_tree_measures(spec, seeds, st)):
-            want = build_tree_measure(replace(spec, seed=seed), st)
-            assert got.weights.tobytes() == want.weights.tobytes()
-            assert got.grid.probs == want.grid.probs
+        # blocks of 1, 7 and 13 draws give the weights of the per-vertex
+        # reference and the level probabilities of a draw built alone
+        for B, k in [(3, 1), (5, 2), (3, 3)]:
+            st = TreeStructure(tuple(np.linspace(0.2, 0.8, k)), B)
+            spec = TreeMeasureSpec(st.q, B, tuple(np.linspace(0.25, 0.75, k)),
+                                   seed=2**64 - 9)
+            alone = [build_tree_measures(spec, j, j + 1, st)[0]
+                     for j in range(30)]
+            for block in (1, 7, 13):
+                for start in range(3, 30, block):
+                    stop = min(start + block, 30)
+                    got = build_tree_measures(spec, start, stop, st)
+                    for j, measure in enumerate(got, start=start):
+                        want = leaf_weights_reference(st, spec.zetas,
+                                                      spec.seed, j)
+                        assert measure.weights.tobytes() == want.tobytes()
+                        assert measure.grid.probs == alone[j].grid.probs
+            for measure in alone:
+                assert np.allclose(measure.pair_level_probs()[1:],
+                                   measure.grid.probs, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("block_atoms", [None, 2 * 25])
     def test_no_j_under_cap_built_twice(self, monkeypatch, block_atoms):
         cap = 40
         monkeypatch.setattr(models, "MEMO_BYTES", 16 * 25 * cap)
         if block_atoms is not None:
-            monkeypatch.setattr(models, "OUTER_BLOCK_ATOMS", block_atoms)
-        built = []
-        block_builder = models.build_tree_measure
-
-        def counting(spec, structure, outer):
-            built.extend(outer)
-            return block_builder(spec, structure, outer)
-
-        monkeypatch.setattr(models, "build_tree_measure", counting)
+            monkeypatch.setattr(models, "BLOCK_ATOMS", block_atoms)
+        built = self.counting(monkeypatch)
         model = TreeModel(self.SPEC)
         asked = [5, 13]  # out of order first, then scans as checks make them
+        model.measure_at(5)
+        model.measure_at(13)
         for outer in (10, 30, 25, 60, 60, 5):
             asked.extend(range(outer))
-        for j in asked:
-            model.measure_at(j)
+            for start in range(0, outer, 9):
+                list(model.measures(start, min(start + 9, outer)))
         under = [j for j in built if j < cap]
         assert len(under) == len(set(under))
-        # past the cap, each request builds once, as without blocks
+        # past the cap, each request builds once
         assert sorted(j for j in built if j >= cap) == \
             sorted(j for j in asked if j >= cap)
         assert sorted(model._memo) == list(range(cap))
+
+    @pytest.mark.parametrize("outer, inner", [(1000, 150), (37, 100), (5, 1)])
+    def test_scan_builds_no_draw_past_outer(self, monkeypatch, outer, inner):
+        built = self.counting(monkeypatch)
+        model = TreeModel(self.SPEC)
+        outer_stat_means(model, [Statistic(2)], 2, MCConfig(outer, inner), 3)
+        assert sorted(built) == list(range(outer))
+        assert sorted(model._memo) == list(range(outer))
 
 
 class TestLazyTreeAtoms:
@@ -367,8 +394,7 @@ class TestTreeModelMemo:
     SPEC = TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=13)
 
     def assert_fresh(self, measure, j):
-        child = derive_seed(self.SPEC.seed, models._OUTER_KEY, j)
-        fresh = build_tree_measure(replace(self.SPEC, seed=child))
+        fresh = build_tree_measures(self.SPEC, j, j + 1)[0]
         assert np.array_equal(measure.weights, fresh.weights)
         assert measure.grid.probs == fresh.grid.probs
 

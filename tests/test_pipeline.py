@@ -166,7 +166,8 @@ def test_descended_support_never_shows_dropped_levels():
     model = DescendedModel(k2_tree(), 1)
     seen = set()
     iu, ju = np.triu_indices(4, 1)
-    for _, lv in filtered_level_batches(model, 4, MCConfig(30, 40), seed=6):
+    for _, lv in filtered_level_batches(model, 4, MCConfig(30, 40), seed=6,
+                                        key=0x51):
         if len(lv):
             seen.update(np.unique(lv[:, iu, ju]).tolist())
     assert seen and max(seen) <= model.threshold

@@ -6,8 +6,8 @@ from overlap_lab.errors import (AcceptanceTooLow, EventNull, OffGridOverlap,
                                 TooLarge)
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
-                                  build_tree_measure, explicit_measure,
-                                  measure_from_gram, rng_from)
+                                  build_tree_measure, counter_stream,
+                                  explicit_measure, measure_from_gram)
 from overlap_lab.models import (DescendedModel, FrozenModel, TreeModel,
                                 as_model)
 from overlap_lab.observables import Statistic, pack_statistics
@@ -213,7 +213,8 @@ class TestExchangeability:
 
 
 def outer_stat_means_per_draw(model, stats, n, mc, seed, event_threshold=None):
-    """Reference: one level batch and one eval_stats call per outer draw."""
+    """Reference: one stream, level batch and eval_stats call per outer
+    draw; draw j reads n * inner uniforms at offset j * n * inner."""
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
     if threshold is None:
@@ -225,7 +226,7 @@ def outer_stat_means_per_draw(model, stats, n, mc, seed, event_threshold=None):
     means = np.empty((mc.outer, len(cols)))
     for j in range(mc.outer):
         measure = model.measure_at(j)
-        rng = rng_from(seed, sampler._INNER_KEY, j)
+        rng = counter_stream(seed, sampler._INNER_KEY, j * n * mc.inner)
         idx = measure.sample_indices(n, mc.inner, rng)
         lv = measure.levels_from_indices(idx)
         vals = measure.grid.values_by_index()
@@ -261,6 +262,16 @@ class TestOuterBlocksReference:
                                    block_rows, outer, inner):
         if block_rows is not None:
             monkeypatch.setattr(sampler, "OUTER_BLOCK_ROWS", block_rows)
+        self.assert_matches(name, threshold, outer, inner)
+
+    @pytest.mark.parametrize("name", ["tree", "tree_digits", "frozen",
+                                      "descended"])
+    @pytest.mark.parametrize("draws", [1, 7, 13])
+    def test_block_sizes_match_per_draw_loop(self, monkeypatch, name, draws):
+        monkeypatch.setattr(sampler, "OUTER_BLOCK_ROWS", draws * 10)
+        self.assert_matches(name, None, 30, 10)
+
+    def assert_matches(self, name, threshold, outer, inner):
         model = self.models()[name]
         mc = MCConfig(outer, inner)
         got = outer_stat_means(model, self.STATS, 3, mc, 9, threshold)
@@ -276,6 +287,9 @@ class TestOuterBlocksReference:
 
             def measure_at(self, j):
                 return three_atoms() if j % 2 else three_atoms((0.5, 0.3, 0.2))
+
+            def measures(self, start, stop):
+                return map(self.measure_at, range(start, stop))
 
         with pytest.raises(ValueError, match="share"):
             outer_stat_means(Mixed(), [Statistic(2)], 2, MCConfig(4, 5), 1)
