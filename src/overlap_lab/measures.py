@@ -403,11 +403,14 @@ def tree_leaf_weights(structure: TreeStructure, zetas: tuple, seed: int,
     offset = 0
     for zeta in zetas:
         width = W.shape[1] * B
-        points = np.cumsum(E[:, offset:offset + width].reshape(count, -1, B),
-                           axis=2) ** (-1.0 / zeta)
+        # in place: fewer block-sized temporaries keep the heap compact
+        points = E[:, offset:offset + width].reshape(count, -1, B)
+        np.cumsum(points, axis=2, out=points)
+        np.power(points, -1.0 / zeta, out=points)
         W = (W[:, :, None] * points).reshape(count, width)
         offset += width
-    return W / W.sum(axis=1, keepdims=True)
+    W /= W.sum(axis=1, keepdims=True)
+    return W
 
 
 def _tree_level_probs(W: np.ndarray, B: int) -> np.ndarray:
