@@ -387,9 +387,10 @@ def tree_leaf_weights(structure: TreeStructure, zetas: tuple, seed: int,
     Draw j reads the V * B uniforms at [j * V * B, (j + 1) * V * B) of
     counter_stream(seed, _WEIGHTS_KEY), V the number of internal vertices:
     level by level, vertex by vertex, B per vertex. A vertex's points are
-    pd_points of its B uniforms turned into exponentials by -log1p(-u)
-    (standard_exponential's ziggurat takes a varying number of words, so
-    its output cannot be addressed by position). A block of draws is one
+    pd_points' power-law points, with its B uniforms turned into the
+    exponentials by -log1p(-u) (standard_exponential's ziggurat takes a
+    varying number of words, so its output cannot be addressed by
+    position). A block of draws is one
     advance, one random call, and one cumulative sum and one power per
     level; each draw is bit for bit the one drawn alone.
     """
