@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import json
@@ -16,8 +17,9 @@ from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
                                   TreeMeasureSpec, TreeStructure,
                                   adversarial_measure, build_tree_measure,
                                   build_tree_measures, counter_stream,
-                                  explicit_measure, measure_from_gram,
-                                  rng_from, sample_pd_weights,
+                                  derive_seed, explicit_measure,
+                                  measure_from_gram, rng_from,
+                                  sample_pd_weights,
                                   tree_leaf_weights)
 from overlap_lab.models import DescendedModel, TreeModel
 from overlap_lab.observables import Statistic
@@ -270,6 +272,92 @@ class TestTreeLeafWeightsReference:
         b = TreeModel(spec).measure_at(0)
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.grid.probs == b.grid.probs
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1,
+         *(int(s) for s in np.random.default_rng(2024).integers(
+             0, 2**64, 4, dtype=np.uint64))]
+
+
+def seed_sequence_words(keys):
+    masked = [int(k) & (2**64 - 1) for k in keys]
+    return np.random.SeedSequence(masked).generate_state(4, np.uint64)
+
+
+class TestRngsFromReference:
+    """rng_from(*prefix, v), the stream of outer draw v in a scan, is
+    numpy's SeedSequence stream of the masked key tuple, bit for bit."""
+
+    LASTS = [0, 1, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("middle", [(), (3,), (2**40,)])
+    def test_matches_seed_sequence_and_rng_from(self, seed, middle):
+        prefix = (seed, *middle)
+        firsts = set()
+        for v in self.LASTS:
+            masked = [k & (2**64 - 1) for k in (*prefix, v)]
+            want = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(masked)))
+            rng = rng_from(*prefix, v)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert derive_seed(*prefix, v) == \
+                int(seed_sequence_words(masked)[0])
+            first = rng.random(8)
+            assert first.tobytes() == want.random(8).tobytes()
+            assert rng.standard_exponential(5).tobytes() == \
+                want.standard_exponential(5).tobytes()
+            firsts.add(first.tobytes())
+        assert len(firsts) == len(self.LASTS)
+
+
+KEYS = [0, 2**32 - 1, 2**32, 2**64 - 1, -1]
+
+
+class TestSeedWordsReference:
+    """seed_sequence gives numpy's pools and seed words for key tuples."""
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_mix_entropy_matches_pool(self, length):
+        # more than four words runs the mixer's tail loop; fewer are
+        # hashed as if padded with zero words, which is why a counter
+        # stream's key tuple (seed, key) is also (seed, key, 0)
+        rows = np.random.default_rng(length).integers(
+            0, 2**32, (6, length), dtype=np.uint32)
+        rows[0], rows[1] = 0, 2**32 - 1
+        padded = np.zeros((len(rows), max(length, 4)), dtype=np.uint32)
+        padded[:, :length] = rows
+        for row, pad in zip(rows, padded):
+            want = np.random.SeedSequence(row)
+            got = measures.seed_sequence(*pad)
+            assert got.pool.tobytes() == want.pool.tobytes()
+            assert got.generate_state(4, np.uint64).tobytes() == \
+                want.generate_state(4, np.uint64).tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_key_tuples_of_one_to_seven_words(self, length):
+        # every tuple of KEYS of this length: each key is one or two
+        # words, so word counts mix across the tuples
+        tuples = [t for t in itertools.product(KEYS, repeat=length)
+                  if sum(1 + (k & (2**64 - 1) >= 2**32) for k in t) <= 7]
+        assert tuples
+        for t in tuples:
+            want = seed_sequence_words(t)
+            words = measures.seed_sequence(*t).generate_state(4, np.uint64)
+            assert words.tobytes() == want.tobytes()
+            assert derive_seed(*t) == int(want[0])
+
+    @pytest.mark.parametrize("keys", [(5,), (-1, 3), (2**32, 7, 2**64 - 1),
+                                      (1, 2, 3, 4, 5, 6, 7)])
+    def test_int_keys_and_derive_seed(self, keys):
+        want = seed_sequence_words(keys)
+        got = measures.seed_sequence(*keys).generate_state(4, np.uint64)
+        assert got.shape == (4,)
+        assert got.tobytes() == want.tobytes()
+        assert derive_seed(*keys) == int(want[0])
+        ref = np.random.PCG64(np.random.SeedSequence(
+            [int(k) & (2**64 - 1) for k in keys]))
+        assert rng_from(*keys).bit_generator.state == ref.state
 
 
 class TestTreeModelBlocks:
