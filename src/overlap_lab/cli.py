@@ -34,9 +34,10 @@ from .observables import (MAX_MONOMIAL_POWER, ObservableSpec, Psi,
                           default_gg_observables)
 from .pipeline import DescendConfig, criterion_run, descend
 from .sampler import EventSpec, MCConfig
-from .verify import (conditional_marginal_check, consistency_check,
-                     distinct_mass_check, gg_residual, lemma1_check,
-                     positivity_check, support_check, ultrametricity_check)
+from .verify import (DEFAULT_ABS_TOL, DEFAULT_Z, conditional_marginal_check,
+                     consistency_check, distinct_mass_check, gg_residual,
+                     lemma1_check, positivity_check, support_check,
+                     ultrametricity_check)
 
 # The ultra scan caches three index arrays of 24 bytes a triple for each n:
 # about 4 MB at n = 100, and 148 MB more at n = 300.
@@ -61,6 +62,9 @@ CHECK_FIELDS = {"gg": ("observables", "conditioned"), "mass": ("n_max",),
                 "criterion": ("q", "patterns", "n_max")}
 CHECK_NAMES = tuple(CHECK_FIELDS)
 MC_FIELDS = ("outer", "inner")
+
+# The level-triple pattern sets a criterion check scans when it names none
+DEFAULT_PATTERNS = [[[1, 1, 1]]]
 
 # integer fields of one check type: (check name, field, minimum, maximum)
 CHECK_INT_FIELDS = (("mass", "n_max", 2, None), ("criterion", "n_max", 3, None),
@@ -150,7 +154,7 @@ def parse_config(path) -> ExperimentConfig:
                 problems.append(f"checks[{i}]: criterion needs a threshold q")
             elif not _is_number(chk["q"]):
                 problems.append(f"checks[{i}].q: must be a number")
-            pats = chk.get("patterns", [[[1, 1, 1]]])
+            pats = chk.get("patterns", DEFAULT_PATTERNS)
             if not (isinstance(pats, list) and pats and all(
                     _is_int_triples(p, 1) and p for p in pats)):
                 problems.append(
@@ -356,17 +360,12 @@ def _parse_observable(d: dict) -> ObservableSpec:
     return ObservableSpec(int(d["n"]), psi, f_pattern=fpat, f_monomial=fmono)
 
 
-def _mc_of(chk: dict) -> MCConfig:
-    mc = chk.get("mc", {})
-    return MCConfig(int(mc.get("outer", 200)), int(mc.get("inner", 100)))
-
-
 def _run_check(chk: dict, model, seed: int, oracle: bool):
     """Dispatch one configured check. Returns (rows, json_obj, passed)."""
     name = chk["name"]
-    mc = _mc_of(chk)
-    abs_tol = float(chk.get("abs_tol", 0.01))
-    z = float(chk.get("z", 3.0))
+    mc = MCConfig(**{key: int(v) for key, v in chk.get("mc", {}).items()})
+    abs_tol = float(chk.get("abs_tol", DEFAULT_ABS_TOL))
+    z = float(chk.get("z", DEFAULT_Z))
     method = "enumerate" if oracle else chk.get("method", "mc")
 
     if name == "gg":
@@ -429,12 +428,9 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
             "witness": rep.first_witness}, rep.passed
 
     if name == "descend":
-        cfg = DescendConfig(
-            n_condition=int(chk.get("n_condition", 4)), mc=mc,
-            psd_outer=int(chk.get("psd_outer", 50)),
-            psd_inner=int(chk.get("psd_inner", 20)),
-            abs_tol=abs_tol, z=z, force=bool(chk.get("force", False)),
-            method=method)
+        cfg = DescendConfig(mc=mc, abs_tol=abs_tol, z=z, method=method,
+                            **{key: chk[key] for key in CHECK_FIELDS[name]
+                               if key in chk})
         rep = descend(model, cfg, seed)
         passed = rep.all_passed
         node = rep.child
@@ -445,7 +441,7 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
 
     if name == "criterion":
         reports = criterion_run(model, float(chk["q"]),
-                                chk.get("patterns", [[[1, 1, 1]]]),
+                                chk.get("patterns", DEFAULT_PATTERNS),
                                 int(chk.get("n_max", 6)), mc, seed, z=z,
                                 method=method)
         rows = []

@@ -9,10 +9,10 @@ Three families:
     exchangeable but not ultrametric (the negative control).
 
 Random draws come from seeded PCG64 streams: rng_from(*keys) seeds one
-stream per key tuple, and counter_stream(seed, key, offset) reads the one
-stream of a purpose from a given position, so that draw j of a tree (or of
-a check's inner sample) is a fixed slice of it, whichever block it is
-drawn in.
+stream per key tuple, and counter_stream(seed, key, offset) reads the
+stream rng_from(seed, key) of a purpose from a given position, so that
+draw j of a tree, of a check's inner sample or of a scan is a fixed slice
+of it, whichever block it is drawn in.
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ def counter_stream(seed: int, key: int, offset: int) -> np.random.Generator:
     easy as 1, 2, 3" (SC'11). random() turns one word into one double, so
     a draw of s uniforms starts at word j * s, whichever block it is drawn
     in. SeedSequence pads a short key with zero words, which makes this
-    stream rng_from(seed, key, 0) too: key must be one that no rng_from or
-    derive_seed call uses.
+    stream rng_from(seed, key, 0) too: key must be one that no other
+    rng_from or derive_seed call uses.
     """
-    bits = np.random.PCG64(seed_sequence(seed, key))
-    bits.advance(offset)
-    return np.random.Generator(bits)
+    rng = rng_from(seed, key)
+    rng.bit_generator.advance(offset)
+    return rng
 
 
 def pd_points(zeta: float, B: int, rng: np.random.Generator) -> np.ndarray:

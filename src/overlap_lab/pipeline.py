@@ -22,10 +22,11 @@ from .errors import (AcceptanceTooLow, EventMassTooSmall, EventNull,
 from .measures import DiscreteMeasure, derive_seed
 from .models import DescendedModel, as_model
 from .observables import ObservableSpec, Psi, Statistic
+# perfbench/tracer.py wraps outer_stat_means and enumerate_statistics here
 from .sampler import (EventSpec, MCConfig, enumerate_statistics,
                       filtered_level_batches, influence_se, outer_stat_means,
                       ratio_from_means)
-from .verify import DEFAULT_ABS_TOL, DEFAULT_Z, CheckRow, gg_residual
+from .verify import DEFAULT_ABS_TOL, DEFAULT_Z, CheckRow, estimates, gg_residual
 
 
 def collision_identity_check(measure: DiscreteMeasure):
@@ -217,18 +218,24 @@ class CriterionReport:
     B_descriptor: str
     p3: float
     sequence: tuple          # ((n, estimate, se), ...)
-    consistent_within_noise: bool
+    z: float = DEFAULT_Z
 
     def rows(self, model_id: str) -> list:
+        """One row per n; the rows for n > 3 pass when the estimate is
+        within z combined standard errors of p3."""
         out = []
         p3_se = self.sequence[0][2]
         for n, est, se in self.sequence:
             comb = float(np.hypot(se, p3_se))
             out.append(CheckRow("criterion", model_id, n, self.B_descriptor,
                                 est, self.p3, est - self.p3, comb,
-                                abs(est - self.p3) <= DEFAULT_Z * comb
+                                abs(est - self.p3) <= self.z * comb
                                 if n > 3 else True))
         return out
+
+    @property
+    def consistent_within_noise(self) -> bool:
+        return all(row.passed for row in self.rows(""))
 
     def to_json_dict(self) -> dict:
         return {
@@ -256,20 +263,13 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
     if t < 1:
         raise NullConditioning(f"no grid level lies below q={q}")
     below = Statistic(2).with_threshold(2, t)
-    if method == "enumerate":
-        if not model.frozen:
-            raise ValueError("enumeration needs a frozen (fixed-measure) model")
-        vals, _ = enumerate_statistics(model.measure_at(0), [below], 2,
-                                       model.threshold)
-        p_below, p_se = float(vals[0]), 0.0
-    else:
-        means = outer_stat_means(model, [below], 2, mc,
-                                 derive_seed(seed, 0xB0))
-        try:
-            r, h, _ = ratio_from_means(means, z)
-        except EventMassTooSmall as e:
-            raise NullConditioning(str(e)) from e
-        p_below, p_se = float(r[0]), influence_se(h[:, 0])
+    means, _ = estimates(model, [below], 2, mc, derive_seed(seed, 0xB0), None,
+                         method)
+    try:
+        r, h, _ = ratio_from_means(means, z)
+    except EventMassTooSmall as e:
+        raise NullConditioning(str(e)) from e
+    p_below, p_se = float(r[0]), influence_se(h[:, 0])
     if p_below <= z * p_se or p_below <= 0.0:
         raise NullConditioning(
             f"P(R12 < {q}) = {p_below:.3g} within noise of zero")
@@ -284,36 +284,21 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
             stats.extend(Statistic(n).with_sorted_triple(tri) for tri in pat)
             offsets.append(len(stats))
         try:
-            if method == "enumerate":
-                eff = t if model.threshold is None else min(t, model.threshold)
-                vals, _ = enumerate_statistics(model.measure_at(0), stats, n, eff)
-                sums = [(float(vals[offsets[s]:offsets[s + 1]].sum()), 0.0)
-                        for s in range(len(sets))]
-            else:
-                means = outer_stat_means(model, stats, n, mc,
-                                         derive_seed(seed, 0xB1, n), t)
-                r, h, _ = ratio_from_means(means, z)
-                sums = []
-                for s in range(len(sets)):
-                    est = float(r[offsets[s]:offsets[s + 1]].sum())
-                    se = influence_se(h[:, offsets[s]:offsets[s + 1]].sum(axis=1))
-                    sums.append((est, se))
+            means, _ = estimates(model, stats, n, mc, derive_seed(seed, 0xB1, n),
+                                 t, method)
+            r, h, _ = ratio_from_means(means, z)
         except (EventMassTooSmall, EventNull) as e:
             if n == 3:
                 raise NullConditioning(
                     f"no mass left for three below-q replicas: {e}") from e
             break  # sequence truncates where the event mass runs out
-        per_n[n] = sums
+        per_n[n] = [(float(r[a:b].sum()), influence_se(h[:, a:b].sum(axis=1)))
+                    for a, b in zip(offsets, offsets[1:])]
 
     reports = []
     for s, pat in enumerate(sets):
         descriptor = "B={" + ";".join(",".join(f"q{v}" for v in tri)
                                       for tri in pat) + "}"
         seq = tuple((n, per_n[n][s][0], per_n[n][s][1]) for n in sorted(per_n))
-        p3, p3_se = seq[0][1], seq[0][2]
-        consistent = all(
-            abs(est - p3) <= z * float(np.hypot(se, p3_se))
-            for n, est, se in seq[1:])
-        reports.append(CriterionReport(float(q), descriptor, p3, seq,
-                                       bool(consistent)))
+        reports.append(CriterionReport(float(q), descriptor, seq[0][1], seq, z))
     return reports

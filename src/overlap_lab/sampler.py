@@ -3,9 +3,10 @@
 Expectations are nested: an outer average over independently drawn
 measures and an inner average over i.i.d. replica tuples from each.
 Standard errors always come from the outer replication level, treating
-each drawn measure as one observation. Inner draw j of an estimate reads a
-fixed slice of its check's inner stream (measures.counter_stream), and the
-per-draw scans of filtered_level_batches read rng_from(seed, key, j).
+each drawn measure as one observation. Both samplers, the estimates of
+outer_stat_means and the per-draw scans of filtered_level_batches, read
+their draws in blocks from _level_blocks: outer draw j reads a fixed slice
+of one stream per purpose (measures.counter_stream).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ DEFAULT_MAX_ATTEMPTS = 10**6
 # The purpose key of the inner draws' stream, counter_stream(seed, key).
 _INNER_KEY = 0xD1CE
 
-# Most replica rows outer_stat_means evaluates in one kernel call; whole
+# Most replica rows of one block of outer draws (see _level_blocks); whole
 # outer draws are grouped up to this bound (one draw when inner exceeds it).
 OUTER_BLOCK_ROWS = 1 << 14
 
@@ -153,6 +154,40 @@ def conditional_draw(measure: DiscreteMeasure, event: EventSpec, seed,
     return ReplicaDraw(tuple(int(i) for i in idx[0]), LevelMatrix(lv, measure.grid))
 
 
+def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int):
+    """Yield (start, stop, first measure, (rows, n, n) levels) for blocks of
+    consecutive outer draws start, ..., stop - 1.
+
+    Outer draw j gets measure j of the model and reads its n * inner
+    uniforms at offset j * n * inner of the stream counter_stream(seed,
+    key), so results do not depend on how the draws are grouped or in which
+    order the blocks run.
+
+    A block holds up to OUTER_BLOCK_ROWS replica rows (one draw when inner
+    exceeds it), fewer for n > 8 so that its level entries stay within
+    OUTER_BLOCK_ROWS * 64. Its measures are read lazily from one
+    model.measures call, its draws read their slices in order from one
+    generator, and every measure of a model shares one pair-level table or
+    digit array (a TreeModel's measures share its TreeStructure, a frozen
+    model has one measure), so the first measure of a block turns all of
+    the block's index rows into level matrices.
+    """
+    rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n)
+    draws = max(1, rows // mc.inner)
+    for start in range(0, mc.outer, draws):
+        stop = min(start + draws, mc.outer)
+        rng = counter_stream(seed, key, start * n * mc.inner)
+        measures = model.measures(start, stop)
+        first = next(measures)
+        idx = [first.sample_indices(n, mc.inner, rng)]
+        for measure in measures:
+            if not first.shares_levels(measure):
+                raise ValueError("outer measures of one model must share "
+                                 "their pair levels")
+            idx.append(measure.sample_indices(n, mc.inner, rng))
+        yield start, stop, first, first.levels_from_indices(np.concatenate(idx))
+
+
 def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
                      seed: int, event_threshold: Optional[int] = None):
     """Per-outer-draw inner means; the last column is the event indicator.
@@ -163,18 +198,7 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
     itself is appended as the denominator column. Without any conditioning
     the denominator column is identically one.
 
-    Outer draw j gets measure j of the model and reads its n * inner
-    uniforms at offset j * n * inner of the stream
-    counter_stream(seed, _INNER_KEY), so results do not depend on how the
-    draws are grouped or in which order the blocks run.
-
-    Consecutive outer draws are evaluated together, up to OUTER_BLOCK_ROWS
-    replica rows per block: the block's measures come from one
-    model.measures call, its draws read their slices in order from one
-    generator, and every measure of a model shares one pair-level table or
-    digit array (a TreeModel's measures share its TreeStructure, a frozen
-    model has one measure), so the first measure of a block turns all of
-    the block's index rows into level matrices.
+    The draws come in _level_blocks from the stream of _INNER_KEY.
     """
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
@@ -185,19 +209,7 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
         cols.append(Statistic(n).with_threshold(n, threshold))
     pack = pack_statistics(cols)
     means = np.empty((mc.outer, len(cols)))
-    draws = max(1, OUTER_BLOCK_ROWS // mc.inner)
-    for start in range(0, mc.outer, draws):
-        stop = min(start + draws, mc.outer)
-        rng = counter_stream(seed, _INNER_KEY, start * n * mc.inner)
-        measures = model.measures(start, stop)
-        first = next(measures)
-        idx = [first.sample_indices(n, mc.inner, rng)]
-        for measure in measures:
-            if not first.shares_levels(measure):
-                raise ValueError("outer measures of one model must share "
-                                 "their pair levels")
-            idx.append(measure.sample_indices(n, mc.inner, rng))
-        lv = first.levels_from_indices(np.concatenate(idx))
+    for start, stop, first, lv in _level_blocks(model, n, mc, seed, _INNER_KEY):
         out = _kernels.eval_stats(lv, first.grid.values_by_index(), pack)
         means[start:stop] = out.reshape(stop - start, mc.inner, -1).mean(axis=1)
     return means
@@ -255,10 +267,11 @@ def estimate_expectation(model, stat: Statistic, n: int, mc: MCConfig, seed: int
 
 def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
                            event_threshold: Optional[int] = None, *, key: int):
-    """Yield per-outer (measure, accepted level batch) pairs.
+    """Yield one (measure, accepted level batch) pair per outer draw.
 
-    Outer draw j samples its replicas from the stream rng_from(seed, key, j);
-    each caller passes its own key.
+    The draws come in _level_blocks from the stream of the caller's key;
+    the measure is the first of the draw's block, whose grid levels every
+    measure of the block shares.
 
     Candidates failing the combined conditioning are dropped rather than
     redrawn: every yielded matrix lies in the conditional support, which
@@ -266,14 +279,11 @@ def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
     """
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
-    for j in range(mc.outer):
-        measure = model.measure_at(j)
-        rng = rng_from(seed, key, j)
-        idx = measure.sample_indices(n, mc.inner, rng)
-        lv = measure.levels_from_indices(idx)
-        if threshold is not None:
-            lv = lv[_kernels.all_below(lv, n, threshold)]
-        yield measure, lv
+    for start, stop, first, lv in _level_blocks(model, n, mc, seed, key):
+        for batch in lv.reshape(stop - start, mc.inner, n, n):
+            if threshold is not None:
+                batch = batch[_kernels.all_below(batch, n, threshold)]
+            yield first, batch
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .sampler import (EstimateReport, EventSpec, MCConfig, combined_threshold,
                       ratio_from_means)
 
 DEFAULT_ABS_TOL = 0.01
-EXACT_ABS_TOL = 1e-12
 DEFAULT_Z = 3.0
 
 # support: atoms above the weight floor must have squared norm within
@@ -90,7 +89,7 @@ def _as_f_statistic(f, n: int) -> Statistic:
     raise TypeError("f must be a Statistic, an ObservableSpec, or None")
 
 
-def _estimates(model, stats, n, mc, seed, event_threshold, method):
+def estimates(model, stats, n, mc, seed, event_threshold, method):
     """Indicator-augmented outer means, or exact one-row equivalents.
 
     The exact path enumerates conditional values directly, so it reports
@@ -138,8 +137,8 @@ def gg_residual(model, obs: ObservableSpec, mc: MCConfig, seed: int,
         Statistic(n + 1).with_psi(obs.psi, 0, 1),  # E<psi(R12)>
     ]
     stats += [f_stat.with_psi(obs.psi, 0, l) for l in range(1, n)]
-    means, exact_mass = _estimates(model, stats, n + 1, mc, seed,
-                                   event_threshold, method)
+    means, exact_mass = estimates(model, stats, n + 1, mc, seed,
+                                  event_threshold, method)
     try:
         r, h, dbar = ratio_from_means(means, z)
     except EventMassTooSmall as e:
@@ -182,7 +181,7 @@ def distinct_mass_check(model, n_max: int, mc: MCConfig, seed: int,
     K = model.grid.k
     stats = [Statistic(n_max).with_threshold(j, K - 1) for j in range(2, n_max + 1)]
     stats.append(Statistic(n_max).with_pattern(0, 1, K))
-    means, _ = _estimates(model, stats, n_max, mc, seed, None, method)
+    means, _ = estimates(model, stats, n_max, mc, seed, None, method)
     r, h, _ = ratio_from_means(means, z)
     pbar = float(r[-1])
     rows = []
@@ -212,7 +211,7 @@ def lemma1_check(model, f, n: int, mc: MCConfig, seed: int,
         f_stat.with_threshold(n, K - 1),
         Statistic(n + 1).with_pattern(0, 1, K),
     ]
-    means, _ = _estimates(model, stats, n + 1, mc, seed, None, method)
+    means, _ = estimates(model, stats, n + 1, mc, seed, None, method)
     r, h, _ = ratio_from_means(means, z)
     ubar, vbar, pbar = (float(v) for v in r)
     residual = ubar - (1.0 - pbar) * vbar
@@ -241,7 +240,7 @@ def consistency_check(model, f, n: int, mc: MCConfig, seed: int,
         f_stat.with_threshold(n, K - 1),
         Statistic(n + 1).with_threshold(n, K - 1),
     ]
-    means, _ = _estimates(model, stats, n + 1, mc, seed, None, method)
+    means, _ = estimates(model, stats, n + 1, mc, seed, None, method)
     r, h, _ = ratio_from_means(means, z)
     ubar, abar, vbar, bbar = (float(v) for v in r)
     se_a = influence_se(h[:, 1])
@@ -288,10 +287,10 @@ def conditional_marginal_check(model, mc: MCConfig, seed: int,
         raise GridTooSmall("conditional marginal needs at least two levels")
     cond_stats = [Statistic(2).with_pattern(0, 1, l) for l in range(1, K)]
     full_stats = [Statistic(2).with_pattern(0, 1, l) for l in range(1, K + 1)]
-    cond_means, cond_mass = _estimates(model, cond_stats, 2, mc,
-                                       derive_seed(seed, 1), K - 1, method)
-    full_means, _ = _estimates(model, full_stats, 2, mc,
-                               derive_seed(seed, 2), None, method)
+    cond_means, cond_mass = estimates(model, cond_stats, 2, mc,
+                                      derive_seed(seed, 1), K - 1, method)
+    full_means, _ = estimates(model, full_stats, 2, mc,
+                              derive_seed(seed, 2), None, method)
     rc, hc, dbar = ratio_from_means(cond_means, z)
     rf, hf, _ = ratio_from_means(full_means, z)
     ptop = float(rf[-1])

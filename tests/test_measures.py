@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import json
@@ -216,15 +217,26 @@ class TestCounterStream:
         assert a.tobytes() == rng_from(5, 0x51).random(8).tobytes()
 
     def test_no_derived_stream_uses_a_counter_key(self, monkeypatch, tmp_path):
-        # record every key tuple seeded during a run of all ten checks
-        seen = []
-        seed_sequence = measures.seed_sequence
+        # record, during a run of all ten checks, every stream seeded
+        # through rng_from (counter_stream seeds there) and every key tuple
+        # seed_sequence mixes; those left once the streams' are taken out
+        # are derive_seed's
+        streams, seeded = [], []
+        rng_from, seed_sequence = measures.rng_from, measures.seed_sequence
 
-        def recording(*keys):
-            seen.append(tuple(int(k) & (2**64 - 1) for k in keys))
+        def masked(keys):
+            return tuple(int(k) & (2**64 - 1) for k in keys)
+
+        def recording_rng_from(*keys):
+            streams.append(masked(keys))
+            return rng_from(*keys)
+
+        def recording_seed_sequence(*keys):
+            seeded.append(masked(keys))
             return seed_sequence(*keys)
 
-        monkeypatch.setattr(measures, "seed_sequence", recording)
+        monkeypatch.setattr(measures, "rng_from", recording_rng_from)
+        monkeypatch.setattr(measures, "seed_sequence", recording_seed_sequence)
         cfg = json.loads(TREE_K2.read_text())
         cfg["measure"]["branching"] = 6
         for check in cfg["checks"]:
@@ -235,21 +247,25 @@ class TestCounterStream:
         code = cli.main(["--out", str(tmp_path), "--format", "csv", "run",
                          str(path)])
         assert code in (0, 2)
-        counter_keys = {measures._WEIGHTS_KEY, sampler._INNER_KEY}
-        counter = {t for t in seen if len(t) == 2 and t[1] in counter_keys}
-        assert {t[1] for t in counter} == counter_keys
-        # padded with zero words, no other tuple equals a counter key tuple
-        assert all(t[1] not in counter_keys for t in seen if len(t) != 2)
-        assert not set(counter) & {t[:2] for t in seen
-                                   if len(t) > 2 and not any(t[2:])}
-        # and the streams differ from rng_from(seed, key, 0) of every key
-        # that a per-draw stream (a three-key tuple) uses
-        keys = {t[1] for t in seen if len(t) == 3}
-        assert keys
-        for seed, ckey in counter:
-            want = counter_stream(seed, ckey, 0).random(8).tobytes()
-            for key in keys:
-                assert rng_from(seed, key, 0).random(8).tobytes() != want
+        # the purposes: tree weights, inner draws, positivity's and ultra's
+        # scans, and the descent's tie and PSD scans
+        purposes = [measures._WEIGHTS_KEY, sampler._INNER_KEY, 0x90F, 0x3B1,
+                    0xA11, 0xBD]
+        assert len(set(purposes)) == len(purposes)
+        # every stream is one (seed, key) tuple of one purpose, so no two
+        # purposes share a tuple, and every purpose is read
+        assert all(len(t) == 2 and t[1] in purposes for t in streams)
+        assert {t[1] for t in streams} == set(purposes)
+        derived = Counter(seeded) - Counter(streams)
+        assert derived
+        stream_set = set(streams)
+        for t in derived:
+            # SeedSequence pads a short tuple with zero words
+            stripped = t
+            while stripped and stripped[-1] == 0:
+                stripped = stripped[:-1]
+            assert t not in stream_set and stripped not in stream_set
+            assert (*t, 0) not in stream_set
 
 
 class TestTreeLeafWeightsReference:

@@ -153,6 +153,19 @@ class TestCriterion:
             criterion_run(FrozenModel(m), 0.5, [[[1, 1, 1]]], 4,
                           MCConfig(20, 20), 1)
 
+    def test_rows_use_the_checks_z(self):
+        # at z = 0 any nonzero difference from p3 fails, and each row
+        # must say so, as the check's verdict does
+        model = TreeModel(TreeMeasureSpec((0.3, 0.7), 8, (0.3, 0.6), seed=1))
+        reports = criterion_run(model, 0.5, [[[1, 1, 1]]], 5, MCConfig(40, 30),
+                                seed=2, z=0.0)
+        rep = reports[0]
+        rows = rep.rows("model")
+        assert not rep.consistent_within_noise
+        assert rows[0].passed  # n = 3 is the reference row
+        assert not all(r.passed for r in rows[1:])
+        assert rep.to_json_dict()["consistent_within_noise"] is False
+
     def test_descended_model_criterion(self):
         model = DescendedModel(k2_tree(), 1)
         reports = criterion_run(model, 0.5, [[[1, 1, 1]]], 4,

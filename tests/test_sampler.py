@@ -15,7 +15,8 @@ from overlap_lab.sampler import (EventSpec, MCConfig, combined_threshold,
                                  conditional_draw, draw_index_batch,
                                  draw_replicas, empirical_matrix_law,
                                  enumerate_matrix_law, enumerate_statistic,
-                                 estimate_expectation, outer_stat_means,
+                                 estimate_expectation,
+                                 filtered_level_batches, outer_stat_means,
                                  ratio_from_means, total_variation)
 
 
@@ -293,3 +294,41 @@ class TestOuterBlocksReference:
 
         with pytest.raises(ValueError, match="share"):
             outer_stat_means(Mixed(), [Statistic(2)], 2, MCConfig(4, 5), 1)
+
+
+def filtered_level_batches_per_draw(model, n, mc, seed, threshold, key):
+    """Reference for filtered_level_batches: one draw at a time, draw j from
+    measure j and its own slice of counter_stream(seed, key), then filtered."""
+    model = as_model(model)
+    t = combined_threshold(model, threshold)
+    for j in range(mc.outer):
+        measure = model.measure_at(j)
+        rng = counter_stream(seed, key, j * n * mc.inner)
+        lv = measure.levels_from_indices(measure.sample_indices(n, mc.inner, rng))
+        if t is not None:
+            lv = lv[_kernels.all_below(lv, n, t)]
+        yield measure, lv
+
+
+class TestScanBlocksReference:
+    """The scans' blocked draws equal the per-draw loop bit for bit."""
+
+    @pytest.mark.parametrize("name", ["tree", "tree_digits", "frozen",
+                                      "descended"])
+    @pytest.mark.parametrize("threshold", [None, 1])
+    @pytest.mark.parametrize("draws", [1, 7, 13])
+    @pytest.mark.parametrize("n", [4, 10])  # n > 8 shrinks the blocks
+    def test_matches_per_draw_loop(self, monkeypatch, name, threshold, draws,
+                                   n):
+        monkeypatch.setattr(sampler, "OUTER_BLOCK_ROWS", draws * 10)
+        model = TestOuterBlocksReference.models()[name]
+        mc = MCConfig(30, 10)
+        got = list(filtered_level_batches(model, n, mc, 9, threshold,
+                                          key=0x5CA))
+        want = list(filtered_level_batches_per_draw(model, n, mc, 9,
+                                                    threshold, 0x5CA))
+        assert len(got) == len(want) == mc.outer
+        for (measure, lv), (ref_measure, ref) in zip(got, want):
+            assert measure.shares_levels(ref_measure)
+            assert lv.dtype == ref.dtype and lv.shape == ref.shape
+            assert lv.tobytes() == ref.tobytes()
