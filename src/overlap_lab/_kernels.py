@@ -6,6 +6,7 @@ wrapper installed on this module sees every call.
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -155,8 +156,18 @@ def top_tie_triples(levels, top):
 # ---------------------------------------------------------------------------
 
 def accept_mask(idx, table, threshold):
-    return all_below(table[idx[:, :, None], idx[:, None, :]], idx.shape[1],
-                     threshold)
+    """Per (T, n) index row: are all its pair levels <= threshold?
+
+    Pairs are checked one at a time, each on the rows that passed the
+    pairs before it.
+    """
+    cols = idx.T
+    alive = np.arange(len(idx))
+    for i, j in zip(*_pairs(idx.shape[1])):
+        alive = alive[table[cols[i, alive], cols[j, alive]] <= threshold]
+    mask = np.zeros(len(idx), dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -201,83 +212,266 @@ _eval_stats = eval_stats
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration over all m**n atom tuples
+# Exact enumeration over twin-atom patterns
 # ---------------------------------------------------------------------------
-# A block of T tuples of r replicas is (weights, atoms, levels) with shapes
-# (T,), (r, T) and (r, r, T): tuple index last, so that every per-pair row a
-# join writes, and every levels[:, i, j] the evaluator reads, is contiguous.
+# Atoms a != b are twins when they have the same self level and the same
+# level to and from every other atom. Twins form classes, and all pairs
+# inside one class share one level, so the level matrix of an atom tuple
+# depends only on the class of each replica and on which replicas share an
+# atom. Such a pattern is enumerated once, by its canonical tuple: the
+# blocks of replicas that share an atom take their class's atoms in order
+# of first appearance. There are at most m**n patterns, exactly m**n when
+# no atoms are twins. A block of T patterns of r replicas is (weights,
+# atoms) with shapes (T,) and (r, T), pattern index last.
 
-def _join(head, tail, weights, table, threshold):
-    """Every head tuple followed by every tail tuple, in lexicographic order.
+def _twin_leaders(table):
+    """Per atom, the smallest atom of its twin class.
 
-    Returns the weights and level matrices of the joined tuples, and the mask
-    of the head-major (head, tail) pairs kept (None when all are kept).
-    Weights multiply left to right, as np.prod over the joined tuple would.
-    With threshold >= 0, joins with a head-tail level above it are dropped:
-    they lie outside the event, and each block's own pairs were checked when
-    it was built.
+    Atoms a and b are twins at pair level L when their self levels agree
+    and their rows and columns agree once their own entries read L; an atom
+    has twins at one level at most. Atoms are grouped by a hash of
+    (L, self level, row, column), and every grouping is then checked entry
+    by entry, so a hash collision can only split a class, never put atoms
+    that are not twins into one.
     """
-    hw, hi, hl = head
-    _, ti, tl = tail
-    (r, K), (s, T) = hi.shape, ti.shape
-    # cross[i, j, k, t]: level of head replica i of k and tail replica j of t
-    cross = np.take(table[hi], ti, axis=2).transpose(0, 2, 1, 3)
-    w = hw[:, None]
-    for col in weights[ti]:
-        w = w * col
-    lv = np.empty((r + s, r + s, K, T), dtype=table.dtype)
-    lv[:r, :r] = hl[:, :, :, None]
-    lv[:r, r:] = cross
-    lv[r:, :r] = cross.transpose(1, 0, 2, 3)
-    lv[r:, r:] = tl[:, :, None, :]
-    w, lv = w.ravel(), lv.reshape(r + s, r + s, K * T)
-    keep = None
-    if threshold >= 0:
-        keep = (cross <= threshold).all(axis=(0, 1)).ravel()
-        w, lv = w[keep], np.compress(keep, lv, axis=2)
-    return w, lv, keep
+    m = len(table)
+    # fixed pseudo-random multipliers; sums wrap modulo 2**64
+    mix = np.frombuffer(hashlib.shake_128(b"twins").digest(16 * m + 16),
+                        dtype=np.int64)
+    t = table.astype(np.int64)
+    own = np.diagonal(t)
+    low = int(t.min())
+    levels = np.flatnonzero(np.bincount((t - low).ravel())) + low
+    base = own * mix[0] + t @ mix[1 : m + 1] + t.T @ mix[m + 1 : -1]
+    keys = (base + (mix[1 : m + 1] + mix[m + 1 : -1]) * (levels[:, None] - own)
+            + levels[:, None] * mix[-1])
+    _, first, inv = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    row = np.flatnonzero(first[inv] != np.arange(keys.size))
+    level, a, g = levels[row // m], row % m, first[inv][row] % m
+    ok = own[a] == own[g]
+    for lv in (table, table.T):
+        ra, rg = lv[a], lv[g]
+        ra[np.arange(len(a)), a] = rg[np.arange(len(a)), g] = level
+        ok &= (ra == rg).all(axis=1)
+    leader = np.arange(m)
+    leader[a[ok]] = g[ok]
+    return leader
 
 
-def _tuple_chunks(weights, table, n, threshold, chunk):
-    """Yield (tuple weights, level matrices) over all m**n tuples, in order.
+def twin_classes(table):
+    """Twin classes of a pair-level table, as sorted atom tuples ordered by
+    their first atom; an atom without twins is a class of its own."""
+    leader = _twin_leaders(table)
+    return [tuple(np.flatnonzero(leader == a).tolist())
+            for a in np.flatnonzero(leader == np.arange(len(table)))]
 
-    Tuples come in lexicographic order, at most `chunk` per block. With
-    threshold >= 0, tuples outside the event are skipped, prefix by prefix.
-    The tail is the last s replicas, the largest s with m**s <= chunk; it is
-    built once and joined to each surviving head prefix in turn.
+
+@lru_cache(maxsize=4096)
+def _injective_sum(w, sizes):
+    """Sum over injective maps f of blocks into atoms of
+    prod_b w[f(b)] ** sizes[b], for a tuple of atom weights w.
+
+    Subset DP over the atoms: dp[S] sums over the maps of the blocks in S
+    into the atoms seen so far, each atom taking one block at most. Every
+    term is nonnegative, so nothing cancels.
+    """
+    sets = np.arange(1 << len(sizes))
+    with_b = [(sets[sets >> b & 1 == 1], 1 << b) for b in range(len(sizes))]
+    dp = np.zeros(len(sets))
+    dp[0] = 1.0
+    for row in np.asarray(w)[:, None] ** np.asarray(sizes, dtype=np.float64):
+        new = dp.copy()
+        for (has, bit), p in zip(with_b, row):
+            new[has] += dp[has ^ bit] * p
+        dp = new
+    return float(dp[-1])
+
+
+def _compositions(total, parts):
+    """Tuples of at most `parts` positive integers summing to at most total."""
+    yield ()
+    if parts:
+        for first in range(1, total + 1):
+            for rest in _compositions(total - first, parts - 1):
+                yield (first, *rest)
+
+
+@lru_cache(maxsize=256)
+def _class_sums(w, n):
+    """(codes, injective sums) of one twin class with atom weights w, for
+    every way its blocks can split up to n replicas; codes sorted."""
+    by_code = {sum(s * (n + 1) ** r for r, s in enumerate(sizes)):
+               _injective_sum(w, tuple(sorted(sizes)))
+               for sizes in _compositions(n, min(len(w), n))}
+    codes = np.array(sorted(by_code), dtype=np.int64)
+    sums = np.array([by_code[c] for c in codes.tolist()])
+    codes.flags.writeable = sums.flags.writeable = False  # shared
+    return codes, sums
+
+
+class _TwinClasses:
+    """Twin classes of one table, with the order in which their atoms may
+    extend a pattern: an atom may follow a prefix once its class
+    predecessor is in it. Column m of a `seen` row stands for "no
+    predecessor". Built once per table content (see _twin_classes_of)."""
+
+    def __init__(self, table):
+        m = len(table)
+        cls = np.unique(_twin_leaders(table), return_inverse=True)[1]
+        self.twin = np.bincount(cls)[cls] > 1
+        order = np.argsort(cls, kind="stable")
+        self.rank = np.empty(m, dtype=np.int64)
+        self.rank[order] = np.arange(m) - np.searchsorted(cls[order], cls[order])
+        self.prev = np.full(m, m)
+        self.prev[order[1:]] = np.where(self.rank[order[1:]] > 0, order[:-1], m)
+        self.cols = np.append(np.flatnonzero(self.twin), m)
+        self.members = [np.flatnonzero(cls == c) for c in np.unique(cls[self.twin])]
+        self.of = np.zeros(m, dtype=np.int64)
+        for i, atoms in enumerate(self.members):
+            self.of[atoms] = i
+
+
+# _TwinClasses by table content, oldest first: one measure is enumerated
+# at several n and thresholds, and small tables cost more to classify than
+# to enumerate.
+_TWIN_CLASSES = {}
+TWIN_CLASSES_CACHED = 16
+
+
+def _twin_classes_of(table):
+    key = hashlib.blake2b(str((table.dtype.str, table.shape)).encode()
+                          + table.tobytes(), digest_size=16).digest()
+    if key not in _TWIN_CLASSES:
+        if len(_TWIN_CLASSES) >= TWIN_CLASSES_CACHED:
+            del _TWIN_CLASSES[next(iter(_TWIN_CLASSES))]
+        _TWIN_CLASSES[key] = _TwinClasses(table)
+    return _TWIN_CLASSES[key]
+
+
+class _Twins:
+    """What a table's twin classes mean for the patterns of n replicas.
+
+    A class's blocks are coded by their sizes in rank order, as base n + 1
+    digits; codes add when two parts of a pattern are joined. The weight of
+    a class is the injective sum over its atoms for the code's block sizes,
+    tabulated for every code up front. An atom without twins is its own
+    class and multiplies its weight in per replica (`solo`).
+    """
+
+    def __init__(self, weights, table, n):
+        classes = _twin_classes_of(table)
+        self.prev, self.of, self.twin_cols = classes.prev, classes.of, classes.cols
+        self.k = len(classes.members)
+        self.solo = np.where(classes.twin, 1.0, weights)
+        # an atom without twins has digit 0 and adds to no code
+        self.digit = np.where(classes.twin,
+                              (n + 1) ** np.minimum(classes.rank, n), 0)
+        self.sums = [_class_sums(tuple(weights[atoms].tolist()), n)
+                     for atoms in classes.members]
+
+    def grow(self, seen, replicas, table, threshold):
+        """Every pattern of `replicas` replicas that may follow a prefix
+        whose atoms are marked in `seen`, in lexicographic order, as
+        (solo weights, atoms (replicas, T)); with threshold >= 0, patterns
+        with a pair level above it are dropped, replica by replica."""
+        w, atoms = np.ones(1), np.zeros((0, 1), dtype=np.int64)
+        for _ in range(replicas):
+            marks = np.empty((len(w), len(seen)), dtype=bool)
+            marks[:] = seen
+            marks[np.arange(len(w)), atoms] = True
+            ok = marks[:, self.prev]
+            if threshold >= 0 and len(atoms):
+                ok &= (table[atoms] <= threshold).all(axis=0)
+            t, a = np.nonzero(ok)
+            w, atoms = w[t] * self.solo[a], np.concatenate([atoms[:, t], a[None]])
+        return w, atoms
+
+    def class_codes(self, atoms):
+        """(k, T) code of each twin class in each pattern of a block."""
+        T = atoms.shape[1]
+        bins = self.of[atoms] * T + np.arange(T)
+        codes = np.bincount(bins.ravel(), weights=self.digit[atoms].ravel(),
+                            minlength=self.k * T)
+        return codes[: self.k * T].reshape(self.k, T).astype(np.int64)
+
+    def weight(self, codes):
+        """Product over twin classes of their injective sums."""
+        out = np.ones(codes.shape[1])
+        for c, (keys, sums) in zip(codes, self.sums):
+            out *= sums[np.searchsorted(keys, c)]
+        return out
+
+
+def _levels(table, atoms):
+    """(r, r, T) level matrices of a block of r-atom tuples (r, T)."""
+    r, T = atoms.shape
+    flat = table.ravel()
+    lv = np.empty((r, r, T), dtype=table.dtype)
+    for i in range(r):
+        for j in range(i, r):
+            lv[i, j] = lv[j, i] = flat.take(atoms[i] * len(table) + atoms[j])
+    return lv
+
+
+def pattern_chunks(weights, table, n, threshold, chunk):
+    """Yield (pattern weights, (T, n, n) level matrices) over every pattern.
+
+    A pattern's weight is the summed weight of its tuples. At most `chunk`
+    patterns come per block. With threshold >= 0, patterns with a pair
+    level above it are skipped, prefix by prefix. The tail is the last s
+    replicas, the largest s with m**s <= chunk. The patterns a tail can
+    take depend on a head only through the twin atoms the head uses, so
+    heads are sorted by those; the tails of each run of equal heads are
+    built once and joined to each of its heads in turn.
     """
     m = len(weights)
     s = 0
     while s < n and m ** (s + 1) <= chunk:
         s += 1
-    atoms = np.arange(m)
-    unit = (weights, atoms[None, :], table[atoms, atoms][None, None, :])
-
-    def grow(block, replicas):
-        for _ in range(replicas):
-            w, lv, keep = _join(block, unit, weights, table, threshold)
-            hi = block[1]
-            grown = np.concatenate([np.repeat(hi, m, axis=1),
-                                    np.tile(atoms, (1, hi.shape[1]))])
-            block = (w, grown if keep is None else grown[:, keep], lv)
-        return block
-
-    empty = (np.ones(1), np.zeros((0, 1), dtype=np.int64),
-             np.zeros((0, 0, 1), dtype=table.dtype))
-    tail, heads = grow(empty, s), grow(empty, n - s)
-    hw, hi, hl = heads
-    for h in range(len(hw)):
-        w, lv, _ = _join((hw[h : h + 1], hi[:, h : h + 1], hl[:, :, h : h + 1]),
-                         tail, weights, table, threshold)
-        if len(w):
-            yield w, lv.transpose(2, 0, 1)
+    r = n - s
+    twins = _Twins(weights, table, n)
+    seen = np.zeros(m + 1, dtype=bool)
+    seen[m] = True
+    hw, ha = twins.grow(seen, r, table, threshold)
+    marks = np.empty((len(hw), m + 1), dtype=bool)
+    marks[:] = seen
+    marks[np.arange(len(hw)), ha] = True
+    used = marks[:, twins.twin_cols]
+    order = np.lexsort(used.T)
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (used[order[1:]] != used[order[:-1]]).any(axis=1)
+    hl, hcodes = _levels(table, ha), twins.class_codes(ha)
+    for h, new_tail in zip(order.tolist(), first.tolist()):
+        if new_tail:
+            tw, ta = twins.grow(marks[h], s, table, threshold)
+            tl = _levels(table, ta)
+            tcodes = twins.class_codes(ta)
+        a = ha[:, h]
+        cross = np.take(table[a], ta, axis=1)  # (r, s, T)
+        w, codes, lv_cross, lv_tail = hw[h] * tw, tcodes, cross, tl
+        if threshold >= 0 and r:
+            keep = (cross <= threshold).all(axis=(0, 1))
+            w, codes = w[keep], np.compress(keep, codes, axis=1)
+            lv_cross = np.compress(keep, cross, axis=2)
+            lv_tail = np.compress(keep, tl, axis=2)
+        if not len(w):
+            continue
+        if twins.k:
+            w = w * twins.weight(codes + hcodes[:, h : h + 1])
+        lv = np.empty((n, n, len(w)), dtype=table.dtype)
+        lv[:r, :r] = hl[:, :, h, None]
+        lv[:r, r:] = lv_cross
+        lv[r:, :r] = lv_cross.transpose(1, 0, 2)
+        lv[r:, r:] = lv_tail
+        yield w, lv.transpose(2, 0, 1)
 
 
 def enum_stats(weights, table, n, threshold, vals, pack, chunk=200_000):
-    """Event mass and weighted statistic sums over all m**n atom tuples."""
+    """Event mass and weighted statistic sums over all m**n atom tuples,
+    read one twin pattern at a time."""
     event_mass = 0.0
     sums = np.zeros(len(pack[0]) - 1)
-    for w, lv in _tuple_chunks(weights, table, n, threshold, chunk):
+    for w, lv in pattern_chunks(weights, table, n, threshold, chunk):
         event_mass += float(w.sum())
         sums += _eval_stats(lv, vals, pack).T @ w
     return event_mass, sums
@@ -296,7 +490,7 @@ def enum_law(weights, table, n, threshold, n_levels, chunk=200_000):
     key_radix = (n_levels + 1) ** np.arange(len(iu), dtype=np.int64)
     keys = np.zeros(0, dtype=np.int64)
     mass = np.zeros(0)
-    for w, lv in _tuple_chunks(weights, table, n, threshold, chunk):
+    for w, lv in pattern_chunks(weights, table, n, threshold, chunk):
         keys, inv = np.unique(np.concatenate([keys, lv[:, iu, ju] @ key_radix]),
                               return_inverse=True)
         mass = np.bincount(inv, weights=np.concatenate([mass, w]),

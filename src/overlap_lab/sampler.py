@@ -345,9 +345,15 @@ def empirical_matrix_law(measure: DiscreteMeasure, n: int, draws: int, seed,
                               max_attempts)
     lv = measure.levels_from_indices(idx)
     iu, ju = np.triu_indices(n, k=1)
-    flat = lv[:, iu, ju]
-    keys, counts = np.unique(flat, axis=0, return_counts=True)
-    return {tuple(int(v) for v in row): c / draws for row, c in zip(keys, counts)}
+    # one int64 key per level tuple, first pair the most significant digit,
+    # so that sorted keys are sorted tuples
+    base = measure.grid.k + 1
+    if base ** len(iu) > np.iinfo(np.int64).max:
+        raise OverflowError(f"level tuples of {n} replicas overflow an int64 key")
+    radix = base ** np.arange(len(iu) - 1, -1, -1, dtype=np.int64)
+    keys, counts = np.unique(lv[:, iu, ju] @ radix, return_counts=True)
+    rows = (keys[:, None] // radix % base).tolist()
+    return {tuple(row): c / draws for row, c in zip(rows, counts.tolist())}
 
 
 def total_variation(law_a: dict, law_b: dict) -> float:

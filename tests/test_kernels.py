@@ -8,7 +8,8 @@ import pytest
 from overlap_lab import _kernels
 from overlap_lab.errors import EventNull
 from overlap_lab.grid import OverlapGrid
-from overlap_lab.measures import measure_from_gram
+from overlap_lab.measures import (TreeStructure, adversarial_measure,
+                                  measure_from_gram)
 from overlap_lab.observables import Statistic, pack_statistics
 from overlap_lab.sampler import enumerate_statistics
 
@@ -74,22 +75,87 @@ class TestStatisticReference:
                                   atol=1e-14)
 
 
+def twin_classes_reference(table):
+    """Twin classes straight from the definition: a != b are twins when
+    their self levels agree and table[a, x] == table[b, x] and
+    table[x, a] == table[x, b] for every x outside {a, b}."""
+    m = len(table)
+    leader = list(range(m))
+    for a in range(m):
+        for b in range(a):
+            others = [x for x in range(m) if x not in (a, b)]
+            if (table[a, a] == table[b, b]
+                    and all(table[a, x] == table[b, x] for x in others)
+                    and all(table[x, a] == table[x, b] for x in others)):
+                leader[a] = min(leader[a], leader[b])
+    return [tuple(a for a in range(m) if leader[a] == g)
+            for g in sorted(set(leader))]
+
+
+class TestTwinClasses:
+    def test_tree_bottom_clusters(self):
+        for q, B in (((0.3, 0.6), 3), ((0.2, 0.5, 0.8), 2)):
+            table = TreeStructure(q, B).table
+            want = [tuple(range(c * B, (c + 1) * B)) for c in range(len(table) // B)]
+            assert _kernels.twin_classes(table) == want
+            assert twin_classes_reference(table) == want
+
+    def test_adversarial_measure(self):
+        assert _kernels.twin_classes(adversarial_measure().table) == [(0,), (1, 2)]
+
+    def test_enumeration_tables(self):
+        assert _kernels.twin_classes(TestEnumerationReference.tables["twins"]) \
+            == [(0, 2), (1, 3), (4,)]
+        assert _kernels.twin_classes(TestEnumerationReference.tables["no_twins"]) \
+            == [(a,) for a in range(5)]
+
+    def test_random_tables_match_definition(self):
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            m = int(rng.integers(1, 12))
+            # copies of a few base atoms, each copy group at its own pair level
+            base = rng.integers(1, 4, size=(m, m))
+            src = rng.integers(0, max(1, m - trial % 3), size=m)
+            table = np.maximum(base, base.T)[np.ix_(src, src)].astype(np.int16)
+            same = src[:, None] == src[None, :]
+            table[same] = (1 + src % 2)[:, None].repeat(m, axis=1)[same]
+            np.fill_diagonal(table, 4 - (trial % 2) * (np.arange(m) % 2))
+            assert _kernels.twin_classes(table) == twin_classes_reference(table)
+
+    def test_random_table_without_twins(self):
+        rng = np.random.default_rng(9)
+        table = rng.integers(1, 6, size=(30, 30))
+        table = np.maximum(table, table.T).astype(np.int16)
+        np.fill_diagonal(table, 6)
+        assert twin_classes_reference(table) == [(a,) for a in range(30)]
+        assert _kernels.twin_classes(table) == [(a,) for a in range(30)]
+
+
 class TestEnumerationReference:
     """Enumeration matches a brute-force sum over itertools.product.
 
     chunk=1 runs the head loop over every replica, chunk=7 and chunk=m a
     one-replica tail, chunk=m**2 a two-replica tail and chunk=10**6 the
     whole enumeration as one block. Atom 1 has zero weight. t=2 keeps the
-    tuples of distinct atoms; t=1 prunes hardest and leaves no tuple at n=4.
+    tuples of distinct atoms; t=1 prunes hardest and leaves no tuple at
+    n=4. The "twins" table has twin classes {0, 2}, {1, 3} and {4}; the
+    "no_twins" table has none, so each of its patterns is one tuple.
     """
 
     m, k = 5, 3
     chunks = [1, 7, m, m**2, 10**6]
-    table = np.array([[3, 1, 1, 1, 2],
-                      [1, 3, 1, 2, 1],
-                      [1, 1, 3, 1, 2],
-                      [1, 2, 1, 3, 1],
-                      [2, 1, 2, 1, 3]], dtype=np.int16)
+    tables = {
+        "twins": np.array([[3, 1, 1, 1, 2],
+                           [1, 3, 1, 2, 1],
+                           [1, 1, 3, 1, 2],
+                           [1, 2, 1, 3, 1],
+                           [2, 1, 2, 1, 3]], dtype=np.int16),
+        "no_twins": np.array([[3, 1, 1, 2, 2],
+                              [1, 3, 2, 1, 2],
+                              [1, 2, 3, 2, 1],
+                              [2, 1, 2, 3, 1],
+                              [2, 2, 1, 1, 3]], dtype=np.int16),
+    }
 
     def setup_method(self):
         w = np.random.default_rng(5).random(self.m)
@@ -97,10 +163,10 @@ class TestEnumerationReference:
         self.w = w / w.sum()
         self.vals = np.array([1.0, 0.1, 0.4, 0.9])
 
-    def tuples(self, n, t):
+    def tuples(self, n, t, table):
         """(weight, level matrix) of every tuple inside the event."""
         for tup in itertools.product(range(self.m), repeat=n):
-            lv = self.table[np.ix_(tup, tup)]
+            lv = table[np.ix_(tup, tup)]
             if t >= 0 and any(lv[i, j] > t for i, j in
                               itertools.combinations(range(n), 2)):
                 continue
@@ -108,38 +174,55 @@ class TestEnumerationReference:
 
     @pytest.mark.parametrize("t", [-1, 1, 2])
     def test_enum_stats(self, t):
-        for n in (2, 3, 4):
+        for (name, table), n in itertools.product(self.tables.items(),
+                                                  (2, 3, 4, 5)):
             stats = random_stats(np.random.default_rng(n), n, self.k)
             if n >= 3:  # a second statistic on the same sorted triple
                 stats.append(Statistic(n).with_sorted_triple((2, 3, 3)))
             mass = 0.0
             sums = np.zeros(len(stats))
-            for w, lv in self.tuples(n, t):
+            for w, lv in self.tuples(n, t, table):
                 mass += w
                 sums += w * np.array([st.evaluate_one(lv, self.vals)
                                       for st in stats])
             for chunk in self.chunks:
                 got_mass, got_sums = _kernels.enum_stats(
-                    self.w, self.table, n, t, self.vals,
+                    self.w, table, n, t, self.vals,
                     pack_statistics(stats), chunk=chunk)
-                assert np.isclose(got_mass, mass, rtol=0, atol=1e-14), (n, chunk)
-                assert np.allclose(got_sums, sums, rtol=0, atol=1e-14), (n, chunk)
+                assert np.isclose(got_mass, mass, rtol=0, atol=1e-14), \
+                    (name, n, chunk)
+                assert np.allclose(got_sums, sums, rtol=0, atol=1e-14), \
+                    (name, n, chunk)
 
     @pytest.mark.parametrize("t", [-1, 1, 2])
     def test_enum_law(self, t):
         base = self.k + 1
-        for n in (2, 3, 4):
+        for (name, table), n in itertools.product(self.tables.items(),
+                                                  (2, 3, 4, 5)):
             law = {}
-            for w, lv in self.tuples(n, t):
+            for w, lv in self.tuples(n, t, table):
                 key = sum(int(lv[i, j]) * base**p for p, (i, j) in
                           enumerate(itertools.combinations(range(n), 2)))
                 law[key] = law.get(key, 0.0) + w
             for chunk in self.chunks:
-                keys, mass = _kernels.enum_law(self.w, self.table, n, t,
+                keys, mass = _kernels.enum_law(self.w, table, n, t,
                                                self.k, chunk=chunk)
-                assert keys.tolist() == sorted(law), (n, chunk)
+                assert keys.tolist() == sorted(law), (name, n, chunk)
                 assert np.allclose(mass, [law[key] for key in sorted(law)],
-                                   rtol=0, atol=1e-14), (n, chunk)
+                                   rtol=0, atol=1e-14), (name, n, chunk)
+
+    @pytest.mark.parametrize("name", ["twins", "no_twins"])
+    def test_pattern_count(self, name):
+        table = self.tables[name]
+        for n in (2, 3, 4, 5):
+            for chunk in self.chunks:
+                blocks = [len(w) for w, _ in _kernels.pattern_chunks(
+                    self.w, table, n, -1, chunk)]
+                assert max(blocks) <= chunk
+                if name == "no_twins":
+                    assert sum(blocks) == self.m**n
+                else:
+                    assert sum(blocks) < self.m**n
 
     def test_enum_law_holds_realized_keys_only(self):
         # 3**15 possible keys at n=6, k=2; 3**6 tuples realize far fewer
@@ -243,9 +326,11 @@ class TestAcceptMaskReference:
         rng = np.random.default_rng(3)
         table = rng.integers(1, 5, size=(20, 20)).astype(np.int16)
         table = np.maximum(table, table.T)
-        idx = rng.integers(0, 20, size=(300, 4))
-        for t in (1, 2, 3, 4):
-            want = [all(table[r[i], r[j]] <= t
-                        for i, j in itertools.combinations(range(4), 2))
-                    for r in idx]
-            assert _kernels.accept_mask(idx, table, t).tolist() == want
+        for n in (2, 4, 6):
+            idx = rng.integers(0, 20, size=(300, n))
+            for t in (1, 2, 3, 4):
+                want = [all(table[r[i], r[j]] <= t
+                            for i, j in itertools.combinations(range(n), 2))
+                        for r in idx]
+                assert _kernels.accept_mask(idx, table, t).tolist() == want
+                assert _kernels.accept_mask(idx[:0], table, t).tolist() == []

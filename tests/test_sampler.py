@@ -175,6 +175,22 @@ class TestConditionalLaw:
         emp = empirical_matrix_law(m, 3, 40_000, seed=4, event_threshold=2)
         assert total_variation(law, emp) <= 0.02
 
+    def test_empirical_law_matches_row_sort(self):
+        """Keys, their order and the frequencies equal those of sorting the
+        level tuples as rows (np.unique over axis 0)."""
+        four = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), 4))
+        for m, n, t in ((four, 4, None), (four, 3, 2),
+                        (adversarial_measure(), 5, None)):
+            emp = empirical_matrix_law(m, n, 5_000, seed=3, event_threshold=t)
+            idx, _ = draw_index_batch(m, n, 5_000, sampler.rng_from(3), t,
+                                      10**8)
+            iu, ju = np.triu_indices(n, k=1)
+            rows, counts = np.unique(m.levels_from_indices(idx)[:, iu, ju],
+                                     axis=0, return_counts=True)
+            want = {tuple(int(v) for v in r): c / 5_000
+                    for r, c in zip(rows, counts)}
+            assert list(emp.items()) == list(want.items())
+
     def test_law_probabilities_sum_to_one(self):
         m = three_atoms((0.6, 0.25, 0.15))
         law = enumerate_matrix_law(m, 3)
