@@ -325,7 +325,8 @@ class _TwinClasses:
         self.prev = np.full(m, m)
         self.prev[order[1:]] = np.where(self.rank[order[1:]] > 0, order[:-1], m)
         self.cols = np.append(np.flatnonzero(self.twin), m)
-        self.members = [np.flatnonzero(cls == c) for c in np.unique(cls[self.twin])]
+        self.members = [np.flatnonzero(cls == c)
+                        for c in np.flatnonzero(np.bincount(cls) > 1)]
         self.of = np.zeros(m, dtype=np.int64)
         for i, atoms in enumerate(self.members):
             self.of[atoms] = i
@@ -339,8 +340,10 @@ TWIN_CLASSES_CACHED = 16
 
 
 def _twin_classes_of(table):
-    key = hashlib.blake2b(str((table.dtype.str, table.shape)).encode()
-                          + table.tobytes(), digest_size=16).digest()
+    digest = hashlib.blake2b(str((table.dtype.str, table.shape)).encode(),
+                             digest_size=16)
+    digest.update(np.ascontiguousarray(table))
+    key = digest.digest()
     if key not in _TWIN_CLASSES:
         if len(_TWIN_CLASSES) >= TWIN_CLASSES_CACHED:
             del _TWIN_CLASSES[next(iter(_TWIN_CLASSES))]
