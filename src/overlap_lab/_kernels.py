@@ -375,23 +375,40 @@ class _Twins:
     def grow(self, seen, replicas, table, threshold):
         """Every pattern of `replicas` replicas that may follow a prefix
         whose atoms are marked in `seen`, in lexicographic order, as
-        (solo weights, atoms (replicas, T)); with threshold >= 0, patterns
-        with a pair level above it are dropped, replica by replica."""
+        (solo weights (T,), atoms (replicas, T), levels (replicas,
+        replicas, T)); with threshold >= 0, patterns with a pair level above
+        it are dropped, replica by replica."""
+        m = len(self.prev)
         w, atoms = np.ones(1), np.zeros((0, 1), dtype=np.int64)
-        for _ in range(replicas):
-            marks = np.empty((len(w), len(seen)), dtype=bool)
+        lv = np.zeros((0, 0, 1), dtype=table.dtype)
+        for r in range(replicas):
+            K = len(w)
+            marks = np.empty((K, len(seen)), dtype=bool)
             marks[:] = seen
-            marks[np.arange(len(w)), atoms] = True
+            marks[np.arange(K), atoms] = True
             ok = marks[:, self.prev]
-            if threshold >= 0 and len(atoms):
-                ok &= (table[atoms] <= threshold).all(axis=0)
-            t, a = np.nonzero(ok)
-            w, atoms = w[t] * self.solo[a], np.concatenate([atoms[:, t], a[None]])
-        return w, atoms
+            cross = table[atoms]  # (r, K, m): prefix replica i against atom a
+            if threshold >= 0 and r:
+                ok &= (cross <= threshold).all(axis=0)
+            grown = np.empty((r + 1, r + 1, K, m), dtype=table.dtype)
+            grown[:r, :r] = lv[:, :, :, None]
+            grown[:r, r] = grown[r, :r] = cross
+            grown[r, r] = np.diagonal(table)
+            lv = grown.reshape(r + 1, r + 1, K * m)
+            w = (w[:, None] * self.solo).ravel()
+            atoms = np.vstack([np.repeat(atoms, m, axis=1), np.tile(np.arange(m), K)])
+            if not ok.all():
+                keep = ok.ravel()
+                lv = np.compress(keep, lv, axis=2)
+                w, atoms = w[keep], np.compress(keep, atoms, axis=1)
+        return w, atoms, lv
 
     def class_codes(self, atoms):
         """(k, T) code of each twin class in each pattern of a block."""
         T = atoms.shape[1]
+        if not self.k:
+            return np.zeros((0, T), dtype=np.int64)
+        # an atom without twins has digit 0 and adds nothing to class 0
         bins = self.of[atoms] * T + np.arange(T)
         codes = np.bincount(bins.ravel(), weights=self.digit[atoms].ravel(),
                             minlength=self.k * T)
@@ -403,17 +420,6 @@ class _Twins:
         for c, (keys, sums) in zip(codes, self.sums):
             out *= sums[np.searchsorted(keys, c)]
         return out
-
-
-def _levels(table, atoms):
-    """(r, r, T) level matrices of a block of r-atom tuples (r, T)."""
-    r, T = atoms.shape
-    flat = table.ravel()
-    lv = np.empty((r, r, T), dtype=table.dtype)
-    for i in range(r):
-        for j in range(i, r):
-            lv[i, j] = lv[j, i] = flat.take(atoms[i] * len(table) + atoms[j])
-    return lv
 
 
 def pattern_chunks(weights, table, n, threshold, chunk):
@@ -435,7 +441,7 @@ def pattern_chunks(weights, table, n, threshold, chunk):
     twins = _Twins(weights, table, n)
     seen = np.zeros(m + 1, dtype=bool)
     seen[m] = True
-    hw, ha = twins.grow(seen, r, table, threshold)
+    hw, ha, hl = twins.grow(seen, r, table, threshold)
     marks = np.empty((len(hw), m + 1), dtype=bool)
     marks[:] = seen
     marks[np.arange(len(hw)), ha] = True
@@ -443,11 +449,10 @@ def pattern_chunks(weights, table, n, threshold, chunk):
     order = np.lexsort(used.T)
     first = np.ones(len(order), dtype=bool)
     first[1:] = (used[order[1:]] != used[order[:-1]]).any(axis=1)
-    hl, hcodes = _levels(table, ha), twins.class_codes(ha)
+    hcodes = twins.class_codes(ha)
     for h, new_tail in zip(order.tolist(), first.tolist()):
         if new_tail:
-            tw, ta = twins.grow(marks[h], s, table, threshold)
-            tl = _levels(table, ta)
+            tw, ta, tl = twins.grow(marks[h], s, table, threshold)
             tcodes = twins.class_codes(ta)
         a = ha[:, h]
         cross = np.take(table[a], ta, axis=1)  # (r, s, T)
