@@ -222,7 +222,8 @@ _eval_stats = eval_stats
 # blocks of replicas that share an atom take their class's atoms in order
 # of first appearance. There are at most m**n patterns, exactly m**n when
 # no atoms are twins. A block of T patterns of r replicas is (weights,
-# atoms) with shapes (T,) and (r, T), pattern index last.
+# atoms, levels) with shapes (T,), (r, T) and (r, r, T): pattern index
+# last, so that every levels[i, j] row is contiguous.
 
 def _twin_leaders(table):
     """Per atom, the smallest atom of its twin class.
