@@ -156,7 +156,8 @@ def top_tie_triples(levels, top):
 # ---------------------------------------------------------------------------
 
 def accept_mask(idx, table, threshold):
-    """Per (T, n) index row: are all its pair levels <= threshold?
+    """Per (T, n) index row: are all its pair levels <= threshold? With no
+    table, the rows hold codes, and a pair passes when its codes differ.
 
     Pairs are checked one at a time, each on the rows that passed the
     pairs before it.
@@ -164,7 +165,8 @@ def accept_mask(idx, table, threshold):
     cols = idx.T
     alive = np.arange(len(idx))
     for i, j in zip(*_pairs(idx.shape[1])):
-        alive = alive[table[cols[i, alive], cols[j, alive]] <= threshold]
+        a, b = cols[i, alive], cols[j, alive]
+        alive = alive[a != b if table is None else table[a, b] <= threshold]
     mask = np.zeros(len(idx), dtype=bool)
     mask[alive] = True
     return mask
@@ -262,7 +264,7 @@ def _twin_leaders(table):
 def twin_classes(table):
     """Twin classes of a pair-level table, as sorted atom tuples ordered by
     their first atom; an atom without twins is a class of its own."""
-    leader = _twin_leaders(table)
+    leader = _twin_classes_of(table).leader
     return [tuple(np.flatnonzero(leader == a).tolist())
             for a in np.flatnonzero(leader == np.arange(len(table)))]
 
@@ -318,7 +320,8 @@ class _TwinClasses:
 
     def __init__(self, table):
         m = len(table)
-        cls = np.unique(_twin_leaders(table), return_inverse=True)[1]
+        self.leader = _twin_leaders(table)
+        cls = np.unique(self.leader, return_inverse=True)[1]
         self.twin = np.bincount(cls)[cls] > 1
         order = np.argsort(cls, kind="stable")
         self.rank = np.empty(m, dtype=np.int64)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .errors import OverlapLabError, ParseError, ValidationError
 from .grid import OverlapGrid
 from .measures import (TreeMeasureSpec, adversarial_measure, derive_seed,
@@ -519,8 +519,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         return 1
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-
-    _kernels.warmup()
 
     all_rows = []
     check_summaries = []

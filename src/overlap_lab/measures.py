@@ -24,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadWeights, BadZeta, OffGridOverlap, TooManyAtoms
-from .grid import LEVEL_MATCH_TOL, OverlapGrid
+from .grid import LEVEL_MATCH_TOL, PROB_SUM_TOL, OverlapGrid
 
 ATOM_COUNT_GUARD = 10**6
-TABLE_CAP = 3200          # materialize the m x m pair-level table below this
+TABLE_CAP = 3200          # a tree's m x m pair-level table exists up to this m
 DENSE_ATOM_CAP = 8_000_000  # materialize (m, d) atom array when m*d stays below
 
 WEIGHT_SUM_TOL = 1e-12
@@ -121,18 +121,18 @@ class TreeMeasureSpec:
 class DiscreteMeasure:
     """Finitely many atoms with positive weights summing to one.
 
-    Overlap levels of atom pairs are precomputed: either as an m x m
-    int16 table (small m) or derived on the fly from tree path digits
-    (large hierarchical measures). A table entry of -1 marks an inner
-    product matching no grid level; drawing such a pair raises. A tree
-    measure takes its table, digits, norms and atoms from its TreeStructure,
-    which every measure on that structure shares.
+    An explicit measure keeps its pair levels in an m x m int16 table, where
+    -1 marks an inner product matching no grid level (drawing such a pair
+    raises). A tree measure reads them from the ancestor codes of the
+    TreeStructure it shares with every measure on it, and builds its grid
+    on first read.
     """
 
-    def __init__(self, weights: np.ndarray, grid: OverlapGrid, kind: str,
+    def __init__(self, weights: np.ndarray, grid: Optional[OverlapGrid], kind: str,
                  atoms: Optional[np.ndarray] = None,
                  table: Optional[np.ndarray] = None,
-                 tree: Optional["TreeStructure"] = None):
+                 tree: Optional["TreeStructure"] = None,
+                 level_probs: Optional[np.ndarray] = None):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 1 or len(weights) == 0:
             raise BadWeights("weights must be a nonempty vector")
@@ -141,19 +141,19 @@ class DiscreteMeasure:
         if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise BadWeights(f"weights sum to {weights.sum()!r}, not 1")
         self.weights = weights
-        self.grid = grid
         self.kind = kind
         self._atoms = atoms
-        self._tree = tree
+        self._table = table
+        self.tree = tree
         if tree is not None:
-            self._table, self._digits = tree.table, tree.digits
+            self._level_probs = level_probs
             self.norms_sq = tree.norms_sq
         elif table is None:
             raise ValueError("need a pair-level table or a tree structure")
         elif atoms is None:
             raise ValueError("need atom norms")
         else:
-            self._table, self._digits = table, None
+            self.grid = grid
             self.norms_sq = np.einsum("ij,ij->i", atoms, atoms)
         self._cum = np.cumsum(weights)
         self._cum[-1] = 1.0
@@ -163,38 +163,41 @@ class DiscreteMeasure:
     def m(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def grid(self) -> OverlapGrid:
+        """A tree measure's grid, built on first read."""
+        levels = self.tree.grid_levels
+        return OverlapGrid(levels, tuple(self._level_probs.tolist()), levels[-1])
+
     @property
     def atoms(self) -> Optional[np.ndarray]:
         """(m, d) atom coordinates; None for a tree too large to materialize."""
-        return self._tree.atoms if self._tree is not None else self._atoms
+        return self.tree.atoms if self.tree is not None else self._atoms
 
     @property
     def table(self) -> Optional[np.ndarray]:
-        return self._table
+        return self.tree.table if self.tree is not None else self._table
 
     def shares_levels(self, other: "DiscreteMeasure") -> bool:
         """True when other reads pair levels and level values from the same
         arrays and grid levels, so one levels_from_indices serves both."""
-        return (self._table is other._table and self._digits is other._digits
-                and self.grid.levels == other.grid.levels
-                and self.grid.self_overlap == other.grid.self_overlap)
+        return (self.tree is other.tree and self._table is other._table
+                and (self.tree is not None or (self.grid.levels == other.grid.levels
+                     and self.grid.self_overlap == other.grid.self_overlap)))
 
     def require_table(self) -> np.ndarray:
-        if self._table is None:
+        if self.table is None:
             raise TooManyAtoms("pair-level table not materialized for this measure")
-        return self._table
+        return self.table
 
     def sample_indices(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random((count, n))
-        return np.searchsorted(self._cum, u).astype(np.int64)
+        return np.searchsorted(self._cum, u).astype(np.int64, copy=False)
 
     def pair_level(self, i: int, j: int) -> int:
-        if self._table is not None:
-            lv = int(self._table[i, j])
-        else:
-            eq = self._digits[i] == self._digits[j]
-            stop = int(np.argmin(eq)) if not eq.all() else len(eq)
-            lv = stop + 1
+        if self.tree is not None:
+            return 1 + int((self.tree.codes[:, i] == self.tree.codes[:, j]).sum())
+        lv = int(self._table[i, j])
         if lv < 1:
             raise OffGridOverlap(f"atoms ({i},{j}) have an off-grid inner product")
         return lv
@@ -202,15 +205,20 @@ class DiscreteMeasure:
     def levels_from_indices(self, idx: np.ndarray) -> np.ndarray:
         """(T, n) atom indices -> (T, n, n) symmetric level matrices, DIAG=0."""
         idx = np.asarray(idx)
-        if self._table is not None:
-            lv = self._table[idx[:, :, None], idx[:, None, :]].astype(np.int16)
-            if np.any(lv < 0):
-                raise OffGridOverlap("drawn pair has an off-grid inner product")
-        else:
-            dg = self._digits[idx]  # (T, n, k)
-            eq = dg[:, :, None, :] == dg[:, None, :, :]
-            lv = (np.cumprod(eq, axis=3).sum(axis=3) + 1).astype(np.int16)
-        n = idx.shape[1]
+        T, n = idx.shape
+        if self.tree is not None:
+            # one row per pair i < j: 1 + the depths where its leaves share an ancestor
+            iu, ju = np.triu_indices(n, k=1)
+            pair = np.ones((len(iu), T), dtype=np.int16)
+            for code in self.tree.codes:
+                c = code[idx.T]
+                pair += c[iu] == c[ju]
+            lv = np.zeros((n * n, T), dtype=np.int16)
+            lv[iu * n + ju] = lv[ju * n + iu] = pair
+            return lv.T.reshape(T, n, n)
+        lv = self._table[idx[:, :, None], idx[:, None, :]].astype(np.int16)
+        if np.any(lv < 0):
+            raise OffGridOverlap("drawn pair has an off-grid inner product")
         lv[:, np.arange(n), np.arange(n)] = 0
         return lv
 
@@ -218,15 +226,15 @@ class DiscreteMeasure:
         """Exact two-replica level probabilities, index 1..k (index 0 unused)."""
         k = self.grid.k
         out = np.zeros(k + 1)
-        if self._table is not None:
+        if self.tree is not None:
+            out[1:] = _tree_level_probs(self.weights, self.tree.B)
+        else:
             outer = np.outer(self.weights, self.weights)
             flat = np.bincount(self._table.ravel() + 1,
                                weights=outer.ravel(), minlength=k + 2)
             if flat[0] > 0:
                 raise OffGridOverlap("measure has off-grid pairs")
             out[:] = flat[1:]
-        else:
-            out[1:] = _tree_level_probs(self.weights, self._tree.B)
         return out
 
     def to_json_dict(self) -> dict:
@@ -331,27 +339,25 @@ class TreeStructure:
         self.m = m
         self.grid_levels = (0.0, *q)
         self.coefs = np.sqrt(np.diff(np.array([0.0, *q])))
-        # leaf path digits, most significant first
+        # row d: each leaf's ancestor at depth d + 1; the last row is the leaf
         radix = B ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        leaves = np.arange(m, dtype=np.int64)
-        self.digits = ((leaves[:, None] // radix[None, :]) % B).astype(np.int32)
+        self.codes = (np.arange(m, dtype=np.int64) // radix[:, None]).astype(np.int32)
+        self.codes.flags.writeable = False
         self.d = int((B ** np.arange(1, k + 1)).sum())
         # every measure on this structure shares these arrays
         self.norms_sq = np.full(m, float(np.sum(self.coefs**2)))
         self.norms_sq.flags.writeable = False
-        if m <= TABLE_CAP:
-            # pair level = 1 + number of ancestors the two leaves share
-            table = np.ones((m, m), dtype=np.int16)
-            for prefix in self._prefixes():
-                table += prefix[:, None] == prefix[None, :]
-            self.table = table
-        else:
-            self.table = None
 
-    def _prefixes(self):
-        """Per depth j + 1, the index of each leaf's ancestor at that depth."""
-        leaves = np.arange(self.m, dtype=np.int64)
-        return [leaves // self.B ** (self.k - 1 - j) for j in range(self.k)]
+    @cached_property
+    def table(self) -> Optional[np.ndarray]:
+        """(m, m) int16 pair levels, built on first read; None above TABLE_CAP."""
+        if self.m > TABLE_CAP:
+            return None
+        table = np.ones((self.m, self.m), dtype=np.int16)
+        for code in self.codes:
+            table += code[:, None] == code[None, :]
+        table.flags.writeable = False  # shared by every measure
+        return table
 
     @cached_property
     def atoms(self) -> Optional[np.ndarray]:
@@ -362,8 +368,8 @@ class TreeStructure:
         atoms = np.zeros((self.m, self.d))
         leaves = np.arange(self.m)
         offset = 0
-        for j, prefix in enumerate(self._prefixes()):
-            atoms[leaves, offset + prefix] = self.coefs[j]
+        for j, code in enumerate(self.codes):
+            atoms[leaves, offset + code] = self.coefs[j]
             offset += self.B ** (j + 1)
         atoms.flags.writeable = False  # shared by every measure
         return atoms
@@ -443,10 +449,13 @@ def build_tree_measures(spec: TreeMeasureSpec, start: int, stop: int,
     st = structure if structure is not None else TreeStructure(spec.q, spec.branching)
     W = tree_leaf_weights(st, spec.zetas, spec.seed, start, stop)
     W.flags.writeable = False  # a model may hand these measures to every check
-    top = st.grid_levels[-1]
-    return [DiscreteMeasure(w, OverlapGrid(st.grid_levels, tuple(p.tolist()), top),
-                            "tree", tree=st)
-            for w, p in zip(W, _tree_level_probs(W, st.B))]
+    P = _tree_level_probs(W, st.B)  # OverlapGrid's checks, on every row at once
+    if np.any(P <= 0.0):
+        raise ValueError("probs must be positive")
+    if np.any(np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL):
+        raise ValueError("probs must sum to 1")
+    return [DiscreteMeasure(w, None, "tree", tree=st, level_probs=p)
+            for w, p in zip(W, P)]
 
 
 def build_tree_measure(spec: TreeMeasureSpec,

@@ -35,14 +35,14 @@ def collision_identity_check(measure: DiscreteMeasure):
     Scans the full pair-level table (every atom pair with positive weight),
     which covers all outcomes a sampled check could reach: distinct atoms
     must not overlap at the top level, and every atom must collide with
-    itself at it.
+    itself at it. On a tree, leaves sharing a depth-k code would collide.
     """
+    if measure.tree is not None:
+        leaf = measure.tree.codes[-1]
+        same = np.flatnonzero(leaf == leaf[np.argmax(np.bincount(leaf)[leaf])])
+        return (True, None) if len(same) < 2 else (False, tuple(same[:2].tolist()))
     K = measure.grid.k
     table = measure.table
-    if table is None:
-        # tree digits: distinct leaves differ in some digit, so their
-        # common-prefix level is < K and self-pairs are exactly K
-        return True, None
     bad_diag = np.flatnonzero(np.diag(table) != K)
     if bad_diag.size:
         i = int(bad_diag[0])

@@ -93,10 +93,12 @@ def combined_threshold(model, event_threshold: Optional[int]) -> Optional[int]:
 
 
 def _accept(measure: DiscreteMeasure, idx: np.ndarray, threshold: int) -> np.ndarray:
-    if measure.table is not None:
+    if measure.tree is None:
         return _kernels.accept_mask(idx, measure.table, threshold)
-    return _kernels.all_below(measure.levels_from_indices(idx), idx.shape[1],
-                              threshold)
+    if threshold > measure.tree.k:
+        return np.ones(len(idx), dtype=bool)
+    # two leaves' level is <= t exactly when their depth-t ancestors differ
+    return _kernels.accept_mask(measure.tree.codes[threshold - 1][idx], None, 0)
 
 
 def draw_index_batch(measure: DiscreteMeasure, n: int, count: int,
@@ -168,9 +170,9 @@ def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int):
     OUTER_BLOCK_ROWS * 64. Its measures are read lazily from one
     model.measures call, its draws read their slices in order from one
     generator, and every measure of a model shares one pair-level table or
-    digit array (a TreeModel's measures share its TreeStructure, a frozen
-    model has one measure), so the first measure of a block turns all of
-    the block's index rows into level matrices.
+    one set of ancestor codes (a TreeModel's measures share its
+    TreeStructure, a frozen model has one measure), so the first measure of
+    a block turns all of the block's index rows into level matrices.
     """
     rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n)
     draws = max(1, rows // mc.inner)
@@ -291,8 +293,16 @@ def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
 # ---------------------------------------------------------------------------
 
 def _enum_guard(measure: DiscreteMeasure, n: int):
+    """Bound the patterns enumeration walks: m**n, and sum_j S(n, j) C**j
+    for C twin classes (j blocks of replicas sharing an atom, a class each)."""
     if measure.m**n > ENUM_GUARD:
-        raise TooLarge(f"{measure.m}^{n} tuples exceed the enumeration guard")
+        C = len(_kernels.twin_classes(measure.require_table()))
+        S = [1] + [0] * n  # Stirling numbers of the second kind S(r, j), row r
+        for r in range(1, n + 1):
+            S = [0] + [j * S[j] + S[j - 1] for j in range(1, n + 1)]
+        if sum(s * C**j for j, s in enumerate(S)) > ENUM_GUARD:
+            raise TooLarge(f"{measure.m}^{n} tuples in {C} twin classes "
+                           "exceed the enumeration guard")
 
 
 def enumerate_statistics(measure: DiscreteMeasure, stats: Sequence[Statistic],

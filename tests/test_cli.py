@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from overlap_lab import cli
 from overlap_lab.cli import (build_model, emit_plot_data, main, parse_config,
                              run_experiment)
 from overlap_lab.errors import ParseError, ValidationError
+from overlap_lab.measures import TABLE_CAP
 from overlap_lab.verify import CheckRow
 
 
@@ -221,6 +223,32 @@ def test_setup_does_not_import_numpy_random():
         [sys.executable, "-c", code, str(ROOT / "configs" / "tree_k2.json")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tree_run_never_builds_pair_table(tmp_path, monkeypatch):
+    """Every check of configs/tree_k2.json, at a branching small enough
+    for the m x m table to exist, reads pair levels from ancestor codes."""
+    cfg = json.loads((ROOT / "configs" / "tree_k2.json").read_text())
+    cfg["measure"]["branching"] = 8
+    for chk in cfg["checks"]:
+        if "mc" in chk:
+            chk["mc"]["outer"] = max(20, chk["mc"]["outer"] // 10)
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    models = []
+
+    def keep(measure):
+        model, warnings = build_model(measure)
+        models.append(model)
+        return model, warnings
+
+    monkeypatch.setattr(cli, "build_model", keep)
+    run_experiment(parse_config(write_config(tmp_path / "c.json", cfg)))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert len(manifest["checks"]) == 10
+    assert all(c["status"] != "error" for c in manifest["checks"])
+    (model,) = models
+    assert model.structure.m <= TABLE_CAP
+    assert "table" not in model.structure.__dict__
 
 
 class TestRunExperiment:

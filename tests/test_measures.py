@@ -483,15 +483,111 @@ class TestLazyTreeAtoms:
             a.atoms[0, 0] = 1.0
 
 
+def digit_levels(B, k, i, j):
+    """Reference tree pair levels: 1 + the length of the common leading run
+    of two leaves' base-B path digits, most significant first."""
+    radix = B ** np.arange(k - 1, -1, -1)
+    di = np.asarray(i)[..., None] // radix % B
+    dj = np.asarray(j)[..., None] // radix % B
+    return (np.cumprod(di == dj, axis=-1).sum(axis=-1) + 1).astype(np.int16)
+
+
 class TestTreeStructureTable:
     @pytest.mark.parametrize("B, k", [(3, 1), (4, 2), (3, 3), (7, 2)])
     def test_table_matches_cumprod_reference(self, B, k):
         st = TreeStructure(tuple(np.linspace(0.2, 0.8, k)), B)
-        # reference: 1 + length of the common leading run of path digits
-        eq = st.digits[:, None, :] == st.digits[None, :, :]
-        want = (np.cumprod(eq, axis=2).sum(axis=2) + 1).astype(np.int16)
+        leaves = np.arange(st.m)
+        want = digit_levels(B, k, leaves[:, None], leaves[None, :])
         assert st.table.dtype == np.int16
         assert np.array_equal(st.table, want)
+
+
+class TestTreeCodeLevels:
+    """Tree pair levels come from per-depth ancestor codes; the m x m table
+    is built only when read."""
+
+    @staticmethod
+    def measure(B, k, seed=3):
+        spec = TreeMeasureSpec(tuple(np.linspace(0.2, 0.8, k)), B,
+                               tuple(np.linspace(0.2, 0.8, k)), seed=seed)
+        return build_tree_measure(spec)
+
+    def test_codes_are_ancestors_by_depth(self):
+        st = TreeStructure((0.2, 0.5, 0.8), 3)
+        assert st.codes.shape == (3, 27) and st.codes.dtype == np.int32
+        leaves = np.arange(27)
+        for d in range(3):
+            assert np.array_equal(st.codes[d], leaves // 3 ** (2 - d))
+        assert "table" not in vars(st)
+
+    @pytest.mark.parametrize("B, k", [(2, 1), (3, 2), (2, 3), (5, 2)])
+    def test_levels_match_table(self, B, k):
+        m = self.measure(B, k)
+        assert "table" not in vars(m.tree)
+        leaves = np.arange(m.m)
+        lv = m.levels_from_indices(leaves[None, :])[0]
+        want = m.table.copy()
+        np.fill_diagonal(want, 0)
+        assert lv.dtype == np.int16 and np.array_equal(lv, want)
+        for i, j in itertools.product(range(m.m), repeat=2):
+            assert m.pair_level(i, j) == m.table[i, j]
+        idx = m.sample_indices(4, 500, np.random.default_rng(B * k))
+        lv = m.levels_from_indices(idx)
+        off = ~np.eye(4, dtype=bool)
+        assert np.array_equal(lv[:, off], m.table[idx[:, :, None],
+                                                  idx[:, None, :]][:, off])
+        assert (lv[:, ~off] == 0).all()
+
+    def test_levels_above_table_cap_match_digits(self):
+        B, k = 60, 2
+        m = self.measure(B, k)
+        assert m.m > measures.TABLE_CAP and m.table is None
+        idx = m.sample_indices(5, 2000, np.random.default_rng(4))
+        # pairs that share one or two ancestors, and distinct leaves
+        idx[:10, 1] = idx[:10, 0]
+        idx[10:20, 1] = idx[10:20, 0] // B * B + (idx[10:20, 0] + 1) % B
+        lv = m.levels_from_indices(idx)
+        want = digit_levels(B, k, idx[:, :, None], idx[:, None, :])
+        want[:, np.arange(5), np.arange(5)] = 0
+        assert lv.dtype == np.int16 and np.array_equal(lv, want)
+        assert set(lv[:, 0, 1].tolist()) == {1, 2, 3}
+        for i, j in idx[:40, :2].tolist():
+            assert m.pair_level(i, j) == digit_levels(B, k, i, j)
+
+    def test_grid_built_on_first_read_keeps_its_bits(self):
+        spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=8)
+        block = build_tree_measures(spec, 0, 6)
+        st = block[0].tree
+        P = measures._tree_level_probs(np.stack([m.weights for m in block]),
+                                       st.B)
+        for j, m in enumerate(block):
+            assert "grid" not in vars(m)
+            alone = build_tree_measures(spec, j, j + 1)[0]
+            want = OverlapGrid(st.grid_levels, tuple(P[j].tolist()),
+                               st.grid_levels[-1])
+            assert m.grid == want == alone.grid
+            assert m.grid.probs == alone.grid.probs == want.probs
+            assert m.grid is m.grid
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda P: P * np.array([1.0, 0.0, 1.0]), "positive"),
+        (lambda P: P * (1.0 + 1e-9), "sum to 1"),
+    ])
+    def test_block_probs_validated_at_build(self, monkeypatch, bad, match):
+        real = measures._tree_level_probs
+        monkeypatch.setattr(measures, "_tree_level_probs",
+                            lambda W, B: bad(real(W, B)))
+        spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=8)
+        with pytest.raises(ValueError, match=match):
+            build_tree_measures(spec, 0, 4)
+
+    def test_shares_levels_by_structure(self):
+        spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=8)
+        a, b = build_tree_measures(spec, 0, 2)
+        other = build_tree_measure(spec)
+        assert a.shares_levels(b) and not a.shares_levels(other)
+        assert not a.shares_levels(adversarial_measure())
+        assert not adversarial_measure().shares_levels(a)
 
 
 class TestTreeModelMemo:

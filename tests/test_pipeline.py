@@ -25,6 +25,25 @@ class TestCollisionIdentity:
         ok, witness = collision_identity_check(m)
         assert ok and witness is None
 
+    @pytest.mark.parametrize("B, k", [(2, 1), (3, 2), (60, 2)])
+    def test_tree_reads_codes_not_table(self, B, k):
+        m = build_tree_measure(TreeMeasureSpec(
+            tuple(np.linspace(0.2, 0.8, k)), B,
+            tuple(np.linspace(0.2, 0.8, k)), seed=4))
+        assert collision_identity_check(m) == (True, None)
+        assert "table" not in vars(m.tree)
+        if m.table is not None:  # the table scan agrees
+            grid = OverlapGrid(m.tree.grid_levels, None, m.tree.grid_levels[-1])
+            frozen = explicit_measure(m.atoms, m.weights, grid)
+            assert collision_identity_check(frozen) == (True, None)
+
+    def test_tree_with_shared_leaf_code_fails_with_pair(self):
+        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 3, (0.3, 0.6), 2))
+        codes = m.tree.codes.copy()
+        codes[-1, 5] = codes[-1, 4]
+        m.tree.codes = codes
+        assert collision_identity_check(m) == (False, (4, 5))
+
     def test_duplicate_atoms_fail_with_pair(self):
         g = OverlapGrid((0.7,), None, 0.7)
         a = np.sqrt(0.7)

@@ -150,9 +150,28 @@ class TestEnumeration:
                                 EventSpec("A_n", 2))
 
     def test_too_large(self):
-        m = build_tree_measure(TreeMeasureSpec((0.5,), 500, (0.5,), seed=1))
+        # 30 orthogonal atoms with distinct self levels: no twins, 30^5 tuples
+        levels = tuple(np.linspace(0.0, 1.0, 31))
+        atoms = np.diag(np.sqrt(levels[1:]))
+        m = explicit_measure(atoms, np.full(30, 1 / 30),
+                             OverlapGrid(levels, None, 1.0), on_sphere=False)
+        assert len(_kernels.twin_classes(m.table)) == 30
         with pytest.raises(TooLarge):
-            enumerate_statistic(m, Statistic(3), 3)
+            enumerate_statistic(m, Statistic(5), 5)
+
+    def test_twin_classes_lift_the_guard(self):
+        # 40 atoms in 4 twin classes of 10: 40^5 tuples, at most 5,428 patterns
+        cls = np.repeat(np.arange(4), 10)
+        gram = np.where(cls[:, None] == cls[None, :], 0.5, 0.0)
+        np.fill_diagonal(gram, 1.0)
+        w = np.random.default_rng(3).random(40) + 0.5
+        m = measure_from_gram(gram, w / w.sum(),
+                              OverlapGrid((0.0, 0.5, 1.0), None, 1.0))
+        assert m.m**5 > sampler.ENUM_GUARD
+        assert len(_kernels.twin_classes(m.table)) == 4
+        vals, mass = sampler.enumerate_statistics(m, [Statistic(5)], 5)
+        assert mass == pytest.approx(1.0, abs=1e-12)
+        assert vals[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_computed_value(self):
         # equal weights: P(R12 = 0.3 level) = 6/9 * ... pairwise distinct = 2/3
@@ -310,6 +329,33 @@ class TestOuterBlocksReference:
 
         with pytest.raises(ValueError, match="share"):
             outer_stat_means(Mixed(), [Statistic(2)], 2, MCConfig(4, 5), 1)
+
+
+class TestTreeRejection:
+    """Tree rejection prunes on ancestor codes; it keeps exactly the rows
+    accept_mask keeps on the pair-level table."""
+
+    @pytest.mark.parametrize("B, k", [(3, 2), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_table_mask(self, B, k, n):
+        m = build_tree_measure(TreeMeasureSpec(
+            tuple(np.linspace(0.2, 0.8, k)), B,
+            tuple(np.linspace(0.2, 0.8, k)), seed=B + k))
+        idx = m.sample_indices(n, 3000, np.random.default_rng(n))
+        for t in range(1, k + 2):
+            got = sampler._accept(m, idx, t)
+            want = _kernels.accept_mask(idx, m.table, t)
+            assert got.dtype == bool and np.array_equal(got, want)
+        assert got.all()  # t = k + 1 admits every tuple
+
+    def test_never_reads_table(self):
+        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6),
+                                               seed=2))
+        idx, _ = draw_index_batch(m, 4, 200, np.random.default_rng(1),
+                                  threshold=1)
+        assert "table" not in vars(m.tree)
+        lv = m.levels_from_indices(idx)
+        assert _kernels.all_below(lv, 4, 1).all()
 
 
 def filtered_level_batches_per_draw(model, n, mc, seed, threshold, key):
