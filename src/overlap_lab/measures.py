@@ -356,7 +356,6 @@ class TreeStructure:
         table = np.ones((self.m, self.m), dtype=np.int16)
         for code in self.codes:
             table += code[:, None] == code[None, :]
-        table.flags.writeable = False  # shared by every measure
         return table
 
     @cached_property

@@ -12,6 +12,7 @@ of one stream per purpose (measures.counter_stream).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -293,16 +294,16 @@ def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
 # ---------------------------------------------------------------------------
 
 def _enum_guard(measure: DiscreteMeasure, n: int):
-    """Bound the patterns enumeration walks: m**n, and sum_j S(n, j) C**j
-    for C twin classes (j blocks of replicas sharing an atom, a class each)."""
+    """Bound enumeration's work: m**n tuples, or P(n) patterns and m atoms
+    tried after each of the P(n - 1) patterns of n - 1 replicas, where
+    P(r) = sum_j S(r, j) C**j for C twin classes (S: Stirling numbers)."""
     if measure.m**n > ENUM_GUARD:
         C = len(_kernels.twin_classes(measure.require_table()))
-        S = [1] + [0] * n  # Stirling numbers of the second kind S(r, j), row r
-        for r in range(1, n + 1):
-            S = [0] + [j * S[j] + S[j - 1] for j in range(1, n + 1)]
-        if sum(s * C**j for j, s in enumerate(S)) > ENUM_GUARD:
-            raise TooLarge(f"{measure.m}^{n} tuples in {C} twin classes "
-                           "exceed the enumeration guard")
+        P = [1]  # Touchard's recurrence P(r + 1) = C sum_k comb(r, k) P(k)
+        for r in range(n):
+            P.append(C * sum(comb(r, k) * p for k, p in enumerate(P)))
+        if max(P[n], measure.m * P[n - 1]) > ENUM_GUARD:
+            raise TooLarge(f"{measure.m}^{n} tuples in {C} twin classes exceed the guard")
 
 
 def enumerate_statistics(measure: DiscreteMeasure, stats: Sequence[Statistic],

@@ -572,7 +572,7 @@ class TestTreeCodeLevels:
     @pytest.mark.parametrize("bad, match", [
         (lambda P: P * np.array([1.0, 0.0, 1.0]), "positive"),
         (lambda P: P * (1.0 + 1e-9), "sum to 1"),
-    ])
+    ], ids=["nonpositive", "sum_off"])
     def test_block_probs_validated_at_build(self, monkeypatch, bad, match):
         real = measures._tree_level_probs
         monkeypatch.setattr(measures, "_tree_level_probs",

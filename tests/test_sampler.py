@@ -159,6 +159,16 @@ class TestEnumeration:
         with pytest.raises(TooLarge):
             enumerate_statistic(m, Statistic(5), 5)
 
+    def test_guard_counts_atoms_tried_per_pattern(self):
+        # 2,500 leaves in 50 twin classes: the 7,017,550 patterns of 4
+        # replicas fit the guard, but each of the 132,550 patterns of 3
+        # replicas tries all 2,500 atoms
+        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 50, (0.3, 0.6),
+                                               seed=7))
+        assert len(_kernels.twin_classes(m.table)) == 50
+        with pytest.raises(TooLarge):
+            enumerate_statistic(m, Statistic(4), 4)
+
     def test_twin_classes_lift_the_guard(self):
         # 40 atoms in 4 twin classes of 10: 40^5 tuples, at most 5,428 patterns
         cls = np.repeat(np.arange(4), 10)
