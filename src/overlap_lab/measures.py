@@ -124,29 +124,33 @@ class DiscreteMeasure:
     An explicit measure keeps its pair levels in an m x m int16 table, where
     -1 marks an inner product matching no grid level (drawing such a pair
     raises). A tree measure reads them from the ancestor codes of the
-    TreeStructure it shares with every measure on it, and builds its grid
-    on first read.
+    TreeStructure it shares with every measure on it. Built by
+    build_tree_measures, it keeps its block-validated cumulative weights cum
+    and its draw = (spec, j), and builds its grid and weights on first read.
     """
 
-    def __init__(self, weights: np.ndarray, grid: Optional[OverlapGrid], kind: str,
-                 atoms: Optional[np.ndarray] = None,
+    def __init__(self, weights: Optional[np.ndarray], grid: Optional[OverlapGrid],
+                 kind: str, atoms: Optional[np.ndarray] = None,
                  table: Optional[np.ndarray] = None,
                  tree: Optional["TreeStructure"] = None,
-                 level_probs: Optional[np.ndarray] = None):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 1 or len(weights) == 0:
-            raise BadWeights("weights must be a nonempty vector")
-        if np.any(weights <= 0.0):
-            raise BadWeights("weights must be positive")
-        if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise BadWeights(f"weights sum to {weights.sum()!r}, not 1")
-        self.weights = weights
+                 level_probs: Optional[np.ndarray] = None,
+                 cum: Optional[np.ndarray] = None, draw: Optional[tuple] = None):
+        if cum is None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.ndim != 1 or len(weights) == 0:
+                raise BadWeights("weights must be a nonempty vector")
+            _check_weights(weights)
+            self.weights = weights
+            cum = np.cumsum(weights)
+            cum[-1] = 1.0
+            cum.flags.writeable = False
+        self._cum = cum
         self.kind = kind
         self._atoms = atoms
         self._table = table
         self.tree = tree
         if tree is not None:
-            self._level_probs = level_probs
+            self._level_probs, self._draw = level_probs, draw
             self.norms_sq = tree.norms_sq
         elif table is None:
             raise ValueError("need a pair-level table or a tree structure")
@@ -155,13 +159,18 @@ class DiscreteMeasure:
         else:
             self.grid = grid
             self.norms_sq = np.einsum("ij,ij->i", atoms, atoms)
-        self._cum = np.cumsum(weights)
-        self._cum[-1] = 1.0
-        self._cum.flags.writeable = False
 
     @property
     def m(self) -> int:
-        return len(self.weights)
+        return len(self._cum)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """A tree measure's weights, redrawn bit for bit on first read."""
+        spec, j = self._draw
+        w = tree_leaf_weights(self.tree, spec.zetas, spec.seed, j, j + 1)[0]
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def grid(self) -> OverlapGrid:
@@ -254,6 +263,16 @@ class DiscreteMeasure:
         kind = d.get("kind", "explicit")
         return explicit_measure(atoms, np.asarray(d["weights"]), grid,
                                 kind=kind, on_sphere=False)
+
+
+def _check_weights(W: np.ndarray) -> None:
+    """Weights must be positive and sum to 1: a vector, or each row of a block."""
+    if np.any(W <= 0.0):
+        raise BadWeights("weights must be positive")
+    sums = np.atleast_1d(W.sum(axis=-1))
+    off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
+    if off.any():
+        raise BadWeights(f"weights sum to {sums[off][0]!r}, not 1")
 
 
 def _level_table_from_gram(gram: np.ndarray, grid: OverlapGrid,
@@ -447,14 +466,18 @@ def build_tree_measures(spec: TreeMeasureSpec, start: int, stop: int,
     from tree_leaf_weights; each is bit for bit the one built alone."""
     st = structure if structure is not None else TreeStructure(spec.q, spec.branching)
     W = tree_leaf_weights(st, spec.zetas, spec.seed, start, stop)
-    W.flags.writeable = False  # a model may hand these measures to every check
-    P = _tree_level_probs(W, st.B)  # OverlapGrid's checks, on every row at once
+    _check_weights(W)  # DiscreteMeasure's checks, on every row at once
+    P = _tree_level_probs(W, st.B)  # OverlapGrid's checks, likewise
     if np.any(P <= 0.0):
         raise ValueError("probs must be positive")
     if np.any(np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL):
         raise ValueError("probs must sum to 1")
-    return [DiscreteMeasure(w, None, "tree", tree=st, level_probs=p)
-            for w, p in zip(W, P)]
+    cum = np.cumsum(W, axis=1, out=W)
+    cum[:, -1] = 1.0
+    cum.flags.writeable = False  # a model may hand these measures to every check
+    return [DiscreteMeasure(None, None, "tree", tree=st, level_probs=p,
+                            cum=c, draw=(spec, j))
+            for j, c, p in zip(range(start, stop), cum, P)]
 
 
 def build_tree_measure(spec: TreeMeasureSpec,

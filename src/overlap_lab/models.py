@@ -6,7 +6,9 @@ redraw the random weights (the outer randomness) while sharing the fixed
 geometry: outer measure j is draw j of the model spec's tree, which reads
 its own slice of one weight stream, so a range is built as one block and
 each measure is bit for bit the one built alone. They keep the measures
-they built up to MEMO_BYTES so that every check reuses them. Frozen
+they built up to MEMO_BYTES so that every check reuses them; a kept
+measure holds its cumulative weights, and rebuilds its weights from its
+slice of the stream only if something reads them. Frozen
 models return the same measure every time, so the outer expectation
 degenerates to the inner average.
 
@@ -26,9 +28,10 @@ from .grid import OverlapGrid
 from .measures import (DiscreteMeasure, TreeMeasureSpec, TreeStructure,
                        build_tree_measures)
 
-# Bytes of outer measures a TreeModel keeps, counted as 16 per atom (weights
-# and their cumulative sums). Measures are kept first come, never evicted:
-# every check scans j = 0, 1, ... again, so the first ones are the ones reused.
+# Bytes of outer measures a TreeModel keeps, counted as 8 per atom (their
+# cumulative weights; a measure redraws its weights when they are read).
+# Measures are kept first come, never evicted: every check scans j = 0, 1,
+# ... again, so the first ones are the ones reused.
 MEMO_BYTES = 64 * 2**20
 
 # Most atoms a TreeModel builds in one block. A longer range is built in
@@ -80,7 +83,7 @@ class TreeModel:
             while end < min(stop, j + size) and end not in self._memo:
                 end += 1
             built = build_tree_measure(self.spec, self.structure, j, end)
-            room = max(0, MEMO_BYTES // (16 * m) - len(self._memo))
+            room = max(0, MEMO_BYTES // (8 * m) - len(self._memo))
             self._memo.update(zip(range(j, end)[:room], built))
             yield from built
             j = end

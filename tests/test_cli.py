@@ -225,9 +225,9 @@ def test_setup_does_not_import_numpy_random():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_tree_run_never_builds_pair_table(tmp_path, monkeypatch):
-    """Every check of configs/tree_k2.json, at a branching small enough
-    for the m x m table to exist, reads pair levels from ancestor codes."""
+def small_tree_run(tmp_path, monkeypatch):
+    """Every check of configs/tree_k2.json at B = 8 and outer budgets / 10;
+    returns the run's tree model."""
     cfg = json.loads((ROOT / "configs" / "tree_k2.json").read_text())
     cfg["measure"]["branching"] = 8
     for chk in cfg["checks"]:
@@ -247,8 +247,24 @@ def test_tree_run_never_builds_pair_table(tmp_path, monkeypatch):
     assert len(manifest["checks"]) == 10
     assert all(c["status"] != "error" for c in manifest["checks"])
     (model,) = models
+    return model
+
+
+def test_tree_run_never_builds_pair_table(tmp_path, monkeypatch):
+    """At a branching small enough for the m x m table to exist, every
+    check reads pair levels from ancestor codes."""
+    model = small_tree_run(tmp_path, monkeypatch)
     assert model.structure.m <= TABLE_CAP
     assert "table" not in model.structure.__dict__
+
+
+def test_tree_run_keeps_only_cumulative_weights(tmp_path, monkeypatch):
+    """The memo holds cumulative weights; only the support check reads a
+    measure's weights, those of measure 0."""
+    model = small_tree_run(tmp_path, monkeypatch)
+    assert len(model._memo) > 1
+    assert [j for j, measure in model._memo.items()
+            if "weights" in measure.__dict__] in ([], [0])
 
 
 class TestRunExperiment:

@@ -392,7 +392,7 @@ class TestTreeModelBlocks:
 
     def test_blocks_across_boundaries_and_cap(self, monkeypatch):
         m = self.SPEC.branching**2
-        monkeypatch.setattr(models, "MEMO_BYTES", 16 * m * 11)
+        monkeypatch.setattr(models, "MEMO_BYTES", 8 * m * 11)
         monkeypatch.setattr(models, "BLOCK_ATOMS", 4 * m)
         model = TreeModel(self.SPEC)
         for start, stop in [(0, 7), (5, 20), (18, 25)]:
@@ -437,10 +437,31 @@ class TestTreeModelBlocks:
                 assert np.allclose(measure.pair_level_probs()[1:],
                                    measure.grid.probs, rtol=1e-12, atol=0)
 
+    def test_block_cum_rows_match_single_builds(self):
+        # a block-built measure keeps only its cumulative weights: the
+        # cumsum of the same draw built alone, ending exactly at 1.0
+        for B, k in [(3, 1), (5, 2), (3, 3)]:
+            st = TreeStructure(tuple(np.linspace(0.2, 0.8, k)), B)
+            spec = TreeMeasureSpec(st.q, B, tuple(np.linspace(0.25, 0.75, k)),
+                                   seed=2**64 - 9)
+            for block in (1, 7, 13):
+                got = build_tree_measures(spec, 3, 3 + block, st)
+                for j, measure in enumerate(got, start=3):
+                    assert "weights" not in vars(measure)
+                    alone = build_tree_measures(spec, j, j + 1, st)[0]
+                    want = np.cumsum(alone.weights)
+                    assert measure._cum[:-1].tobytes() == want[:-1].tobytes()
+                    assert measure._cum[-1] == 1.0
+                    assert not measure._cum.flags.writeable
+                    a, b = (m.sample_indices(4, 300, np.random.default_rng(j))
+                            for m in (measure, alone))
+                    assert np.array_equal(a, b)
+                    assert "weights" not in vars(measure)
+
     @pytest.mark.parametrize("block_atoms", [None, 2 * 25])
     def test_no_j_under_cap_built_twice(self, monkeypatch, block_atoms):
         cap = 40
-        monkeypatch.setattr(models, "MEMO_BYTES", 16 * 25 * cap)
+        monkeypatch.setattr(models, "MEMO_BYTES", 8 * 25 * cap)
         if block_atoms is not None:
             monkeypatch.setattr(models, "BLOCK_ATOMS", block_atoms)
         built = self.counting(monkeypatch)
@@ -581,6 +602,18 @@ class TestTreeCodeLevels:
         with pytest.raises(ValueError, match=match):
             build_tree_measures(spec, 0, 4)
 
+    @pytest.mark.parametrize("bad, match", [
+        (lambda W: W * (np.arange(W.shape[1]) != 3), "weights must be positive"),
+        (lambda W: W * (1.0 + 1e-9), r"weights sum to .*, not 1"),
+    ], ids=["nonpositive", "sum_off"])
+    def test_block_weights_validated_at_build(self, monkeypatch, bad, match):
+        real = measures.tree_leaf_weights
+        monkeypatch.setattr(measures, "tree_leaf_weights",
+                            lambda *args: bad(real(*args)))
+        spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=8)
+        with pytest.raises(BadWeights, match=match):
+            build_tree_measures(spec, 0, 4)
+
     def test_shares_levels_by_structure(self):
         spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=8)
         a, b = build_tree_measures(spec, 0, 2)
@@ -607,7 +640,7 @@ class TestTreeModelMemo:
 
     def test_budget_caps_memo_first_come(self, monkeypatch):
         cap = 3
-        monkeypatch.setattr(models, "MEMO_BYTES", 16 * self.SPEC.branching**2 * cap)
+        monkeypatch.setattr(models, "MEMO_BYTES", 8 * self.SPEC.branching**2 * cap)
         model = TreeModel(self.SPEC)
         for j in [*range(8), *range(8)]:
             self.assert_fresh(model.measure_at(j), j)
