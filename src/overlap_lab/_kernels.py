@@ -183,27 +183,46 @@ def accept_mask(idx, table, threshold):
 # S statistics are packed side by side with ptr offset arrays.
 
 def eval_stats(levels_batch, vals, pack):
+    """(T, S) statistic values. Each distinct factor column is computed once
+    per call and multiplied into every statistic that has it, in the order
+    above, so a statistic's value does not depend on its neighbours."""
     (pat_ptr, pat_i, pat_j, pat_req, mono_ptr, mono_i, mono_j, mono_pow,
      thr_ptr, thr_r, thr_t, srt_ptr, srt_lvl) = pack
     T = levels_batch.shape[0]
     S = len(pat_ptr) - 1
     out = np.ones((T, S))
-    tri = None  # sorted (e01, e02, e12) of each matrix, built on first use
+    factors = {}
+
+    def factor(key, make):
+        col = factors.get(key)
+        if col is None:
+            col = factors[key] = make()
+        return col
+
+    def sorted_triples():
+        # sorted (e01, e02, e12) of each matrix
+        return np.sort(np.stack([levels_batch[:, 0, 1], levels_batch[:, 0, 2],
+                                 levels_batch[:, 1, 2]], axis=1), axis=1)
+
     for s in range(S):
         v = np.ones(T)
         for p in range(pat_ptr[s], pat_ptr[s + 1]):
-            v = v * (levels_batch[:, pat_i[p], pat_j[p]] == pat_req[p])
+            i, j, req = int(pat_i[p]), int(pat_j[p]), int(pat_req[p])
+            v = v * factor(("pattern", i, j, req),
+                           lambda: levels_batch[:, i, j] == req)
         for r in range(thr_ptr[s], thr_ptr[s + 1]):
-            v = v * all_below(levels_batch, thr_r[r], thr_t[r])
+            rr, t = int(thr_r[r]), int(thr_t[r])
+            v = v * factor(("threshold", rr, t),
+                           lambda: all_below(levels_batch, rr, t))
         for w in range(srt_ptr[s], srt_ptr[s + 1]):
-            if tri is None:
-                tri = np.sort(np.stack([levels_batch[:, 0, 1], levels_batch[:, 0, 2],
-                                        levels_batch[:, 1, 2]], axis=1), axis=1)
-            want = srt_lvl[3 * w : 3 * w + 3]
-            v = v * (tri == want[None, :]).all(axis=1)
+            want = tuple(srt_lvl[3 * w : 3 * w + 3].tolist())
+            tri = factor("sorted3", sorted_triples)
+            v = v * factor(("sorted3", want),
+                           lambda: (tri == np.array(want)[None, :]).all(axis=1))
         for q in range(mono_ptr[s], mono_ptr[s + 1]):
-            base = vals[levels_batch[:, mono_i[q], mono_j[q]]]
-            v = v * base ** float(mono_pow[q])
+            i, j, p = int(mono_i[q]), int(mono_j[q]), float(mono_pow[q])
+            v = v * factor(("monomial", i, j, p),
+                           lambda: vals[levels_batch[:, i, j]] ** p)
         out[:, s] = v
     return out
 

@@ -375,15 +375,15 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
         else:
             observables = [_parse_observable(d) for d in obs_cfg]
         cond_cfg = chk.get("conditioned")
+        # each observable is conditioned on its own n + 1 replicas
+        conds = [EventSpec(cond_cfg["kind"], obs.n + 1, cond_cfg.get("q"))
+                 for obs in observables] if cond_cfg else None
+        reps = gg_residual(model, observables, mc, seed, conditioned=conds,
+                           abs_tol=abs_tol, z=z, method=method)
         rows, objs, ok = [], [], True
-        for i, obs in enumerate(observables):
-            cond = None
-            if cond_cfg:
-                cond = EventSpec(cond_cfg["kind"], obs.n + 1,
-                                 cond_cfg.get("q"))
-            rep = gg_residual(model, obs, mc, derive_seed(seed, i),
-                              conditioned=cond, abs_tol=abs_tol, z=z,
-                              method=method)
+        for obs, rep in zip(observables, reps):
+            if isinstance(rep, Exception):
+                raise rep
             rows.append(rep.row())
             objs.append({"observable": obs.observable_id(),
                          "residual": rep.residual, "se": rep.residual_se,

@@ -17,15 +17,14 @@ import numpy as np
 
 from . import _kernels
 from .eigen import is_psd_dense
-from .errors import (AcceptanceTooLow, EventMassTooSmall, EventNull,
-                     NullConditioning)
+from .errors import AcceptanceTooLow, EventMassTooSmall, NullConditioning
 from .measures import DiscreteMeasure, derive_seed
 from .models import DescendedModel, as_model
 from .observables import ObservableSpec, Psi, Statistic
 # perfbench/tracer.py wraps outer_stat_means and enumerate_statistics here
-from .sampler import (EventSpec, MCConfig, enumerate_statistics,
-                      filtered_level_batches, influence_se, outer_stat_means,
-                      ratio_from_means)
+from .sampler import (EventSpec, MCConfig, count_columns,
+                      enumerate_statistics, filtered_level_batches,
+                      influence_se, outer_stat_means, ratio_from_means)
 from .verify import DEFAULT_ABS_TOL, DEFAULT_Z, CheckRow, estimates, gg_residual
 
 
@@ -85,7 +84,8 @@ class LevelReport:
             CheckRow("descend/conditioned_gg", model_id, self.level,
                      "max |residual|",
                      self.details.get("max_gg_residual", 0.0), 0.0,
-                     self.details.get("max_gg_residual", 0.0), 0.0,
+                     self.details.get("max_gg_residual", 0.0),
+                     self.details.get("max_gg_residual_se", 0.0),
                      self.conditioned_gg_pass),
             CheckRow("descend/truncated_psd", model_id, self.level,
                      "min eigenvalue",
@@ -158,23 +158,21 @@ def _descend_level(model, config: DescendConfig, seed: int,
         violations += _kernels.top_tie_triples(lv, K)
 
     gg_pass = True
-    max_resid = 0.0
+    worst = None
     skipped = 0
     if K >= 2:
-        for i, obs in enumerate(LEVEL_OBSERVABLES):
-            event = EventSpec("A_n", obs.n + 1)
-            try:
-                rep = gg_residual(model, obs, config.mc,
-                                  derive_seed(seed, 0x66, i), conditioned=event,
-                                  abs_tol=config.abs_tol, z=config.z,
-                                  method=config.method)
-            except (AcceptanceTooLow, EventNull):
-                # zero-mass event: the conditional claim is vacuous here
-                skipped += 1
-                continue
-            gg_pass &= rep.passed
-            max_resid = max(max_resid, abs(rep.residual))
-    details["max_gg_residual"] = max_resid
+        events = [EventSpec("A_n", obs.n + 1) for obs in LEVEL_OBSERVABLES]
+        reps = gg_residual(model, LEVEL_OBSERVABLES, config.mc,
+                           derive_seed(seed, 0x66), conditioned=events,
+                           abs_tol=config.abs_tol, z=config.z,
+                           method=config.method)
+        # an observable whose event has no mass is vacuous here
+        done = [rep for rep in reps if not isinstance(rep, AcceptanceTooLow)]
+        skipped = len(reps) - len(done)
+        gg_pass = all(rep.passed for rep in done)
+        worst = max(done, key=lambda rep: abs(rep.residual), default=None)
+    details["max_gg_residual"] = abs(worst.residual) if worst else 0.0
+    details["max_gg_residual_se"] = worst.residual_se if worst else 0.0
     if skipped:
         details["gg_observables_skipped"] = skipped
 
@@ -276,24 +274,39 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
 
     sets = [[tuple(sorted(int(v) for v in tri)) for tri in pat]
             for pat in B_patterns]
-    per_n = {}
-    for n in range(3, n_max + 1):
-        stats = []
-        offsets = [0]
-        for pat in sets:
-            stats.extend(Statistic(n).with_sorted_triple(tri) for tri in pat)
-            offsets.append(len(stats))
-        try:
-            means, _ = estimates(model, stats, n, mc, derive_seed(seed, 0xB1, n),
-                                 t, method)
-            r, h, _ = ratio_from_means(means, z)
-        except (EventMassTooSmall, EventNull) as e:
-            if n == 3:
-                raise NullConditioning(
-                    f"no mass left for three below-q replicas: {e}") from e
-            break  # sequence truncates where the event mass runs out
-        per_n[n] = [(float(r[a:b].sum()), influence_se(h[:, a:b].sum(axis=1)))
-                    for a, b in zip(offsets, offsets[1:])]
+    offsets = np.cumsum([0] + [len(pat) for pat in sets]).tolist()
+
+    def pattern_stats(n):
+        return [Statistic(n).with_sorted_triple(tri) for pat in sets
+                for tri in pat]
+
+    def sequence_entry(r, h):
+        return [(float(r[a:b].sum()), influence_se(h[:, a:b].sum(axis=1)))
+                for a, b in zip(offsets, offsets[1:])]
+
+    # n = 3 is the reference of every later row, so it has its own stream;
+    # n = 4..n_max read the prefixes of one n_max-replica pass
+    try:
+        means, _ = estimates(model, pattern_stats(3), 3, mc,
+                             derive_seed(seed, 0xB1, 3), t, method)
+        r, h, _ = ratio_from_means(means, z)
+    except EventMassTooSmall as e:
+        raise NullConditioning(
+            f"no mass left for three below-q replicas: {e}") from e
+    per_n = {3: sequence_entry(r, h)}
+    if n_max > 3:
+        stats, counts = [], []
+        for n in range(4, n_max + 1):
+            stats += pattern_stats(n)
+            counts += [n] * offsets[-1]
+        means, _ = estimates(model, stats, n_max, mc, derive_seed(seed, 0xB2),
+                             t, method, counts)
+        for n, cols in count_columns(counts):
+            try:
+                r, h, _ = ratio_from_means(np.take(means, cols, axis=1), z)
+            except EventMassTooSmall:
+                break  # sequence truncates where the event mass runs out
+            per_n[n] = sequence_entry(r, h)
 
     reports = []
     for s, pat in enumerate(sets):

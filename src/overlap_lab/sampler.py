@@ -157,7 +157,8 @@ def conditional_draw(measure: DiscreteMeasure, event: EventSpec, seed,
     return ReplicaDraw(tuple(int(i) for i in idx[0]), LevelMatrix(lv, measure.grid))
 
 
-def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int):
+def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
+                  width: int = 0):
     """Yield (start, stop, first measure, (rows, n, n) levels) for blocks of
     consecutive outer draws start, ..., stop - 1.
 
@@ -168,14 +169,16 @@ def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int):
 
     A block holds up to OUTER_BLOCK_ROWS replica rows (one draw when inner
     exceeds it), fewer for n > 8 so that its level entries stay within
-    OUTER_BLOCK_ROWS * 64. Its measures are read lazily from one
-    model.measures call, its draws read their slices in order from one
-    generator, and every measure of a model shares one pair-level table or
-    one set of ancestor codes (a TreeModel's measures share its
-    TreeStructure, a frozen model has one measure), so the first measure of
-    a block turns all of the block's index rows into level matrices.
+    OUTER_BLOCK_ROWS * 64, and fewer for a caller that computes more than
+    8 values a row (width) so that those stay within OUTER_BLOCK_ROWS * 8.
+    Its measures are read lazily from one model.measures call, its draws
+    read their slices in order from one generator, and every measure of a
+    model shares one pair-level table or one set of ancestor codes (a
+    TreeModel's measures share its TreeStructure, a frozen model has one
+    measure), so the first measure of a block turns all of the block's
+    index rows into level matrices.
     """
-    rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n)
+    rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n, 8 * width)
     draws = max(1, rows // mc.inner)
     for start in range(0, mc.outer, draws):
         stop = min(start + draws, mc.outer)
@@ -191,28 +194,51 @@ def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int):
         yield start, stop, first, first.levels_from_indices(np.concatenate(idx))
 
 
+def count_columns(counts: Sequence[int]) -> list:
+    """(count, columns) per distinct replica count, in increasing order of
+    count, for a means matrix of S = len(counts) statistics followed by one
+    denominator per count: the columns of the count's statistics, then its
+    denominator column."""
+    distinct = sorted(set(counts))
+    return [(c, [i for i, k in enumerate(counts) if k == c] + [len(counts) + g])
+            for g, c in enumerate(distinct)]
+
+
 def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
-                     seed: int, event_threshold: Optional[int] = None):
-    """Per-outer-draw inner means; the last column is the event indicator.
+                     seed: int, event_threshold: Optional[int] = None,
+                     counts: Optional[Sequence[int]] = None):
+    """Per-outer-draw inner means; the last columns are event indicators.
 
     Conditional expectations are ratios of unconditioned expectations, so
     every statistic is multiplied by the indicator of the combined event
     (model conditioning and the explicit threshold), and the indicator
-    itself is appended as the denominator column. Without any conditioning
-    the denominator column is identically one.
+    itself is appended as a denominator column. Without any conditioning
+    the denominator columns are identically one.
+
+    counts[i] is the number of leading replicas statistic i reads (default
+    n for all). The first n' replicas of an n-replica draw are an
+    n'-replica draw, so statistic i carries the event over its own first
+    counts[i] replicas, and each distinct count gets its own denominator
+    column (count_columns). The indicators weight, never reject, so this
+    is exact for every model.
 
     The draws come in _level_blocks from the stream of _INNER_KEY.
     """
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
+    counts = [n] * len(stats) if counts is None else list(counts)
+    if len(counts) != len(stats) or max(counts, default=n) > n:
+        raise ValueError(f"need one replica count <= {n} per statistic")
+    groups = count_columns(counts)
     if threshold is None:
-        cols = list(stats) + [Statistic(n)]
+        cols = list(stats) + [Statistic(n)] * len(groups)
     else:
-        cols = [s.with_threshold(n, threshold) for s in stats]
-        cols.append(Statistic(n).with_threshold(n, threshold))
+        cols = [s.with_threshold(c, threshold) for s, c in zip(stats, counts)]
+        cols += [Statistic(n).with_threshold(c, threshold) for c, _ in groups]
     pack = pack_statistics(cols)
     means = np.empty((mc.outer, len(cols)))
-    for start, stop, first, lv in _level_blocks(model, n, mc, seed, _INNER_KEY):
+    for start, stop, first, lv in _level_blocks(model, n, mc, seed, _INNER_KEY,
+                                                len(cols)):
         out = _kernels.eval_stats(lv, first.grid.values_by_index(), pack)
         means[start:stop] = out.reshape(stop - start, mc.inner, -1).mean(axis=1)
     return means
@@ -232,7 +258,10 @@ def ratio_from_means(means: np.ndarray, z: float = 3.0):
     mean). The influence values linearize each ratio around the means, so
     column standard deviations over sqrt(M) are delta-method standard
     errors. Raises when the event mass is statistically indistinguishable
-    from zero.
+    from zero. A means matrix with one denominator per replica count is read
+    one count at a time, as np.take(means, columns, axis=1) for the columns
+    of count_columns: a copy in the layout outer_stat_means returns, so that
+    the sums run in the same order.
     """
     D = means[:, -1]
     dbar, dse = mean_and_se(D)

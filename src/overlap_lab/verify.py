@@ -22,15 +22,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AcceptanceTooLow, EventMassTooSmall, GridTooSmall
+from .errors import (AcceptanceTooLow, EventMassTooSmall, EventNull,
+                     GridTooSmall)
 from .grid import check_ultrametric_batch
 from .measures import DiscreteMeasure, derive_seed
 from .models import as_model
 from .observables import ObservableSpec, Statistic, statistic_for_f
 from .sampler import (EstimateReport, EventSpec, MCConfig, combined_threshold,
-                      enumerate_statistics, filtered_level_batches,
-                      influence_se, mean_and_se, outer_stat_means,
-                      ratio_from_means)
+                      count_columns, enumerate_statistics,
+                      filtered_level_batches, influence_se, mean_and_se,
+                      outer_stat_means, ratio_from_means)
 
 DEFAULT_ABS_TOL = 0.01
 DEFAULT_Z = 3.0
@@ -89,69 +90,134 @@ def _as_f_statistic(f, n: int) -> Statistic:
     raise TypeError("f must be a Statistic, an ObservableSpec, or None")
 
 
-def estimates(model, stats, n, mc, seed, event_threshold, method):
+def estimates(model, stats, n, mc, seed, event_threshold, method,
+              counts=None):
     """Indicator-augmented outer means, or exact one-row equivalents.
 
-    The exact path enumerates conditional values directly, so it reports
-    them over a unit denominator; the event mass is returned separately.
+    counts is as in outer_stat_means: the replica count of each statistic,
+    with one denominator column per distinct count after the statistics.
+    The exact path enumerates each count's statistics at that count only,
+    and reports their conditional values over a unit denominator, or over
+    a zero one where the count's event has no mass; the event mass of each
+    count is returned separately.
     """
     model = as_model(model)
     if method == "enumerate":
         if not model.frozen:
             raise ValueError("enumeration needs a frozen (fixed-measure) model")
         t = combined_threshold(model, event_threshold)
-        vals, mass = enumerate_statistics(model.measure_at(0), stats, n, t)
-        means = np.concatenate([vals, [1.0]])[None, :]
-        return means, (mass if t is not None else None)
-    return outer_stat_means(model, stats, n, mc, seed, event_threshold), None
+        groups = count_columns([n] * len(stats) if counts is None else counts)
+        means = np.ones((1, len(stats) + len(groups)))
+        masses = np.zeros(len(groups))
+        for g, (c, (*cols, den)) in enumerate(groups):
+            try:
+                vals, masses[g] = enumerate_statistics(
+                    model.measure_at(0), [stats[i] for i in cols], c, t)
+            except EventNull:
+                # a zero denominator: ratio_from_means refuses this count
+                vals = means[0, den] = 0.0
+            means[0, cols] = vals
+        return means, (masses if t is not None else None)
+    return outer_stat_means(model, stats, n, mc, seed, event_threshold,
+                            counts), None
 
 
-def gg_residual(model, obs: ObservableSpec, mc: MCConfig, seed: int,
-                conditioned: Optional[EventSpec] = None,
-                abs_tol: float = DEFAULT_ABS_TOL, z: float = DEFAULT_Z,
-                method: str = "mc") -> ResidualReport:
-    """Residual of the cavity identity for one observable.
-
-    lhs  = E<f(R^n) psi(R_{1,n+1})>
-    rhs  = (1/n) E<f> E<psi(R_{1,2})> + (1/n) sum_{l=2..n} E<f psi(R_{1,l})>
-
-    All groups are estimated on the same (n+1)-replica draws so that
-    degenerate single-level models give an exactly zero residual. With
-    `conditioned`, every group becomes the corresponding conditional
-    expectation; the event must cover the full tuple
-    (conditioned.n == obs.n + 1).
-    """
-    model = as_model(model)
+def _gg_statistics(obs: ObservableSpec) -> list:
+    """lhs, E<f>, E<psi(R12)> and the n - 1 cross terms of one observable,
+    on its n + 1 replicas."""
     n = obs.n
-    event_threshold = None
-    cond_label = ""
-    if conditioned is not None:
-        if conditioned.n != n + 1:
-            raise ValueError("conditioning event must cover all n+1 replicas")
-        event_threshold = conditioned.threshold(model.grid)
-        cond_label = conditioned.label()
     f_stat = statistic_for_f(obs)
     stats = [
         f_stat.with_psi(obs.psi, 0, n),           # lhs
         f_stat,                                    # E<f>
         Statistic(n + 1).with_psi(obs.psi, 0, 1),  # E<psi(R12)>
     ]
-    stats += [f_stat.with_psi(obs.psi, 0, l) for l in range(1, n)]
-    means, exact_mass = estimates(model, stats, n + 1, mc, seed,
-                                  event_threshold, method)
-    try:
-        r, h, dbar = ratio_from_means(means, z)
-    except EventMassTooSmall as e:
-        raise AcceptanceTooLow(str(e)) from e
-    M = means.shape[0]
+    return stats + [f_stat.with_psi(obs.psi, 0, l) for l in range(1, n)]
+
+
+def gg_residual(model, obs, mc: MCConfig, seed: int,
+                conditioned=None, abs_tol: float = DEFAULT_ABS_TOL,
+                z: float = DEFAULT_Z, method: str = "mc"):
+    """Residual of the cavity identity for one observable or a list of them.
+
+    lhs  = E<f(R^n) psi(R_{1,n+1})>
+    rhs  = (1/n) E<f> E<psi(R_{1,2})> + (1/n) sum_{l=2..n} E<f psi(R_{1,l})>
+
+    All groups of every observable are estimated on one draw of
+    max(n) + 1 replicas, an observable of size n reading the first n + 1
+    of them, so that degenerate single-level models give an exactly zero
+    residual. With `conditioned` (an EventSpec, or one per observable for
+    a list), every group becomes the corresponding conditional
+    expectation; each event must cover its observable's full tuple
+    (event.n == obs.n + 1), and the events of one list must share one
+    threshold.
+
+    One observable gives its ResidualReport. A list gives one entry per
+    observable: its ResidualReport, or the AcceptanceTooLow its own event
+    raised, so that an event without mass at one n leaves the others'
+    reports standing.
+    """
+    model = as_model(model)
+    single = isinstance(obs, ObservableSpec)
+    observables = [obs] if single else list(obs)
+    if conditioned is None:
+        events = [None] * len(observables)
+    else:
+        events = [conditioned] if single else list(conditioned)
+        if len(events) != len(observables):
+            raise ValueError("need one conditioning event per observable")
+        if any(e.n != o.n + 1 for o, e in zip(observables, events)):
+            raise ValueError("conditioning event must cover all n+1 replicas")
+    thresholds = {e.threshold(model.grid) for e in events if e is not None}
+    if len(thresholds) > 1:
+        raise ValueError("the events of one pass must share one threshold")
+    event_threshold = thresholds.pop() if thresholds else None
+
+    stats, counts, spans = [], [], []
+    for o in observables:
+        group = _gg_statistics(o)
+        spans.append((len(stats), len(stats) + len(group)))
+        stats += group
+        counts += [o.n + 1] * len(group)
+    means, masses = estimates(model, stats, max(counts), mc, seed,
+                              event_threshold, method, counts)
+    conditioned_draws = combined_threshold(model, event_threshold) is not None
+    inner = mc.inner if method != "enumerate" else 0
+    per_count = {}
+    for g, (c, cols) in enumerate(count_columns(counts)):
+        try:
+            r, h, dbar = ratio_from_means(np.take(means, cols, axis=1), z)
+        except EventMassTooSmall as e:
+            per_count[c] = AcceptanceTooLow(str(e))
+            continue
+        rate = float(masses[g]) if masses is not None else (
+            float(dbar) if conditioned_draws else None)
+        per_count[c] = (cols, r, h, rate)
+
+    reports = []
+    for o, event, (a, b) in zip(observables, events, spans):
+        got = per_count[o.n + 1]
+        if isinstance(got, AcceptanceTooLow):
+            reports.append(got)
+            continue
+        cols, r, h, rate = got
+        k = cols.index(a)
+        reports.append(_gg_report(model, o, event, r[k : k + b - a],
+                                  h[:, k : k + b - a], rate, inner, abs_tol, z))
+    if single and isinstance(reports[0], AcceptanceTooLow):
+        raise reports[0]
+    return reports[0] if single else reports
+
+
+def _gg_report(model, obs, event, r, h, rate, inner, abs_tol, z):
+    """One observable's ResidualReport from its ratios r and influence
+    values h, in the order of _gg_statistics."""
+    n = obs.n
+    M = h.shape[0]
     residual = float(r[0] - (r[1] * r[2]) / n - r[3:].sum() / n)
     h_resid = h[:, 0] - (r[2] * h[:, 1] + r[1] * h[:, 2]) / n \
         - h[:, 3:].sum(axis=1) / n
     se = influence_se(h_resid)
-    conditioned_draws = combined_threshold(model, event_threshold) is not None
-    rate = exact_mass if exact_mass is not None else (
-        float(dbar) if conditioned_draws else None)
-    inner = mc.inner if method != "enumerate" else 0
     lhs = EstimateReport(float(r[0]), influence_se(h[:, 0]), inner, M, rate)
     prod_h = (r[2] * h[:, 1] + r[1] * h[:, 2]) / n
     rhs = [EstimateReport(float(r[1] * r[2] / n), influence_se(prod_h),
@@ -161,7 +227,7 @@ def gg_residual(model, obs: ObservableSpec, mc: MCConfig, seed: int,
     passed = abs(residual) <= max(abs_tol, z * se)
     return ResidualReport(lhs, tuple(rhs), residual, se, bool(passed),
                           abs_tol, z, obs.observable_id(), model.model_id,
-                          cond_label, n)
+                          event.label() if event is not None else "", n)
 
 
 @dataclass(frozen=True)
@@ -294,7 +360,7 @@ def conditional_marginal_check(model, mc: MCConfig, seed: int,
     rc, hc, dbar = ratio_from_means(cond_means, z)
     rf, hf, _ = ratio_from_means(full_means, z)
     ptop = float(rf[-1])
-    rate = cond_mass if cond_mass is not None else float(dbar)
+    rate = float(cond_mass[0]) if cond_mass is not None else float(dbar)
     rows = []
     all_pass = True
     for i, l in enumerate(range(1, K)):

@@ -358,6 +358,38 @@ class TestRunExperiment:
         assert abs(resid - 2.9 / 81) < 1e-12
 
 
+class TestOnePassPerCheck:
+    """gg reads every observable from one outer_stat_means pass; criterion
+    makes three: P(R12 < q), n = 3, and n = 4..n_max together."""
+
+    @pytest.mark.parametrize("chk, passes", [
+        ({"name": "gg", "mc": {"outer": 10, "inner": 10}}, 1),
+        ({"name": "gg", "conditioned": {"kind": "A_n"},
+          "mc": {"outer": 40, "inner": 20}}, 1),
+        ({"name": "criterion", "q": 0.5, "n_max": 6,
+          "patterns": [[[1, 1, 1]], [[1, 1, 2]]],
+          "mc": {"outer": 60, "inner": 40}}, 3),
+    ])
+    def test_outer_stat_means_calls(self, monkeypatch, chk, passes):
+        from overlap_lab import verify
+
+        calls = []
+        real = verify.outer_stat_means
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])  # the replica count of the pass
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "outer_stat_means", counting)
+        model, _ = build_model({"type": "tree", "q": [0.3, 0.7],
+                                "branching": 10, "zetas": [0.3, 0.6],
+                                "seed": 2})
+        rows, _, _ = cli._run_check(chk, model, 3, oracle=False)
+        assert len(calls) == passes
+        assert max(calls) == (5 if chk["name"] == "gg" else 6)
+        assert len(rows) == (12 if chk["name"] == "gg" else 8)
+
+
 class TestEmitPlotData:
     def test_mass_rows(self, tmp_path):
         rows = [CheckRow("mass", "m", n, f"A_{n}", 0.5, 0.4, 0.1, 0.01, True)

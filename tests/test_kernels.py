@@ -74,6 +74,24 @@ class TestStatisticReference:
                 assert np.isclose(fast[t, s], st.evaluate_one(lv[t], vals),
                                   atol=1e-14)
 
+    def test_shared_factors_match_each_statistic_alone(self):
+        # every factor kind repeats across statistics, some twice in one
+        rng = np.random.default_rng(8)
+        n, k = 5, 3
+        lv = np.ascontiguousarray(symmetric_levels(rng, (40, n, n), k))
+        vals = np.array([0.9, 0.0, 0.3, 0.7])
+        f = Statistic(n).with_pattern(0, 1, 1)
+        stats = [f.with_monomial(0, 4, 1), f, f.with_monomial(0, 2, 1),
+                 f.with_monomial(0, 4, 2).with_monomial(0, 4, 1),
+                 Statistic(n).with_threshold(4, 2).with_sorted_triple((1, 1, 2)),
+                 Statistic(n).with_sorted_triple((1, 1, 2)).with_threshold(5, 2),
+                 f.with_threshold(4, 2).with_pattern(0, 1, 1),
+                 *random_stats(rng, n, k), *random_stats(rng, n, k)]
+        together = _kernels.eval_stats(lv, vals, pack_statistics(stats))
+        for s, st in enumerate(stats):
+            alone = _kernels.eval_stats(lv, vals, pack_statistics([st]))
+            assert together[:, s].tobytes() == alone[:, 0].tobytes()
+
 
 def twin_classes_reference(table):
     """Twin classes straight from the definition: a != b are twins when

@@ -9,6 +9,7 @@ from overlap_lab.models import DescendedModel, FrozenModel, TreeModel
 from overlap_lab.pipeline import (DescendConfig, collision_identity_check,
                                   criterion_run, descend)
 from overlap_lab.sampler import MCConfig
+from test_verify import clustered_model
 
 
 def k1_tree(seed=5):
@@ -114,6 +115,14 @@ class TestDescend:
         assert np.isclose(rep.details["max_gg_residual"], 2 / 9, atol=1e-12)
         assert rep.child is None
 
+    def test_conditioned_gg_row_reports_worst_observables_se(self):
+        rep = descend(k2_tree(), DescendConfig(mc=MCConfig(40, 40),
+                                               psd_outer=4, psd_inner=5), 2)
+        row = rep.rows("model")[2]
+        assert row.check == "descend/conditioned_gg"
+        assert row.residual == rep.details["max_gg_residual"]
+        assert row.se == rep.details["max_gg_residual_se"] > 0.0
+
     def test_force_descends_past_failures(self):
         cfg = DescendConfig(mc=MCConfig(10, 20), psd_outer=5, psd_inner=5,
                             abs_tol=1e-12, method="enumerate", force=True)
@@ -184,6 +193,23 @@ class TestCriterion:
         assert rows[0].passed  # n = 3 is the reference row
         assert not all(r.passed for r in rows[1:])
         assert rep.to_json_dict()["consistent_within_noise"] is False
+
+    @pytest.mark.parametrize("descended", [False, True])
+    def test_prefix_reads_match_enumeration(self, descended):
+        # n = 4..6 come from one 6-replica pass, each n reading its prefix
+        model = clustered_model()
+        if descended:
+            model = DescendedModel(model, 1)
+        patterns = [[[1, 1, 1]], [[1, 1, 2]], [[2, 2, 2]]]
+        mc = criterion_run(model, 0.6, patterns, 6, MCConfig(200, 50), seed=4)
+        exact = criterion_run(model, 0.6, patterns, 6, MCConfig(1, 1), seed=0,
+                              method="enumerate")
+        for mc_rep, ex in zip(mc, exact):
+            assert [n for n, _, _ in mc_rep.sequence] == [3, 4, 5, 6]
+            for (n, est, se), (_, want, _) in zip(mc_rep.sequence[1:],
+                                                  ex.sequence[1:]):
+                assert se > 0.0
+                assert abs(est - want) <= 4 * se, (n, est, want, se)
 
     def test_descended_model_criterion(self):
         model = DescendedModel(k2_tree(), 1)

@@ -280,6 +280,33 @@ def outer_stat_means_per_draw(model, stats, n, mc, seed, event_threshold=None):
     return means
 
 
+def prefix_means_per_draw(model, stats, n, mc, seed, event_threshold,
+                          counts):
+    """Reference for outer_stat_means with replica counts: statistic i is
+    evaluated on the leading counts[i] x counts[i] block of each level
+    matrix, under the event on those replicas only, and the denominator of
+    each distinct count c (increasing) is the event on the first c."""
+    model = as_model(model)
+    threshold = combined_threshold(model, event_threshold)
+    cols = list(zip(stats, counts))
+    cols += [(Statistic(c), c) for c in sorted(set(counts))]
+    means = np.empty((mc.outer, len(cols)))
+    for j in range(mc.outer):
+        measure = model.measure_at(j)
+        rng = counter_stream(seed, sampler._INNER_KEY, j * n * mc.inner)
+        lv = measure.levels_from_indices(measure.sample_indices(n, mc.inner,
+                                                                rng))
+        vals = measure.grid.values_by_index()
+        values = np.empty((mc.inner, len(cols)))
+        for i, (st, c) in enumerate(cols):
+            if threshold is not None:
+                st = st.with_threshold(c, threshold)
+            values[:, i] = _kernels.eval_stats(lv[:, :c, :c], vals,
+                                               pack_statistics([st]))[:, 0]
+        means[j] = values.mean(axis=0)
+    return means
+
+
 class TestOuterBlocksReference:
     """Blocked outer_stat_means equals the per-draw loop bit for bit."""
 
@@ -324,6 +351,30 @@ class TestOuterBlocksReference:
         want = outer_stat_means_per_draw(model, self.STATS, 3, mc, 9, threshold)
         assert got.shape == (outer, len(self.STATS) + 1)
         assert got.tobytes() == want.tobytes()
+
+    PREFIX_STATS = [Statistic(4).with_pattern(0, 1, 1),
+                    Statistic(4).with_monomial(0, 2, 2).with_monomial(1, 2, 1),
+                    Statistic(4).with_sorted_triple((1, 1, 2)),
+                    Statistic(4).with_pattern(2, 3, 1)]
+
+    @pytest.mark.parametrize("name", ["tree", "frozen", "descended"])
+    @pytest.mark.parametrize("threshold", [None, 1])
+    def test_prefix_counts_read_each_statistics_own_replicas(self, name,
+                                                             threshold):
+        model = self.models()[name]
+        mc = MCConfig(9, 20)
+        counts = [2, 3, 3, 4]
+        got = outer_stat_means(model, self.PREFIX_STATS, 4, mc, 9, threshold,
+                               counts)
+        want = prefix_means_per_draw(model, self.PREFIX_STATS, 4, mc, 9,
+                                     threshold, counts)
+        assert got.shape == (9, 4 + 3)  # one denominator per count
+        assert got.tobytes() == want.tobytes()
+
+    def test_prefix_counts_above_n_rejected(self):
+        with pytest.raises(ValueError, match="replica count"):
+            outer_stat_means(self.models()["frozen"], [Statistic(2)], 2,
+                             MCConfig(2, 2), 1, counts=[3])
 
     def test_measures_with_other_levels_rejected(self):
         class Mixed:

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from overlap_lab.errors import EventMassTooSmall, GridTooSmall
+from overlap_lab.errors import AcceptanceTooLow, EventMassTooSmall, GridTooSmall
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
                                   build_tree_measure, explicit_measure,
                                   measure_from_gram)
-from overlap_lab.models import FrozenModel, TreeModel
-from overlap_lab.observables import (ObservableSpec, Psi,
-                                     default_gg_observables)
-from overlap_lab.sampler import EventSpec, MCConfig
+from overlap_lab.models import DescendedModel, FrozenModel, TreeModel
+from overlap_lab.observables import (ObservableSpec, Psi, Statistic,
+                                     default_gg_observables, statistic_for_f)
+from overlap_lab.sampler import (EventSpec, MCConfig, influence_se,
+                                 outer_stat_means, ratio_from_means)
 from overlap_lab.verify import (conditional_marginal_check, consistency_check,
                                 distinct_mass_check, gg_residual, lemma1_check,
                                 positivity_check, support_check,
@@ -99,6 +100,103 @@ class TestGGResidual:
         row = rep.row()
         assert row.check == "gg" and row.n == 3
         assert np.isclose(row.residual, row.estimate - row.reference, atol=1e-12)
+
+
+def clustered_model(seed=0):
+    """Frozen ultrametric measure: 3 clusters of 4 unit atoms, Gram 0.5
+    within a cluster and 0 across, Dirichlet(1) weights."""
+    gram = np.kron(np.eye(3), np.full((4, 4), 0.5)) + 0.5 * np.eye(12)
+    weights = np.random.default_rng(seed).dirichlet(np.ones(12))
+    g = OverlapGrid((0.0, 0.5, 1.0), None, 1.0)
+    return FrozenModel(measure_from_gram(gram, weights, g))
+
+
+def one_pass_reference(model, obs, mc, seed, event=None):
+    """Residual and se of one observable from its own n + 1 replica pass."""
+    n = obs.n
+    f = statistic_for_f(obs)
+    stats = [f.with_psi(obs.psi, 0, n), f,
+             Statistic(n + 1).with_psi(obs.psi, 0, 1)]
+    stats += [f.with_psi(obs.psi, 0, l) for l in range(1, n)]
+    t = event.threshold(model.grid) if event is not None else None
+    r, h, _ = ratio_from_means(outer_stat_means(model, stats, n + 1, mc, seed,
+                                                t))
+    residual = float(r[0] - (r[1] * r[2]) / n - r[3:].sum() / n)
+    h_resid = h[:, 0] - (r[2] * h[:, 1] + r[1] * h[:, 2]) / n \
+        - h[:, 3:].sum(axis=1) / n
+    return residual, influence_se(h_resid)
+
+
+class TestGGSharedPass:
+    """A list of observables is estimated on one pass of max(n) + 1
+    replicas, each observable reading its own leading n + 1."""
+
+    @pytest.mark.parametrize("name", ["tree", "descended", "frozen"])
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_one_observable_list_matches_own_pass_bit_for_bit(
+            self, name, conditioned):
+        tree = TreeModel(TreeMeasureSpec((0.3, 0.7), 20, (0.3, 0.6), seed=3))
+        model = {"tree": tree, "descended": DescendedModel(tree, 1),
+                 "frozen": three_atom_model((0.5, 0.3, 0.2))}[name]
+        mc = MCConfig(30, 20)
+        for obs in default_gg_observables():
+            event = EventSpec("A_n", obs.n + 1) if conditioned else None
+            [got] = gg_residual(model, [obs], mc, 5,
+                                conditioned=[event] if conditioned else None)
+            try:
+                want = one_pass_reference(model, obs, mc, 5, event)
+            except EventMassTooSmall:  # n + 1 distinct atoms of three
+                assert isinstance(got, AcceptanceTooLow)
+                with pytest.raises(AcceptanceTooLow):
+                    gg_residual(model, obs, mc, 5, conditioned=event)
+                continue
+            alone = gg_residual(model, obs, mc, 5, conditioned=event)
+            assert (got.residual, got.residual_se) == want
+            assert (alone.residual, alone.residual_se) == want
+
+    @pytest.mark.parametrize("case", ["plain", "conditioned", "descended"])
+    def test_prefix_reads_match_enumeration(self, case):
+        model = clustered_model()
+        if case == "descended":
+            model = DescendedModel(model, 1)
+        observables = default_gg_observables()
+        events = ([EventSpec("A_n", obs.n + 1) for obs in observables]
+                  if case == "conditioned" else None)
+        mc_reps = gg_residual(model, observables, MCConfig(200, 50), 7,
+                              conditioned=events)
+        exact = gg_residual(model, observables, MCConfig(1, 1), 0,
+                            conditioned=events, method="enumerate")
+        for mc_rep, ex in zip(mc_reps, exact):
+            assert mc_rep.observable_id == ex.observable_id
+            assert mc_rep.residual_se > 0.0
+            assert abs(mc_rep.residual - ex.residual) <= 4 * mc_rep.residual_se
+            assert abs(mc_rep.lhs.estimate - ex.lhs.estimate) <= \
+                4 * mc_rep.lhs.std_error
+
+    def test_event_without_mass_leaves_other_observables(self):
+        # four replicas cannot sit on distinct atoms of three
+        pat = (((1, 2), 1),)
+        observables = [ObservableSpec(2, Psi("monomial", 1), f_pattern=pat),
+                       ObservableSpec(3, Psi("monomial", 1), f_pattern=pat)]
+        events = [EventSpec("A_n", 3), EventSpec("A_n", 4)]
+        first, second = gg_residual(FrozenModel(adversarial_measure()),
+                                    observables, MCConfig(2, 2), 1,
+                                    conditioned=events, method="enumerate")
+        assert first.observable_id == observables[0].observable_id()
+        assert first.lhs.acceptance_rate > 0.0
+        assert isinstance(second, AcceptanceTooLow)
+        with pytest.raises(AcceptanceTooLow):
+            gg_residual(FrozenModel(adversarial_measure()), observables[1],
+                        MCConfig(2, 2), 1, conditioned=events[1],
+                        method="enumerate")
+
+    def test_events_of_one_pass_share_a_threshold(self):
+        observables = default_gg_observables((2, 3))
+        events = [EventSpec("A_nq", obs.n + 1, q=0.2 if obs.n == 2 else 0.9)
+                  for obs in observables]
+        with pytest.raises(ValueError, match="one threshold"):
+            gg_residual(k2_tree_model(), observables, MCConfig(5, 5), 1,
+                        conditioned=events)
 
 
 class TestDistinctMass:
