@@ -16,11 +16,13 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,40 +41,153 @@ from .verify import (DEFAULT_ABS_TOL, DEFAULT_Z, conditional_marginal_check,
                      lemma1_check, positivity_check, support_check,
                      ultrametricity_check)
 
-# The ultra scan caches three index arrays of 24 bytes a triple for each n:
-# about 4 MB at n = 100, and 148 MB more at n = 300.
-ULTRA_MAX_N = 100
+REQUIRED = object()
 
-# The fields a config may hold: at the top level, in the measure of each type,
-# in the output object, in each gg observable and in a gg conditioning event
-CONFIG_FIELDS = ("measure", "checks", "seed", "output")
-MEASURE_FIELDS = {"tree": ("type", "q", "branching", "zetas", "seed"),
-                  "explicit": ("type", "grid", "weights", "atoms", "on_sphere"),
-                  "adversarial": ("type",)}
-OUTPUT_FIELDS = ("dir", "formats")
-OBSERVABLE_FIELDS = ("n", "psi", "f_pattern", "f_monomial")
-CONDITIONED_FIELDS = ("kind", "n", "q")
 
-# The fields _run_check reads: those of every check, then those of each type
-COMMON_CHECK_FIELDS = ("name", "mc", "abs_tol", "z", "method")
-CHECK_FIELDS = {"gg": ("observables", "conditioned"), "mass": ("n_max",),
-                "lemma1": ("n", "f_pattern"), "consistency": ("n", "f_pattern"),
-                "marginal": (), "support": (), "positivity": (), "ultra": ("n",),
-                "descend": ("n_condition", "psd_outer", "psd_inner", "force"),
-                "criterion": ("q", "patterns", "n_max")}
-CHECK_NAMES = tuple(CHECK_FIELDS)
-MC_FIELDS = ("outer", "inner")
+class Field(NamedTuple):
+    """One field of a config object: a test of its JSON value (type and
+    bound), the problem reported after "<path>: " when the test fails or a
+    REQUIRED field is missing, and the value an omitted field takes."""
 
-# The level-triple pattern sets a criterion check scans when it names none
-DEFAULT_PATTERNS = [[[1, 1, 1]]]
+    test: Callable
+    message: str
+    default: object = REQUIRED
 
-# integer fields of one check type: (check name, field, minimum, maximum)
-CHECK_INT_FIELDS = (("mass", "n_max", 2, None), ("criterion", "n_max", 3, None),
-                    ("ultra", "n", 3, ULTRA_MAX_N), ("lemma1", "n", 2, None),
-                    ("consistency", "n", 2, None),
-                    ("descend", "n_condition", 1, None),
-                    ("descend", "psd_outer", 1, None),
-                    ("descend", "psd_inner", 1, None))
+
+def _is_int(v, minimum=None, maximum=None) -> bool:
+    # bool is a subclass of int, but true/false is never a count or a seed
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and (minimum is None or v >= minimum)
+            and (maximum is None or v <= maximum))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+def _is_object(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _is_int_triples(v, minimum=None) -> bool:
+    """A list of [a, b, c] integer triples, every entry >= minimum."""
+    return isinstance(v, list) and all(
+        isinstance(t, list) and len(t) == 3
+        and all(_is_int(x, minimum) for x in t) for t in v)
+
+
+def _builds(make, *args, **kwargs) -> bool:
+    """Whether a domain constructor, which holds the rule, accepts these."""
+    try:
+        make(*args, **kwargs)
+    except (ValueError, OverlapLabError):
+        return False
+    return True
+
+
+def _psi(d: dict) -> Psi:
+    """The Psi of {"monomial": power} or {"indicator": level}."""
+    (kind, value), = d.items()
+    return Psi(kind, value)
+
+
+def _int(default=REQUIRED, minimum=None, maximum=None) -> Field:
+    bounds = (f" >= {minimum}" if minimum is not None else "") + (
+        f" and <= {maximum}" if maximum is not None else "")
+    return Field(lambda v: _is_int(v, minimum, maximum),
+                 "must be an integer" + bounds, default)
+
+
+_NAME = Field(lambda v: True, "", None)  # "type" and "name": already dispatched
+_NUMBERS = Field(_is_numbers, "must be a list of numbers")
+_TOLERANCE = "must be a number >= 0"
+_BOOL = Field(lambda v: isinstance(v, bool), "must be true or false")
+
+CONFIG = {"measure": Field(_is_object, "required object missing"),
+          "checks": Field(lambda v: isinstance(v, list) and len(v) > 0,
+                          "need a nonempty list"),
+          "seed": _int(0),
+          "output": Field(_is_object, "must be an object", {})}
+FORMATS = ("csv", "json")
+OUTPUT = {"dir": Field(lambda v: isinstance(v, str), "must be a string", "out"),
+          "formats": Field(lambda v: isinstance(v, list), "must be a list",
+                           list(FORMATS))}
+MEASURES = {
+    "tree": {"type": _NAME, "q": _NUMBERS, "branching": _int(),
+             "zetas": _NUMBERS, "seed": _int(TreeMeasureSpec.seed)},
+    "explicit": {
+        "type": _NAME,
+        "grid": Field(_is_object, "required for explicit measures"),
+        "weights": _NUMBERS,
+        "atoms": Field(lambda v: isinstance(v, list) and len(v) > 0 and all(
+            map(_is_numbers, v)), "must be a nonempty list of lists of numbers"),
+        "on_sphere": _BOOL._replace(default=True)},
+    "adversarial": {"type": _NAME},
+}
+# ObservableSpec bounds the f_pattern / f_monomial triples, given n
+OBSERVABLE = {
+    "n": Field(lambda v: _is_int(v) and _builds(ObservableSpec, v,
+                                                Psi("monomial", 1)),
+               "must be an integer >= 2"),
+    "psi": Field(lambda v: isinstance(v, dict) and len(v) == 1 and all(
+        map(_is_int, v.values())) and _builds(_psi, v),
+        f'must be {{"monomial": 1..{MAX_MONOMIAL_POWER}}} or {{"indicator": '
+        "level >= 1}"),
+    "f_pattern": Field(_is_int_triples, "must be a list of [l, l', x] integer "
+                       "triples, 1 <= l < l' <= n, level >= 1", []),
+    "f_monomial": Field(_is_int_triples, "must be a list of [l, l', x] integer "
+                        f"triples, 1 <= l < l' <= n, power 1..{MAX_MONOMIAL_POWER}",
+                        [])}
+CONDITIONED = {
+    "kind": Field(lambda v: _builds(EventSpec, v, 2, 0.0),
+                  'must be "A_n" or "A_nq"'),
+    "n": _int(None, 3),  # omitted: each observable's own n + 1
+    "q": Field(_is_number, "must be a number", None)}
+MC = {"outer": Field(lambda v: _is_int(v) and _builds(MCConfig, outer=v),
+                     "must be an integer >= 1", MCConfig.outer),
+      "inner": Field(lambda v: _is_int(v) and _builds(MCConfig, inner=v),
+                     "must be an integer >= 1", MCConfig.inner)}
+# The fields of every check, then those of each check type
+CHECK = {"name": _NAME,
+         "mc": Field(_is_object, "must be an object", {}),
+         "abs_tol": Field(lambda v: _is_number(v) and v >= 0, _TOLERANCE,
+                          DEFAULT_ABS_TOL),
+         "z": Field(lambda v: _is_number(v) and v >= 0, _TOLERANCE, DEFAULT_Z),
+         "method": Field(lambda v: v in ("mc", "enumerate"),
+                         'must be "mc" or "enumerate"', DescendConfig.method)}
+# lemma1 and consistency: f is a level pattern on n replicas
+_F_CHECK = {"n": _int(2, 2), "f_pattern": OBSERVABLE["f_pattern"]._replace(
+    default=[[1, 2, 1]])}
+CHECKS = {
+    "gg": {"observables": Field(
+               lambda v: v == "default" or isinstance(v, list) and len(v) > 0,
+               'must be "default" or a nonempty list of objects', "default"),
+           "conditioned": Field(lambda v: v is None or isinstance(v, dict),
+                                "must be an object", None)},
+    "mass": {"n_max": _int(5, 2)},
+    "lemma1": _F_CHECK,
+    "consistency": _F_CHECK,
+    "marginal": {}, "support": {}, "positivity": {},
+    # the ultra scan caches three index arrays of 24 bytes a triple for each
+    # n: about 4 MB at n = 100, and 148 MB more at n = 300
+    "ultra": {"n": _int(8, 3, 100)},
+    "descend": {"n_condition": _int(DescendConfig.n_condition, 1),
+                "psd_outer": _int(DescendConfig.psd_outer, 1),
+                "psd_inner": _int(DescendConfig.psd_inner, 1),
+                "force": _BOOL._replace(default=DescendConfig.force)},
+    "criterion": {
+        "q": Field(_is_number, "must be a number"),
+        "patterns": Field(
+            lambda v: isinstance(v, list) and len(v) > 0 and all(
+                _is_int_triples(p, 1) and p for p in v),
+            "must be a nonempty list of nonempty lists of [a, b, c] integer "
+            "level triples, levels >= 1", [[[1, 1, 1]]]),
+        "n_max": _int(6, 3)},
+}
 
 
 @dataclass
@@ -89,6 +204,14 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _finite(token: str, kind=float):
+    """A JSON number read as kind; NaN, Infinity and literals past the float
+    range (1e999 reads as inf, as does a 400-digit integer) are refused."""
+    if not math.isfinite(float(token)):
+        raise ParseError(f"{token} is not a finite number")
+    return kind(token)
+
+
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file, collecting every problem at once."""
     try:
@@ -96,290 +219,171 @@ def parse_config(path) -> ExperimentConfig:
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_finite, parse_float=_finite,
+                         parse_int=lambda token: _finite(token, int))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from e
     if not isinstance(raw, dict):
         raise ValidationError(["config: must be a JSON object"])
 
-    problems = _unknown_fields(raw, CONFIG_FIELDS, "", "the config")
-    measure = raw.get("measure")
-    if not isinstance(measure, dict):
-        problems.append("measure: required object missing")
-        measure = {}
-    else:
-        problems.extend(_validate_measure(measure))
-
-    checks = raw.get("checks")
-    if not isinstance(checks, list) or not checks:
-        problems.append("checks: need a nonempty list")
-        checks = []
-    for i, chk in enumerate(checks):
-        name = chk.get("name") if isinstance(chk, dict) else None
-        if name not in CHECK_NAMES:
-            problems.append(
-                f"checks[{i}].name: unknown check {name!r}; allowed: "
-                + ", ".join(CHECK_NAMES))
-            continue
-        allowed = COMMON_CHECK_FIELDS + CHECK_FIELDS[name]
-        problems.extend(_unknown_fields(chk, allowed, f"checks[{i}]",
-                                        f"check {name!r}"))
-        mc = chk.get("mc", {})
-        if isinstance(mc, dict):
-            problems.extend(_unknown_fields(mc, MC_FIELDS, f"checks[{i}].mc",
-                                            "mc"))
-            for key in MC_FIELDS:
-                if key in mc and not _is_int(mc[key], 1):
-                    problems.append(f"checks[{i}].mc.{key}: must be an integer >= 1")
-        else:
-            problems.append(f"checks[{i}].mc: must be an object")
-        for check, key, minimum, maximum in CHECK_INT_FIELDS:
-            if name != check or key not in chk:
-                continue
-            if not _is_int(chk[key], minimum) or (
-                    maximum is not None and chk[key] > maximum):
-                bound = "" if maximum is None else f" and <= {maximum}"
-                problems.append(f"checks[{i}].{key}: must be an integer "
-                                f">= {minimum}{bound}")
-        if chk.get("method", "mc") not in ("mc", "enumerate"):
-            problems.append(f'checks[{i}].method: must be "mc" or "enumerate"')
-        if name == "descend" and not isinstance(chk.get("force", False), bool):
-            problems.append(f"checks[{i}].force: must be true or false")
-        for key in ("abs_tol", "z"):
-            if key in chk and not (_is_number(chk[key]) and chk[key] >= 0):
-                problems.append(f"checks[{i}].{key}: must be a number >= 0")
-        if name == "criterion":
-            if "q" not in chk:
-                problems.append(f"checks[{i}]: criterion needs a threshold q")
-            elif not _is_number(chk["q"]):
-                problems.append(f"checks[{i}].q: must be a number")
-            pats = chk.get("patterns", DEFAULT_PATTERNS)
-            if not (isinstance(pats, list) and pats and all(
-                    _is_int_triples(p, 1) and p for p in pats)):
-                problems.append(
-                    f"checks[{i}].patterns: must be a nonempty list of nonempty "
-                    "lists of [a, b, c] integer level triples, levels >= 1")
-        if name == "gg":
-            problems.extend(_gg_problems(chk, f"checks[{i}]"))
-        if name in ("lemma1", "consistency"):
-            n = chk.get("n", 2)
-            problems.extend(_f_problems({"f_pattern": chk.get("f_pattern", [])},
-                                        n if _is_int(n, 2) else None,
-                                        f"checks[{i}]"))
-
-    seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        problems.append("seed: must be an integer")
-        seed = 0
-
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        problems.append("output: must be an object")
-        output = {}
-    problems.extend(_unknown_fields(output, OUTPUT_FIELDS, "output", "output"))
-    out_dir = output.get("dir", "out")
-    formats = output.get("formats", ["csv", "json"])
-    if not isinstance(formats, list):
-        problems.append("output.formats: must be a list")
-        formats = []
-    for f in formats:
-        if f not in ("csv", "json"):
-            problems.append(f"output.formats: unknown format {f!r}")
-
+    problems = []
+    top = _read(raw, CONFIG, "", "the config", problems)
+    if "measure" in top:
+        _read_measure(top["measure"], problems)
+    for i, chk in enumerate(top.get("checks", ())):
+        _read_check(chk, f"checks[{i}]", problems)
+    output = _read(top.get("output", {}), OUTPUT, "output", "output", problems)
+    problems.extend(f"output.formats: unknown format {f!r}"
+                    for f in output.get("formats", ()) if f not in FORMATS)
     if problems:
         raise ValidationError(problems)
-    return ExperimentConfig(measure, checks, seed, out_dir, list(formats), raw)
+    return ExperimentConfig(top["measure"], top["checks"], top["seed"],
+                            output["dir"], list(output["formats"]), raw)
 
 
-def _unknown_fields(d: dict, allowed: tuple, where: str, what: str) -> list:
-    """One problem per key of d that is not in allowed, naming the field;
-    where is the path of d ("" at the top level)."""
-    return [(f"{where}.{key}" if where else key) + f": unknown field for "
-            f"{what}; allowed: " + ", ".join(allowed)
-            for key in d if key not in allowed]
+def _read(d: dict, table: dict, where: str, what: str, problems: list) -> dict:
+    """Each field of table that d gives and passes, or its default; appends
+    a problem for every other field, and for each key table lacks. where is
+    the path of d ("" at the top level); what names it in those problems."""
+    def at(key):
+        return f"{where}.{key}" if where else key
 
-
-def _is_int(v, minimum=None) -> bool:
-    # bool is a subclass of int, but true/false is never a count or a seed
-    return (isinstance(v, int) and not isinstance(v, bool)
-            and (minimum is None or v >= minimum))
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int_triples(v, minimum=None) -> bool:
-    """A list of [a, b, c] integer triples, every entry >= minimum."""
-    return isinstance(v, list) and all(
-        isinstance(t, list) and len(t) == 3
-        and all(_is_int(x, minimum) for x in t) for t in v)
-
-
-def _f_problems(d: dict, n, where: str) -> list:
-    """The f_pattern / f_monomial lists of one observable, on n replicas."""
-    problems = []
-    for key, what, top in (("f_pattern", "level >= 1", None),
-                           ("f_monomial", f"power 1..{MAX_MONOMIAL_POWER}",
-                            MAX_MONOMIAL_POWER)):
-        v = d.get(key, [])
-        if not (_is_int_triples(v, 1) and all(
-                l < lp and (n is None or lp <= n) and (top is None or x <= top)
-                for l, lp, x in v)):
-            problems.append(f"{where}.{key}: must be a list of [l, l', x] "
-                            f"integer triples, 1 <= l < l' <= n, {what}")
-    if d.get("f_pattern") and d.get("f_monomial"):
-        problems.append(f"{where}: choose f_pattern or f_monomial, not both")
-    return problems
-
-
-def _gg_problems(chk: dict, where: str) -> list:
-    """The observables and the conditioning event of a gg check."""
-    problems = []
-    observables = chk.get("observables", "default")
-    obs_ns = {obs.n for obs in default_gg_observables()}
-    if observables != "default":
-        obs_ns = set()
-        if not (isinstance(observables, list) and observables):
-            problems.append(f'{where}.observables: must be "default" or a '
-                            "nonempty list of objects")
-            observables = []
-        for j, d in enumerate(observables):
-            at = f"{where}.observables[{j}]"
-            if not isinstance(d, dict):
-                problems.append(f"{at}: must be an object")
-                continue
-            problems.extend(_unknown_fields(d, OBSERVABLE_FIELDS, at,
-                                            "an observable"))
-            n = d.get("n")
-            if not _is_int(n, 2):
-                problems.append(f"{at}.n: must be an integer >= 2")
-                n = None
-            else:
-                obs_ns.add(n)
-            psi = d.get("psi")
-            if not (isinstance(psi, dict) and len(psi) == 1 and (
-                    _is_int(psi.get("monomial"), 1)
-                    and psi["monomial"] <= MAX_MONOMIAL_POWER
-                    or _is_int(psi.get("indicator"), 1))):
-                problems.append(f'{at}.psi: must be {{"monomial": 1..'
-                                f'{MAX_MONOMIAL_POWER}}} or {{"indicator": '
-                                "level >= 1}")
-            problems.extend(_f_problems(d, n, at))
-    cond = chk.get("conditioned")
-    if cond and not isinstance(cond, dict):
-        problems.append(f"{where}.conditioned: must be an object")
-    elif cond:
-        at = f"{where}.conditioned"
-        problems.extend(_unknown_fields(cond, CONDITIONED_FIELDS, at,
-                                        "a conditioning event"))
-        if cond.get("kind") not in ("A_n", "A_nq"):
-            problems.append(f'{at}.kind: must be "A_n" or "A_nq"')
-        if "n" in cond and not _is_int(cond["n"], 3):
-            problems.append(f"{at}.n: must be an integer >= 3")
-        elif "n" in cond and any(cond["n"] != n + 1 for n in obs_ns):
-            # each observable is conditioned on its own n + 1 replicas
-            problems.append(f"{at}.n: must be omitted or equal n + 1 for "
-                            f"every observable (n in {sorted(obs_ns)})")
-        if ("q" in cond or cond.get("kind") == "A_nq") and not _is_number(
-                cond.get("q")):
-            problems.append(f"{at}.q: must be a number")
-    return problems
-
-
-def _validate_measure(measure: dict) -> list:
-    mtype = measure.get("type")
-    problems = []
-    if isinstance(mtype, str) and mtype in MEASURE_FIELDS:
-        problems = _unknown_fields(measure, MEASURE_FIELDS[mtype], "measure",
-                                   f"measure type {mtype!r}")
-    if mtype == "tree":
-        try:
-            TreeMeasureSpec(tuple(measure.get("q", ())),
-                            int(measure.get("branching", 0)),
-                            tuple(measure.get("zetas", ())),
-                            int(measure.get("seed", 0)))
-        except (ValueError, TypeError, OverlapLabError) as e:
-            problems.append(f"measure: {e}")
-    elif mtype == "explicit":
-        grid = measure.get("grid")
-        if not isinstance(grid, dict):
-            problems.append("measure.grid: required for explicit measures")
+    problems.extend(at(key) + f": unknown field for {what}; allowed: "
+                    + ", ".join(table) for key in d if key not in table)
+    values = {}
+    for key, field in table.items():
+        if key in d and field.test(d[key]):
+            values[key] = d[key]
+        elif key in d or field.default is REQUIRED:
+            problems.append(f"{at(key)}: {field.message}")
         else:
-            try:
-                OverlapGrid.from_json_dict(grid)
-            except (ValueError, KeyError, TypeError) as e:
-                problems.append(f"measure.grid: {e}")
-        weights = measure.get("weights")
-        if not (isinstance(weights, list) and all(map(_is_number, weights))):
-            problems.append("measure.weights: must be a list of numbers")
-        elif abs(sum(weights) - 1.0) > 1e-9:
-            problems.append(
-                f"measure.weights: sum to {sum(weights)!r}, expected 1")
-        if not measure.get("atoms"):
-            problems.append("measure.atoms: required for explicit measures")
-    elif mtype == "adversarial":
-        pass
-    else:
+            values[key] = field.default
+    return values
+
+
+def _read_measure(measure: dict, problems: list) -> dict:
+    """The fields of the measure's type, with a tree's TreeMeasureSpec
+    (spec) and an explicit measure's OverlapGrid (grid) built."""
+    mtype = measure.get("type")
+    if not isinstance(mtype, str) or mtype not in MEASURES:
         problems.append(f"measure.type: unknown type {mtype!r}")
-    return problems
+        return {}
+    table = MEASURES[mtype]
+    v = _read(measure, table, "measure", f"measure type {mtype!r}", problems)
+    if mtype == "tree" and len(v) == len(table):
+        try:
+            v["spec"] = TreeMeasureSpec(tuple(v["q"]), v["branching"],
+                                        tuple(v["zetas"]), v["seed"])
+        except (ValueError, OverlapLabError) as e:
+            problems.append(f"measure: {e}")
+    if "grid" in v:
+        try:
+            v["grid"] = OverlapGrid.from_json_dict(v["grid"])
+        except (ValueError, KeyError, TypeError) as e:
+            problems.append(f"measure.grid: {e}")
+    return v
+
+
+def _read_check(chk, where: str, problems: list) -> dict:
+    """The fields of a check (CHECK's, then its type's), with mc an
+    MCConfig, gg's observables ObservableSpecs and the f of lemma1 and
+    consistency one."""
+    name = chk.get("name") if isinstance(chk, dict) else None
+    if not isinstance(name, str) or name not in CHECKS:
+        problems.append(f"{where}.name: unknown check {name!r}; allowed: "
+                        + ", ".join(CHECKS))
+        return {}
+    v = _read(chk, {**CHECK, **CHECKS[name]}, where, f"check {name!r}",
+              problems)
+    if "mc" in v:
+        v["mc"] = MCConfig(**_read(v["mc"], MC, f"{where}.mc", "mc", problems))
+    if "n" in v and "f_pattern" in v:  # only lemma1 and consistency have both
+        v["f"] = _read_observable({"n": v["n"], "psi": {"monomial": 1},
+                                   "f_pattern": v["f_pattern"]}, where, problems)
+    if v.get("observables") == "default":
+        v["observables"] = default_gg_observables()
+    elif "observables" in v:
+        v["observables"] = [
+            _read_observable(d, f"{where}.observables[{j}]", problems)
+            for j, d in enumerate(v["observables"])]
+    if v.get("conditioned") is not None:
+        at = f"{where}.conditioned"
+        v["conditioned"] = cond = _read(v["conditioned"], CONDITIONED, at,
+                                        "a conditioning event", problems)
+        # each observable is conditioned on its own n + 1 replicas
+        ns = sorted({obs.n for obs in v.get("observables", ()) if obs})
+        if cond.get("n") is not None and any(cond["n"] != n + 1 for n in ns):
+            problems.append(f"{at}.n: must be omitted or equal n + 1 for "
+                            f"every observable (n in {ns})")
+        if "kind" in cond and "q" in cond and not _builds(
+                EventSpec, cond["kind"], 2, cond["q"]):
+            problems.append(f"{at}.q: {CONDITIONED['q'].message}")
+    return v
+
+
+def _read_observable(d, at: str, problems: list):
+    """The ObservableSpec an observable object describes, or None. A triple
+    list that ObservableSpec rejects for n is reported under its field."""
+    if not isinstance(d, dict):
+        problems.append(f"{at}: must be an object")
+        return None
+    v = _read(d, OBSERVABLE, at, "an observable", problems)
+    if "n" not in v or "psi" not in v:
+        return None
+    n, psi = v["n"], _psi(v["psi"])
+    f = {key: tuple(((l, lp), x) for l, lp, x in v[key])
+         for key in ("f_pattern", "f_monomial") if key in v}
+    bad = [key for key in f if not _builds(ObservableSpec, n, psi,
+                                           **{key: f[key]})]
+    problems.extend(f"{at}.{key}: {OBSERVABLE[key].message}" for key in bad)
+    try:
+        return None if bad else ObservableSpec(n, psi, **f)
+    except ValueError as e:  # both forms of f given
+        problems.append(f"{at}: {e}")
 
 
 def build_model(measure: dict):
     """Construct the model plus any advisory warnings."""
-    warnings = []
-    mtype = measure["type"]
-    if mtype == "tree":
-        spec = TreeMeasureSpec(tuple(measure["q"]), int(measure["branching"]),
-                               tuple(measure["zetas"]),
-                               int(measure.get("seed", 0)))
-        model = TreeModel(spec)
-    elif mtype == "explicit":
-        grid = OverlapGrid.from_json_dict(measure["grid"])
-        m = explicit_measure(np.asarray(measure["atoms"], dtype=np.float64),
-                             np.asarray(measure["weights"], dtype=np.float64),
-                             grid, on_sphere=bool(measure.get("on_sphere", True)))
+    problems = []
+    v = _read_measure(measure, problems)
+    if problems:
+        raise ValidationError(problems)
+    if v["type"] == "tree":
+        model = TreeModel(v["spec"])
+    elif v["type"] == "explicit":
+        m = explicit_measure(np.asarray(v["atoms"], dtype=np.float64),
+                             np.asarray(v["weights"], dtype=np.float64),
+                             v["grid"], on_sphere=v["on_sphere"])
         model = FrozenModel(m)
     else:
         model = FrozenModel(adversarial_measure())
+    warnings = []
     if any(q < 0 for q in model.grid.levels):
         warnings.append("grid has negative overlap levels; identity-satisfying "
                         "families keep overlaps nonnegative")
     return model, warnings
 
 
-def _parse_observable(d: dict) -> ObservableSpec:
-    psi_d = d["psi"]
-    if "monomial" in psi_d:
-        psi = Psi("monomial", int(psi_d["monomial"]))
-    else:
-        psi = Psi("indicator", int(psi_d["indicator"]))
-    fpat = tuple(((int(l), int(lp)), int(v)) for l, lp, v in d.get("f_pattern", ()))
-    fmono = tuple(((int(l), int(lp)), int(p)) for l, lp, p in d.get("f_monomial", ()))
-    return ObservableSpec(int(d["n"]), psi, f_pattern=fpat, f_monomial=fmono)
-
-
 def _run_check(chk: dict, model, seed: int, oracle: bool):
     """Dispatch one configured check. Returns (rows, json_obj, passed)."""
-    name = chk["name"]
-    mc = MCConfig(**{key: int(v) for key, v in chk.get("mc", {}).items()})
-    abs_tol = float(chk.get("abs_tol", DEFAULT_ABS_TOL))
-    z = float(chk.get("z", DEFAULT_Z))
-    method = "enumerate" if oracle else chk.get("method", "mc")
+    problems = []
+    v = _read_check(chk, "check", problems)
+    if problems:
+        raise ValidationError(problems)
+    name, mc = v["name"], v["mc"]
+    # the fields every estimating check reads alike
+    est = {"abs_tol": float(v["abs_tol"]), "z": float(v["z"]),
+           "method": "enumerate" if oracle else v["method"]}
 
     if name == "gg":
-        obs_cfg = chk.get("observables", "default")
-        if obs_cfg == "default":
-            observables = default_gg_observables()
-        else:
-            observables = [_parse_observable(d) for d in obs_cfg]
-        cond_cfg = chk.get("conditioned")
+        observables, cond = v["observables"], v["conditioned"]
         # each observable is conditioned on its own n + 1 replicas
-        conds = [EventSpec(cond_cfg["kind"], obs.n + 1, cond_cfg.get("q"))
-                 for obs in observables] if cond_cfg else None
+        conds = [EventSpec(cond["kind"], obs.n + 1, cond["q"])
+                 for obs in observables] if cond else None
         reps = gg_residual(model, observables, mc, seed, conditioned=conds,
-                           abs_tol=abs_tol, z=z, method=method)
+                           **est)
         rows, objs, ok = [], [], True
         for obs, rep in zip(observables, reps):
             if isinstance(rep, Exception):
@@ -392,23 +396,17 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
         return rows, {"observables": objs}, ok
 
     if name == "mass":
-        rep = distinct_mass_check(model, int(chk.get("n_max", 5)), mc, seed,
-                                  abs_tol=abs_tol, z=z, method=method)
+        rep = distinct_mass_check(model, v["n_max"], mc, seed, **est)
         return list(rep.rows), {"p_top": rep.p_top}, rep.passed
 
     if name in ("lemma1", "consistency"):
-        n = int(chk.get("n", 2))
-        fpat = tuple(((int(l), int(lp)), int(v))
-                     for l, lp, v in chk.get("f_pattern", ((1, 2, 1),)))
-        f = ObservableSpec(n, Psi("monomial", 1), f_pattern=fpat)
         fn = lemma1_check if name == "lemma1" else consistency_check
-        rep = fn(model, f, n, mc, seed, abs_tol=abs_tol, z=z, method=method)
+        rep = fn(model, v["f"], v["n"], mc, seed, **est)
         return [rep.row(name)], {"residual": rep.residual,
                                  "se": rep.residual_se}, rep.passed
 
     if name == "marginal":
-        rep = conditional_marginal_check(model, mc, seed, abs_tol=abs_tol,
-                                         z=z, method=method)
+        rep = conditional_marginal_check(model, mc, seed, **est)
         return list(rep.rows), {"acceptance_rate": rep.acceptance_rate}, rep.passed
 
     if name == "support":
@@ -422,15 +420,14 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
             rep.passed
 
     if name == "ultra":
-        rep = ultrametricity_check(model, mc, seed, n=int(chk.get("n", 8)))
+        rep = ultrametricity_check(model, mc, seed, n=v["n"])
         return [rep.row(model.model_id)], {
             "triples": rep.triples_checked, "violations": rep.violations,
             "witness": rep.first_witness}, rep.passed
 
     if name == "descend":
-        cfg = DescendConfig(mc=mc, abs_tol=abs_tol, z=z, method=method,
-                            **{key: chk[key] for key in CHECK_FIELDS[name]
-                               if key in chk})
+        cfg = DescendConfig(mc=mc, **est,
+                            **{key: v[key] for key in CHECKS[name]})
         rep = descend(model, cfg, seed)
         passed = rep.all_passed
         node = rep.child
@@ -440,10 +437,9 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
         return rep.rows(model.model_id), rep.to_json_dict(), passed
 
     if name == "criterion":
-        reports = criterion_run(model, float(chk["q"]),
-                                chk.get("patterns", DEFAULT_PATTERNS),
-                                int(chk.get("n_max", 6)), mc, seed, z=z,
-                                method=method)
+        reports = criterion_run(model, float(v["q"]), v["patterns"],
+                                v["n_max"], mc, seed, z=est["z"],
+                                method=est["method"])
         rows = []
         ok = True
         for rep in reports:
@@ -612,7 +608,7 @@ def main(argv=None) -> int:
 
     formats = None
     if args.format:
-        formats = ["csv", "json"] if args.format == "both" else [args.format]
+        formats = list(FORMATS) if args.format == "both" else [args.format]
 
     try:
         config = parse_config(args.config)

@@ -35,20 +35,21 @@ class OverlapGrid:
         object.__setattr__(self, "levels", levels)
         if len(levels) < 1:
             raise ValueError("grid needs at least one level")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
+        # each rule states what must hold, so that NaN fails it
+        if not all(b > a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if levels[0] < -1.0 or levels[-1] > 1.0:
+        if not (levels[0] >= -1.0 and levels[-1] <= 1.0):
             raise ValueError("levels must lie in [-1, 1]")
         if self.probs is not None:
             probs = tuple(float(p) for p in self.probs)
             object.__setattr__(self, "probs", probs)
             if len(probs) != len(levels):
                 raise ValueError("probs length must match levels")
-            if any(p <= 0.0 for p in probs):
+            if not all(p > 0.0 for p in probs):
                 raise ValueError("probs must be positive")
-            if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
+            if not abs(sum(probs) - 1.0) <= PROB_SUM_TOL:
                 raise ValueError("probs must sum to 1")
-        if self.self_overlap < levels[-1]:
+        if not self.self_overlap >= levels[-1]:
             raise ValueError("self_overlap must be >= top level")
 
     @property

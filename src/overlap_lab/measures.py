@@ -102,15 +102,16 @@ class TreeMeasureSpec:
         object.__setattr__(self, "zetas", zetas)
         if len(q) < 1:
             raise ValueError("need at least one overlap value")
-        if q[0] <= 0.0 or any(b <= a for a, b in zip(q, q[1:])) or q[-1] > 1.0:
+        # each rule states what must hold, so that NaN fails it
+        if not all(b > a for a, b in zip((0.0, *q), q)) or not q[-1] <= 1.0:
             raise ValueError("q must be strictly increasing in (0, 1]")
         if len(zetas) != len(q):
             raise ValueError("need one zeta per depth")
         if any(not 0.0 < z < 1.0 for z in zetas):
             raise BadZeta("zetas must lie in (0,1)")
-        if any(b <= a for a, b in zip(zetas, zetas[1:])):
+        if not all(b > a for a, b in zip(zetas, zetas[1:])):
             raise ValueError("zetas must be strictly increasing")
-        if self.branching < 2:
+        if not self.branching >= 2:
             raise ValueError("branching must be >= 2")
 
     @property
@@ -267,12 +268,12 @@ class DiscreteMeasure:
 
 def _check_weights(W: np.ndarray) -> None:
     """Weights must be positive and sum to 1: a vector, or each row of a block."""
-    if np.any(W <= 0.0):
+    if not np.all(W > 0.0):
         raise BadWeights("weights must be positive")
     sums = np.atleast_1d(W.sum(axis=-1))
-    off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
+    off = ~(np.abs(sums - 1.0) <= WEIGHT_SUM_TOL)
     if off.any():
-        raise BadWeights(f"weights sum to {sums[off][0]!r}, not 1")
+        raise BadWeights(f"weights sum to {float(sums[off][0])!r}, not 1")
 
 
 def _level_table_from_gram(gram: np.ndarray, grid: OverlapGrid,

@@ -163,6 +163,25 @@ class TestParseConfig:
         ({"output": {"dir": "out", "fromats": ["csv"]}}, "output.fromats"),
         ({"outptu": {"dir": "out"}}, "outptu: unknown field"),
         ({"measure": {"type": ["tree"]}}, "measure.type: unknown type"),
+        ({"output": {"dir": 5}}, "output.dir"),
+        ({"measure": {"type": "tree", "branching": "3", "zetas": [0.5],
+                      "q": [0.5]}}, "measure.branching"),
+        ({"measure": {"type": "tree", "branching": 3.7, "zetas": [0.5],
+                      "q": [0.5]}}, "measure.branching"),
+        ({"measure": {"type": "tree", "branching": 3, "zetas": [0.5],
+                      "q": [0.5], "seed": 1.5}}, "measure.seed"),
+        ({"measure": {"type": "tree", "branching": 3, "zetas": [0.5],
+                      "q": ["0.5"]}}, "measure.q"),
+        ({"measure": {"type": "explicit",
+                      "grid": {"levels": [1.0], "self_overlap": 1.0},
+                      "atoms": [[1.0]], "weights": [1.0], "on_sphere": "no"}},
+         "measure.on_sphere"),
+        ({"measure": {"type": "explicit",
+                      "grid": {"levels": [1.0], "self_overlap": 1.0},
+                      "atoms": [[None]], "weights": [1.0],
+                      "on_sphere": False}}, "measure.atoms"),
+        ({"checks": [{"name": "gg", "conditioned": {}}]},
+         "checks[0].conditioned.kind"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):
@@ -172,6 +191,32 @@ class TestParseConfig:
             parse_config(write_config(tmp_path / "c.json", cfg))
         assert any(p.startswith(field) for p in err.value.problems), \
             err.value.problems
+
+    @pytest.mark.parametrize("text, token", [
+        ('{"measure": {"type": "adversarial"}, '
+         '"checks": [{"name": "gg", "z": 1e999}]}', "1e999"),
+        ('{"measure": {"type": "tree", "branching": 3, "zetas": [0.5], '
+         '"q": [NaN]}, "checks": [{"name": "support"}]}', "NaN"),
+        ('{"measure": {"type": "explicit", "grid": {"levels": [1.0], '
+         '"self_overlap": 1.0}, "atoms": [[1.0]], "weights": [NaN]}, '
+         '"checks": [{"name": "support"}]}', "NaN"),
+        ('{"measure": {"type": "adversarial"}, '
+         '"checks": [{"name": "gg", "abs_tol": Infinity}]}', "Infinity"),
+        ('{"measure": {"type": "adversarial"}, '
+         '"checks": [{"name": "criterion", "q": -Infinity}]}', "-Infinity"),
+        ('{"measure": {"type": "tree", "branching": 3, "zetas": [0.5], '
+         '"q": [1' + "0" * 400 + ']}, "checks": [{"name": "support"}]}',
+         "1" + "0" * 400),
+    ], ids=["overflow", "tree_q_nan", "weights_nan", "inf", "minus_inf",
+            "int_overflow"])
+    def test_non_finite_number_refused(self, tmp_path, capsys, text, token):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            parse_config(p)
+        assert f": {token} is not a finite number" in str(err.value)
+        assert main(["validate", str(p)]) == 1
+        assert token in capsys.readouterr().err
 
     def test_conditioned_n_matching_every_observable_accepted(self, tmp_path):
         obs = [{"n": 3, "psi": {"monomial": 1}},

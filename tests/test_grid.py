@@ -28,6 +28,16 @@ class TestOverlapGrid:
         with pytest.raises(ValueError):
             OverlapGrid((0.3, 0.7), (-0.1, 1.1))
 
+    @pytest.mark.parametrize("levels, probs, self_overlap", [
+        ((np.nan,), None, 1.0),
+        ((0.3, np.nan), None, 1.0),
+        ((0.3, 0.7), (0.5, np.nan), 1.0),
+        ((0.3, 0.7), None, np.nan),
+    ], ids=["only_level", "top_level", "prob", "self_overlap"])
+    def test_nan_rejected(self, levels, probs, self_overlap):
+        with pytest.raises(ValueError):
+            OverlapGrid(levels, probs, self_overlap)
+
     def test_level_lookup(self):
         g = grid2()
         assert g.level_of(0.3) == 1

@@ -79,6 +79,15 @@ class TestTreeMeasureSpec:
         with pytest.raises(ValueError):
             TreeMeasureSpec((0.3, 0.7), 1, (0.3, 0.6))
 
+    @pytest.mark.parametrize("q, branching, zetas", [
+        ((np.nan,), 2, (0.5,)),
+        ((0.3, np.nan), 2, (0.3, 0.6)),
+        ((0.3, 0.7), np.nan, (0.3, 0.6)),
+    ], ids=["q_only", "q_top", "branching"])
+    def test_nan_rejected(self, q, branching, zetas):
+        with pytest.raises(ValueError):
+            TreeMeasureSpec(q, branching, zetas)
+
     def test_atom_count_guard(self):
         with pytest.raises(TooManyAtoms):
             TreeStructure((0.2, 0.4, 0.6), 101)  # 101^3 > 1e6
@@ -683,6 +692,12 @@ class TestExplicitMeasure:
             explicit_measure(a, [0.9], g)
         with pytest.raises(BadWeights):
             explicit_measure([[np.sqrt(0.7)], [np.sqrt(0.7)]], [1.2, -0.2], g)
+
+    @pytest.mark.parametrize("weights", [[0.5, np.nan], [np.nan, np.nan]])
+    def test_nan_weights_rejected(self, weights):
+        g = OverlapGrid((0.0, 1.0), None, 1.0)
+        with pytest.raises(BadWeights):
+            explicit_measure(np.eye(2), weights, g)
 
     def test_off_grid_rejected_on_sphere(self):
         g = OverlapGrid((0.3, 0.7), None, 0.7)

@@ -7,6 +7,7 @@ installing any wrapper.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,44 @@ SITES = [site for sites, *_ in tracer.ENTRY_POINTS for site in sites]
 def test_entry_point_resolves(site):
     owner, leaf = tracer._resolve(site)
     assert callable(getattr(owner, leaf))
+
+
+ROOT = TRACER.parents[1]
+CLI_SITES = [site.split(":")[1] for site in SITES if site.startswith("cli:")]
+
+
+def test_run_reaches_every_cli_site_through_module_globals(tmp_path,
+                                                           monkeypatch):
+    """The tracer wraps the cli sites as module attributes, so a run must
+    look each one up there when it calls it: one that holds a function
+    object captured at import would skip the wrapper."""
+    from overlap_lab import cli
+
+    calls = dict.fromkeys(CLI_SITES, 0)
+    for leaf in CLI_SITES:
+        def counting(*args, _leaf=leaf, _real=getattr(cli, leaf), **kwargs):
+            calls[_leaf] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, leaf, counting)
+    cfg = json.loads((ROOT / "configs" / "tree_k2.json").read_text())
+    cfg["measure"]["branching"] = 8
+    for chk in cfg["checks"]:
+        if "mc" in chk:
+            chk["mc"] = {"outer": 20, "inner": 20}
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert len(cfg["checks"]) == 10
+    cli.main(["run", str(path)])
+    assert sorted(CLI_SITES) == sorted(
+        ["build_model", "criterion_run", "descend", "emit_plot_data",
+         "write_rows_csv", *tracer.VERIFY_FNS])
+    assert [leaf for leaf, n in calls.items() if n == 0] == []
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_committed_config_validates(config):
+    from overlap_lab.cli import main
+
+    assert main(["validate", str(config)]) == 0
