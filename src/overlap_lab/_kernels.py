@@ -175,54 +175,40 @@ def accept_mask(idx, table, threshold):
 # ---------------------------------------------------------------------------
 # Packed-statistic evaluation
 # ---------------------------------------------------------------------------
-# A statistic is a product of factors over one n x n level matrix:
-#   * pattern indicators  I(levels[i,j] == req)
-#   * monomials           vals[levels[i,j]] ** power
-#   * prefix thresholds   I(levels[i,j] <= t for all i<j<r)
-#   * sorted-triple match I(sorted(e01,e02,e12) == given sorted levels)
-# S statistics are packed side by side with ptr offset arrays.
+# A pack is (offsets, factors): statistic s is the product of the factor
+# columns of the keys factors[offsets[s]:offsets[s + 1]], in that order, over
+# one n x n level matrix (see observables.Statistic for the keys).
 
 def eval_stats(levels_batch, vals, pack):
     """(T, S) statistic values. Each distinct factor column is computed once
-    per call and multiplied into every statistic that has it, in the order
-    above, so a statistic's value does not depend on its neighbours."""
-    (pat_ptr, pat_i, pat_j, pat_req, mono_ptr, mono_i, mono_j, mono_pow,
-     thr_ptr, thr_r, thr_t, srt_ptr, srt_lvl) = pack
+    per call and multiplied into every statistic that has it, so a
+    statistic's value does not depend on its neighbours."""
+    offsets, factors = pack
+    bounds = offsets.tolist()
     T = levels_batch.shape[0]
-    S = len(pat_ptr) - 1
-    out = np.ones((T, S))
-    factors = {}
-
-    def factor(key, make):
-        col = factors.get(key)
-        if col is None:
-            col = factors[key] = make()
-        return col
-
-    def sorted_triples():
-        # sorted (e01, e02, e12) of each matrix
-        return np.sort(np.stack([levels_batch[:, 0, 1], levels_batch[:, 0, 2],
-                                 levels_batch[:, 1, 2]], axis=1), axis=1)
-
-    for s in range(S):
+    out = np.ones((T, len(bounds) - 1))
+    cols = {}
+    tri = None
+    for s in range(len(bounds) - 1):
         v = np.ones(T)
-        for p in range(pat_ptr[s], pat_ptr[s + 1]):
-            i, j, req = int(pat_i[p]), int(pat_j[p]), int(pat_req[p])
-            v = v * factor(("pattern", i, j, req),
-                           lambda: levels_batch[:, i, j] == req)
-        for r in range(thr_ptr[s], thr_ptr[s + 1]):
-            rr, t = int(thr_r[r]), int(thr_t[r])
-            v = v * factor(("threshold", rr, t),
-                           lambda: all_below(levels_batch, rr, t))
-        for w in range(srt_ptr[s], srt_ptr[s + 1]):
-            want = tuple(srt_lvl[3 * w : 3 * w + 3].tolist())
-            tri = factor("sorted3", sorted_triples)
-            v = v * factor(("sorted3", want),
-                           lambda: (tri == np.array(want)[None, :]).all(axis=1))
-        for q in range(mono_ptr[s], mono_ptr[s + 1]):
-            i, j, p = int(mono_i[q]), int(mono_j[q]), float(mono_pow[q])
-            v = v * factor(("monomial", i, j, p),
-                           lambda: vals[levels_batch[:, i, j]] ** p)
+        for key in factors[bounds[s] : bounds[s + 1]]:
+            col = cols.get(key)
+            if col is None:
+                kind, *args = key
+                if kind == "pattern":
+                    i, j, level = args
+                    col = levels_batch[:, i, j] == level
+                elif kind == "threshold":
+                    col = all_below(levels_batch, *args)
+                elif kind == "sorted3":
+                    if tri is None:  # sorted (e01, e02, e12) of each matrix
+                        tri = np.sort(levels_batch[:, [0, 0, 1], [1, 2, 2]], axis=1)
+                    col = (tri == args[0]).all(axis=1)
+                else:
+                    i, j, power = args
+                    col = vals[levels_batch[:, i, j]] ** float(power)
+                cols[key] = col
+            v = v * col
         out[:, s] = v
     return out
 
@@ -538,15 +524,8 @@ def warmup():
     top_tie_triples(batch, 1)
     table = np.zeros((2, 2), dtype=np.int16)
     accept_mask(np.zeros((2, 2), dtype=np.int64), table, np.int16(1))
-    pack = empty_pack()
+    pack = (np.zeros(1, np.int64), ())
     eval_stats(batch, np.zeros(3), pack)
     enum_stats(np.array([1.0]), table[:1, :1], 2, -1, np.zeros(3), pack)
     enum_law(np.array([1.0]), table[:1, :1], 2, -1, 2)
 
-
-def empty_pack():
-    """Packed representation of zero statistics (see eval_stats)."""
-    z32 = np.zeros(0, dtype=np.int32)
-    z16 = np.zeros(0, dtype=np.int16)
-    ptr = np.zeros(1, dtype=np.int32)
-    return (ptr, z32, z32, z16, ptr, z32, z32, z32, ptr, z32, z16, ptr, z16)

@@ -128,6 +128,12 @@ MEASURES = {
         "on_sphere": _BOOL._replace(default=True)},
     "adversarial": {"type": _NAME},
 }
+# OverlapGrid holds the ordering, range and sum rules
+GRID = {"levels": Field(lambda v: _is_numbers(v) and len(v) > 0,
+                        "must be a nonempty list of numbers"),
+        "probs": Field(lambda v: v is None or _is_numbers(v),
+                       "must be null or a list of numbers", None),
+        "self_overlap": Field(_is_number, "must be a number")}
 # ObservableSpec bounds the f_pattern / f_monomial triples, given n
 OBSERVABLE = {
     "n": Field(lambda v: _is_int(v) and _builds(ObservableSpec, v,
@@ -151,35 +157,42 @@ MC = {"outer": Field(lambda v: _is_int(v) and _builds(MCConfig, outer=v),
                      "must be an integer >= 1", MCConfig.outer),
       "inner": Field(lambda v: _is_int(v) and _builds(MCConfig, inner=v),
                      "must be an integer >= 1", MCConfig.inner)}
-# The fields of every check, then those of each check type
-CHECK = {"name": _NAME,
-         "mc": Field(_is_object, "must be an object", {}),
-         "abs_tol": Field(lambda v: _is_number(v) and v >= 0, _TOLERANCE,
-                          DEFAULT_ABS_TOL),
-         "z": Field(lambda v: _is_number(v) and v >= 0, _TOLERANCE, DEFAULT_Z),
-         "method": Field(lambda v: v in ("mc", "enumerate"),
-                         'must be "mc" or "enumerate"', DescendConfig.method)}
+# The fields of every check, then those of each check type: the checks that
+# sample read mc, and those that estimate also the estimator's fields
+CHECK = {"name": _NAME}
+_SAMPLING = {"mc": Field(_is_object, "must be an object", {})}
+_ESTIMATOR = {
+    **_SAMPLING,
+    "abs_tol": Field(lambda v: _is_number(v) and v >= 0, _TOLERANCE,
+                     DEFAULT_ABS_TOL),
+    "z": Field(lambda v: _is_number(v) and v >= 0, _TOLERANCE, DEFAULT_Z),
+    "method": Field(lambda v: v in ("mc", "enumerate"),
+                    'must be "mc" or "enumerate"', DescendConfig.method)}
 # lemma1 and consistency: f is a level pattern on n replicas
-_F_CHECK = {"n": _int(2, 2), "f_pattern": OBSERVABLE["f_pattern"]._replace(
-    default=[[1, 2, 1]])}
+_F_CHECK = {**_ESTIMATOR, "n": _int(2, 2),
+            "f_pattern": OBSERVABLE["f_pattern"]._replace(default=[[1, 2, 1]])}
+# the DescendConfig fields a descend check sets besides the estimator's
+DESCEND = {"n_condition": _int(DescendConfig.n_condition, 1),
+           "psd_outer": _int(DescendConfig.psd_outer, 1),
+           "psd_inner": _int(DescendConfig.psd_inner, 1),
+           "force": _BOOL._replace(default=DescendConfig.force)}
 CHECKS = {
-    "gg": {"observables": Field(
+    "gg": {**_ESTIMATOR, "observables": Field(
                lambda v: v == "default" or isinstance(v, list) and len(v) > 0,
                'must be "default" or a nonempty list of objects', "default"),
            "conditioned": Field(lambda v: v is None or isinstance(v, dict),
                                 "must be an object", None)},
-    "mass": {"n_max": _int(5, 2)},
+    "mass": {**_ESTIMATOR, "n_max": _int(5, 2)},
     "lemma1": _F_CHECK,
     "consistency": _F_CHECK,
-    "marginal": {}, "support": {}, "positivity": {},
+    "marginal": _ESTIMATOR, "support": {}, "positivity": _SAMPLING,
     # the ultra scan caches three index arrays of 24 bytes a triple for each
     # n: about 4 MB at n = 100, and 148 MB more at n = 300
-    "ultra": {"n": _int(8, 3, 100)},
-    "descend": {"n_condition": _int(DescendConfig.n_condition, 1),
-                "psd_outer": _int(DescendConfig.psd_outer, 1),
-                "psd_inner": _int(DescendConfig.psd_inner, 1),
-                "force": _BOOL._replace(default=DescendConfig.force)},
+    "ultra": {**_SAMPLING, "n": _int(8, 3, 100)},
+    "descend": {**_ESTIMATOR, **DESCEND},
+    # its rows compare two estimates by z alone; abs_tol is accepted and unread
     "criterion": {
+        **_ESTIMATOR,
         "q": Field(_is_number, "must be a number"),
         "patterns": Field(
             lambda v: isinstance(v, list) and len(v) > 0 and all(
@@ -279,10 +292,12 @@ def _read_measure(measure: dict, problems: list) -> dict:
         except (ValueError, OverlapLabError) as e:
             problems.append(f"measure: {e}")
     if "grid" in v:
-        try:
-            v["grid"] = OverlapGrid.from_json_dict(v["grid"])
-        except (ValueError, KeyError, TypeError) as e:
-            problems.append(f"measure.grid: {e}")
+        grid = _read(v["grid"], GRID, "measure.grid", "a grid", problems)
+        if len(grid) == len(GRID):
+            try:
+                v["grid"] = OverlapGrid.from_json_dict(grid)
+            except ValueError as e:
+                problems.append(f"measure.grid: {e}")
     return v
 
 
@@ -372,10 +387,10 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
     v = _read_check(chk, "check", problems)
     if problems:
         raise ValidationError(problems)
-    name, mc = v["name"], v["mc"]
-    # the fields every estimating check reads alike
-    est = {"abs_tol": float(v["abs_tol"]), "z": float(v["z"]),
-           "method": "enumerate" if oracle else v["method"]}
+    name, mc, est = v["name"], v.get("mc"), None
+    if "method" in v:  # the fields every estimating check reads alike
+        est = {"abs_tol": float(v["abs_tol"]), "z": float(v["z"]),
+               "method": "enumerate" if oracle else v["method"]}
 
     if name == "gg":
         observables, cond = v["observables"], v["conditioned"]
@@ -426,8 +441,7 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
             "witness": rep.first_witness}, rep.passed
 
     if name == "descend":
-        cfg = DescendConfig(mc=mc, **est,
-                            **{key: v[key] for key in CHECKS[name]})
+        cfg = DescendConfig(mc=mc, **est, **{key: v[key] for key in DESCEND})
         rep = descend(model, cfg, seed)
         passed = rep.all_passed
         node = rep.child

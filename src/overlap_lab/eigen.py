@@ -71,10 +71,7 @@ def is_psd(matrix: LevelMatrix, tol: float = 1e-9):
 
     Passes when the smallest eigenvalue is >= -tol * n * max|entry|.
     """
-    A = matrix.realize()
-    lo = min_eigenvalue(A)
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    return lo >= -tol * matrix.n * scale, lo
+    return is_psd_dense(matrix.realize(), tol)
 
 
 def is_psd_dense(A: np.ndarray, tol: float = 1e-9):

@@ -76,52 +76,42 @@ class ObservableSpec:
         return f"n{self.n}:{fpart}:psi={self.psi.label()}"
 
 
+# The factor kinds, in the order a statistic multiplies them
+KINDS = ("pattern", "threshold", "sorted3", "monomial")
+
+
+@dataclass(frozen=True)
 class Statistic:
     """One product-of-factors statistic on an n x n level matrix.
 
-    Factors (all optional, multiplied together):
-      patterns:   I(entry[i,j] == level)         0-based positions
-      monomials:  value[entry[i,j]] ** power
-      thresholds: I(all entries among first r replicas <= t)
-      sorted3:    I(sorted three-replica off-diagonals == given sorted triple)
+    Each factor is a key, and each with_* returns a new statistic with one
+    key appended:
+      ("pattern", i, j, level)   I(levels[i, j] == level), 0-based i < j
+      ("threshold", r, t)        I(every level among the first r replicas <= t)
+      ("sorted3", (a, b, c))     I(sorted (levels[0, 1], levels[0, 2],
+                                 levels[1, 2]) == (a, b, c))
+      ("monomial", i, j, power)  values[levels[i, j]] ** power
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.patterns: list = []
-        self.monomials: list = []
-        self.thresholds: list = []
-        self.sorted3: list = []
+    n: int
+    factors: tuple = ()
 
-    def copy(self) -> "Statistic":
-        out = Statistic(self.n)
-        out.patterns = list(self.patterns)
-        out.monomials = list(self.monomials)
-        out.thresholds = list(self.thresholds)
-        out.sorted3 = list(self.sorted3)
-        return out
+    def _with(self, *key) -> "Statistic":
+        return Statistic(self.n, self.factors + (key,))
 
     def with_pattern(self, i: int, j: int, level: int) -> "Statistic":
-        out = self.copy()
-        out.patterns.append((min(i, j), max(i, j), level))
-        return out
+        return self._with("pattern", min(i, j), max(i, j), level)
 
     def with_monomial(self, i: int, j: int, power: int) -> "Statistic":
-        out = self.copy()
-        out.monomials.append((min(i, j), max(i, j), power))
-        return out
+        return self._with("monomial", min(i, j), max(i, j), power)
 
     def with_threshold(self, r: int, t: int) -> "Statistic":
-        out = self.copy()
-        out.thresholds.append((r, t))
-        return out
+        return self._with("threshold", r, t)
 
     def with_sorted_triple(self, levels: Sequence[int]) -> "Statistic":
         if self.n < 3:
             raise ValueError("sorted-triple factor needs n >= 3")
-        out = self.copy()
-        out.sorted3.append(tuple(sorted(int(v) for v in levels)))
-        return out
+        return self._with("sorted3", tuple(sorted(int(v) for v in levels)))
 
     def with_psi(self, psi: Psi, i: int, j: int) -> "Statistic":
         if psi.kind == "monomial":
@@ -131,20 +121,24 @@ class Statistic:
     def evaluate_one(self, levels: np.ndarray, values: np.ndarray) -> float:
         """Plain reference evaluation on one matrix (oracle/tests)."""
         v = 1.0
-        for i, j, req in self.patterns:
-            if levels[i, j] != req:
-                return 0.0
-        for r, t in self.thresholds:
-            for a in range(r - 1):
-                for b in range(a + 1, r):
-                    if levels[a, b] > t:
-                        return 0.0
-        for want in self.sorted3:
-            tri = tuple(sorted((int(levels[0, 1]), int(levels[0, 2]), int(levels[1, 2]))))
-            if tri != want:
-                return 0.0
-        for i, j, p in self.monomials:
-            v *= float(values[levels[i, j]]) ** p
+        for kind, *args in self.factors:
+            if kind == "pattern":
+                i, j, level = args
+                if levels[i, j] != level:
+                    return 0.0
+            elif kind == "threshold":
+                r, t = args
+                if any(levels[a, b] > t
+                       for a in range(r - 1) for b in range(a + 1, r)):
+                    return 0.0
+            elif kind == "sorted3":
+                tri = sorted((int(levels[0, 1]), int(levels[0, 2]),
+                              int(levels[1, 2])))
+                if tuple(tri) != args[0]:
+                    return 0.0
+            else:
+                i, j, power = args
+                v *= float(values[levels[i, j]]) ** power
         return v
 
 
@@ -159,44 +153,13 @@ def statistic_for_f(obs: ObservableSpec) -> Statistic:
 
 
 def pack_statistics(stats: Sequence[Statistic]):
-    """Pack S statistics into the flat arrays the kernels consume."""
-    pat_ptr, pat_i, pat_j, pat_req = [0], [], [], []
-    mono_ptr, mono_i, mono_j, mono_pow = [0], [], [], []
-    thr_ptr, thr_r, thr_t = [0], [], []
-    srt_ptr, srt_lvl = [0], []
-    for st in stats:
-        for i, j, req in st.patterns:
-            pat_i.append(i)
-            pat_j.append(j)
-            pat_req.append(req)
-        pat_ptr.append(len(pat_i))
-        for i, j, p in st.monomials:
-            mono_i.append(i)
-            mono_j.append(j)
-            mono_pow.append(p)
-        mono_ptr.append(len(mono_i))
-        for r, t in st.thresholds:
-            thr_r.append(r)
-            thr_t.append(t)
-        thr_ptr.append(len(thr_r))
-        for tri in st.sorted3:
-            srt_lvl.extend(tri)
-        srt_ptr.append(len(srt_lvl) // 3)
-    return (
-        np.asarray(pat_ptr, dtype=np.int32),
-        np.asarray(pat_i, dtype=np.int32),
-        np.asarray(pat_j, dtype=np.int32),
-        np.asarray(pat_req, dtype=np.int16),
-        np.asarray(mono_ptr, dtype=np.int32),
-        np.asarray(mono_i, dtype=np.int32),
-        np.asarray(mono_j, dtype=np.int32),
-        np.asarray(mono_pow, dtype=np.int32),
-        np.asarray(thr_ptr, dtype=np.int32),
-        np.asarray(thr_r, dtype=np.int32),
-        np.asarray(thr_t, dtype=np.int16),
-        np.asarray(srt_ptr, dtype=np.int32),
-        np.asarray(srt_lvl, dtype=np.int16),
-    )
+    """(offsets, factors): statistic s multiplies the factor keys
+    factors[offsets[s]:offsets[s + 1]], which are its own sorted stably
+    by kind in KINDS order."""
+    offsets = np.cumsum([0, *(len(st.factors) for st in stats)])
+    factors = tuple(key for st in stats for key in
+                    sorted(st.factors, key=lambda key: KINDS.index(key[0])))
+    return offsets, factors
 
 
 def evaluate_statistics(levels_batch: np.ndarray, values: np.ndarray,

@@ -86,7 +86,7 @@ def _as_f_statistic(f, n: int) -> Statistic:
     if isinstance(f, ObservableSpec):
         return statistic_for_f(f)
     if isinstance(f, Statistic):
-        return f.copy()
+        return f
     raise TypeError("f must be a Statistic, an ObservableSpec, or None")
 
 

@@ -182,6 +182,33 @@ class TestParseConfig:
                       "on_sphere": False}}, "measure.atoms"),
         ({"checks": [{"name": "gg", "conditioned": {}}]},
          "checks[0].conditioned.kind"),
+        ({"measure": {"type": "explicit",
+                      "grid": {"levels": ["1.0"], "self_overlap": "1"},
+                      "atoms": [[1.0]], "weights": [1.0]}},
+         "measure.grid.levels: must be a nonempty list of numbers"),
+        ({"measure": {"type": "explicit",
+                      "grid": {"levels": [1.0], "self_overlap": 1.0,
+                               "probs": [True]},
+                      "atoms": [[1.0]], "weights": [1.0]}},
+         "measure.grid.probs: must be null or a list of numbers"),
+        ({"measure": {"type": "explicit",
+                      "grid": {"levels": [1.0], "self_overlap": 1.0,
+                               "extra": 1},
+                      "atoms": [[1.0]], "weights": [1.0]}},
+         "measure.grid.extra: unknown field"),
+        ({"measure": {"type": "explicit", "grid": {"levels": [1.0]},
+                      "atoms": [[1.0]], "weights": [1.0]}},
+         "measure.grid.self_overlap: must be a number"),
+        ({"measure": {"type": "explicit",
+                      "grid": {"levels": 1.0, "self_overlap": 1.0},
+                      "atoms": [[1.0]], "weights": [1.0]}},
+         "measure.grid.levels: must be a nonempty list of numbers"),
+        ({"checks": [{"name": "support", "mc": {"outer": 5}}]},
+         "checks[0].mc: unknown field"),
+        ({"checks": [{"name": "positivity", "method": "enumerate"}]},
+         "checks[0].method: unknown field"),
+        ({"checks": [{"name": "ultra", "n": 4, "abs_tol": 5.0, "z": 100,
+                      "method": "enumerate"}]}, "checks[0].abs_tol: unknown field"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):

@@ -92,6 +92,29 @@ class TestStatisticReference:
             alone = _kernels.eval_stats(lv, vals, pack_statistics([st]))
             assert together[:, s].tobytes() == alone[:, 0].tobytes()
 
+    def test_kind_order_does_not_change_bits(self):
+        # the pack multiplies a statistic's factors kind by kind, and its
+        # monomials in the order they were added
+        rng = np.random.default_rng(9)
+        n, k = 3, 3
+        lv = np.ascontiguousarray(symmetric_levels(rng, (40, n, n), k))
+        vals = np.array([0.9, -0.7, 0.3, 0.55])
+        built = [Statistic(n).with_monomial(0, 2, 3).with_pattern(0, 1, 1)
+                 .with_monomial(1, 2, 1),
+                 Statistic(n).with_pattern(0, 1, 1).with_monomial(0, 2, 3)
+                 .with_monomial(1, 2, 1),
+                 Statistic(n).with_monomial(0, 2, 3).with_monomial(1, 2, 1)
+                 .with_pattern(0, 1, 1)]
+        want = (("pattern", 0, 1, 1), ("monomial", 0, 2, 3),
+                ("monomial", 1, 2, 1))
+        cols = []
+        for st in built:
+            offsets, factors = pack_statistics([st])
+            assert offsets.tolist() == [0, 3] and factors == want
+            cols.append(_kernels.eval_stats(lv, vals, (offsets, factors)))
+        assert cols[0].tobytes() == cols[1].tobytes() == cols[2].tobytes()
+        assert np.count_nonzero(cols[0])
+
 
 def twin_classes_reference(table):
     """Twin classes straight from the definition: a != b are twins when

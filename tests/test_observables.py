@@ -79,4 +79,4 @@ class TestStatistic:
     def test_builders_do_not_mutate(self):
         base = Statistic(3)
         a = base.with_pattern(0, 1, 1)
-        assert base.patterns == [] and a.patterns == [(0, 1, 1)]
+        assert base.factors == () and a.factors == (("pattern", 0, 1, 1),)

@@ -10,6 +10,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -71,3 +72,17 @@ def test_committed_config_validates(config):
     from overlap_lab.cli import main
 
     assert main(["validate", str(config)]) == 0
+
+
+def test_enum_stats_counts_the_statistics_of_a_pack():
+    """The tracer reads an enumeration's statistic count from the offsets
+    that lead a pack_statistics pack."""
+    from overlap_lab.observables import Statistic, pack_statistics
+
+    stats = [Statistic(2).with_pattern(0, 1, 1), Statistic(2),
+             Statistic(2).with_monomial(0, 1, 2)]
+    n, table = 2, np.zeros((3, 3), dtype=np.int16)
+    args = (np.ones(3) / 3, table, n, -1, np.zeros(2), pack_statistics(stats))
+    per_tuple = 8 * n + table.itemsize * n * n + 8 + 8 * len(stats)
+    assert tracer._enum_stats(args, {}, None) == {"tuples": 3 ** n,
+                                                  "bytes": 3 ** n * per_tuple}
