@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,12 +46,14 @@ REQUIRED = object()
 
 class Field(NamedTuple):
     """One field of a config object: a test of its JSON value (type and
-    bound), the problem reported after "<path>: " when the test fails or a
-    REQUIRED field is missing, and the value an omitted field takes."""
+    bound), the problem reported after "<path>: " when the test fails, the
+    value an omitted field takes, and the problem reported when a REQUIRED
+    field is missing (message when None)."""
 
     test: Callable
     message: str
     default: object = REQUIRED
+    missing: Optional[str] = None
 
 
 def _is_int(v, minimum=None, maximum=None) -> bool:
@@ -107,7 +109,8 @@ _NUMBERS = Field(_is_numbers, "must be a list of numbers")
 _TOLERANCE = "must be a number >= 0"
 _BOOL = Field(lambda v: isinstance(v, bool), "must be true or false")
 
-CONFIG = {"measure": Field(_is_object, "required object missing"),
+CONFIG = {"measure": Field(_is_object, "must be an object",
+                           missing="required object missing"),
           "checks": Field(lambda v: isinstance(v, list) and len(v) > 0,
                           "need a nonempty list"),
           "seed": _int(0),
@@ -121,7 +124,8 @@ MEASURES = {
              "zetas": _NUMBERS, "seed": _int(TreeMeasureSpec.seed)},
     "explicit": {
         "type": _NAME,
-        "grid": Field(_is_object, "required for explicit measures"),
+        "grid": Field(_is_object, "must be an object",
+                      missing="required for explicit measures"),
         "weights": _NUMBERS,
         "atoms": Field(lambda v: isinstance(v, list) and len(v) > 0 and all(
             map(_is_numbers, v)), "must be a nonempty list of lists of numbers"),
@@ -269,8 +273,10 @@ def _read(d: dict, table: dict, where: str, what: str, problems: list) -> dict:
     for key, field in table.items():
         if key in d and field.test(d[key]):
             values[key] = d[key]
-        elif key in d or field.default is REQUIRED:
+        elif key in d:
             problems.append(f"{at(key)}: {field.message}")
+        elif field.default is REQUIRED:
+            problems.append(f"{at(key)}: {field.missing or field.message}")
         else:
             values[key] = field.default
     return values

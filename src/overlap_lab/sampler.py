@@ -160,7 +160,9 @@ def conditional_draw(measure: DiscreteMeasure, event: EventSpec, seed,
 def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
                   width: int = 0):
     """Yield (start, stop, first measure, (rows, n, n) levels) for blocks of
-    consecutive outer draws start, ..., stop - 1.
+    consecutive outer draws start, ..., stop - 1. The levels are a view of
+    one pair-major (n, n, rows) block (DiscreteMeasure.levels_from_indices),
+    so each pair's levels are contiguous, as in the enumeration's blocks.
 
     Outer draw j gets measure j of the model and reads its n * inner
     uniforms at offset j * n * inner of the stream counter_stream(seed,
@@ -176,7 +178,9 @@ def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
     model shares one pair-level table or one set of ancestor codes (a
     TreeModel's measures share its TreeStructure, a frozen model has one
     measure), so the first measure of a block turns all of the block's
-    index rows into level matrices.
+    index rows into level matrices, and its values_by_index gives their
+    values. Nothing here reads a tree measure's grid, so no block computes
+    level probabilities.
     """
     rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n, 8 * width)
     draws = max(1, rows // mc.inner)
@@ -239,7 +243,7 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
     means = np.empty((mc.outer, len(cols)))
     for start, stop, first, lv in _level_blocks(model, n, mc, seed, _INNER_KEY,
                                                 len(cols)):
-        out = _kernels.eval_stats(lv, first.grid.values_by_index(), pack)
+        out = _kernels.eval_stats(lv, first.values_by_index(), pack)
         means[start:stop] = out.reshape(stop - start, mc.inner, -1).mean(axis=1)
     return means
 

@@ -392,7 +392,7 @@ class SupportReport:
 def support_check(measure: DiscreteMeasure) -> SupportReport:
     """Max deviation of atom squared norms from the top grid level."""
     mask = measure.weights > SUPPORT_WEIGHT_FLOOR
-    dev = np.abs(measure.norms_sq[mask] - measure.grid.levels[-1])
+    dev = np.abs(measure.norms_sq[mask] - measure.values_by_index()[-1])
     max_dev = float(dev.max()) if dev.size else 0.0
     return SupportReport(max_dev, int(mask.sum()),
                          bool(max_dev <= SUPPORT_TOL))
@@ -420,7 +420,7 @@ def positivity_check(model, mc: MCConfig, seed: int) -> PositivityReport:
         if len(lv):
             counts += np.bincount(lv[:, 0, 1], minlength=K + 1)
         if values is None:
-            values = measure.grid.values_by_index()
+            values = measure.values_by_index()
     observed = [l for l in range(1, K + 1) if counts[l] > 0]
     if not observed:
         raise EventMassTooSmall("no pairs observed")

@@ -4,13 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from overlap_lab import cli
+from overlap_lab import cli, measures
 from overlap_lab.cli import (build_model, emit_plot_data, main, parse_config,
                              run_experiment)
 from overlap_lab.errors import ParseError, ValidationError
-from overlap_lab.measures import TABLE_CAP
+from overlap_lab.measures import TABLE_CAP, tree_leaf_weights
 from overlap_lab.verify import CheckRow
 
 
@@ -219,6 +220,23 @@ class TestParseConfig:
         assert any(p.startswith(field) for p in err.value.problems), \
             err.value.problems
 
+    @pytest.mark.parametrize("measure, problem", [
+        (5, "measure: must be an object"),
+        (None, "measure: required object missing"),
+        ({"type": "explicit", "grid": [1.0], "atoms": [[1.0]],
+          "weights": [1.0]}, "measure.grid: must be an object"),
+        ({"type": "explicit", "atoms": [[1.0]], "weights": [1.0]},
+         "measure.grid: required for explicit measures"),
+    ], ids=["measure_wrong_type", "measure_missing", "grid_wrong_type",
+            "grid_missing"])
+    def test_wrong_type_told_from_missing(self, tmp_path, measure, problem):
+        cfg = {"checks": [{"name": "support"}]}
+        if measure is not None:
+            cfg["measure"] = measure
+        with pytest.raises(ValidationError) as err:
+            parse_config(write_config(tmp_path / "c.json", cfg))
+        assert err.value.problems == [problem]
+
     @pytest.mark.parametrize("text, token", [
         ('{"measure": {"type": "adversarial"}, '
          '"checks": [{"name": "gg", "z": 1e999}]}', "1e999"),
@@ -337,6 +355,35 @@ def test_tree_run_keeps_only_cumulative_weights(tmp_path, monkeypatch):
     assert len(model._memo) > 1
     assert [j for j, measure in model._memo.items()
             if "weights" in measure.__dict__] in ([], [0])
+
+
+def test_tree_run_computes_level_probs_only_for_read_grids(tmp_path,
+                                                           monkeypatch):
+    """A run reads no measure's level probabilities, so it computes none; a
+    grid read afterwards computes its measure's row, bit for bit the row of
+    the block that built it."""
+    real = measures._tree_level_probs
+    calls = []
+
+    def counting(W, B):
+        calls.append(W.shape)
+        return real(W, B)
+
+    monkeypatch.setattr(measures, "_tree_level_probs", counting)
+    model = small_tree_run(tmp_path, monkeypatch)
+    assert calls == []
+    assert [j for j, measure in model._memo.items()
+            if "weights" in measure.__dict__] in ([], [0])
+    assert all("grid" not in measure.__dict__ for measure in model._memo.values())
+    st, spec = model.structure, model.spec
+    assert sorted(model._memo) == list(range(len(model._memo)))
+    block = tree_leaf_weights(st, spec.zetas, spec.seed, 0, len(model._memo))
+    P = real(block, st.B)
+    read = list(model._memo)[::7]
+    for j in read:
+        probs = model._memo[j].grid.probs
+        assert np.array(probs).tobytes() == P[j].tobytes()
+    assert calls == [(st.m,)] * len(read)
 
 
 class TestRunExperiment:

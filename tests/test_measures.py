@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from overlap_lab.errors import (BadWeights, BadZeta, OffGridOverlap,
                                 TooManyAtoms)
-from overlap_lab.grid import OverlapGrid
+from overlap_lab.grid import DIAG, OverlapGrid
 from overlap_lab import cli, measures, models, sampler
 from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
                                   TreeMeasureSpec, TreeStructure,
@@ -603,13 +603,16 @@ class TestTreeCodeLevels:
         (lambda P: P * np.array([1.0, 0.0, 1.0]), "positive"),
         (lambda P: P * (1.0 + 1e-9), "sum to 1"),
     ], ids=["nonpositive", "sum_off"])
-    def test_block_probs_validated_at_build(self, monkeypatch, bad, match):
+    def test_probs_validated_when_grid_read(self, monkeypatch, bad, match):
+        # a build computes no level probabilities; reading a grid checks them
         real = measures._tree_level_probs
         monkeypatch.setattr(measures, "_tree_level_probs",
                             lambda W, B: bad(real(W, B)))
         spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=8)
-        with pytest.raises(ValueError, match=match):
-            build_tree_measures(spec, 0, 4)
+        block = build_tree_measures(spec, 0, 4)
+        for m in block:
+            with pytest.raises(ValueError, match=match):
+                m.grid
 
     @pytest.mark.parametrize("bad, match", [
         (lambda W: W * (np.arange(W.shape[1]) != 3), "weights must be positive"),
@@ -630,6 +633,62 @@ class TestTreeCodeLevels:
         assert a.shares_levels(b) and not a.shares_levels(other)
         assert not a.shares_levels(adversarial_measure())
         assert not adversarial_measure().shares_levels(a)
+
+
+class TestLevelBlockLayout:
+    """levels_from_indices hands back (T, n, n) views of one pair-major
+    (n, n, T) block, for tree and explicit measures alike."""
+
+    MEASURES = {
+        "tree": lambda: build_tree_measure(
+            TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), seed=5)),
+        "explicit": adversarial_measure,
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 8])
+    @pytest.mark.parametrize("kind", ["tree", "explicit"])
+    def test_levels_are_table_gathers_in_pair_major_block(self, kind, n):
+        m = self.MEASURES[kind]()
+        idx = m.sample_indices(n, 400, np.random.default_rng(n))
+        idx[:5, 1] = idx[:5, 0]  # replicas on one atom
+        lv = m.levels_from_indices(idx)
+        want = m.table[idx[:, :, None], idx[:, None, :]]
+        want[:, np.arange(n), np.arange(n)] = DIAG
+        assert lv.shape == (400, n, n) and lv.dtype == np.int16
+        assert np.array_equal(lv, want)
+        assert lv.transpose(1, 2, 0).flags.c_contiguous
+
+    def test_values_by_index_builds_no_tree_grid(self):
+        for kind, make in self.MEASURES.items():
+            m = make()
+            vals = m.values_by_index()
+            if kind == "tree":
+                assert "grid" not in vars(m) and not vals.flags.writeable
+            assert vals.tobytes() == m.grid.values_by_index().tobytes()
+
+    @staticmethod
+    def off_grid_measure():
+        # atom 0's self overlap 0.6 and the pair (1, 2)'s 0.35 are off the
+        # grid; pairs (0, 1) and (0, 2) sit at 0, atom 1 and 2 at 0.7
+        g = OverlapGrid((0.0, 0.7), None, 0.7)
+        a = np.sqrt(0.7)
+        atoms = np.array([[np.sqrt(0.6), 0.0, 0.0], [0.0, a, 0.0],
+                          [0.0, 0.5 * a, np.sqrt(0.75) * a]])
+        m = explicit_measure(atoms, [0.2, 0.4, 0.4], g, on_sphere=False)
+        assert m.table[0, 0] == m.table[1, 2] == -1
+        return m
+
+    @pytest.mark.parametrize("bad", [[1, 2], [1, 1, 2], [0, 1], [1, 1, 0],
+                                     [0, 0]], ids=["pair", "pair_later",
+                                                   "self", "self_later",
+                                                   "self_twice"])
+    def test_off_grid_draw_raises(self, bad):
+        m = self.off_grid_measure()
+        n = len(bad)
+        on_grid = np.ones((1, n), dtype=np.int64)
+        assert (m.levels_from_indices(on_grid)[0] == 2 - 2 * np.eye(n)).all()
+        with pytest.raises(OffGridOverlap, match="off-grid"):
+            m.levels_from_indices(np.concatenate([on_grid, [bad]]))
 
 
 class TestTreeModelMemo:
