@@ -152,27 +152,6 @@ def top_tie_triples(levels, top):
 
 
 # ---------------------------------------------------------------------------
-# Rejection filter: keep index tuples whose pairwise levels stay <= threshold
-# ---------------------------------------------------------------------------
-
-def accept_mask(idx, table, threshold):
-    """Per (T, n) index row: are all its pair levels <= threshold? With no
-    table, the rows hold codes, and a pair passes when its codes differ.
-
-    Pairs are checked one at a time, each on the rows that passed the
-    pairs before it.
-    """
-    cols = idx.T
-    alive = np.arange(len(idx))
-    for i, j in zip(*_pairs(idx.shape[1])):
-        a, b = cols[i, alive], cols[j, alive]
-        alive = alive[a != b if table is None else table[a, b] <= threshold]
-    mask = np.zeros(len(idx), dtype=bool)
-    mask[alive] = True
-    return mask
-
-
-# ---------------------------------------------------------------------------
 # Packed-statistic evaluation
 # ---------------------------------------------------------------------------
 # A pack is (offsets, factors): statistic s is the product of the factor
@@ -523,7 +502,6 @@ def warmup():
     ultra_full(batch)
     top_tie_triples(batch, 1)
     table = np.zeros((2, 2), dtype=np.int16)
-    accept_mask(np.zeros((2, 2), dtype=np.int64), table, np.int16(1))
     pack = (np.zeros(1, np.int64), ())
     eval_stats(batch, np.zeros(3), pack)
     enum_stats(np.array([1.0]), table[:1, :1], 2, -1, np.zeros(3), pack)

@@ -38,7 +38,7 @@ from .pipeline import DescendConfig, criterion_run, descend
 from .sampler import EventSpec, MCConfig
 from .verify import (DEFAULT_ABS_TOL, DEFAULT_Z, conditional_marginal_check,
                      consistency_check, distinct_mass_check, gg_residual,
-                     lemma1_check, positivity_check, support_check,
+                     grid_rule, lemma1_check, positivity_check, support_check,
                      ultrametricity_check)
 
 REQUIRED = object()
@@ -607,13 +607,19 @@ def describe_measure(config: ExperimentConfig) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="overlap-lab",
         description="verification lab for discrete replica overlap arrays")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_jobs, default=1,
                         help="recorded in the manifest; checks always run "
                              "one at a time")
     parser.add_argument("--out", type=str, default=None,
@@ -642,12 +648,21 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         try:
-            _, warnings = build_model(config.measure)
+            model, warnings = build_model(config.measure)
         except (OverlapLabError, ValueError) as e:
             print(f"invalid: measure: {e}", file=sys.stderr)
             return 1
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
+        invalid = False
+        for i, chk in enumerate(config.checks):
+            try:
+                grid_rule(chk["name"], model.grid, chk.get("q"))
+            except OverlapLabError as e:
+                print(f"invalid: checks[{i}]: {e}", file=sys.stderr)
+                invalid = True
+        if invalid:
+            return 1
         print("config ok")
         return 0
     if args.command == "describe-measure":

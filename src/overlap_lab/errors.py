@@ -34,7 +34,7 @@ class OffGridOverlap(OverlapLabError):
 
 
 class AcceptanceTooLow(OverlapLabError):
-    """Rejection sampler exhausted its attempt budget."""
+    """One observable's conditioning event has too little mass to estimate."""
 
 
 class TooLarge(OverlapLabError):

@@ -13,8 +13,8 @@ models return the same measure every time, so the outer expectation
 degenerates to the inner average.
 
 A descended model represents the conditioned-and-truncated ensemble of
-the induction step: sampling n replicas from it means rejection-sampling
-the base measure until all pairwise levels stay at or below a threshold.
+the induction step: n replicas from it are n replicas of the base measure
+conditioned on all pairwise levels staying at or below a threshold.
 k-fold descent composes to a single threshold, so the stack stays flat.
 """
 

@@ -25,7 +25,8 @@ from .observables import ObservableSpec, Psi, Statistic
 from .sampler import (EventSpec, MCConfig, count_columns,
                       enumerate_statistics, filtered_level_batches,
                       influence_se, outer_stat_means, ratio_from_means)
-from .verify import DEFAULT_ABS_TOL, DEFAULT_Z, CheckRow, estimates, gg_residual
+from .verify import (DEFAULT_ABS_TOL, DEFAULT_Z, CheckRow, estimates,
+                     gg_residual, grid_rule)
 
 
 def collision_identity_check(measure: DiscreteMeasure):
@@ -257,9 +258,8 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
     model = as_model(model)
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
+    grid_rule("criterion", model.grid, q)
     t = model.grid.threshold_below(q)
-    if t < 1:
-        raise NullConditioning(f"no grid level lies below q={q}")
     below = Statistic(2).with_threshold(2, t)
     means, _ = estimates(model, [below], 2, mc, derive_seed(seed, 0xB0), None,
                          method)

@@ -1,12 +1,12 @@
-"""Replica sampling, conditional rejection draws, and the exact enumeration oracle.
+"""Replica sampling (nested MC and per-draw scans) and the exact oracle.
 
 Expectations are nested: an outer average over independently drawn
 measures and an inner average over i.i.d. replica tuples from each.
 Standard errors always come from the outer replication level, treating
-each drawn measure as one observation. Both samplers, the estimates of
-outer_stat_means and the per-draw scans of filtered_level_batches, read
-their draws in blocks from _level_blocks: outer draw j reads a fixed slice
-of one stream per purpose (measures.counter_stream).
+each drawn measure as one observation. Every draw, of the estimates of
+outer_stat_means and of the per-draw scans of filtered_level_batches, is
+read in blocks from _level_blocks: outer draw j reads a fixed slice of one
+stream per purpose (measures.counter_stream).
 """
 
 from __future__ import annotations
@@ -18,17 +18,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import AcceptanceTooLow, EventMassTooSmall, EventNull, TooLarge
-from .grid import LevelMatrix, OverlapGrid
+from .errors import EventMassTooSmall, EventNull, TooLarge
+from .grid import OverlapGrid
+# perfbench/tracer.py wraps rng_from here, though no code here calls it
 from .measures import DiscreteMeasure, counter_stream, rng_from
 from .models import as_model
 from .observables import Statistic, pack_statistics
 
 ENUM_GUARD = 10**7
-DEFAULT_MAX_ATTEMPTS = 10**6
 
-# The purpose key of the inner draws' stream, counter_stream(seed, key).
+# The purpose keys of the inner draws and of empirical_matrix_law's draws.
 _INNER_KEY = 0xD1CE
+_LAW_KEY = 0x1A3
 
 # Most replica rows of one block of outer draws (see _level_blocks); whole
 # outer draws are grouped up to this bound (one draw when inner exceeds it).
@@ -62,12 +63,6 @@ class EventSpec:
 
 
 @dataclass(frozen=True)
-class ReplicaDraw:
-    atom_indices: tuple
-    matrix: LevelMatrix
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     estimate: float
     std_error: float
@@ -91,70 +86,6 @@ class MCConfig:
 def combined_threshold(model, event_threshold: Optional[int]) -> Optional[int]:
     parts = [t for t in (model.threshold, event_threshold) if t is not None]
     return min(parts) if parts else None
-
-
-def _accept(measure: DiscreteMeasure, idx: np.ndarray, threshold: int) -> np.ndarray:
-    if measure.tree is None:
-        return _kernels.accept_mask(idx, measure.table, threshold)
-    if threshold > measure.tree.k:
-        return np.ones(len(idx), dtype=bool)
-    # two leaves' level is <= t exactly when their depth-t ancestors differ
-    return _kernels.accept_mask(measure.tree.codes[threshold - 1][idx], None, 0)
-
-
-def draw_index_batch(measure: DiscreteMeasure, n: int, count: int,
-                     rng: np.random.Generator,
-                     threshold: Optional[int] = None,
-                     max_attempts: int = DEFAULT_MAX_ATTEMPTS):
-    """(count, n) atom indices and the number of candidate tuples consumed.
-
-    With a threshold the batch is rejection-sampled: redraw until every
-    pairwise level of the tuple is <= threshold, which realizes the
-    conditional law of the event for this fixed measure exactly.
-    """
-    if threshold is None:
-        return measure.sample_indices(n, count, rng), count
-    if threshold < 1:
-        raise AcceptanceTooLow("conditioning event is impossible on this grid")
-    chunks = [np.empty((0, n), dtype=np.int64)]
-    got = 0
-    attempts = 0
-    batch = max(2 * count, 64)
-    while got < count:
-        if attempts >= max_attempts:
-            raise AcceptanceTooLow(
-                f"{got}/{count} acceptances in {max_attempts} attempts "
-                f"for threshold {threshold}")
-        size = int(min(batch, max_attempts - attempts))
-        cand = measure.sample_indices(n, size, rng)
-        mask = _accept(measure, cand, threshold)
-        hits = cand[mask]
-        attempts += size
-        if len(hits):
-            chunks.append(hits[: count - got])
-            got += len(chunks[-1])
-        rate = max(got / attempts, 1.0 / attempts)
-        batch = int(min(max((count - got) / rate * 1.2, 64), 1_000_000))
-    return np.concatenate(chunks), attempts
-
-
-def draw_replicas(measure: DiscreteMeasure, n: int, seed) -> ReplicaDraw:
-    """One i.i.d. replica n-tuple and its induced level matrix."""
-    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
-    idx, _ = draw_index_batch(measure, n, 1, rng)
-    lv = measure.levels_from_indices(idx)[0]
-    return ReplicaDraw(tuple(int(i) for i in idx[0]), LevelMatrix(lv, measure.grid))
-
-
-def conditional_draw(measure: DiscreteMeasure, event: EventSpec, seed,
-                     max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> ReplicaDraw:
-    """One replica tuple drawn conditionally on the event, by rejection."""
-    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
-    t = event.threshold(measure.grid)
-    idx, _ = draw_index_batch(measure, event.n, 1, rng, threshold=t,
-                              max_attempts=max_attempts)
-    lv = measure.levels_from_indices(idx)[0]
-    return ReplicaDraw(tuple(int(i) for i in idx[0]), LevelMatrix(lv, measure.grid))
 
 
 def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
@@ -303,15 +234,16 @@ def estimate_expectation(model, stat: Statistic, n: int, mc: MCConfig, seed: int
 
 def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
                            event_threshold: Optional[int] = None, *, key: int):
-    """Yield one (measure, accepted level batch) pair per outer draw.
+    """Yield one (measure, kept level batch) pair per outer draw.
 
     The draws come in _level_blocks from the stream of the caller's key;
     the measure is the first of the draw's block, whose grid levels every
     measure of the block shares.
 
-    Candidates failing the combined conditioning are dropped rather than
-    redrawn: every yielded matrix lies in the conditional support, which
-    is all that support-style checks (PSD, triple scans) need.
+    Tuples outside the combined conditioning are dropped, not redrawn:
+    every kept matrix lies in the conditional support, which is all that
+    support-style checks (PSD, triple scans) need, and those of a fixed
+    measure are i.i.d. from its conditional law (empirical_matrix_law).
     """
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
@@ -380,14 +312,11 @@ def enumerate_matrix_law(measure: DiscreteMeasure, n: int,
     return dict(zip(map(tuple, digits.tolist()), (mass[hit] / total).tolist()))
 
 
-def empirical_matrix_law(measure: DiscreteMeasure, n: int, draws: int, seed,
-                         event_threshold: Optional[int] = None,
-                         max_attempts: int = 10**8) -> dict:
-    """Empirical counterpart of enumerate_matrix_law from (conditional) draws."""
-    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
-    idx, _ = draw_index_batch(measure, n, draws, rng, event_threshold,
-                              max_attempts)
-    lv = measure.levels_from_indices(idx)
+def empirical_matrix_law(measure: DiscreteMeasure, n: int, mc: MCConfig,
+                         seed: int, event_threshold: Optional[int] = None) -> dict:
+    """Empirical counterpart of enumerate_matrix_law: the frequencies of the
+    level tuples filtered_level_batches keeps of mc.outer * mc.inner draws
+    from the fixed measure (stream _LAW_KEY), over the kept tuples alone."""
     iu, ju = np.triu_indices(n, k=1)
     # one int64 key per level tuple, first pair the most significant digit,
     # so that sorted keys are sorted tuples
@@ -395,9 +324,13 @@ def empirical_matrix_law(measure: DiscreteMeasure, n: int, draws: int, seed,
     if base ** len(iu) > np.iinfo(np.int64).max:
         raise OverflowError(f"level tuples of {n} replicas overflow an int64 key")
     radix = base ** np.arange(len(iu) - 1, -1, -1, dtype=np.int64)
-    keys, counts = np.unique(lv[:, iu, ju] @ radix, return_counts=True)
+    keys = [lv[:, iu, ju] @ radix for _, lv in filtered_level_batches(
+        measure, n, mc, seed, event_threshold, key=_LAW_KEY)]
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    if not len(keys):
+        raise EventMassTooSmall("no draw lies in the conditioning event")
     rows = (keys[:, None] // radix % base).tolist()
-    return {tuple(row): c / draws for row, c in zip(rows, counts.tolist())}
+    return dict(zip(map(tuple, rows), (counts / counts.sum()).tolist()))
 
 
 def total_variation(law_a: dict, law_b: dict) -> float:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AcceptanceTooLow, EventMassTooSmall, EventNull,
-                     GridTooSmall)
+                     GridTooSmall, NullConditioning)
 from .grid import check_ultrametric_batch
 from .measures import DiscreteMeasure, derive_seed
 from .models import as_model
@@ -78,6 +78,18 @@ class ResidualReport:
         return CheckRow(check, self.model_id, self.n, self.observable_id,
                         self.lhs.estimate, rhs_total, self.residual,
                         self.residual_se, self.passed)
+
+
+def grid_rule(check: str, grid, q: Optional[float] = None):
+    """Raise why the named check can never run on grid, if it cannot: the
+    checks and validate read this one statement of each rule. marginal and
+    consistency condition on distinct replicas (no pair at the top level),
+    which a one-level grid never draws; criterion on a level below q."""
+    if check in ("marginal", "consistency") and grid.k < 2:
+        error = GridTooSmall if check == "marginal" else EventMassTooSmall
+        raise error(f"{check} needs at least two levels")
+    if check == "criterion" and grid.threshold_below(q) < 1:
+        raise NullConditioning(f"no grid level lies below q={q}")
 
 
 def _as_f_statistic(f, n: int) -> Statistic:
@@ -298,6 +310,7 @@ def consistency_check(model, f, n: int, mc: MCConfig, seed: int,
                       method: str = "mc") -> ResidualReport:
     """Conditional expectations of f under distinctness at sizes n+1 and n."""
     model = as_model(model)
+    grid_rule("consistency", model.grid)
     K = model.grid.k
     f_stat = _as_f_statistic(f, n)
     stats = [
@@ -348,9 +361,8 @@ def conditional_marginal_check(model, mc: MCConfig, seed: int,
     machinery instead of reducing to an algebraic identity.
     """
     model = as_model(model)
+    grid_rule("marginal", model.grid)
     K = model.grid.k
-    if K < 2:
-        raise GridTooSmall("conditional marginal needs at least two levels")
     cond_stats = [Statistic(2).with_pattern(0, 1, l) for l in range(1, K)]
     full_stats = [Statistic(2).with_pattern(0, 1, l) for l in range(1, K + 1)]
     cond_means, cond_mass = estimates(model, cond_stats, 2, mc,

@@ -4,6 +4,7 @@ Each test prints one PASS line When green; tolerances are pinned here and
 nowhere else. Run with -s to see the lines and timings.
 """
 
+import math
 import time
 import zlib
 
@@ -118,8 +119,8 @@ def _frozen_family():
 def test_04_sampler_versus_oracle_total_variation():
     t0 = time.time()
     draws = 100_000
-    # empirical_matrix_law's budget of candidate tuples
-    max_attempts = 10**8
+    # budget of proposed tuples, and the inner size of their outer draws
+    budget, inner = 10**8, 1_000
     cases = 0
     skipped = []
     worst = 0.0
@@ -138,18 +139,22 @@ def test_04_sampler_versus_oracle_total_variation():
                     law = enumerate_matrix_law(m, n, event_threshold=t)
                 except ol.EventNull:
                     continue
-                # rule fixed before any draw: rejection needs about
-                # draws / mass candidates, so a case whose exact event mass
-                # puts that past the budget is skipped, not re-seeded
+                # rule fixed before any draw: the block sampler keeps about
+                # draws of draws / mass proposals, so a case whose exact
+                # event mass puts that past the budget is skipped, not
+                # re-seeded
                 _, mass = enumerate_statistics(m, [Statistic(n)], n, t)
-                if draws / mass > max_attempts:
+                proposals = math.ceil(draws / mass)
+                if proposals > budget:
                     skipped.append(f"{name} n={n} {ev.label()} mass {mass:.3g}")
                     continue
                 # crc32, unlike hash(), is not salted per process
                 seed = zlib.crc32(f"{name}:{n}:{t}".encode())
-                emp = empirical_matrix_law(m, n, draws, seed=seed,
-                                           event_threshold=t,
-                                           max_attempts=max_attempts)
+                # whole outer draws of the same fixed measure, so at least
+                # ceil(draws / mass) proposals
+                mc = MCConfig(math.ceil(proposals / inner), inner)
+                emp = empirical_matrix_law(m, n, mc, seed=seed,
+                                           event_threshold=t)
                 tv = total_variation(law, emp)
                 worst = max(worst, tv)
                 cases += 1

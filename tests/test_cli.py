@@ -602,3 +602,59 @@ class TestMainEntry:
         assert {"gg", "mass", "lemma1", "consistency", "marginal", "support",
                 "positivity", "ultra", "descend/collision",
                 "criterion"} <= names
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_refused_at_parse(self, tmp_path, capsys, jobs):
+        p = write_config(tmp_path / "c.json", tree_config(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", jobs, "run", str(p)])
+        assert exc.value.code == 2  # argparse's usage error, as for --format
+        assert "--jobs: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+ONE_LEVEL = {"type": "explicit", "atoms": [[1.0]], "weights": [1.0],
+             "grid": {"levels": [1.0], "self_overlap": 1.0}}
+
+
+class TestValidateGridRules:
+    """validate refuses a check that can never run on the measure's grid,
+    by the rule the check itself raises under run."""
+
+    CASES = {
+        "marginal": (ONE_LEVEL, {"name": "marginal"},
+                     "marginal needs at least two levels", "GridTooSmall"),
+        "consistency": (ONE_LEVEL, {"name": "consistency"},
+                        "consistency needs at least two levels",
+                        "EventMassTooSmall"),
+        "criterion": (None, {"name": "criterion", "q": 0.0},
+                      "no grid level lies below q=0.0", "NullConditioning"),
+    }
+
+    @staticmethod
+    def config(tmp_path, measure, check):
+        cfg = json.loads((ROOT / "configs" / "tree_k2.json").read_text())
+        if measure is not None:
+            cfg["measure"] = measure
+        cfg["checks"] = [{"name": "support"}, {**check, "mc": {"outer": 10,
+                                                            "inner": 10}}]
+        cfg["output"]["dir"] = str(tmp_path / "out")
+        return write_config(tmp_path / "c.json", cfg)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_check_that_cannot_run_named(self, tmp_path, capsys, case):
+        measure, check, reason, error = self.CASES[case]
+        p = self.config(tmp_path, measure, check)
+        assert main(["validate", str(p)]) == 1
+        out = capsys.readouterr()
+        assert out.err.splitlines() == [f"invalid: checks[1]: {reason}"]
+        assert "config ok" not in out.out
+        # run raises the same rule from the check
+        assert main(["run", str(p)]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["checks"][1]["error"] == f"{error}: {reason}"
+
+    def test_q_just_above_the_lowest_level_passes(self, tmp_path, capsys):
+        p = self.config(tmp_path, None, {"name": "criterion", "q": 1e-9})
+        assert main(["validate", str(p)]) == 0
+        assert "config ok" in capsys.readouterr().out

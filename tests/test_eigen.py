@@ -117,12 +117,14 @@ class TestIsPsd:
         assert ok and lo >= -1e-12
 
     def test_gram_realizations_are_psd(self):
+        from overlap_lab.grid import LevelMatrix
         from overlap_lab.measures import adversarial_measure
-        from overlap_lab.sampler import draw_replicas
+        from overlap_lab.sampler import MCConfig, filtered_level_batches
 
         measure = adversarial_measure()
-        for seed in range(4):
-            ok, _ = is_psd(draw_replicas(measure, 5, seed).matrix)
+        for _, lv in filtered_level_batches(measure, 5, MCConfig(4, 1), 0,
+                                            key=0x5CA):
+            ok, _ = is_psd(LevelMatrix(lv[0], measure.grid))
             assert ok
 
     def test_search_finds_non_gram_pattern(self):

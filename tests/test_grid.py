@@ -127,11 +127,12 @@ class TestCheckUltrametric:
 
     def test_tree_sample_has_no_violations(self):
         from overlap_lab.measures import TreeMeasureSpec, build_tree_measure
-        from overlap_lab.sampler import draw_replicas
+        from overlap_lab.sampler import MCConfig, filtered_level_batches
 
         measure = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), 5))
-        draw = draw_replicas(measure, 8, seed=1)
-        rep = check_ultrametric(draw.matrix)
+        [(_, lv)] = filtered_level_batches(measure, 8, MCConfig(1, 1), 1,
+                                           key=0x5CA)
+        rep = check_ultrametric(LevelMatrix(lv[0], measure.grid))
         assert rep.triples_checked == 56
         assert rep.violations == 0
 
@@ -191,10 +192,11 @@ class TestTruncate:
     def test_truncated_tree_sample_stays_psd(self):
         from overlap_lab.eigen import is_psd
         from overlap_lab.measures import TreeMeasureSpec, build_tree_measure
-        from overlap_lab.sampler import draw_replicas
+        from overlap_lab.sampler import MCConfig, filtered_level_batches
 
         measure = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), 2))
-        for seed in range(5):
-            m = draw_replicas(measure, 6, seed=seed).matrix
+        for _, lv in filtered_level_batches(measure, 6, MCConfig(5, 1), 0,
+                                            key=0x5CA):
+            m = LevelMatrix(lv[0], measure.grid)
             ok, lo = is_psd(truncate(m))
             assert lo >= -1e-8

@@ -362,16 +362,16 @@ class TestTripleScanReference:
         assert _kernels.top_tie_triples(batch[:0], K) == 0
 
 
-class TestAcceptMaskReference:
+class TestAllBelowReference:
     def test_per_tuple_rule(self):
+        # all_below is the one event predicate: a matrix is inside the event
+        # when every pair among its first n replicas is at level <= t
         rng = np.random.default_rng(3)
-        table = rng.integers(1, 5, size=(20, 20)).astype(np.int16)
-        table = np.maximum(table, table.T)
         for n in (2, 4, 6):
-            idx = rng.integers(0, 20, size=(300, n))
+            batch = symmetric_levels(rng, (300, 7, 7), 4)
             for t in (1, 2, 3, 4):
-                want = [all(table[r[i], r[j]] <= t
+                want = [all(lv[i, j] <= t
                             for i, j in itertools.combinations(range(n), 2))
-                        for r in idx]
-                assert _kernels.accept_mask(idx, table, t).tolist() == want
-                assert _kernels.accept_mask(idx[:0], table, t).tolist() == []
+                        for lv in batch]
+                assert _kernels.all_below(batch, n, t).tolist() == want
+                assert _kernels.all_below(batch[:0], n, t).tolist() == []

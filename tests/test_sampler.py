@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from overlap_lab import _kernels, sampler
-from overlap_lab.errors import (AcceptanceTooLow, EventNull, OffGridOverlap,
+from overlap_lab.errors import (EventMassTooSmall, EventNull, OffGridOverlap,
                                 TooLarge)
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
@@ -12,10 +12,8 @@ from overlap_lab.models import (DescendedModel, FrozenModel, TreeModel,
                                 as_model)
 from overlap_lab.observables import Statistic, pack_statistics
 from overlap_lab.sampler import (EventSpec, MCConfig, combined_threshold,
-                                 conditional_draw, draw_index_batch,
-                                 draw_replicas, empirical_matrix_law,
-                                 enumerate_matrix_law, enumerate_statistic,
-                                 estimate_expectation,
+                                 empirical_matrix_law, enumerate_matrix_law,
+                                 enumerate_statistic, estimate_expectation,
                                  filtered_level_batches, outer_stat_means,
                                  ratio_from_means, total_variation)
 
@@ -38,18 +36,27 @@ def three_atoms(weights=(1 / 3, 1 / 3, 1 / 3)):
     return measure_from_gram(gram, np.array(weights), g)
 
 
+def kept_levels(measure, n, mc, seed, threshold=None):
+    """The level matrices filtered_level_batches keeps, one batch per draw."""
+    return [lv for _, lv in filtered_level_batches(measure, n, mc, seed,
+                                                   threshold, key=0x5CA)]
+
+
 class TestDrawReplicas:
     def test_single_atom_all_top(self):
-        d = draw_replicas(single_atom(), 3, seed=1)
-        off = d.matrix.entries[np.triu_indices(3, 1)]
-        assert (off == 1).all()
-        assert d.atom_indices == (0, 0, 0)
+        m = single_atom()
+        idx = m.sample_indices(3, 50, np.random.default_rng(1))
+        assert (idx == 0).all()
+        for lv in kept_levels(m, 3, MCConfig(4, 5), 1):
+            assert lv.shape == (5, 3, 3)
+            assert (lv[:, [0, 0, 1], [1, 2, 2]] == 1).all()
 
     def test_deterministic(self):
         m = three_atoms()
-        a = draw_replicas(m, 4, seed=9)
-        b = draw_replicas(m, 4, seed=9)
-        assert a.atom_indices == b.atom_indices
+        a, b, c = (np.stack(kept_levels(m, 4, MCConfig(5, 20), seed))
+                   for seed in (9, 9, 10))
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != c.tobytes()
 
     def test_collision_probability(self):
         m = two_orthogonal(0.3)
@@ -62,39 +69,56 @@ class TestDrawReplicas:
         assert abs(p_hat - p) <= 3 * se
 
     def test_matrix_matches_indices(self):
-        m = three_atoms()
-        d = draw_replicas(m, 5, seed=3)
-        for a in range(5):
-            for b in range(a + 1, 5):
-                i, j = d.atom_indices[a], d.atom_indices[b]
-                assert d.matrix.entries[a, b] == m.pair_level(i, j)
+        for m in (three_atoms(), build_tree_measure(
+                TreeMeasureSpec((0.3, 0.7), 3, (0.3, 0.6), seed=3))):
+            idx = m.sample_indices(5, 40, np.random.default_rng(3))
+            lv = m.levels_from_indices(idx)
+            for t in range(len(idx)):
+                for a in range(5):
+                    for b in range(a + 1, 5):
+                        want = m.pair_level(idx[t, a], idx[t, b])
+                        assert lv[t, a, b] == lv[t, b, a] == want
 
     def test_off_grid_draw_raises(self):
         g = OverlapGrid((1.0,), None, 1.0)
         atoms = np.array([[1.0, 0.0], [0.6, 0.8]])  # inner product 0.6 off grid
         m = explicit_measure(atoms, [0.5, 0.5], g, on_sphere=False)
         with pytest.raises(OffGridOverlap):
-            for seed in range(50):
-                draw_replicas(m, 2, seed=seed)
+            kept_levels(m, 2, MCConfig(5, 10), 1)
 
 
 class TestConditionalDraw:
+    """filtered_level_batches keeps exactly the drawn tuples inside the
+    event, and none when the event is impossible on the grid."""
+
     def test_distinct_event(self):
         m = three_atoms()
-        for seed in range(10):
-            d = conditional_draw(m, EventSpec("A_n", 3), seed=seed)
-            assert len(set(d.atom_indices)) == 3
+        t = EventSpec("A_n", 3).threshold(m.grid)
+        kept = kept_levels(m, 3, MCConfig(10, 30), 4, t)
+        assert sum(map(len, kept)) > 0
+        for lv in kept:
+            # distinct atoms of three_atoms sit at level 1, equal ones at 2
+            assert (lv[:, [0, 0, 1], [1, 2, 2]] == 1).all()
+        # the dropped tuples are the others of the same draws
+        every = kept_levels(m, 3, MCConfig(10, 30), 4)
+        for lv, all_lv in zip(kept, every):
+            inside = (all_lv[:, [0, 0, 1], [1, 2, 2]] == 1).all(axis=1)
+            assert lv.tobytes() == all_lv[inside].tobytes()
 
     def test_impossible_event(self):
-        with pytest.raises(AcceptanceTooLow):
-            conditional_draw(single_atom(), EventSpec("A_n", 2), seed=1,
-                             max_attempts=1000)
+        m = single_atom()
+        t = EventSpec("A_n", 2).threshold(m.grid)
+        assert t == 0
+        kept = kept_levels(m, 2, MCConfig(6, 50), 1, t)
+        assert len(kept) == 6 and all(len(lv) == 0 for lv in kept)
 
     def test_below_threshold_event(self):
         m = three_atoms()
-        for seed in range(10):
-            d = conditional_draw(m, EventSpec("A_nq", 3, q=0.5), seed=seed)
-            off = d.matrix.entries[np.triu_indices(3, 1)]
+        t = EventSpec("A_nq", 3, q=0.5).threshold(m.grid)
+        kept = kept_levels(m, 3, MCConfig(10, 30), 5, t)
+        assert sum(map(len, kept)) > 0
+        for lv in kept:
+            off = lv[:, [0, 0, 1], [1, 2, 2]]
             assert (off == 1).all()  # only level q1=0.3 lies below 0.5
 
 
@@ -201,24 +225,32 @@ class TestConditionalLaw:
                               np.array(weights),
                               OverlapGrid((0.3, 0.7, 1.0), None, 1.0))
         law = enumerate_matrix_law(m, 3, event_threshold=2)
-        emp = empirical_matrix_law(m, 3, 40_000, seed=4, event_threshold=2)
+        emp = empirical_matrix_law(m, 3, MCConfig(40, 1000), seed=4,
+                                   event_threshold=2)
         assert total_variation(law, emp) <= 0.02
 
     def test_empirical_law_matches_row_sort(self):
         """Keys, their order and the frequencies equal those of sorting the
-        level tuples as rows (np.unique over axis 0)."""
+        kept level tuples as rows (np.unique over axis 0)."""
         four = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), 4))
-        for m, n, t in ((four, 4, None), (four, 3, 2),
+        mc = MCConfig(5, 1_000)
+        for m, n, t in ((four, 4, None), (four, 3, 2), (four, 2, 1),
                         (adversarial_measure(), 5, None)):
-            emp = empirical_matrix_law(m, n, 5_000, seed=3, event_threshold=t)
-            idx, _ = draw_index_batch(m, n, 5_000, sampler.rng_from(3), t,
-                                      10**8)
+            emp = empirical_matrix_law(m, n, mc, seed=3, event_threshold=t)
             iu, ju = np.triu_indices(n, k=1)
-            rows, counts = np.unique(m.levels_from_indices(idx)[:, iu, ju],
-                                     axis=0, return_counts=True)
-            want = {tuple(int(v) for v in r): c / 5_000
+            kept = np.concatenate([lv[:, iu, ju] for _, lv in
+                                   filtered_level_batches(
+                                       m, n, mc, 3, t, key=sampler._LAW_KEY)])
+            assert len(kept) == mc.outer * mc.inner or t is not None
+            rows, counts = np.unique(kept, axis=0, return_counts=True)
+            want = {tuple(int(v) for v in r): c / len(kept)
                     for r, c in zip(rows, counts)}
             assert list(emp.items()) == list(want.items())
+
+    def test_empirical_law_of_impossible_event_raises(self):
+        with pytest.raises(EventMassTooSmall):
+            empirical_matrix_law(single_atom(), 2, MCConfig(3, 10), seed=1,
+                                 event_threshold=0)
 
     def test_law_probabilities_sum_to_one(self):
         m = three_atoms((0.6, 0.25, 0.15))
@@ -393,8 +425,9 @@ class TestOuterBlocksReference:
 
 
 class TestTreeRejection:
-    """Tree rejection prunes on ancestor codes; it keeps exactly the rows
-    accept_mask keeps on the pair-level table."""
+    """The block sampler drops a tree's tuples outside an event on the
+    levels its ancestor codes give; it keeps exactly the drawn tuples whose
+    pair levels on the m x m table are all <= t."""
 
     @pytest.mark.parametrize("B, k", [(3, 2), (2, 3), (4, 3)])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -402,21 +435,27 @@ class TestTreeRejection:
         m = build_tree_measure(TreeMeasureSpec(
             tuple(np.linspace(0.2, 0.8, k)), B,
             tuple(np.linspace(0.2, 0.8, k)), seed=B + k))
-        idx = m.sample_indices(n, 3000, np.random.default_rng(n))
+        mc = MCConfig(3, 1000)
+        iu, ju = np.triu_indices(n, k=1)
         for t in range(1, k + 2):
-            got = sampler._accept(m, idx, t)
-            want = _kernels.accept_mask(idx, m.table, t)
-            assert got.dtype == bool and np.array_equal(got, want)
-        assert got.all()  # t = k + 1 admits every tuple
+            got = [lv for _, lv in filtered_level_batches(m, n, mc, n, t,
+                                                          key=0x5CA)]
+            for j, lv in enumerate(got):
+                rng = counter_stream(n, 0x5CA, j * n * mc.inner)
+                idx = m.sample_indices(n, mc.inner, rng)
+                levels = m.table[idx[:, iu], idx[:, ju]]
+                inside = (levels <= t).all(axis=1)
+                assert np.array_equal(lv[:, iu, ju], levels[inside])
+        assert inside.all()  # t = k + 1 admits every tuple
 
     def test_never_reads_table(self):
         m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6),
                                                seed=2))
-        idx, _ = draw_index_batch(m, 4, 200, np.random.default_rng(1),
-                                  threshold=1)
+        kept = kept_levels(m, 4, MCConfig(4, 50), 1, 1)
         assert "table" not in vars(m.tree)
-        lv = m.levels_from_indices(idx)
-        assert _kernels.all_below(lv, 4, 1).all()
+        assert sum(map(len, kept)) > 0
+        for lv in kept:
+            assert _kernels.all_below(lv, 4, 1).all()
 
 
 def filtered_level_batches_per_draw(model, n, mc, seed, threshold, key):
