@@ -608,7 +608,7 @@ def describe_measure(config: ExperimentConfig) -> int:
 
 
 def _jobs(text: str) -> int:
-    if int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
     return int(text)
 

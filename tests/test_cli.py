@@ -603,7 +603,7 @@ class TestMainEntry:
                 "positivity", "ultra", "descend/collision",
                 "criterion"} <= names
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "abc", "1.5"])
     def test_jobs_below_one_refused_at_parse(self, tmp_path, capsys, jobs):
         p = write_config(tmp_path / "c.json", tree_config(tmp_path / "out"))
         with pytest.raises(SystemExit) as exc:
