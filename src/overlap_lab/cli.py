@@ -3,7 +3,7 @@
 Subcommands:
   run <config>              execute the configured checks, write reports
   validate <config>         parse + validate, print every problem found
-  describe-measure <config> print grid, emergent probabilities, atom count
+  describe-measure <config> print grid, atom count and the law of R12
   oracle <config>           run with the exact enumeration path forced
 
 Exit codes: 0 all checks passed, 2 at least one check failed, 1 execution
@@ -128,15 +128,14 @@ MEASURES = {
                       missing="required for explicit measures"),
         "weights": _NUMBERS,
         "atoms": Field(lambda v: isinstance(v, list) and len(v) > 0 and all(
-            map(_is_numbers, v)), "must be a nonempty list of lists of numbers"),
+            map(_is_numbers, v)) and len({len(a) for a in v}) == 1,
+            "must be a nonempty list of lists of numbers, all of one length"),
         "on_sphere": _BOOL._replace(default=True)},
     "adversarial": {"type": _NAME},
 }
-# OverlapGrid holds the ordering, range and sum rules
+# OverlapGrid holds the ordering and range rules
 GRID = {"levels": Field(lambda v: _is_numbers(v) and len(v) > 0,
                         "must be a nonempty list of numbers"),
-        "probs": Field(lambda v: v is None or _is_numbers(v),
-                       "must be null or a list of numbers", None),
         "self_overlap": Field(_is_number, "must be a number")}
 # ObservableSpec bounds the f_pattern / f_monomial triples, given n
 OBSERVABLE = {
@@ -587,23 +586,24 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 
 
 def describe_measure(config: ExperimentConfig) -> int:
+    """Print the first outer measure: its grid and the law of R12 on it."""
     try:
         model, warnings = build_model(config.measure)
+        measure = model.measure_at(0)
+        probs = measure.pair_level_probs()[1:]
     except (OverlapLabError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    measure = model.measure_at(0)
     grid = measure.grid
     print(f"model:        {model.model_id}")
     print(f"kind:         {measure.kind}")
     print(f"atoms:        {measure.m}")
     print(f"levels:       {list(grid.levels)}")
     print(f"self overlap: {grid.self_overlap}")
-    if grid.probs is not None:
-        probs = ", ".join(f"q{i + 1}={p:.6g}" for i, p in enumerate(grid.probs))
-        print(f"level probs:  {probs}   (first outer draw)")
+    law = ", ".join(f"q{i}={p:.6g}" for i, p in enumerate(probs, 1))
+    print(f"level probs:  {law}   (first outer draw)")
     return 0
 
 
@@ -656,8 +656,12 @@ def main(argv=None) -> int:
             print(f"warning: {w}", file=sys.stderr)
         invalid = False
         for i, chk in enumerate(config.checks):
+            v = _read_check(chk, f"checks[{i}]", [])
+            # the observables and patterns the check itself passes
+            specs = [*(v.get("observables") or ()), *filter(None, [v.get("f")])]
             try:
-                grid_rule(chk["name"], model.grid, chk.get("q"))
+                grid_rule(v["name"], model.grid, v.get("q"), specs,
+                          v.get("patterns", ()))
             except OverlapLabError as e:
                 print(f"invalid: checks[{i}]: {e}", file=sys.stderr)
                 invalid = True

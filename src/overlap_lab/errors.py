@@ -6,7 +6,7 @@ class OverlapLabError(Exception):
 
 
 class GridTooSmall(OverlapLabError):
-    """Operation needs at least two grid levels."""
+    """Operation needs more levels than the grid has."""
 
 
 class NotSymmetric(OverlapLabError):

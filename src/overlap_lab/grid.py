@@ -18,16 +18,15 @@ from .errors import GridTooSmall
 
 DIAG = 0  # sentinel stored on the diagonal of a level matrix
 
-PROB_SUM_TOL = 1e-12
 LEVEL_MATCH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class OverlapGrid:
-    """Ascending support values, optional level probabilities, diagonal value."""
+    """Ascending support values and the diagonal value. The law of the
+    levels belongs to a measure (DiscreteMeasure.pair_level_probs)."""
 
     levels: tuple
-    probs: Optional[tuple] = None
     self_overlap: float = 1.0
 
     def __post_init__(self):
@@ -40,15 +39,6 @@ class OverlapGrid:
             raise ValueError("levels must be strictly increasing")
         if not (levels[0] >= -1.0 and levels[-1] <= 1.0):
             raise ValueError("levels must lie in [-1, 1]")
-        if self.probs is not None:
-            probs = tuple(float(p) for p in self.probs)
-            object.__setattr__(self, "probs", probs)
-            if len(probs) != len(levels):
-                raise ValueError("probs length must match levels")
-            if not all(p > 0.0 for p in probs):
-                raise ValueError("probs must be positive")
-            if not abs(sum(probs) - 1.0) <= PROB_SUM_TOL:
-                raise ValueError("probs must sum to 1")
         if not self.self_overlap >= levels[-1]:
             raise ValueError("self_overlap must be >= top level")
 
@@ -74,20 +64,14 @@ class OverlapGrid:
         """Drop the top level; diagonal becomes the new top value."""
         if self.k < 2:
             raise GridTooSmall("cannot truncate a single-level grid")
-        return OverlapGrid(self.levels[:-1], None, self.levels[-2])
+        return OverlapGrid(self.levels[:-1], self.levels[-2])
 
     def to_json_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "probs": list(self.probs) if self.probs is not None else None,
-            "self_overlap": self.self_overlap,
-        }
+        return {"levels": list(self.levels), "self_overlap": self.self_overlap}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OverlapGrid":
-        return cls(tuple(d["levels"]),
-                   tuple(d["probs"]) if d.get("probs") is not None else None,
-                   float(d["self_overlap"]))
+        return cls(tuple(d["levels"]), float(d["self_overlap"]))
 
 
 @dataclass(frozen=True)

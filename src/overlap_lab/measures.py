@@ -89,7 +89,8 @@ def sample_pd_weights(zeta: float, B: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TreeMeasureSpec:
-    """Depth-k B-ary hierarchy; probs are emergent, not prescribed."""
+    """Depth-k B-ary hierarchy. The law of its levels is not prescribed: each
+    draw's pair_level_probs computes it from that draw's weights."""
 
     q: tuple               # q_1 < ... < q_k, all positive
     branching: int
@@ -126,12 +127,10 @@ class DiscreteMeasure:
     An explicit measure keeps its pair levels in an m x m int16 table, where
     -1 marks an inner product matching no grid level (drawing such a pair
     raises). A tree measure reads them from the ancestor codes of the
-    TreeStructure it shares with every measure on it. Built by
-    build_tree_measures, it keeps its block-validated cumulative weights cum
-    and its draw = (spec, j), and builds its weights and grid on first read:
-    the grid's level probabilities come from the redrawn weights, and
-    OverlapGrid validates them there. The samplers read level values with
-    values_by_index, which builds no tree grid.
+    TreeStructure it shares with every measure on it, and so does its grid.
+    Built by build_tree_measures, it keeps its block-validated cumulative
+    weights cum and its draw = (spec, j), and redraws its weights on first
+    read. pair_level_probs computes the law of the levels from the weights.
 
     levels_from_indices returns (T, n, n) level matrices as a view of a
     pair-major (n, n, T) block: each pair's T levels are contiguous.
@@ -153,6 +152,7 @@ class DiscreteMeasure:
             cum.flags.writeable = False
         self._cum = cum
         self.kind = kind
+        self.grid = grid
         self._atoms = atoms
         self._table = table
         self.tree = tree
@@ -164,7 +164,6 @@ class DiscreteMeasure:
         elif atoms is None:
             raise ValueError("need atom norms")
         else:
-            self.grid = grid
             self.norms_sq = np.einsum("ij,ij->i", atoms, atoms)
 
     @property
@@ -179,20 +178,6 @@ class DiscreteMeasure:
         w.flags.writeable = False
         return w
 
-    @cached_property
-    def grid(self) -> OverlapGrid:
-        """A tree measure's grid, built on first read with the level
-        probabilities of its weights; OverlapGrid checks them."""
-        levels = self.tree.grid_levels
-        probs = _tree_level_probs(self.weights, self.tree.B)
-        return OverlapGrid(levels, tuple(probs.tolist()), levels[-1])
-
-    def values_by_index(self) -> np.ndarray:
-        """grid.values_by_index(); a tree measure reads its structure's."""
-        if self.tree is not None:
-            return self.tree.level_values
-        return self.grid.values_by_index()
-
     @property
     def atoms(self) -> Optional[np.ndarray]:
         """(m, d) atom coordinates; None for a tree too large to materialize."""
@@ -203,11 +188,11 @@ class DiscreteMeasure:
         return self.tree.table if self.tree is not None else self._table
 
     def shares_levels(self, other: "DiscreteMeasure") -> bool:
-        """True when other reads pair levels and level values from the same
-        arrays and grid levels, so one levels_from_indices serves both."""
+        """True when other reads pair levels from the same arrays and level
+        values from an equal grid, so one levels_from_indices serves both.
+        The measures of a tree share one grid object, which is tested first."""
         return (self.tree is other.tree and self._table is other._table
-                and (self.tree is not None or (self.grid.levels == other.grid.levels
-                     and self.grid.self_overlap == other.grid.self_overlap)))
+                and (self.grid is other.grid or self.grid == other.grid))
 
     def require_table(self) -> np.ndarray:
         if self.table is None:
@@ -259,11 +244,12 @@ class DiscreteMeasure:
         return lv.transpose(2, 0, 1)
 
     def pair_level_probs(self) -> np.ndarray:
-        """Exact two-replica level probabilities, index 1..k (index 0 unused)."""
+        """Exact two-replica level probabilities, index 1..k (index 0 unused):
+        a tree's from its weights, an explicit measure's from its table."""
         k = self.grid.k
         out = np.zeros(k + 1)
         if self.tree is not None:
-            out[1:] = self.grid.probs
+            out[1:] = _tree_level_probs(self.weights, self.tree.B)
         else:
             outer = np.outer(self.weights, self.weights)
             flat = np.bincount(self._table.ravel() + 1,
@@ -361,7 +347,7 @@ def adversarial_measure() -> DiscreteMeasure:
     The pattern (0.7, 0.7, 0.3) has a unique minimum, so three distinct
     replicas always violate ultrametricity; the Gram matrix is still PSD.
     """
-    grid = OverlapGrid((0.3, 0.7, 1.0), (2 / 9, 4 / 9, 3 / 9), 1.0)
+    grid = OverlapGrid((0.3, 0.7, 1.0), 1.0)
     return measure_from_gram(ADVERSARIAL_GRAM, np.full(3, 1 / 3), grid,
                              kind="adversarial")
 
@@ -371,7 +357,8 @@ def adversarial_measure() -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 class TreeStructure:
-    """Seed-independent part of a tree measure: geometry and level lookup."""
+    """Seed-independent part of a tree measure: geometry, level lookup and
+    the grid (0, q_1, ..., q_k) that every measure on it shares."""
 
     def __init__(self, q: tuple, branching: int):
         k = len(q)
@@ -383,10 +370,7 @@ class TreeStructure:
         self.B = B
         self.k = k
         self.m = m
-        self.grid_levels = (0.0, *q)
-        # every measure's grid.values_by_index(): the top level, then each level
-        self.level_values = np.array([self.grid_levels[-1], *self.grid_levels])
-        self.level_values.flags.writeable = False
+        self.grid = OverlapGrid((0.0, *q), q[-1])
         self.coefs = np.sqrt(np.diff(np.array([0.0, *q])))
         # row d: each leaf's ancestor at depth d + 1; the last row is the leaf
         radix = B ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -496,8 +480,8 @@ def build_tree_measures(spec: TreeMeasureSpec, start: int, stop: int,
     from tree_leaf_weights; each is bit for bit the one built alone.
 
     Only the weights are checked here, every row at once. A measure's level
-    probabilities are computed and checked when its grid is first read, from
-    its redrawn weights: no check of a run reads them.
+    probabilities are a function of them, computed only by pair_level_probs:
+    no check of a run reads them.
     """
     st = structure if structure is not None else TreeStructure(spec.q, spec.branching)
     W = tree_leaf_weights(st, spec.zetas, spec.seed, start, stop)
@@ -505,12 +489,12 @@ def build_tree_measures(spec: TreeMeasureSpec, start: int, stop: int,
     cum = np.cumsum(W, axis=1, out=W)
     cum[:, -1] = 1.0
     cum.flags.writeable = False  # a model may hand these measures to every check
-    return [DiscreteMeasure(None, None, "tree", tree=st, cum=c, draw=(spec, j))
+    return [DiscreteMeasure(None, st.grid, "tree", tree=st, cum=c, draw=(spec, j))
             for j, c in zip(range(start, stop), cum)]
 
 
 def build_tree_measure(spec: TreeMeasureSpec,
                        structure: Optional[TreeStructure] = None) -> DiscreteMeasure:
-    """Assemble the measure: geometry + seeded weights + emergent grid probs.
+    """Assemble the measure: geometry, shared grid and seeded weights.
     It is draw 0 of spec's tree, the first outer measure of TreeModel(spec)."""
     return build_tree_measures(spec, 0, 1, structure)[0]

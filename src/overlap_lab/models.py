@@ -57,8 +57,7 @@ class TreeModel:
     def __init__(self, spec: TreeMeasureSpec):
         self.spec = spec
         self.structure = TreeStructure(spec.q, spec.branching)
-        levels = self.structure.grid_levels
-        self.grid = OverlapGrid(levels, None, levels[-1])
+        self.grid = self.structure.grid  # the grid of every measure it yields
         qs = ",".join(f"{v:g}" for v in spec.q)
         zs = ",".join(f"{z:g}" for z in spec.zetas)
         self.model_id = f"tree(q=[{qs}],B={spec.branching},z=[{zs}],seed={spec.seed})"
@@ -130,7 +129,7 @@ class DescendedModel:
         self.threshold = t
         self.frozen = base.frozen
         levels = base.grid.levels[:t]
-        self.grid = OverlapGrid(levels, None, levels[-1])
+        self.grid = OverlapGrid(levels, levels[-1])
         self.model_id = f"{base.model_id}|descend{steps}"
 
     def measure_at(self, j: int) -> DiscreteMeasure:

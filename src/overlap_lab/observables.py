@@ -75,6 +75,11 @@ class ObservableSpec:
             fpart = "f=1"
         return f"n{self.n}:{fpart}:psi={self.psi.label()}"
 
+    def levels(self) -> tuple:
+        """The grid levels f's pattern and an indicator psi name."""
+        psi = (self.psi.value,) if self.psi.kind == "indicator" else ()
+        return tuple(v for _, v in self.f_pattern) + psi
+
 
 # The factor kinds, in the order a statistic multiplies them
 KINDS = ("pattern", "threshold", "sorted3", "monomial")

@@ -258,7 +258,7 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
     model = as_model(model)
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    grid_rule("criterion", model.grid, q)
+    grid_rule("criterion", model.grid, q, patterns=B_patterns)
     t = model.grid.threshold_below(q)
     below = Statistic(2).with_threshold(2, t)
     means, _ = estimates(model, [below], 2, mc, derive_seed(seed, 0xB0), None,

@@ -109,9 +109,7 @@ def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
     model shares one pair-level table or one set of ancestor codes (a
     TreeModel's measures share its TreeStructure, a frozen model has one
     measure), so the first measure of a block turns all of the block's
-    index rows into level matrices, and its values_by_index gives their
-    values. Nothing here reads a tree measure's grid, so no block computes
-    level probabilities.
+    index rows into level matrices, and its grid gives their values.
     """
     rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n, 8 * width)
     draws = max(1, rows // mc.inner)
@@ -174,7 +172,7 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
     means = np.empty((mc.outer, len(cols)))
     for start, stop, first, lv in _level_blocks(model, n, mc, seed, _INNER_KEY,
                                                 len(cols)):
-        out = _kernels.eval_stats(lv, first.values_by_index(), pack)
+        out = _kernels.eval_stats(lv, first.grid.values_by_index(), pack)
         means[start:stop] = out.reshape(stop - start, mc.inner, -1).mean(axis=1)
     return means
 

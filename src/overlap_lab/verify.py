@@ -66,8 +66,6 @@ class ResidualReport:
     residual: float
     residual_se: float
     passed: bool
-    abs_tol: float
-    z: float
     observable_id: str = ""
     model_id: str = ""
     conditioned: str = ""
@@ -80,19 +78,31 @@ class ResidualReport:
                         self.residual_se, self.passed)
 
 
-def grid_rule(check: str, grid, q: Optional[float] = None):
+def grid_rule(check: str, grid, q: Optional[float] = None, observables=(),
+              patterns=()):
     """Raise why the named check can never run on grid, if it cannot: the
     checks and validate read this one statement of each rule. marginal and
     consistency condition on distinct replicas (no pair at the top level),
-    which a one-level grid never draws; criterion on a level below q."""
+    which a one-level grid never draws; criterion on a level below q. No
+    pair is ever at a level above grid.k, so a check whose observables
+    (f patterns, indicator psi) or criterion patterns name one would test
+    an identity that holds vacuously."""
     if check in ("marginal", "consistency") and grid.k < 2:
         error = GridTooSmall if check == "marginal" else EventMassTooSmall
         raise error(f"{check} needs at least two levels")
     if check == "criterion" and grid.threshold_below(q) < 1:
         raise NullConditioning(f"no grid level lies below q={q}")
+    top = max([l for obs in observables for l in obs.levels()]
+              + [l for pat in patterns for tri in pat for l in tri], default=1)
+    if top > grid.k:
+        raise GridTooSmall(f"{check} names level {top}, above the top level "
+                           f"{grid.k} of the grid")
 
 
-def _as_f_statistic(f, n: int) -> Statistic:
+def _f_statistic(check: str, grid, f, n: int) -> Statistic:
+    """f as a Statistic, once grid_rule passes the check and f's levels."""
+    grid_rule(check, grid, observables=[f] if isinstance(f, ObservableSpec)
+              else ())
     if f is None:
         return Statistic(n)
     if isinstance(f, ObservableSpec):
@@ -180,6 +190,7 @@ def gg_residual(model, obs, mc: MCConfig, seed: int,
             raise ValueError("need one conditioning event per observable")
         if any(e.n != o.n + 1 for o, e in zip(observables, events)):
             raise ValueError("conditioning event must cover all n+1 replicas")
+    grid_rule("gg", model.grid, observables=observables)
     thresholds = {e.threshold(model.grid) for e in events if e is not None}
     if len(thresholds) > 1:
         raise ValueError("the events of one pass must share one threshold")
@@ -238,7 +249,7 @@ def _gg_report(model, obs, event, r, h, rate, inner, abs_tol, z):
                            inner, M, rate) for i in range(n - 1)]
     passed = abs(residual) <= max(abs_tol, z * se)
     return ResidualReport(lhs, tuple(rhs), residual, se, bool(passed),
-                          abs_tol, z, obs.observable_id(), model.model_id,
+                          obs.observable_id(), model.model_id,
                           event.label() if event is not None else "", n)
 
 
@@ -283,7 +294,7 @@ def lemma1_check(model, f, n: int, mc: MCConfig, seed: int,
     """E<f I(distinct among n+1)> - (1 - p_top) E<f I(distinct among n)>."""
     model = as_model(model)
     K = model.grid.k
-    f_stat = _as_f_statistic(f, n)
+    f_stat = _f_statistic("lemma1", model.grid, f, n)
     stats = [
         f_stat.with_threshold(n + 1, K - 1),
         f_stat.with_threshold(n, K - 1),
@@ -301,8 +312,8 @@ def lemma1_check(model, f, n: int, mc: MCConfig, seed: int,
     rhs = (EstimateReport((1.0 - pbar) * vbar, influence_se(h[:, 1]), inner,
                           M, None),)
     passed = abs(residual) <= z * se + abs_tol
-    return ResidualReport(lhs, rhs, float(residual), se, bool(passed), abs_tol,
-                          z, f"lemma1:n={n}", model.model_id, "", n)
+    return ResidualReport(lhs, rhs, float(residual), se, bool(passed),
+                          f"lemma1:n={n}", model.model_id, "", n)
 
 
 def consistency_check(model, f, n: int, mc: MCConfig, seed: int,
@@ -310,9 +321,8 @@ def consistency_check(model, f, n: int, mc: MCConfig, seed: int,
                       method: str = "mc") -> ResidualReport:
     """Conditional expectations of f under distinctness at sizes n+1 and n."""
     model = as_model(model)
-    grid_rule("consistency", model.grid)
+    f_stat = _f_statistic("consistency", model.grid, f, n)
     K = model.grid.k
-    f_stat = _as_f_statistic(f, n)
     stats = [
         f_stat.with_threshold(n + 1, K - 1),
         Statistic(n + 1).with_threshold(n + 1, K - 1),
@@ -338,8 +348,8 @@ def consistency_check(model, f, n: int, mc: MCConfig, seed: int,
     lhs = EstimateReport(r1, 0.0, inner, M, abar)
     rhs = (EstimateReport(r2, 0.0, inner, M, bbar),)
     passed = abs(residual) <= z * se + abs_tol
-    return ResidualReport(lhs, rhs, float(residual), se, bool(passed), abs_tol,
-                          z, f"consistency:n={n}", model.model_id, "", n)
+    return ResidualReport(lhs, rhs, float(residual), se, bool(passed),
+                          f"consistency:n={n}", model.model_id, "", n)
 
 
 @dataclass(frozen=True)
@@ -392,7 +402,6 @@ def conditional_marginal_check(model, mc: MCConfig, seed: int,
 @dataclass(frozen=True)
 class SupportReport:
     max_deviation: float
-    atoms_checked: int
     passed: bool
 
     def row(self, model_id: str) -> CheckRow:
@@ -404,16 +413,14 @@ class SupportReport:
 def support_check(measure: DiscreteMeasure) -> SupportReport:
     """Max deviation of atom squared norms from the top grid level."""
     mask = measure.weights > SUPPORT_WEIGHT_FLOOR
-    dev = np.abs(measure.norms_sq[mask] - measure.values_by_index()[-1])
+    dev = np.abs(measure.norms_sq[mask] - measure.grid.levels[-1])
     max_dev = float(dev.max()) if dev.size else 0.0
-    return SupportReport(max_dev, int(mask.sum()),
-                         bool(max_dev <= SUPPORT_TOL))
+    return SupportReport(max_dev, bool(max_dev <= SUPPORT_TOL))
 
 
 @dataclass(frozen=True)
 class PositivityReport:
     min_overlap: float
-    levels_observed: tuple
     passed: bool
 
     def row(self, model_id: str) -> CheckRow:
@@ -427,18 +434,16 @@ def positivity_check(model, mc: MCConfig, seed: int) -> PositivityReport:
     model = as_model(model)
     K = model.grid.k
     counts = np.zeros(K + 1, dtype=np.int64)
-    values = None
-    for measure, lv in filtered_level_batches(model, 2, mc, seed, key=0x90F):
+    for _, lv in filtered_level_batches(model, 2, mc, seed, key=0x90F):
         if len(lv):
             counts += np.bincount(lv[:, 0, 1], minlength=K + 1)
-        if values is None:
-            values = measure.values_by_index()
+    # a descended model's grid gives levels 1..K the base's values
+    values = model.grid.values_by_index()
     observed = [l for l in range(1, K + 1) if counts[l] > 0]
     if not observed:
         raise EventMassTooSmall("no pairs observed")
     min_overlap = float(min(values[l] for l in observed))
-    return PositivityReport(min_overlap, tuple(observed),
-                            bool(min_overlap >= -POSITIVITY_TOL))
+    return PositivityReport(min_overlap, bool(min_overlap >= -POSITIVITY_TOL))
 
 
 @dataclass(frozen=True)

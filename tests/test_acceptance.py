@@ -41,12 +41,12 @@ def report(name, elapsed, detail=""):
 
 
 def single_atom_model():
-    g = OverlapGrid((0.7,), (1.0,), 0.7)
+    g = OverlapGrid((0.7,), 0.7)
     return FrozenModel(explicit_measure([[np.sqrt(0.7)]], [1.0], g))
 
 
 def duplicated_atom_model():
-    g = OverlapGrid((0.7,), (1.0,), 0.7)
+    g = OverlapGrid((0.7,), 0.7)
     a = np.sqrt(0.7)
     return FrozenModel(explicit_measure([[a], [a]], [0.3, 0.7], g))
 
@@ -87,7 +87,7 @@ def test_02_distinct_mass_formula_k1_tree():
 def test_03_conditional_marginal():
     t0 = time.time()
     gram = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
-    g = OverlapGrid((0.3, 0.7), None, 0.7)
+    g = OverlapGrid((0.3, 0.7), 0.7)
     frozen = FrozenModel(measure_from_gram(gram, np.array([0.5, 0.3, 0.2]), g))
     exact = conditional_marginal_check(frozen, MCConfig(2, 2), seed=1,
                                        method="enumerate", abs_tol=1e-12)
@@ -105,11 +105,11 @@ def test_03_conditional_marginal():
 
 def _frozen_family():
     a = np.sqrt(0.7)
-    g2 = OverlapGrid((0.0, 0.7), None, 0.7)
+    g2 = OverlapGrid((0.0, 0.7), 0.7)
     two = explicit_measure([[a, 0.0], [0.0, a]], [0.4, 0.6], g2,
                            on_sphere=False)
     gram3 = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
-    g3 = OverlapGrid((0.3, 0.7), None, 0.7)
+    g3 = OverlapGrid((0.3, 0.7), 0.7)
     three = measure_from_gram(gram3, np.array([0.5, 0.3, 0.2]), g3)
     adv = adversarial_measure()
     four = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), 4))

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from overlap_lab import cli, measures
@@ -52,18 +51,6 @@ class TestParseConfig:
         with pytest.raises(ParseError) as err:
             parse_config(p)
         assert "bad.json:1" in str(err.value)
-
-    def test_probs_sum_error_names_field(self, tmp_path):
-        p = write_config(tmp_path / "c.json", {
-            "measure": {"type": "explicit",
-                        "grid": {"levels": [0.7], "probs": [0.9],
-                                 "self_overlap": 0.7},
-                        "weights": [1.0], "atoms": [[0.83666]]},
-            "checks": [{"name": "support"}],
-        })
-        with pytest.raises(ValidationError) as err:
-            parse_config(p)
-        assert any("measure.grid" in s for s in err.value.problems)
 
     def test_unknown_check_lists_allowed(self, tmp_path):
         p = write_config(tmp_path / "c.json", {
@@ -189,9 +176,9 @@ class TestParseConfig:
          "measure.grid.levels: must be a nonempty list of numbers"),
         ({"measure": {"type": "explicit",
                       "grid": {"levels": [1.0], "self_overlap": 1.0,
-                               "probs": [True]},
+                               "probs": [1.0]},
                       "atoms": [[1.0]], "weights": [1.0]}},
-         "measure.grid.probs: must be null or a list of numbers"),
+         "measure.grid.probs: unknown field for a grid"),
         ({"measure": {"type": "explicit",
                       "grid": {"levels": [1.0], "self_overlap": 1.0,
                                "extra": 1},
@@ -210,6 +197,11 @@ class TestParseConfig:
          "checks[0].method: unknown field"),
         ({"checks": [{"name": "ultra", "n": 4, "abs_tol": 5.0, "z": 100,
                       "method": "enumerate"}]}, "checks[0].abs_tol: unknown field"),
+        ({"measure": {"type": "explicit",
+                      "grid": {"levels": [0.0, 1.0], "self_overlap": 1.0},
+                      "atoms": [[1.0, 0.0], [1.0]], "weights": [0.5, 0.5]}},
+         "measure.atoms: must be a nonempty list of lists of numbers, all of "
+         "one length"),
     ])
     def test_malformed_field_named(self, tmp_path, cfg, field):
         if isinstance(cfg, dict):
@@ -285,8 +277,7 @@ class TestParseConfig:
 class TestBuildModel:
     def test_negative_levels_warn(self):
         measure = {"type": "explicit",
-                   "grid": {"levels": [-0.5, 1.0], "probs": None,
-                            "self_overlap": 1.0},
+                   "grid": {"levels": [-0.5, 1.0], "self_overlap": 1.0},
                    "weights": [0.5, 0.5],
                    "atoms": [[1.0, 0.0], [-0.5, 0.8660254037844386]],
                    "on_sphere": False}
@@ -357,11 +348,10 @@ def test_tree_run_keeps_only_cumulative_weights(tmp_path, monkeypatch):
             if "weights" in measure.__dict__] in ([], [0])
 
 
-def test_tree_run_computes_level_probs_only_for_read_grids(tmp_path,
-                                                           monkeypatch):
-    """A run reads no measure's level probabilities, so it computes none; a
-    grid read afterwards computes its measure's row, bit for bit the row of
-    the block that built it."""
+def test_tree_run_computes_no_level_probs(tmp_path, monkeypatch):
+    """A run reads no measure's level probabilities, so it computes none;
+    pair_level_probs read afterwards computes its measure's row, bit for bit
+    the row of the block that built it."""
     real = measures._tree_level_probs
     calls = []
 
@@ -374,15 +364,15 @@ def test_tree_run_computes_level_probs_only_for_read_grids(tmp_path,
     assert calls == []
     assert [j for j, measure in model._memo.items()
             if "weights" in measure.__dict__] in ([], [0])
-    assert all("grid" not in measure.__dict__ for measure in model._memo.values())
+    assert all(measure.grid is model.grid for measure in model._memo.values())
     st, spec = model.structure, model.spec
     assert sorted(model._memo) == list(range(len(model._memo)))
     block = tree_leaf_weights(st, spec.zetas, spec.seed, 0, len(model._memo))
     P = real(block, st.B)
     read = list(model._memo)[::7]
     for j in read:
-        probs = model._memo[j].grid.probs
-        assert np.array(probs).tobytes() == P[j].tobytes()
+        probs = model._memo[j].pair_level_probs()[1:]
+        assert probs.tobytes() == P[j].tobytes()
     assert calls == [(st.m,)] * len(read)
 
 
@@ -548,6 +538,18 @@ class TestMainEntry:
         assert "atoms:        1600" in out
         assert "levels:       [0.0, 0.3, 0.7]" in out
 
+    def test_describe_measure_computes_explicit_law(self, tmp_path, capsys):
+        # two orthogonal atoms: R12 = 0 unless both replicas pick one atom
+        p = write_config(tmp_path / "c.json", {
+            "measure": {"type": "explicit",
+                        "grid": {"levels": [0.0, 1.0], "self_overlap": 1.0},
+                        "atoms": [[1.0, 0.0], [0.0, 1.0]],
+                        "weights": [0.25, 0.75]},
+            "checks": [{"name": "support"}]})
+        assert main(["describe-measure", str(p)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "level probs:  q1=0.375, q2=0.625   (first outer draw)"
+
     def test_run_with_flags(self, tmp_path):
         p = write_config(tmp_path / "c.json", tree_config(tmp_path / "cfgout"))
         out = tmp_path / "flagout"
@@ -629,6 +631,28 @@ class TestValidateGridRules:
                         "EventMassTooSmall"),
         "criterion": (None, {"name": "criterion", "q": 0.0},
                       "no grid level lies below q=0.0", "NullConditioning"),
+        # a level above the grid's top is never drawn: the identity would
+        # hold vacuously, with a passing all-zero row
+        "gg_indicator": ({"type": "adversarial"}, {
+            "name": "gg", "abs_tol": 1e-12,
+            "observables": [{"n": 2, "psi": {"indicator": 9}}]},
+            "gg names level 9, above the top level 3 of the grid",
+            "GridTooSmall"),
+        "gg_pattern": (None, {"name": "gg", "observables": [
+            {"n": 2, "psi": {"monomial": 1}, "f_pattern": [[1, 2, 4]]}]},
+            "gg names level 4, above the top level 3 of the grid",
+            "GridTooSmall"),
+        "lemma1": (None, {"name": "lemma1", "f_pattern": [[1, 2, 9]]},
+                   "lemma1 names level 9, above the top level 3 of the grid",
+                   "GridTooSmall"),
+        "consistency_pattern": (None, {"name": "consistency",
+                                       "f_pattern": [[1, 2, 4]]},
+                                "consistency names level 4, above the top "
+                                "level 3 of the grid", "GridTooSmall"),
+        "criterion_pattern": (None, {"name": "criterion", "q": 0.5,
+                                     "patterns": [[[1, 1, 1]], [[1, 2, 4]]]},
+                              "criterion names level 4, above the top level "
+                              "3 of the grid", "GridTooSmall"),
     }
 
     @staticmethod
@@ -653,6 +677,12 @@ class TestValidateGridRules:
         assert main(["run", str(p)]) == 1
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["checks"][1]["error"] == f"{error}: {reason}"
+
+    def test_top_level_named_passes(self, tmp_path, capsys):
+        p = self.config(tmp_path, None, {"name": "lemma1",
+                                         "f_pattern": [[1, 2, 3]]})
+        assert main(["validate", str(p)]) == 0
+        assert "config ok" in capsys.readouterr().out
 
     def test_q_just_above_the_lowest_level_passes(self, tmp_path, capsys):
         p = self.config(tmp_path, None, {"name": "criterion", "q": 1e-9})

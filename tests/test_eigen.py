@@ -112,7 +112,7 @@ class TestSymmetricEigenvalues:
 
 class TestIsPsd:
     def test_constant_matrix_is_psd(self):
-        g = OverlapGrid((0.7,), None, 0.7)
+        g = OverlapGrid((0.7,), 0.7)
         ok, lo = is_psd(matrix_from_offdiag(4, [1] * 6, g))
         assert ok and lo >= -1e-12
 
@@ -130,7 +130,7 @@ class TestIsPsd:
     def test_search_finds_non_gram_pattern(self):
         # brute-force search over level patterns on a grid with a negative
         # level until one with a genuinely negative eigenvalue appears
-        g = OverlapGrid((-0.5, 0.3), None, 1.0)
+        g = OverlapGrid((-0.5, 0.3), 1.0)
         found = None
         for n in (3, 4):
             n_off = n * (n - 1) // 2

@@ -12,7 +12,7 @@ from overlap_lab.grid import (DIAG, LevelMatrix, OverlapGrid, check_ultrametric,
 
 
 def grid2():
-    return OverlapGrid((0.3, 0.7), None, 0.7)
+    return OverlapGrid((0.3, 0.7), 0.7)
 
 
 class TestOverlapGrid:
@@ -20,23 +20,20 @@ class TestOverlapGrid:
         with pytest.raises(ValueError):
             OverlapGrid((0.7, 0.3))
         with pytest.raises(ValueError):
-            OverlapGrid((0.3, 0.7), (0.5, 0.4))  # sums to 0.9
-        with pytest.raises(ValueError):
-            OverlapGrid((0.3, 0.7), (0.5, 0.5), 0.5)  # self below top
+            OverlapGrid((0.3, 0.7), 0.5)  # self below top
         with pytest.raises(ValueError):
             OverlapGrid((0.3, 1.2))
         with pytest.raises(ValueError):
-            OverlapGrid((0.3, 0.7), (-0.1, 1.1))
+            OverlapGrid(())
 
-    @pytest.mark.parametrize("levels, probs, self_overlap", [
-        ((np.nan,), None, 1.0),
-        ((0.3, np.nan), None, 1.0),
-        ((0.3, 0.7), (0.5, np.nan), 1.0),
-        ((0.3, 0.7), None, np.nan),
-    ], ids=["only_level", "top_level", "prob", "self_overlap"])
-    def test_nan_rejected(self, levels, probs, self_overlap):
+    @pytest.mark.parametrize("levels, self_overlap", [
+        ((np.nan,), 1.0),
+        ((0.3, np.nan), 1.0),
+        ((0.3, 0.7), np.nan),
+    ], ids=["only_level", "top_level", "self_overlap"])
+    def test_nan_rejected(self, levels, self_overlap):
         with pytest.raises(ValueError):
-            OverlapGrid(levels, probs, self_overlap)
+            OverlapGrid(levels, self_overlap)
 
     def test_level_lookup(self):
         g = grid2()
@@ -53,7 +50,7 @@ class TestOverlapGrid:
         assert g.threshold_below(0.9) == 2
 
     def test_truncated(self):
-        g = OverlapGrid((0.1, 0.3, 0.7), None, 1.0)
+        g = OverlapGrid((0.1, 0.3, 0.7), 1.0)
         t = g.truncated()
         assert t.levels == (0.1, 0.3)
         assert t.self_overlap == 0.3
@@ -71,7 +68,7 @@ class TestRealize:
         assert realize(m).tolist() == [[0.7]]
 
     def test_constant_top_level(self):
-        g = OverlapGrid((0.7,), None, 0.7)
+        g = OverlapGrid((0.7,), 0.7)
         m = matrix_from_offdiag(3, [1, 1, 1], g)
         assert np.allclose(realize(m), np.full((3, 3), 0.7))
 
@@ -97,13 +94,13 @@ class TestLevelMatrix:
             m.entries[0, 1] = 2
 
     def test_json_round_trip(self):
-        g = OverlapGrid((0.3, 0.7), (0.4, 0.6), 1.0)
+        g = OverlapGrid((0.3, 0.7), 1.0)
         m = matrix_from_offdiag(3, [1, 2, 1], g)
         blob = m.to_json()
         d = json.loads(blob)
         assert d["entries"][0][0] == "D"
         assert d["entries"][0][1] == 1
-        assert d["grid"]["probs"] == [0.4, 0.6]
+        assert d["grid"] == {"levels": [0.3, 0.7], "self_overlap": 1.0}
         back = LevelMatrix.from_json(blob)
         assert back == m
 
@@ -140,7 +137,7 @@ class TestCheckUltrametric:
     @given(st.integers(3, 7), st.integers(0, 10**6))
     def test_permutation_invariance(self, n, seed):
         rng = np.random.default_rng(seed)
-        g = OverlapGrid((0.1, 0.4, 0.9), None, 1.0)
+        g = OverlapGrid((0.1, 0.4, 0.9), 1.0)
         offdiag = rng.integers(1, 4, size=n * (n - 1) // 2)
         m = matrix_from_offdiag(n, offdiag, g)
         perm = rng.permutation(n)
@@ -149,7 +146,7 @@ class TestCheckUltrametric:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
-        g = OverlapGrid((0.1, 0.4, 0.9), None, 1.0)
+        g = OverlapGrid((0.1, 0.4, 0.9), 1.0)
         mats = [matrix_from_offdiag(5, rng.integers(1, 4, 10), g) for _ in range(7)]
         batch = np.stack([m.entries for m in mats])
         rep = check_ultrametric_batch(batch)
@@ -167,7 +164,7 @@ class TestTruncate:
         assert np.allclose(off, 0.3)
 
     def test_no_top_entries_only_diagonal_drops(self):
-        g = OverlapGrid((0.1, 0.3, 0.7), None, 0.7)
+        g = OverlapGrid((0.1, 0.3, 0.7), 0.7)
         m = matrix_from_offdiag(3, [1, 2, 1], g)
         t = truncate(m)
         assert np.array_equal(t.entries, m.entries)
@@ -175,7 +172,7 @@ class TestTruncate:
 
     def test_double_truncation_composes(self):
         rng = np.random.default_rng(8)
-        g = OverlapGrid((0.1, 0.3, 0.5, 0.7), None, 1.0)
+        g = OverlapGrid((0.1, 0.3, 0.5, 0.7), 1.0)
         m = matrix_from_offdiag(5, rng.integers(1, 5, 10), g)
         twice = truncate(truncate(m))
         direct = np.minimum(m.entries, 2)
@@ -184,7 +181,7 @@ class TestTruncate:
         assert twice.grid.levels == (0.1, 0.3)
 
     def test_single_level_grid_rejected(self):
-        g = OverlapGrid((0.5,), None, 0.5)
+        g = OverlapGrid((0.5,), 0.5)
         m = matrix_from_offdiag(2, [1], g)
         with pytest.raises(GridTooSmall):
             truncate(m)

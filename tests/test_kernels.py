@@ -286,7 +286,7 @@ class TestEnumerationReference:
                               10, -1, 2)
 
     def test_impossible_event_raises(self):
-        grid = OverlapGrid((0.3, 0.7), None, 0.7)
+        grid = OverlapGrid((0.3, 0.7), 0.7)
         gram = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
         measure = measure_from_gram(gram, np.array([0.5, 0.3, 0.2]), grid)
         with pytest.raises(EventNull):

@@ -136,8 +136,9 @@ class TestTreeMeasure:
 
     def test_emergent_probs_sum_to_one(self):
         m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=3))
-        assert np.isclose(sum(m.grid.probs), 1.0, atol=1e-12)
-        assert all(p > 0 for p in m.grid.probs)
+        probs = m.pair_level_probs()
+        assert probs[0] == 0.0 and np.isclose(probs.sum(), 1.0, atol=1e-12)
+        assert all(p > 0 for p in probs[1:])
 
     def test_digit_path_pair_levels(self):
         m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 200, (0.4, 0.8),
@@ -184,7 +185,7 @@ class TestTreeMeasure:
         smallest = 1.0
         for j in range(300):
             m = tm.measure_at(j)
-            smallest = min(smallest, min(m.grid.probs))
+            smallest = min(smallest, min(m.pair_level_probs()[1:]))
         assert smallest > 0.0
 
 
@@ -296,7 +297,7 @@ class TestTreeLeafWeightsReference:
         a = build_tree_measure(spec)
         b = TreeModel(spec).measure_at(0)
         assert a.weights.tobytes() == b.weights.tobytes()
-        assert a.grid.probs == b.grid.probs
+        assert a.pair_level_probs().tobytes() == b.pair_level_probs().tobytes()
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1,
@@ -396,7 +397,8 @@ class TestTreeModelBlocks:
     def assert_fresh(self, got, j):
         want = self.fresh(j)
         assert got.weights.tobytes() == want.weights.tobytes()
-        assert got.grid.probs == want.grid.probs
+        assert got.pair_level_probs().tobytes() == \
+            want.pair_level_probs().tobytes()
         assert not got.weights.flags.writeable
 
     def test_blocks_across_boundaries_and_cap(self, monkeypatch):
@@ -441,10 +443,9 @@ class TestTreeModelBlocks:
                         want = leaf_weights_reference(st, spec.zetas,
                                                       spec.seed, j)
                         assert measure.weights.tobytes() == want.tobytes()
-                        assert measure.grid.probs == alone[j].grid.probs
-            for measure in alone:
-                assert np.allclose(measure.pair_level_probs()[1:],
-                                   measure.grid.probs, rtol=1e-12, atol=0)
+                        assert measure.pair_level_probs().tobytes() == \
+                            alone[j].pair_level_probs().tobytes()
+            assert all(measure.grid is st.grid for measure in alone)
 
     def test_block_cum_rows_match_single_builds(self):
         # a block-built measure keeps only its cumulative weights: the
@@ -507,7 +508,7 @@ class TestLazyTreeAtoms:
         assert "atoms" not in vars(st)
         assert a.atoms is st.atoms and b.atoms is st.atoms
         # level l of a pair is grid value l - 1, the diagonal included
-        want = np.array(st.grid_levels)[st.table - 1]
+        want = np.array(st.grid.levels)[st.table - 1]
         assert np.allclose(a.atoms @ a.atoms.T, want, atol=1e-12)
         with pytest.raises(ValueError):
             a.atoms[0, 0] = 1.0
@@ -584,35 +585,20 @@ class TestTreeCodeLevels:
         for i, j in idx[:40, :2].tolist():
             assert m.pair_level(i, j) == digit_levels(B, k, i, j)
 
-    def test_grid_built_on_first_read_keeps_its_bits(self):
+    def test_level_probs_keep_their_bits(self):
+        # a measure's law is computed from its redrawn weights: bit for bit
+        # its row of the block's, and the law of the draw built alone
         spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=8)
         block = build_tree_measures(spec, 0, 6)
         st = block[0].tree
         P = measures._tree_level_probs(np.stack([m.weights for m in block]),
                                        st.B)
         for j, m in enumerate(block):
-            assert "grid" not in vars(m)
             alone = build_tree_measures(spec, j, j + 1)[0]
-            want = OverlapGrid(st.grid_levels, tuple(P[j].tolist()),
-                               st.grid_levels[-1])
-            assert m.grid == want == alone.grid
-            assert m.grid.probs == alone.grid.probs == want.probs
-            assert m.grid is m.grid
-
-    @pytest.mark.parametrize("bad, match", [
-        (lambda P: P * np.array([1.0, 0.0, 1.0]), "positive"),
-        (lambda P: P * (1.0 + 1e-9), "sum to 1"),
-    ], ids=["nonpositive", "sum_off"])
-    def test_probs_validated_when_grid_read(self, monkeypatch, bad, match):
-        # a build computes no level probabilities; reading a grid checks them
-        real = measures._tree_level_probs
-        monkeypatch.setattr(measures, "_tree_level_probs",
-                            lambda W, B: bad(real(W, B)))
-        spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=8)
-        block = build_tree_measures(spec, 0, 4)
-        for m in block:
-            with pytest.raises(ValueError, match=match):
-                m.grid
+            assert m.grid is st.grid and alone.grid == st.grid
+            assert m.pair_level_probs()[1:].tobytes() == P[j].tobytes()
+            assert m.pair_level_probs().tobytes() == \
+                alone.pair_level_probs().tobytes()
 
     @pytest.mark.parametrize("bad, match", [
         (lambda W: W * (np.arange(W.shape[1]) != 3), "weights must be positive"),
@@ -658,19 +644,11 @@ class TestLevelBlockLayout:
         assert np.array_equal(lv, want)
         assert lv.transpose(1, 2, 0).flags.c_contiguous
 
-    def test_values_by_index_builds_no_tree_grid(self):
-        for kind, make in self.MEASURES.items():
-            m = make()
-            vals = m.values_by_index()
-            if kind == "tree":
-                assert "grid" not in vars(m) and not vals.flags.writeable
-            assert vals.tobytes() == m.grid.values_by_index().tobytes()
-
     @staticmethod
     def off_grid_measure():
         # atom 0's self overlap 0.6 and the pair (1, 2)'s 0.35 are off the
         # grid; pairs (0, 1) and (0, 2) sit at 0, atom 1 and 2 at 0.7
-        g = OverlapGrid((0.0, 0.7), None, 0.7)
+        g = OverlapGrid((0.0, 0.7), 0.7)
         a = np.sqrt(0.7)
         atoms = np.array([[np.sqrt(0.6), 0.0, 0.0], [0.0, a, 0.0],
                           [0.0, 0.5 * a, np.sqrt(0.75) * a]])
@@ -697,7 +675,8 @@ class TestTreeModelMemo:
     def assert_fresh(self, measure, j):
         fresh = build_tree_measures(self.SPEC, j, j + 1)[0]
         assert np.array_equal(measure.weights, fresh.weights)
-        assert measure.grid.probs == fresh.grid.probs
+        assert measure.pair_level_probs().tobytes() == \
+            fresh.pair_level_probs().tobytes()
 
     def test_repeat_calls_match_fresh_build(self):
         model = TreeModel(self.SPEC)
@@ -715,6 +694,14 @@ class TestTreeModelMemo:
             assert len(model._memo) <= cap
         assert sorted(model._memo) == [0, 1, 2]
 
+    def test_measures_share_the_model_grid(self):
+        model = TreeModel(self.SPEC)
+        assert model.grid is model.structure.grid
+        assert model.grid.levels == (0.0, *self.SPEC.q)
+        assert model.grid.self_overlap == self.SPEC.q[-1]
+        for measure in [*model.measures(0, 9), model.measure_at(12)]:
+            assert measure.grid is model.grid
+
     def test_stored_arrays_read_only(self):
         measure = TreeModel(self.SPEC).measure_at(0)
         for arr in (measure.weights, measure.norms_sq):
@@ -724,13 +711,13 @@ class TestTreeModelMemo:
 
 class TestExplicitMeasure:
     def test_single_atom(self):
-        g = OverlapGrid((0.7,), None, 0.7)
+        g = OverlapGrid((0.7,), 0.7)
         m = explicit_measure([[np.sqrt(0.7)]], [1.0], g)
         assert m.m == 1
         assert m.pair_level(0, 0) == 1
 
     def test_two_orthogonal_atoms_pair_probs(self):
-        g = OverlapGrid((0.0, 0.7), None, 0.7)
+        g = OverlapGrid((0.0, 0.7), 0.7)
         a = np.sqrt(0.7)
         m = explicit_measure([[a, 0.0], [0.0, a]], [0.5, 0.5], g)
         probs = m.pair_level_probs()
@@ -739,13 +726,13 @@ class TestExplicitMeasure:
 
     def test_cholesky_three_atoms(self):
         gram = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
-        g = OverlapGrid((0.3, 0.7), None, 0.7)
+        g = OverlapGrid((0.3, 0.7), 0.7)
         m = measure_from_gram(gram, np.full(3, 1 / 3), g)
         assert np.allclose(m.atoms @ m.atoms.T, gram, atol=1e-12)
         assert sorted(set(m.table.ravel().tolist())) == [1, 2]
 
     def test_bad_weights(self):
-        g = OverlapGrid((0.7,), None, 0.7)
+        g = OverlapGrid((0.7,), 0.7)
         a = [[np.sqrt(0.7)]]
         with pytest.raises(BadWeights):
             explicit_measure(a, [0.9], g)
@@ -754,18 +741,18 @@ class TestExplicitMeasure:
 
     @pytest.mark.parametrize("weights", [[0.5, np.nan], [np.nan, np.nan]])
     def test_nan_weights_rejected(self, weights):
-        g = OverlapGrid((0.0, 1.0), None, 1.0)
+        g = OverlapGrid((0.0, 1.0), 1.0)
         with pytest.raises(BadWeights):
             explicit_measure(np.eye(2), weights, g)
 
     def test_off_grid_rejected_on_sphere(self):
-        g = OverlapGrid((0.3, 0.7), None, 0.7)
+        g = OverlapGrid((0.3, 0.7), 0.7)
         atoms = np.array([[np.sqrt(0.7), 0.0], [0.0, np.sqrt(0.7)]])  # product 0
         with pytest.raises(OffGridOverlap):
             explicit_measure(atoms, [0.5, 0.5], g)
 
     def test_off_sphere_allowed_when_disabled(self):
-        g = OverlapGrid((0.3, 0.7), None, 0.7)
+        g = OverlapGrid((0.3, 0.7), 0.7)
         atoms = np.array([[np.sqrt(0.6), 0.0], [0.0, np.sqrt(0.7)]])
         m = explicit_measure(atoms, [0.5, 0.5], g, on_sphere=False)
         assert m.table[0, 0] == -1  # norm 0.6 matches no level
@@ -773,7 +760,7 @@ class TestExplicitMeasure:
             m.pair_level(0, 0)
 
     def test_norm_deviation_rejected_on_sphere(self):
-        g = OverlapGrid((0.3, 0.7), None, 0.7)
+        g = OverlapGrid((0.3, 0.7), 0.7)
         atoms = np.array([[np.sqrt(0.3), 0.0], [0.0, np.sqrt(0.7)]])
         with pytest.raises(OffGridOverlap):
             explicit_measure(atoms, [0.5, 0.5], g)
@@ -792,7 +779,8 @@ class TestAdversarialMeasure:
         m = adversarial_measure()
         assert np.allclose(m.atoms @ m.atoms.T, ADVERSARIAL_GRAM, atol=1e-12)
         assert m.grid.levels == (0.3, 0.7, 1.0)
-        assert np.allclose(m.grid.probs, (2 / 9, 4 / 9, 3 / 9))
+        assert np.allclose(m.pair_level_probs(), (0, 2 / 9, 4 / 9, 3 / 9),
+                           rtol=0, atol=1e-15)
         assert m.kind == "adversarial"
 
     def test_distinct_triple_always_violates(self):

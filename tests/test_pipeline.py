@@ -34,8 +34,7 @@ class TestCollisionIdentity:
         assert collision_identity_check(m) == (True, None)
         assert "table" not in vars(m.tree)
         if m.table is not None:  # the table scan agrees
-            grid = OverlapGrid(m.tree.grid_levels, None, m.tree.grid_levels[-1])
-            frozen = explicit_measure(m.atoms, m.weights, grid)
+            frozen = explicit_measure(m.atoms, m.weights, m.grid)
             assert collision_identity_check(frozen) == (True, None)
 
     def test_tree_with_shared_leaf_code_fails_with_pair(self):
@@ -46,20 +45,20 @@ class TestCollisionIdentity:
         assert collision_identity_check(m) == (False, (4, 5))
 
     def test_duplicate_atoms_fail_with_pair(self):
-        g = OverlapGrid((0.7,), None, 0.7)
+        g = OverlapGrid((0.7,), 0.7)
         a = np.sqrt(0.7)
         m = explicit_measure([[a], [a]], [0.5, 0.5], g)
         ok, witness = collision_identity_check(m)
         assert not ok and witness == (0, 1)
 
     def test_single_atom_passes(self):
-        g = OverlapGrid((0.7,), None, 0.7)
+        g = OverlapGrid((0.7,), 0.7)
         m = explicit_measure([[np.sqrt(0.7)]], [1.0], g)
         ok, witness = collision_identity_check(m)
         assert ok and witness is None
 
     def test_off_sphere_diagonal_fails(self):
-        g = OverlapGrid((0.3, 0.7), None, 0.7)
+        g = OverlapGrid((0.3, 0.7), 0.7)
         atoms = np.array([[np.sqrt(0.3), 0.0], [0.0, np.sqrt(0.7)]])
         m = explicit_measure(atoms, [0.5, 0.5], g, on_sphere=False)
         ok, witness = collision_identity_check(m)
@@ -176,7 +175,7 @@ class TestCriterion:
         with pytest.raises(NullConditioning):
             criterion_run(k2_tree(), 0.0, [[[1, 1, 1]]], 4, MCConfig(20, 20), 1)
         with pytest.raises(NullConditioning):
-            g = OverlapGrid((0.7,), None, 0.7)
+            g = OverlapGrid((0.7,), 0.7)
             m = explicit_measure([[np.sqrt(0.7)]], [1.0], g)
             criterion_run(FrozenModel(m), 0.5, [[[1, 1, 1]]], 4,
                           MCConfig(20, 20), 1)

@@ -19,12 +19,12 @@ from overlap_lab.sampler import (EventSpec, MCConfig, combined_threshold,
 
 
 def single_atom():
-    g = OverlapGrid((0.7,), (1.0,), 0.7)
+    g = OverlapGrid((0.7,), 0.7)
     return explicit_measure([[np.sqrt(0.7)]], [1.0], g)
 
 
 def two_orthogonal(w0=0.5):
-    g = OverlapGrid((0.0, 0.7), None, 0.7)
+    g = OverlapGrid((0.0, 0.7), 0.7)
     a = np.sqrt(0.7)
     return explicit_measure([[a, 0.0], [0.0, a]], [w0, 1.0 - w0], g,
                             on_sphere=False)
@@ -32,7 +32,7 @@ def two_orthogonal(w0=0.5):
 
 def three_atoms(weights=(1 / 3, 1 / 3, 1 / 3)):
     gram = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
-    g = OverlapGrid((0.3, 0.7), None, 0.7)
+    g = OverlapGrid((0.3, 0.7), 0.7)
     return measure_from_gram(gram, np.array(weights), g)
 
 
@@ -80,7 +80,7 @@ class TestDrawReplicas:
                         assert lv[t, a, b] == lv[t, b, a] == want
 
     def test_off_grid_draw_raises(self):
-        g = OverlapGrid((1.0,), None, 1.0)
+        g = OverlapGrid((1.0,), 1.0)
         atoms = np.array([[1.0, 0.0], [0.6, 0.8]])  # inner product 0.6 off grid
         m = explicit_measure(atoms, [0.5, 0.5], g, on_sphere=False)
         with pytest.raises(OffGridOverlap):
@@ -178,7 +178,7 @@ class TestEnumeration:
         levels = tuple(np.linspace(0.0, 1.0, 31))
         atoms = np.diag(np.sqrt(levels[1:]))
         m = explicit_measure(atoms, np.full(30, 1 / 30),
-                             OverlapGrid(levels, None, 1.0), on_sphere=False)
+                             OverlapGrid(levels, 1.0), on_sphere=False)
         assert len(_kernels.twin_classes(m.table)) == 30
         with pytest.raises(TooLarge):
             enumerate_statistic(m, Statistic(5), 5)
@@ -200,7 +200,7 @@ class TestEnumeration:
         np.fill_diagonal(gram, 1.0)
         w = np.random.default_rng(3).random(40) + 0.5
         m = measure_from_gram(gram, w / w.sum(),
-                              OverlapGrid((0.0, 0.5, 1.0), None, 1.0))
+                              OverlapGrid((0.0, 0.5, 1.0), 1.0))
         assert m.m**5 > sampler.ENUM_GUARD
         assert len(_kernels.twin_classes(m.table)) == 4
         vals, mass = sampler.enumerate_statistics(m, [Statistic(5)], 5)
@@ -223,7 +223,7 @@ class TestConditionalLaw:
         m = measure_from_gram(np.array(adversarial_measure().atoms @
                                        adversarial_measure().atoms.T),
                               np.array(weights),
-                              OverlapGrid((0.3, 0.7, 1.0), None, 1.0))
+                              OverlapGrid((0.3, 0.7, 1.0), 1.0))
         law = enumerate_matrix_law(m, 3, event_threshold=2)
         emp = empirical_matrix_law(m, 3, MCConfig(40, 1000), seed=4,
                                    event_threshold=2)

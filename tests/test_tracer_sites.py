@@ -74,6 +74,15 @@ def test_committed_config_validates(config):
     assert main(["validate", str(config)]) == 0
 
 
+@pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_committed_config_described(config, capsys):
+    from overlap_lab.cli import main
+
+    assert main(["describe-measure", str(config)]) == 0
+    assert "\nlevel probs:  q1=" in capsys.readouterr().out
+
+
 def test_enum_stats_counts_the_statistics_of_a_pack():
     """The tracer reads an enumeration's statistic count from the offsets
     that lead a pack_statistics pack."""

@@ -24,20 +24,20 @@ ADV_RESIDUAL_X = 2.9 / 81
 
 
 def single_atom_model():
-    g = OverlapGrid((0.7,), (1.0,), 0.7)
+    g = OverlapGrid((0.7,), 0.7)
     return FrozenModel(explicit_measure([[np.sqrt(0.7)]], [1.0], g))
 
 
 def duplicated_atom_model():
     # two identical atoms listed separately: a single off-diagonal level
-    g = OverlapGrid((0.7,), (1.0,), 0.7)
+    g = OverlapGrid((0.7,), 0.7)
     a = np.sqrt(0.7)
     return FrozenModel(explicit_measure([[a], [a]], [0.3, 0.7], g))
 
 
 def three_atom_model(weights=(1 / 3, 1 / 3, 1 / 3)):
     gram = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
-    g = OverlapGrid((0.3, 0.7), None, 0.7)
+    g = OverlapGrid((0.3, 0.7), 0.7)
     return FrozenModel(measure_from_gram(gram, np.array(weights), g))
 
 
@@ -107,7 +107,7 @@ def clustered_model(seed=0):
     within a cluster and 0 across, Dirichlet(1) weights."""
     gram = np.kron(np.eye(3), np.full((4, 4), 0.5)) + 0.5 * np.eye(12)
     weights = np.random.default_rng(seed).dirichlet(np.ones(12))
-    g = OverlapGrid((0.0, 0.5, 1.0), None, 1.0)
+    g = OverlapGrid((0.0, 0.5, 1.0), 1.0)
     return FrozenModel(measure_from_gram(gram, weights, g))
 
 
@@ -279,7 +279,7 @@ class TestConsistency:
         from overlap_lab.measures import ADVERSARIAL_GRAM
 
         w = np.array([0.5, 0.3, 0.2])
-        g = OverlapGrid((0.3, 0.7, 1.0), None, 1.0)
+        g = OverlapGrid((0.3, 0.7, 1.0), 1.0)
         model = FrozenModel(measure_from_gram(ADVERSARIAL_GRAM, w, g))
         obs = ObservableSpec(2, Psi("monomial", 1), f_pattern=(((1, 2), 1),))
         rep = consistency_check(model, obs, 2, MCConfig(2, 2), 1,
@@ -306,7 +306,7 @@ class TestConditionalMarginal:
             conditional_marginal_check(single_atom_model(), MCConfig(5, 5), 1)
 
     def test_two_orthogonal_atoms_conditional_is_certain(self):
-        g = OverlapGrid((0.0, 0.7), None, 0.7)
+        g = OverlapGrid((0.0, 0.7), 0.7)
         a = np.sqrt(0.7)
         m = explicit_measure([[a, 0.0], [0.0, a]], [0.4, 0.6], g,
                              on_sphere=False)
@@ -333,7 +333,7 @@ class TestSupport:
         assert rep.passed and rep.max_deviation <= 1e-12
 
     def test_broken_norm_reports_deviation(self):
-        g = OverlapGrid((0.3, 0.7), None, 0.7)
+        g = OverlapGrid((0.3, 0.7), 0.7)
         atoms = np.array([[np.sqrt(0.6), 0.0], [0.0, np.sqrt(0.7)]])
         m = explicit_measure(atoms, [0.5, 0.5], g, on_sphere=False)
         rep = support_check(m)
@@ -354,7 +354,7 @@ class TestPositivity:
         assert rep.min_overlap == 0.7
 
     def test_negative_overlap_flagged(self):
-        g = OverlapGrid((-0.5, 1.0), None, 1.0)
+        g = OverlapGrid((-0.5, 1.0), 1.0)
         atoms = np.array([[1.0, 0.0], [-0.5, np.sqrt(0.75)]])
         m = explicit_measure(atoms, [0.5, 0.5], g, on_sphere=False)
         rep = positivity_check(FrozenModel(m), MCConfig(20, 50), 2)
