@@ -3,16 +3,14 @@
 __version__ = "0.1.0"
 
 from ._kernels import warmup
-from .eigen import EigenResult, is_psd, is_psd_dense, symmetric_eigenvalues
+from .eigen import is_psd_dense
 from .errors import (AcceptanceTooLow, BadWeights, BadZeta, EventMassTooSmall,
                      EventNull, GridTooSmall, NoConvergence, NotSymmetric,
                      NullConditioning, OffGridOverlap, OverlapLabError,
                      ParseError, TooLarge, TooManyAtoms, ValidationError)
-from .grid import (DIAG, LevelMatrix, OverlapGrid, ViolationReport,
-                   check_ultrametric, realize, truncate)
+from .grid import DIAG, LevelMatrix, OverlapGrid, ViolationReport, truncate
 from .measures import (DiscreteMeasure, TreeMeasureSpec, adversarial_measure,
-                       build_tree_measure, explicit_measure, measure_from_gram,
-                       sample_pd_weights)
+                       build_tree_measure, explicit_measure, measure_from_gram)
 from .models import DescendedModel, FrozenModel, TreeModel, as_model
 from .observables import ObservableSpec, Psi, Statistic, default_gg_observables
 from .pipeline import (CriterionReport, DescendConfig, LevelReport,

@@ -476,22 +476,41 @@ def enum_stats(weights, table, n, threshold, vals, pack, chunk=200_000):
 def enum_law(weights, table, n, threshold, n_levels, chunk=200_000):
     """Realized upper-triangle level tuples and the mass of each.
 
-    Returns (keys, mass): the sorted distinct keys of the row-major level
-    tuples of the tuples in the event, in base n_levels + 1 with the first
-    pair as the lowest digit, and the summed weight of each.
+    Returns (keys, mass): the sorted distinct level_keys of the tuples in
+    the event, and the summed weight of each.
     """
-    iu, ju = _pairs(n)
-    if (n_levels + 1) ** len(iu) > np.iinfo(np.int64).max:
-        raise OverflowError(f"level tuples of {n} replicas overflow an int64 key")
-    key_radix = (n_levels + 1) ** np.arange(len(iu), dtype=np.int64)
     keys = np.zeros(0, dtype=np.int64)
     mass = np.zeros(0)
     for w, lv in pattern_chunks(weights, table, n, threshold, chunk):
-        keys, inv = np.unique(np.concatenate([keys, lv[:, iu, ju] @ key_radix]),
+        keys, inv = np.unique(np.concatenate([keys, level_keys(lv, n_levels)]),
                               return_inverse=True)
         mass = np.bincount(inv, weights=np.concatenate([mass, w]),
                            minlength=len(keys))
     return keys, mass
+
+
+def _key_radix(n, n_levels):
+    """Place values of the upper-triangle pairs of n replicas in base
+    n_levels + 1, the first pair the most significant."""
+    pairs = n * (n - 1) // 2
+    if (n_levels + 1) ** pairs > np.iinfo(np.int64).max:
+        raise OverflowError(f"level tuples of {n} replicas overflow an int64 key")
+    return (n_levels + 1) ** np.arange(pairs - 1, -1, -1, dtype=np.int64)
+
+
+def level_keys(levels, n_levels):
+    """One int64 key per matrix of a (T, n, n) level batch: its row-major
+    upper-triangle level tuple in base n_levels + 1, the first pair the most
+    significant digit, so that sorted keys are sorted tuples."""
+    n = levels.shape[-1]
+    iu, ju = _pairs(n)
+    return levels[:, iu, ju] @ _key_radix(n, n_levels)
+
+
+def level_tuples(keys, n, n_levels):
+    """The level tuple of each of level_keys' keys."""
+    digits = keys[:, None] // _key_radix(n, n_levels) % (n_levels + 1)
+    return list(map(tuple, digits.tolist()))
 
 
 def warmup():

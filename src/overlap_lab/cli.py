@@ -38,8 +38,8 @@ from .pipeline import DescendConfig, criterion_run, descend
 from .sampler import EventSpec, MCConfig
 from .verify import (DEFAULT_ABS_TOL, DEFAULT_Z, conditional_marginal_check,
                      consistency_check, distinct_mass_check, gg_residual,
-                     grid_rule, lemma1_check, positivity_check, support_check,
-                     ultrametricity_check)
+                     grid_rule, lemma1_check, method_rule, positivity_check,
+                     support_check, ultrametricity_check)
 
 REQUIRED = object()
 
@@ -387,7 +387,8 @@ def build_model(measure: dict):
 
 
 def _run_check(chk: dict, model, seed: int, oracle: bool):
-    """Dispatch one configured check. Returns (rows, json_obj, passed)."""
+    """Dispatch one configured check. Returns (rows, json_obj); the check
+    passes when every one of its rows does."""
     problems = []
     v = _read_check(chk, "check", problems)
     if problems:
@@ -404,7 +405,7 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
                  for obs in observables] if cond else None
         reps = gg_residual(model, observables, mc, seed, conditioned=conds,
                            **est)
-        rows, objs, ok = [], [], True
+        rows, objs = [], []
         for obs, rep in zip(observables, reps):
             if isinstance(rep, Exception):
                 raise rep
@@ -412,59 +413,47 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
             objs.append({"observable": obs.observable_id(),
                          "residual": rep.residual, "se": rep.residual_se,
                          "pass": rep.passed, "conditioned": rep.conditioned})
-            ok &= rep.passed
-        return rows, {"observables": objs}, ok
+        return rows, {"observables": objs}
 
     if name == "mass":
         rep = distinct_mass_check(model, v["n_max"], mc, seed, **est)
-        return list(rep.rows), {"p_top": rep.p_top}, rep.passed
+        return list(rep.rows), {"p_top": rep.p_top}
 
     if name in ("lemma1", "consistency"):
         fn = lemma1_check if name == "lemma1" else consistency_check
         rep = fn(model, v["f"], v["n"], mc, seed, **est)
         return [rep.row(name)], {"residual": rep.residual,
-                                 "se": rep.residual_se}, rep.passed
+                                 "se": rep.residual_se}
 
     if name == "marginal":
         rep = conditional_marginal_check(model, mc, seed, **est)
-        return list(rep.rows), {"acceptance_rate": rep.acceptance_rate}, rep.passed
+        return list(rep.rows), {"acceptance_rate": rep.acceptance_rate}
 
     if name == "support":
         rep = support_check(model.measure_at(0))
-        return [rep.row(model.model_id)], {"max_deviation": rep.max_deviation}, \
-            rep.passed
+        return [rep.row(model.model_id)], {"max_deviation": rep.max_deviation}
 
     if name == "positivity":
         rep = positivity_check(model, mc, seed)
-        return [rep.row(model.model_id)], {"min_overlap": rep.min_overlap}, \
-            rep.passed
+        return [rep.row(model.model_id)], {"min_overlap": rep.min_overlap}
 
     if name == "ultra":
         rep = ultrametricity_check(model, mc, seed, n=v["n"])
         return [rep.row(model.model_id)], {
             "triples": rep.triples_checked, "violations": rep.violations,
-            "witness": rep.first_witness}, rep.passed
+            "witness": rep.first_witness}
 
     if name == "descend":
         cfg = DescendConfig(mc=mc, **est, **{key: v[key] for key in DESCEND})
         rep = descend(model, cfg, seed)
-        passed = rep.all_passed
-        node = rep.child
-        while node is not None:
-            passed &= node.all_passed
-            node = node.child
-        return rep.rows(model.model_id), rep.to_json_dict(), passed
+        return rep.rows(model.model_id), rep.to_json_dict()
 
     if name == "criterion":
         reports = criterion_run(model, float(v["q"]), v["patterns"],
                                 v["n_max"], mc, seed, z=est["z"],
                                 method=est["method"])
-        rows = []
-        ok = True
-        for rep in reports:
-            rows.extend(rep.rows(model.model_id))
-            ok &= rep.consistent_within_noise
-        return rows, {"patterns": [r.to_json_dict() for r in reports]}, ok
+        rows = [row for rep in reports for row in rep.rows(model.model_id)]
+        return rows, {"patterns": [r.to_json_dict() for r in reports]}
 
     raise ValueError(f"unhandled check {name!r}")
 
@@ -542,8 +531,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         start = time.time()
         rows, obj, err = [], {}, None
         try:
-            rows, obj, ok = _run_check(chk, model, derive_seed(seed, i), oracle)
-            status = "pass" if ok else "fail"
+            rows, obj = _run_check(chk, model, derive_seed(seed, i), oracle)
+            status = "pass" if all(r.passed for r in rows) else "fail"
         except Exception as e:  # noqa: BLE001 - gather all per-check errors
             status, err = "error", f"{type(e).__name__}: {e}"
             print(f"error in check {chk['name']}: {err}", file=sys.stderr)
@@ -657,12 +646,17 @@ def main(argv=None) -> int:
         invalid = False
         for i, chk in enumerate(config.checks):
             v = _read_check(chk, f"checks[{i}]", [])
-            # the observables and patterns the check itself passes
+            # the observables, patterns and events the check itself passes
             specs = [*(v.get("observables") or ()), *filter(None, [v.get("f")])]
+            cond = v.get("conditioned")
+            events = [EventSpec(cond["kind"], 2, cond["q"])] if cond else []
+            if v["name"] == "criterion":
+                events.append(EventSpec("A_nq", 3, float(v["q"])))
             try:
-                grid_rule(v["name"], model.grid, v.get("q"), specs,
-                          v.get("patterns", ()))
-            except OverlapLabError as e:
+                grid_rule(v["name"], model.grid, specs, v.get("patterns", ()),
+                          events)
+                method_rule(model, v.get("method"))
+            except (OverlapLabError, ValueError) as e:
                 print(f"invalid: checks[{i}]: {e}", file=sys.stderr)
                 invalid = True
         if invalid:

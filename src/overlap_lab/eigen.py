@@ -6,25 +6,15 @@ package needs run on conditioned overlap samples of single-digit size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
 from .errors import NoConvergence, NotSymmetric
-from .grid import LevelMatrix
 
 SYMMETRY_TOL = 1e-12
 MAX_DENSE_N = 512
 DEFAULT_TOL = 1e-10
 DEFAULT_SWEEPS = 100
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    eigenvalues: tuple
-    iterations: int
-    off_diag_residual: float
 
 
 def _check_input(A: np.ndarray) -> np.ndarray:
@@ -42,8 +32,8 @@ def jacobi_decompose(A: np.ndarray, tol: float = DEFAULT_TOL,
                      max_sweeps: int = DEFAULT_SWEEPS):
     """Full decomposition: (eigenvalues asc, eigenvectors by column, sweeps, residual).
 
-    The vector matrix is what the tests use to verify |Av - lambda v| residuals;
-    the public EigenResult carries eigenvalues only.
+    The eigenvector matrix is what the tests use to verify |Av - lambda v|
+    residuals; is_psd_dense reads the smallest eigenvalue.
     """
     A = _check_input(A)
     diag, V, sweeps, off = _kernels.jacobi_raw(A, tol, max_sweeps)
@@ -56,26 +46,11 @@ def jacobi_decompose(A: np.ndarray, tol: float = DEFAULT_TOL,
     return diag[order], V[:, order], int(sweeps), float(off)
 
 
-def symmetric_eigenvalues(A: np.ndarray, tol: float = DEFAULT_TOL,
-                          max_sweeps: int = DEFAULT_SWEEPS) -> EigenResult:
-    vals, _, sweeps, off = jacobi_decompose(A, tol, max_sweeps)
-    return EigenResult(tuple(float(v) for v in vals), sweeps, off)
-
-
-def min_eigenvalue(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    return symmetric_eigenvalues(A, tol).eigenvalues[0]
-
-
-def is_psd(matrix: LevelMatrix, tol: float = 1e-9):
-    """(flag, min eigenvalue) of the realized matrix.
+def is_psd_dense(A: np.ndarray, tol: float = 1e-9):
+    """(flag, min eigenvalue) of a dense symmetric matrix.
 
     Passes when the smallest eigenvalue is >= -tol * n * max|entry|.
     """
-    return is_psd_dense(matrix.realize(), tol)
-
-
-def is_psd_dense(A: np.ndarray, tol: float = 1e-9):
-    """Same check for an already-realized dense symmetric matrix."""
-    lo = min_eigenvalue(A)
+    lo = float(jacobi_decompose(A)[0][0])
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     return lo >= -tol * A.shape[0] * scale, lo

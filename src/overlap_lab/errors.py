@@ -50,7 +50,7 @@ class EventMassTooSmall(OverlapLabError):
 
 
 class NullConditioning(OverlapLabError):
-    """Threshold event for the criterion run has vanishing probability."""
+    """A conditioning event (criterion's, or gg's) has vanishing probability."""
 
 
 class ParseError(OverlapLabError):

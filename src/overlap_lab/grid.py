@@ -7,7 +7,6 @@ so events like "entry equals the top level" are exact integer comparisons.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,12 +49,6 @@ class OverlapGrid:
         """Lookup array: index 0 -> self_overlap, index l -> levels[l-1]."""
         return np.array([self.self_overlap, *self.levels])
 
-    def level_of(self, value: float, tol: float = LEVEL_MATCH_TOL) -> int:
-        """1-based index of the grid level within tol of value, or -1."""
-        arr = np.asarray(self.levels)
-        j = int(np.argmin(np.abs(arr - value)))
-        return j + 1 if abs(arr[j] - value) <= tol else -1
-
     def threshold_below(self, q: float) -> int:
         """Largest level index whose value is < q (0 if none)."""
         return int(np.searchsorted(np.asarray(self.levels), q, side="left"))
@@ -65,9 +58,6 @@ class OverlapGrid:
         if self.k < 2:
             raise GridTooSmall("cannot truncate a single-level grid")
         return OverlapGrid(self.levels[:-1], self.levels[-2])
-
-    def to_json_dict(self) -> dict:
-        return {"levels": list(self.levels), "self_overlap": self.self_overlap}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OverlapGrid":
@@ -110,41 +100,10 @@ class LevelMatrix:
         """Dense float matrix: level values off-diagonal, self_overlap on it."""
         return self.grid.values_by_index()[self.entries]
 
-    def to_json_dict(self) -> dict:
-        rows = []
-        for i in range(self.n):
-            rows.append(["D" if j == i else int(self.entries[i, j]) for j in range(self.n)])
-        return {"n": self.n, "grid": self.grid.to_json_dict(), "entries": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LevelMatrix":
-        grid = OverlapGrid.from_json_dict(d["grid"])
-        n = int(d["n"])
-        entries = np.zeros((n, n), dtype=np.int16)
-        for i, row in enumerate(d["entries"]):
-            for j, e in enumerate(row):
-                entries[i, j] = DIAG if e == "D" else int(e)
-        return cls(entries, grid)
-
-    @classmethod
-    def from_json(cls, s: str) -> "LevelMatrix":
-        return cls.from_json_dict(json.loads(s))
-
-
-def realize(matrix: LevelMatrix) -> np.ndarray:
-    return matrix.realize()
-
-
-def check_ultrametric(matrix: LevelMatrix) -> ViolationReport:
-    """Count triples whose minimum pairwise level is attained only once."""
-    return check_ultrametric_batch(matrix.entries)
-
 
 def check_ultrametric_batch(levels_batch: np.ndarray) -> ViolationReport:
-    """Triple scan over every triple of every matrix of a (T, n, n) batch.
+    """Triple scan over every triple of one (n, n) level matrix or of
+    every matrix of a (T, n, n) batch.
 
     The witness is the first violating matrix's first triple, in
     lexicographic order.

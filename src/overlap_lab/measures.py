@@ -65,28 +65,6 @@ def counter_stream(seed: int, key: int, offset: int) -> np.random.Generator:
     return rng
 
 
-def pd_points(zeta: float, B: int, rng: np.random.Generator) -> np.ndarray:
-    """Top-B unnormalized points of the power-law Poisson process,
-    descending: partial exponential sums raised to -1/zeta."""
-    if not 0.0 < zeta < 1.0:
-        raise BadZeta(f"zeta must be in (0,1), got {zeta}")
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    arrivals = np.cumsum(rng.exponential(1.0, size=B))
-    return arrivals ** (-1.0 / zeta)
-
-
-def sample_pd_weights(zeta: float, B: int, seed) -> np.ndarray:
-    """Top-B normalized points of the power-law Poisson process.
-
-    The normalized sequence approximates the classical random weight
-    sequence with E sum(w_i^2) -> 1 - zeta as B grows.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
-    points = pd_points(zeta, B, rng)
-    return points / points.sum()
-
-
 @dataclass(frozen=True)
 class TreeMeasureSpec:
     """Depth-k B-ary hierarchy. The law of its levels is not prescribed: each
@@ -259,24 +237,6 @@ class DiscreteMeasure:
             out[:] = flat[1:]
         return out
 
-    def to_json_dict(self) -> dict:
-        if self.atoms is None:
-            raise TooManyAtoms("atoms not materialized; measure too large to serialize")
-        return {
-            "kind": self.kind,
-            "grid": self.grid.to_json_dict(),
-            "weights": [float(w) for w in self.weights],
-            "atoms": [[float(x) for x in a] for a in self.atoms],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DiscreteMeasure":
-        grid = OverlapGrid.from_json_dict(d["grid"])
-        atoms = np.asarray(d["atoms"], dtype=np.float64)
-        kind = d.get("kind", "explicit")
-        return explicit_measure(atoms, np.asarray(d["weights"]), grid,
-                                kind=kind, on_sphere=False)
-
 
 def _check_weights(W: np.ndarray) -> None:
     """Weights must be positive and sum to 1: a vector, or each row of a block."""
@@ -394,7 +354,7 @@ class TreeStructure:
     @cached_property
     def atoms(self) -> Optional[np.ndarray]:
         """(m, d) leaf coordinates, built on first read; None above
-        DENSE_ATOM_CAP. No check reads them, only serialization and tests."""
+        DENSE_ATOM_CAP. No check reads them, only tests."""
         if self.m * self.d > DENSE_ATOM_CAP:
             return None
         atoms = np.zeros((self.m, self.d))
@@ -425,12 +385,13 @@ def tree_leaf_weights(structure: TreeStructure, zetas: tuple, seed: int,
     Draw j reads the V * B uniforms at [j * V * B, (j + 1) * V * B) of
     counter_stream(seed, _WEIGHTS_KEY), V the number of internal vertices:
     level by level, vertex by vertex, B per vertex. A vertex's points are
-    pd_points' power-law points, with its B uniforms turned into the
-    exponentials by -log1p(-u) (standard_exponential's ziggurat takes a
-    varying number of words, so its output cannot be addressed by
-    position). A block of draws is one
-    advance, one random call, and one cumulative sum and one power per
-    level; each draw is bit for bit the one drawn alone.
+    the top B points of the power-law Poisson process, in descending
+    order: partial sums of B exponentials, raised to -1/zeta. Its B
+    uniforms become those exponentials by -log1p(-u) (standard_exponential's
+    ziggurat takes a varying number of words, so its output cannot be
+    addressed by position). A block of draws is one advance, one random
+    call, and one cumulative sum and one power per level; each draw is bit
+    for bit the one drawn alone.
     """
     B, count = structure.B, stop - start
     size = B * (structure.m - 1) // (B - 1)  # V * B = B + B**2 + ... + B**k

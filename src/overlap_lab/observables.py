@@ -14,8 +14,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
-
 MAX_MONOMIAL_POWER = 8
 
 
@@ -165,13 +163,6 @@ def pack_statistics(stats: Sequence[Statistic]):
     factors = tuple(key for st in stats for key in
                     sorted(st.factors, key=lambda key: KINDS.index(key[0])))
     return offsets, factors
-
-
-def evaluate_statistics(levels_batch: np.ndarray, values: np.ndarray,
-                        stats: Sequence[Statistic]) -> np.ndarray:
-    """(T, S) matrix of statistic values over a batch of level matrices."""
-    pack = pack_statistics(stats)
-    return _kernels.eval_stats(np.ascontiguousarray(levels_batch), values, pack)
 
 
 def default_gg_observables(n_values=(2, 3, 4)) -> list:

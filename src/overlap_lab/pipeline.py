@@ -10,7 +10,7 @@ remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -197,14 +197,13 @@ def _descend_level(model, config: DescendConfig, seed: int,
     details["min_eigenvalue"] = min_eig if min_eig != float("inf") else 0.0
     details["psd_samples"] = psd_samples
 
-    child = None
-    level_pass = (collision_pass and violations == 0 and gg_pass and psd_pass)
-    if K > 1 and (level_pass or config.force):
-        child = _descend_level(DescendedModel(model, 1), config,
-                               derive_seed(seed, 0xC41D), is_root=False)
-
-    return LevelReport(K, bool(collision_pass), violations, bool(gg_pass),
-                       bool(psd_pass), child, details)
+    report = LevelReport(K, bool(collision_pass), violations, bool(gg_pass),
+                         bool(psd_pass), None, details)
+    if K > 1 and (report.all_passed or config.force):
+        report = replace(report, child=_descend_level(
+            DescendedModel(model, 1), config, derive_seed(seed, 0xC41D),
+            is_root=False))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,9 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
     model = as_model(model)
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    grid_rule("criterion", model.grid, q, patterns=B_patterns)
-    t = model.grid.threshold_below(q)
+    event = EventSpec("A_nq", 3, q)
+    grid_rule("criterion", model.grid, patterns=B_patterns, events=[event])
+    t = event.threshold(model.grid)
     below = Statistic(2).with_threshold(2, t)
     means, _ = estimates(model, [below], 2, mc, derive_seed(seed, 0xB0), None,
                          method)

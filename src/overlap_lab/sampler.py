@@ -306,8 +306,8 @@ def enumerate_matrix_law(measure: DiscreteMeasure, n: int,
     if total <= 0.0:
         raise EventNull("conditioning event has zero mass")
     hit = mass != 0.0
-    digits = keys[hit, None] // (k + 1) ** np.arange(n * (n - 1) // 2) % (k + 1)
-    return dict(zip(map(tuple, digits.tolist()), (mass[hit] / total).tolist()))
+    return dict(zip(_kernels.level_tuples(keys[hit], n, k),
+                    (mass[hit] / total).tolist()))
 
 
 def empirical_matrix_law(measure: DiscreteMeasure, n: int, mc: MCConfig,
@@ -315,20 +315,14 @@ def empirical_matrix_law(measure: DiscreteMeasure, n: int, mc: MCConfig,
     """Empirical counterpart of enumerate_matrix_law: the frequencies of the
     level tuples filtered_level_batches keeps of mc.outer * mc.inner draws
     from the fixed measure (stream _LAW_KEY), over the kept tuples alone."""
-    iu, ju = np.triu_indices(n, k=1)
-    # one int64 key per level tuple, first pair the most significant digit,
-    # so that sorted keys are sorted tuples
-    base = measure.grid.k + 1
-    if base ** len(iu) > np.iinfo(np.int64).max:
-        raise OverflowError(f"level tuples of {n} replicas overflow an int64 key")
-    radix = base ** np.arange(len(iu) - 1, -1, -1, dtype=np.int64)
-    keys = [lv[:, iu, ju] @ radix for _, lv in filtered_level_batches(
+    k = measure.grid.k
+    keys = [_kernels.level_keys(lv, k) for _, lv in filtered_level_batches(
         measure, n, mc, seed, event_threshold, key=_LAW_KEY)]
     keys, counts = np.unique(np.concatenate(keys), return_counts=True)
     if not len(keys):
         raise EventMassTooSmall("no draw lies in the conditioning event")
-    rows = (keys[:, None] // radix % base).tolist()
-    return dict(zip(map(tuple, rows), (counts / counts.sum()).tolist()))
+    return dict(zip(_kernels.level_tuples(keys, n, k),
+                    (counts / counts.sum()).tolist()))
 
 
 def total_variation(law_a: dict, law_b: dict) -> float:

@@ -78,25 +78,36 @@ class ResidualReport:
                         self.residual_se, self.passed)
 
 
-def grid_rule(check: str, grid, q: Optional[float] = None, observables=(),
-              patterns=()):
+def grid_rule(check: str, grid, observables=(), patterns=(), events=()):
     """Raise why the named check can never run on grid, if it cannot: the
     checks and validate read this one statement of each rule. marginal and
     consistency condition on distinct replicas (no pair at the top level),
-    which a one-level grid never draws; criterion on a level below q. No
-    pair is ever at a level above grid.k, so a check whose observables
+    which a one-level grid never draws. criterion conditions on an A_nq
+    event, and gg may condition on events (EventSpec): an event holds only
+    on levels below its bound, so never when no grid level lies below it.
+    No pair is ever at a level above grid.k, so a check whose observables
     (f patterns, indicator psi) or criterion patterns name one would test
     an identity that holds vacuously."""
     if check in ("marginal", "consistency") and grid.k < 2:
         error = GridTooSmall if check == "marginal" else EventMassTooSmall
         raise error(f"{check} needs at least two levels")
-    if check == "criterion" and grid.threshold_below(q) < 1:
-        raise NullConditioning(f"no grid level lies below q={q}")
+    for event in events:
+        if event.threshold(grid) < 1:
+            bound = "the top level" if event.kind == "A_n" else f"q={event.q}"
+            raise NullConditioning(f"no grid level lies below {bound}")
     top = max([l for obs in observables for l in obs.levels()]
               + [l for pat in patterns for tri in pat for l in tri], default=1)
     if top > grid.k:
         raise GridTooSmall(f"{check} names level {top}, above the top level "
                            f"{grid.k} of the grid")
+
+
+def method_rule(model, method: str):
+    """Raise why method can never run on model, if it cannot: estimates and
+    validate read this rule. Enumeration sums over the atoms of one fixed
+    measure, which a model that redraws its measure does not have."""
+    if method == "enumerate" and not model.frozen:
+        raise ValueError("enumeration needs a frozen (fixed-measure) model")
 
 
 def _f_statistic(check: str, grid, f, n: int) -> Statistic:
@@ -124,9 +135,8 @@ def estimates(model, stats, n, mc, seed, event_threshold, method,
     count is returned separately.
     """
     model = as_model(model)
+    method_rule(model, method)
     if method == "enumerate":
-        if not model.frozen:
-            raise ValueError("enumeration needs a frozen (fixed-measure) model")
         t = combined_threshold(model, event_threshold)
         groups = count_columns([n] * len(stats) if counts is None else counts)
         means = np.ones((1, len(stats) + len(groups)))
@@ -190,7 +200,8 @@ def gg_residual(model, obs, mc: MCConfig, seed: int,
             raise ValueError("need one conditioning event per observable")
         if any(e.n != o.n + 1 for o, e in zip(observables, events)):
             raise ValueError("conditioning event must cover all n+1 replicas")
-    grid_rule("gg", model.grid, observables=observables)
+    grid_rule("gg", model.grid, observables,
+              events=[e for e in events if e is not None])
     thresholds = {e.threshold(model.grid) for e in events if e is not None}
     if len(thresholds) > 1:
         raise ValueError("the events of one pass must share one threshold")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -376,6 +377,29 @@ def test_tree_run_computes_no_level_probs(tmp_path, monkeypatch):
     assert calls == [(st.m,)] * len(read)
 
 
+# sha256 of each run's report.csv. A change to a random stream or to the
+# report format updates its digest and says so in CHANGES.md.
+REPORT_SHA256 = {
+    "small_tree_run":
+        "b8809e5321356e52f1f6e769d7924712b82773d654ec01b5597869f7e621a819",
+    "oracle_adversarial":
+        "0288dfaffe3ee47e4029d61d2d2ee22057935165e9f391a045ef05eb9c7fe6e3",
+}
+
+
+def test_report_bytes_pinned(tmp_path, monkeypatch):
+    """The report.csv of small_tree_run and of oracle on the adversarial
+    config are byte for byte the pinned ones."""
+    small_tree_run(tmp_path, monkeypatch)
+    adv = tmp_path / "adv"
+    assert main(["--out", str(adv), "oracle",
+                 str(ROOT / "configs" / "adversarial.json")]) == 2
+    reports = {"small_tree_run": tmp_path / "out" / "report.csv",
+               "oracle_adversarial": adv / "report.csv"}
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in reports.items()} == REPORT_SHA256
+
+
 class TestRunExperiment:
     def test_passing_run_exit_zero(self, tmp_path):
         out = tmp_path / "out"
@@ -493,7 +517,7 @@ class TestOnePassPerCheck:
         model, _ = build_model({"type": "tree", "q": [0.3, 0.7],
                                 "branching": 10, "zetas": [0.3, 0.6],
                                 "seed": 2})
-        rows, _, _ = cli._run_check(chk, model, 3, oracle=False)
+        rows, _ = cli._run_check(chk, model, 3, oracle=False)
         assert len(calls) == passes
         assert max(calls) == (5 if chk["name"] == "gg" else 6)
         assert len(rows) == (12 if chk["name"] == "gg" else 8)
@@ -653,6 +677,18 @@ class TestValidateGridRules:
                                      "patterns": [[[1, 1, 1]], [[1, 2, 4]]]},
                               "criterion names level 4, above the top level "
                               "3 of the grid", "GridTooSmall"),
+        # gg's conditioning event holds only below a level the grid lacks
+        "gg_event_q": (None, {"name": "gg", "conditioned": {
+            "kind": "A_nq", "q": 0.0}}, "no grid level lies below q=0.0",
+            "NullConditioning"),
+        "gg_event_top": (ONE_LEVEL, {"name": "gg",
+                                     "conditioned": {"kind": "A_n"}},
+                         "no grid level lies below the top level",
+                         "NullConditioning"),
+        # a tree model redraws its measure: there is no one measure to sum
+        "enumerate_tree": (None, {"name": "mass", "method": "enumerate"},
+                           "enumeration needs a frozen (fixed-measure) model",
+                           "ValueError"),
     }
 
     @staticmethod

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlap_lab.eigen import (EigenResult, is_psd, jacobi_decompose,
-                               min_eigenvalue, symmetric_eigenvalues)
+from overlap_lab.eigen import is_psd_dense, jacobi_decompose
 from overlap_lab.errors import NoConvergence, NotSymmetric
 from overlap_lab.grid import OverlapGrid, matrix_from_offdiag
 
@@ -29,47 +28,50 @@ def cubic_roots_symmetric(A):
 ADV = np.array([[1.0, 0.7, 0.7], [0.7, 1.0, 0.3], [0.7, 0.3, 1.0]])
 
 
+def eigenvalues(A, **kwargs):
+    """The ascending eigenvalues of jacobi_decompose."""
+    return jacobi_decompose(A, **kwargs)[0]
+
+
 class TestSymmetricEigenvalues:
     def test_identity(self):
-        res = symmetric_eigenvalues(np.eye(2))
-        assert res.eigenvalues == (1.0, 1.0)
+        assert eigenvalues(np.eye(2)).tolist() == [1.0, 1.0]
 
     def test_rank_one(self):
-        res = symmetric_eigenvalues(np.ones((2, 2)))
-        assert np.allclose(res.eigenvalues, (0.0, 2.0), atol=1e-12)
+        assert np.allclose(eigenvalues(np.ones((2, 2))), (0.0, 2.0), atol=1e-12)
 
     def test_adversarial_gram_positive(self):
-        res = symmetric_eigenvalues(ADV)
-        assert min(res.eigenvalues) > 0
+        vals = eigenvalues(ADV)
+        assert min(vals) > 0
         # determinant by leading minors: 1, 0.51, 0.224
-        assert np.isclose(np.prod(res.eigenvalues), 0.224, atol=1e-10)
+        assert np.isclose(np.prod(vals), 0.224, atol=1e-10)
         oracle = cubic_roots_symmetric(ADV)
-        assert np.allclose(res.eigenvalues, oracle, atol=1e-9)
+        assert np.allclose(vals, oracle, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_three_by_three_char_poly_oracle(self, seed):
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(3, 3))
         A = (A + A.T) / 2
-        res = symmetric_eigenvalues(A, tol=1e-12)
-        assert np.allclose(res.eigenvalues, cubic_roots_symmetric(A), atol=1e-9)
+        vals = eigenvalues(A, tol=1e-12)
+        assert np.allclose(vals, cubic_roots_symmetric(A), atol=1e-9)
 
     @pytest.mark.parametrize("n", [2, 5, 16, 64])
     def test_against_numpy(self, n):
         rng = np.random.default_rng(n)
         A = rng.normal(size=(n, n))
         A = (A + A.T) / 2
-        res = symmetric_eigenvalues(A, tol=1e-12)
-        assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(A), atol=1e-9)
+        vals = eigenvalues(A, tol=1e-12)
+        assert np.allclose(vals, np.linalg.eigvalsh(A), atol=1e-9)
 
     def test_trace_equals_eigenvalue_sum(self):
         rng = np.random.default_rng(11)
         for n in (3, 10, 40):
             A = rng.normal(size=(n, n))
             A = (A + A.T) / 2
-            res = symmetric_eigenvalues(A)
+            vals = eigenvalues(A)
             scale = np.max(np.abs(A))
-            assert abs(sum(res.eigenvalues) - np.trace(A)) <= 1e-9 * n * scale
+            assert abs(sum(vals) - np.trace(A)) <= 1e-9 * n * scale
 
     def test_eigenvector_residuals(self):
         rng = np.random.default_rng(21)
@@ -90,30 +92,29 @@ class TestSymmetricEigenvalues:
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(n, n))
         A = (A + A.T) / 2
-        res = symmetric_eigenvalues(A, tol=1e-12)
-        assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(A), atol=1e-8)
+        vals = eigenvalues(A, tol=1e-12)
+        assert np.allclose(vals, np.linalg.eigvalsh(A), atol=1e-8)
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
-            symmetric_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            jacobi_decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(NotSymmetric):
-            symmetric_eigenvalues(np.zeros((600, 600)))
+            jacobi_decompose(np.zeros((600, 600)))
 
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
-            symmetric_eigenvalues(ADV, tol=1e-14, max_sweeps=0)
+            jacobi_decompose(ADV, tol=1e-14, max_sweeps=0)
 
     def test_reports_iterations_and_residual(self):
-        res = symmetric_eigenvalues(ADV, tol=1e-10)
-        assert isinstance(res, EigenResult)
-        assert res.iterations >= 1
-        assert res.off_diag_residual <= 1e-10 * np.max(np.abs(ADV))
+        _, _, sweeps, off = jacobi_decompose(ADV, tol=1e-10)
+        assert sweeps >= 1
+        assert off <= 1e-10 * np.max(np.abs(ADV))
 
 
 class TestIsPsd:
     def test_constant_matrix_is_psd(self):
         g = OverlapGrid((0.7,), 0.7)
-        ok, lo = is_psd(matrix_from_offdiag(4, [1] * 6, g))
+        ok, lo = is_psd_dense(matrix_from_offdiag(4, [1] * 6, g).realize())
         assert ok and lo >= -1e-12
 
     def test_gram_realizations_are_psd(self):
@@ -124,7 +125,7 @@ class TestIsPsd:
         measure = adversarial_measure()
         for _, lv in filtered_level_batches(measure, 5, MCConfig(4, 1), 0,
                                             key=0x5CA):
-            ok, _ = is_psd(LevelMatrix(lv[0], measure.grid))
+            ok, _ = is_psd_dense(LevelMatrix(lv[0], measure.grid).realize())
             assert ok
 
     def test_search_finds_non_gram_pattern(self):
@@ -137,11 +138,11 @@ class TestIsPsd:
             for code in range(2**n_off):
                 bits = [(code >> i) & 1 for i in range(n_off)]
                 m = matrix_from_offdiag(n, [b + 1 for b in bits], g)
-                if min_eigenvalue(m.realize()) < -1e-6:
+                if eigenvalues(m.realize())[0] < -1e-6:
                     found = m
                     break
             if found is not None:
                 break
         assert found is not None
-        ok, lo = is_psd(found)
+        ok, lo = is_psd_dense(found.realize())
         assert not ok and lo < -1e-6

@@ -1,14 +1,13 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlap_lab.errors import GridTooSmall
-from overlap_lab.grid import (DIAG, LevelMatrix, OverlapGrid, check_ultrametric,
+from overlap_lab.eigen import is_psd_dense
+from overlap_lab.grid import (DIAG, LevelMatrix, OverlapGrid,
                               check_ultrametric_batch, matrix_from_offdiag,
-                              realize, truncate)
+                              truncate)
 
 
 def grid2():
@@ -35,13 +34,6 @@ class TestOverlapGrid:
         with pytest.raises(ValueError):
             OverlapGrid(levels, self_overlap)
 
-    def test_level_lookup(self):
-        g = grid2()
-        assert g.level_of(0.3) == 1
-        assert g.level_of(0.7) == 2
-        assert g.level_of(0.7 + 5e-11) == 2
-        assert g.level_of(0.5) == -1
-
     def test_threshold_below(self):
         g = grid2()
         assert g.threshold_below(0.1) == 0
@@ -61,16 +53,16 @@ class TestOverlapGrid:
 class TestRealize:
     def test_two_by_two(self):
         m = matrix_from_offdiag(2, [1], grid2())
-        assert np.allclose(realize(m), [[0.7, 0.3], [0.3, 0.7]])
+        assert np.allclose(m.realize(), [[0.7, 0.3], [0.3, 0.7]])
 
     def test_one_by_one(self):
         m = LevelMatrix(np.array([[DIAG]]), grid2())
-        assert realize(m).tolist() == [[0.7]]
+        assert m.realize().tolist() == [[0.7]]
 
     def test_constant_top_level(self):
         g = OverlapGrid((0.7,), 0.7)
         m = matrix_from_offdiag(3, [1, 1, 1], g)
-        assert np.allclose(realize(m), np.full((3, 3), 0.7))
+        assert np.allclose(m.realize(), np.full((3, 3), 0.7))
 
 
 class TestLevelMatrix:
@@ -93,34 +85,23 @@ class TestLevelMatrix:
         with pytest.raises(ValueError):
             m.entries[0, 1] = 2
 
-    def test_json_round_trip(self):
-        g = OverlapGrid((0.3, 0.7), 1.0)
-        m = matrix_from_offdiag(3, [1, 2, 1], g)
-        blob = m.to_json()
-        d = json.loads(blob)
-        assert d["entries"][0][0] == "D"
-        assert d["entries"][0][1] == 1
-        assert d["grid"] == {"levels": [0.3, 0.7], "self_overlap": 1.0}
-        back = LevelMatrix.from_json(blob)
-        assert back == m
-
 
 class TestCheckUltrametric:
     def test_unique_min_violates(self):
         m = matrix_from_offdiag(3, [2, 2, 1], grid2())
-        rep = check_ultrametric(m)
+        rep = check_ultrametric_batch(m.entries)
         assert (rep.triples_checked, rep.violations) == (1, 1)
         assert rep.first_witness == ((0, 1, 2), (2, 2, 1))
 
     def test_min_twice_passes(self):
         m = matrix_from_offdiag(3, [2, 1, 1], grid2())
-        rep = check_ultrametric(m)
+        rep = check_ultrametric_batch(m.entries)
         assert (rep.triples_checked, rep.violations) == (1, 0)
         assert rep.first_witness is None
 
     def test_small_matrix_no_triples(self):
         m = matrix_from_offdiag(2, [1], grid2())
-        assert check_ultrametric(m).triples_checked == 0
+        assert check_ultrametric_batch(m.entries).triples_checked == 0
 
     def test_tree_sample_has_no_violations(self):
         from overlap_lab.measures import TreeMeasureSpec, build_tree_measure
@@ -129,7 +110,7 @@ class TestCheckUltrametric:
         measure = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), 5))
         [(_, lv)] = filtered_level_batches(measure, 8, MCConfig(1, 1), 1,
                                            key=0x5CA)
-        rep = check_ultrametric(LevelMatrix(lv[0], measure.grid))
+        rep = check_ultrametric_batch(LevelMatrix(lv[0], measure.grid).entries)
         assert rep.triples_checked == 56
         assert rep.violations == 0
 
@@ -142,7 +123,8 @@ class TestCheckUltrametric:
         m = matrix_from_offdiag(n, offdiag, g)
         perm = rng.permutation(n)
         m2 = LevelMatrix(m.entries[np.ix_(perm, perm)], g)
-        assert check_ultrametric(m).violations == check_ultrametric(m2).violations
+        assert (check_ultrametric_batch(m.entries).violations
+                == check_ultrametric_batch(m2.entries).violations)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
@@ -150,7 +132,8 @@ class TestCheckUltrametric:
         mats = [matrix_from_offdiag(5, rng.integers(1, 4, 10), g) for _ in range(7)]
         batch = np.stack([m.entries for m in mats])
         rep = check_ultrametric_batch(batch)
-        assert rep.violations == sum(check_ultrametric(m).violations for m in mats)
+        assert rep.violations == sum(
+            check_ultrametric_batch(m.entries).violations for m in mats)
         assert rep.triples_checked == 7 * 10
 
 
@@ -160,7 +143,7 @@ class TestTruncate:
         t = truncate(m)
         assert t.grid.levels == (0.3,)
         assert t.grid.self_overlap == 0.3
-        off = realize(t)[np.triu_indices(3, 1)]
+        off = t.realize()[np.triu_indices(3, 1)]
         assert np.allclose(off, 0.3)
 
     def test_no_top_entries_only_diagonal_drops(self):
@@ -187,7 +170,6 @@ class TestTruncate:
             truncate(m)
 
     def test_truncated_tree_sample_stays_psd(self):
-        from overlap_lab.eigen import is_psd
         from overlap_lab.measures import TreeMeasureSpec, build_tree_measure
         from overlap_lab.sampler import MCConfig, filtered_level_batches
 
@@ -195,5 +177,5 @@ class TestTruncate:
         for _, lv in filtered_level_batches(measure, 6, MCConfig(5, 1), 0,
                                             key=0x5CA):
             m = LevelMatrix(lv[0], measure.grid)
-            ok, lo = is_psd(truncate(m))
+            ok, lo = is_psd_dense(truncate(m).realize())
             assert lo >= -1e-8

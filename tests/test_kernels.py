@@ -242,8 +242,10 @@ class TestEnumerationReference:
                                                   (2, 3, 4, 5)):
             law = {}
             for w, lv in self.tuples(n, t, table):
-                key = sum(int(lv[i, j]) * base**p for p, (i, j) in
-                          enumerate(itertools.combinations(range(n), 2)))
+                # the first pair is the most significant digit
+                key = 0
+                for i, j in itertools.combinations(range(n), 2):
+                    key = key * base + int(lv[i, j])
                 law[key] = law.get(key, 0.0) + w
             for chunk in self.chunks:
                 keys, mass = _kernels.enum_law(self.w, table, n, t,
@@ -275,9 +277,19 @@ class TestEnumerationReference:
                     for a in itertools.product(range(m), repeat=n)}
         keys, mass = _kernels.enum_law(w, table, n, -1, k)
         assert len(keys) == len(mass) == len(realized)
-        digits = (keys[:, None] // (k + 1) ** np.arange(n * (n - 1) // 2)) % (k + 1)
+        place = (k + 1) ** np.arange(n * (n - 1) // 2 - 1, -1, -1)
+        digits = (keys[:, None] // place) % (k + 1)
         assert {tuple(row) for row in digits.tolist()} == realized
         assert np.isclose(mass.sum(), 1.0, rtol=0, atol=1e-14)
+
+    def test_level_keys_round_trip_in_tuple_order(self):
+        # the key of both matrix laws: sorted keys are sorted tuples
+        lv = np.random.default_rng(4).integers(1, 4, size=(50, 5, 5))
+        iu, ju = np.triu_indices(5, 1)
+        tuples = [tuple(row) for row in lv[:, iu, ju].tolist()]
+        keys = _kernels.level_keys(lv.astype(np.int16), 3)
+        assert _kernels.level_tuples(keys, 5, 3) == tuples
+        assert _kernels.level_tuples(np.sort(keys), 5, 3) == sorted(tuples)
 
     def test_enum_law_key_overflow_raises(self):
         # 3**45 keys for the 45 pairs of n=10 replicas at k=2 exceed int64

@@ -14,43 +14,39 @@ from overlap_lab.errors import (BadWeights, BadZeta, OffGridOverlap,
                                 TooManyAtoms)
 from overlap_lab.grid import DIAG, OverlapGrid
 from overlap_lab import cli, measures, models, sampler
-from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
-                                  TreeMeasureSpec, TreeStructure,
-                                  adversarial_measure, build_tree_measure,
+from overlap_lab.measures import (ADVERSARIAL_GRAM, TreeMeasureSpec,
+                                  TreeStructure, adversarial_measure, build_tree_measure,
                                   build_tree_measures, counter_stream,
                                   derive_seed, explicit_measure,
                                   measure_from_gram, rng_from,
-                                  sample_pd_weights,
                                   tree_leaf_weights)
 from overlap_lab.models import DescendedModel, TreeModel
 from overlap_lab.observables import Statistic
 from overlap_lab.sampler import MCConfig, outer_stat_means
 
 
-class TestPdWeights:
-    def test_single_point(self):
-        assert sample_pd_weights(0.5, 1, seed=3).tolist() == [1.0]
+def pd_weights(zeta, B, seed, draws=1):
+    """Draws 0, ..., draws - 1 of a depth-1 tree's leaf weights, one row
+    each: the top B normalized points of the power-law Poisson process."""
+    return tree_leaf_weights(TreeStructure((0.5,), B), (zeta,), seed, 0, draws)
 
+
+class TestPdWeights:
     def test_normalized_and_decreasing(self):
-        w = sample_pd_weights(0.3, 200, seed=5)
+        [w] = pd_weights(0.3, 200, seed=5)
         assert np.isclose(w.sum(), 1.0, atol=1e-12)
         assert (np.diff(w) < 0).all()
         assert (w > 0).all()
 
     def test_deterministic(self):
-        a = sample_pd_weights(0.7, 50, seed=9)
-        b = sample_pd_weights(0.7, 50, seed=9)
+        a = pd_weights(0.7, 50, seed=9)
+        b = pd_weights(0.7, 50, seed=9)
         assert np.array_equal(a, b)
 
-    def test_bad_zeta(self):
-        for z in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(BadZeta):
-                sample_pd_weights(z, 10, seed=1)
-
     @settings(max_examples=80, deadline=None)
-    @given(st.floats(0.05, 0.95), st.integers(1, 400), st.integers(0, 2**32))
+    @given(st.floats(0.05, 0.95), st.integers(2, 400), st.integers(0, 2**32))
     def test_properties_hold_for_any_parameters(self, zeta, B, seed):
-        w = sample_pd_weights(zeta, B, seed=seed)
+        [w] = pd_weights(zeta, B, seed=seed)
         assert len(w) == B
         assert np.isclose(w.sum(), 1.0, atol=1e-12)
         assert (w > 0).all()
@@ -59,9 +55,11 @@ class TestPdWeights:
 
     def test_collision_mass_identity(self):
         # E sum w_i^2 = 1 - zeta for the limiting weight sequence
-        zeta, B, reps = 0.5, 1000, 10_000
-        vals = np.array([np.sum(sample_pd_weights(zeta, B, seed=s) ** 2)
-                         for s in range(reps)])
+        zeta, B, reps, block = 0.5, 1000, 10_000, 1000
+        st = TreeStructure((0.5,), B)
+        vals = np.concatenate([
+            np.sum(tree_leaf_weights(st, (zeta,), 0, a, a + block) ** 2, axis=1)
+            for a in range(0, reps, block)])
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - (1 - zeta)) <= 3 * se
 
@@ -765,14 +763,6 @@ class TestExplicitMeasure:
         with pytest.raises(OffGridOverlap):
             explicit_measure(atoms, [0.5, 0.5], g)
 
-    def test_json_round_trip(self):
-        m = adversarial_measure()
-        d = m.to_json_dict()
-        back = DiscreteMeasure.from_json_dict(d)
-        assert np.allclose(back.atoms, m.atoms)
-        assert np.array_equal(back.table, m.table)
-        assert back.grid == m.grid
-
 
 class TestAdversarialMeasure:
     def test_gram_and_grid(self):
@@ -784,10 +774,9 @@ class TestAdversarialMeasure:
         assert m.kind == "adversarial"
 
     def test_distinct_triple_always_violates(self):
-        from overlap_lab.grid import check_ultrametric
-        from overlap_lab.grid import LevelMatrix
+        from overlap_lab.grid import check_ultrametric_batch
 
         m = adversarial_measure()
-        lv = m.levels_from_indices(np.array([[0, 1, 2]]))[0]
-        rep = check_ultrametric(LevelMatrix(lv, m.grid))
+        lv = m.levels_from_indices(np.array([[0, 1, 2]]))
+        rep = check_ultrametric_batch(lv)
         assert rep.violations == 1

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from overlap_lab import _kernels
 from overlap_lab.observables import (ObservableSpec, Psi, Statistic,
-                                     default_gg_observables,
-                                     evaluate_statistics)
+                                     default_gg_observables, pack_statistics)
 
 
 class TestPsi:
@@ -65,7 +65,7 @@ class TestStatistic:
         vals = np.array([0.9, 0.2, 0.5])
         stats = [Statistic(3).with_pattern(0, 1, 1),
                  Statistic(3).with_monomial(1, 2, 3)]
-        out = evaluate_statistics(lv, vals, stats)
+        out = _kernels.eval_stats(lv, vals, pack_statistics(stats))
         for t in range(10):
             for s, st in enumerate(stats):
                 assert np.isclose(out[t, s], st.evaluate_one(lv[t], vals))
