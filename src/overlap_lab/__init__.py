@@ -15,8 +15,7 @@ from .models import DescendedModel, FrozenModel, TreeModel, as_model
 from .observables import ObservableSpec, Psi, Statistic, default_gg_observables
 from .pipeline import (CriterionReport, DescendConfig, LevelReport,
                        collision_identity_check, criterion_run, descend)
-from .sampler import (EstimateReport, EventSpec, MCConfig, enumerate_statistic,
-                      estimate_expectation)
+from .sampler import EstimateReport, EventSpec, MCConfig
 from .verify import (ResidualReport, conditional_marginal_check,
                      consistency_check, distinct_mass_check, gg_residual,
                      lemma1_check, positivity_check, support_check,

@@ -521,6 +521,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     except (OverlapLabError, ValueError) as e:
         print(f"error: cannot build measure: {e}", file=sys.stderr)
         return 1
+    if oracle:  # refused up front, not once per enumerating check
+        try:
+            method_rule(model, "enumerate")
+        except ValueError as e:
+            print(f"error: oracle: {e}", file=sys.stderr)
+            return 1
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
 

@@ -34,6 +34,11 @@ _LAW_KEY = 0x1A3
 # Most replica rows of one block of outer draws (see _level_blocks); whole
 # outer draws are grouped up to this bound (one draw when inner exceeds it).
 OUTER_BLOCK_ROWS = 1 << 14
+# Most outer draws of one block of filtered_level_batches. Its consumers read
+# one draw at a time, so a larger block only spreads the block's fixed set-up
+# (one stream seek, the per-pair gathers) over more draws, and at 16 draws
+# that is already small next to each draw's own index draw and scan.
+SCAN_BLOCK_DRAWS = 16
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,7 @@ def combined_threshold(model, event_threshold: Optional[int]) -> Optional[int]:
 
 
 def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
-                  width: int = 0):
+                  width: int = 0, max_draws: Optional[int] = None):
     """Yield (start, stop, first measure, (rows, n, n) levels) for blocks of
     consecutive outer draws start, ..., stop - 1. The levels are a view of
     one pair-major (n, n, rows) block (DiscreteMeasure.levels_from_indices),
@@ -103,7 +108,8 @@ def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
     A block holds up to OUTER_BLOCK_ROWS replica rows (one draw when inner
     exceeds it), fewer for n > 8 so that its level entries stay within
     OUTER_BLOCK_ROWS * 64, and fewer for a caller that computes more than
-    8 values a row (width) so that those stay within OUTER_BLOCK_ROWS * 8.
+    8 values a row (width) so that those stay within OUTER_BLOCK_ROWS * 8,
+    and at most max_draws outer draws when a caller sets it.
     Its measures are read lazily from one model.measures call, its draws
     read their slices in order from one generator, and every measure of a
     model shares one pair-level table or one set of ancestor codes (a
@@ -112,7 +118,7 @@ def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
     index rows into level matrices, and its grid gives their values.
     """
     rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n, 8 * width)
-    draws = max(1, rows // mc.inner)
+    draws = min(max(1, rows // mc.inner), max_draws or mc.outer)
     for start in range(0, mc.outer, draws):
         stop = min(start + draws, mc.outer)
         rng = counter_stream(seed, key, start * n * mc.inner)
@@ -212,31 +218,15 @@ def influence_se(h: np.ndarray) -> float:
     return float(np.std(h, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
 
 
-def estimate_expectation(model, stat: Statistic, n: int, mc: MCConfig, seed: int,
-                         event: Optional[EventSpec] = None) -> EstimateReport:
-    """Nested Monte Carlo estimate of E<stat> or E<stat | event>.
-
-    The conditional form is the ratio E<stat * I_event> / E<I_event>;
-    acceptance_rate reports the estimated event mass.
-    """
-    model = as_model(model)
-    t = event.threshold(model.grid) if event is not None else None
-    means = outer_stat_means(model, [stat], n, mc, seed, t)
-    if combined_threshold(model, t) is None:
-        est, se = mean_and_se(means[:, 0])
-        return EstimateReport(est, se, mc.inner, mc.outer, None)
-    r, h, dbar = ratio_from_means(means)
-    return EstimateReport(float(r[0]), influence_se(h[:, 0]), mc.inner,
-                          mc.outer, float(dbar))
-
-
 def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
                            event_threshold: Optional[int] = None, *, key: int):
     """Yield one (measure, kept level batch) pair per outer draw.
 
-    The draws come in _level_blocks from the stream of the caller's key;
-    the measure is the first of the draw's block, whose grid levels every
-    measure of the block shares.
+    The draws come in _level_blocks from the stream of the caller's key, at
+    most SCAN_BLOCK_DRAWS draws a block within its row bound, so that a
+    scan holds the index and level arrays of a few draws, not of up to
+    OUTER_BLOCK_ROWS rows. The measure is the first of the draw's block,
+    whose grid levels every measure of the block shares.
 
     Tuples outside the combined conditioning are dropped, not redrawn:
     every kept matrix lies in the conditional support, which is all that
@@ -245,7 +235,8 @@ def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
     """
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
-    for start, stop, first, lv in _level_blocks(model, n, mc, seed, key):
+    for start, stop, first, lv in _level_blocks(model, n, mc, seed, key,
+                                                max_draws=SCAN_BLOCK_DRAWS):
         for batch in lv.reshape(stop - start, mc.inner, n, n):
             if threshold is not None:
                 batch = batch[_kernels.all_below(batch, n, threshold)]
@@ -281,14 +272,6 @@ def enumerate_statistics(measure: DiscreteMeasure, stats: Sequence[Statistic],
     if mass <= 0.0:
         raise EventNull("conditioning event has zero mass")
     return sums / mass, float(mass)
-
-
-def enumerate_statistic(measure: DiscreteMeasure, stat: Statistic, n: int,
-                        event: Optional[EventSpec] = None) -> float:
-    """Exact <stat> or <stat | event> for one fixed measure."""
-    t = event.threshold(measure.grid) if event is not None else None
-    out, _ = enumerate_statistics(measure, [stat], n, t)
-    return float(out[0])
 
 
 def enumerate_matrix_law(measure: DiscreteMeasure, n: int,

@@ -14,6 +14,8 @@ from overlap_lab.errors import ParseError, ValidationError
 from overlap_lab.measures import TABLE_CAP, tree_leaf_weights
 from overlap_lab.verify import CheckRow
 
+from perfbench_load import load
+
 
 def write_config(path: Path, cfg: dict) -> Path:
     path.write_text(json.dumps(cfg))
@@ -384,18 +386,26 @@ REPORT_SHA256 = {
         "b8809e5321356e52f1f6e769d7924712b82773d654ec01b5597869f7e621a819",
     "oracle_adversarial":
         "0288dfaffe3ee47e4029d61d2d2ee22057935165e9f391a045ef05eb9c7fe6e3",
+    "oracle_exact":
+        "16c6135fad05f5d90582f88f30474aba79024fdfd2eed8d05b78e17b9f7bd9e7",
 }
 
 
 def test_report_bytes_pinned(tmp_path, monkeypatch):
-    """The report.csv of small_tree_run and of oracle on the adversarial
-    config are byte for byte the pinned ones."""
+    """The report.csv of small_tree_run, of oracle on the adversarial config
+    and of oracle on the benchmark's exact config (seed 0) are byte for byte
+    the pinned ones."""
     small_tree_run(tmp_path, monkeypatch)
     adv = tmp_path / "adv"
     assert main(["--out", str(adv), "oracle",
                  str(ROOT / "configs" / "adversarial.json")]) == 2
+    exact = tmp_path / "exact"
+    config = write_config(tmp_path / "exact.json",
+                          load("workloads").exact_config(0))
+    assert main(["--out", str(exact), "oracle", str(config)]) == 2
     reports = {"small_tree_run": tmp_path / "out" / "report.csv",
-               "oracle_adversarial": adv / "report.csv"}
+               "oracle_adversarial": adv / "report.csv",
+               "oracle_exact": exact / "report.csv"}
     assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in reports.items()} == REPORT_SHA256
 
@@ -424,6 +434,16 @@ class TestRunExperiment:
         assert run_experiment(cfg) == 2
         rows = (out / "report.csv").read_text().splitlines()
         assert rows[1].endswith("false")
+
+    def test_oracle_on_redrawn_measure_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = parse_config(write_config(tmp_path / "c.json", tree_config(out)))
+        assert run_experiment(cfg, oracle=True) == 1
+        assert not (out / "report.csv").exists()
+        assert not (out / "manifest.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: oracle: enumeration needs a frozen "
+                       "(fixed-measure) model"]
 
     def test_error_exit_one(self, tmp_path):
         out = tmp_path / "out"

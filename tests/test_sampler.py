@@ -4,18 +4,23 @@ import pytest
 from overlap_lab import _kernels, sampler
 from overlap_lab.errors import (EventMassTooSmall, EventNull, OffGridOverlap,
                                 TooLarge)
+from overlap_lab.cli import build_model
 from overlap_lab.grid import OverlapGrid
-from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
+from overlap_lab.measures import (DiscreteMeasure, TreeMeasureSpec,
+                                  adversarial_measure,
                                   build_tree_measure, counter_stream,
                                   explicit_measure, measure_from_gram)
 from overlap_lab.models import (DescendedModel, FrozenModel, TreeModel,
                                 as_model)
 from overlap_lab.observables import Statistic, pack_statistics
-from overlap_lab.sampler import (EventSpec, MCConfig, combined_threshold,
+from overlap_lab.sampler import (OUTER_BLOCK_ROWS, SCAN_BLOCK_DRAWS, EventSpec,
+                                 MCConfig, combined_threshold,
                                  empirical_matrix_law, enumerate_matrix_law,
-                                 enumerate_statistic, estimate_expectation,
-                                 filtered_level_batches, outer_stat_means,
+                                 enumerate_statistics, filtered_level_batches,
+                                 mean_and_se, outer_stat_means,
                                  ratio_from_means, total_variation)
+
+from perfbench_load import load
 
 
 def single_atom():
@@ -123,55 +128,66 @@ class TestConditionalDraw:
 
 
 class TestEstimateExpectation:
+    """Nested Monte Carlo estimates: the mean and se of one statistic's
+    column of outer_stat_means, or the ratio of its event-weighted means."""
+
     def test_constant_statistic(self):
-        rep = estimate_expectation(three_atoms(), Statistic(2), 2,
-                                   MCConfig(20, 10), seed=1)
-        assert rep.estimate == 1.0 and rep.std_error == 0.0
+        means = outer_stat_means(three_atoms(), [Statistic(2)], 2,
+                                 MCConfig(20, 10), seed=1)
+        est, se = mean_and_se(means[:, 0])
+        assert est == 1.0 and se == 0.0
 
     def test_single_atom_top_indicator(self):
         stat = Statistic(2).with_pattern(0, 1, 1)
-        rep = estimate_expectation(single_atom(), stat, 2, MCConfig(10, 10), 1)
-        assert rep.estimate == 1.0
+        means = outer_stat_means(single_atom(), [stat], 2, MCConfig(10, 10), 1)
+        est, _ = mean_and_se(means[:, 0])
+        assert est == 1.0
 
     def test_against_enumeration(self):
         m = three_atoms()
         stat = Statistic(2).with_pattern(0, 1, 1)
-        exact = enumerate_statistic(m, stat, 2)
+        exact = enumerate_statistics(m, [stat], 2)[0][0]
         assert np.isclose(exact, 2 / 3, atol=1e-14)  # 6 of 9 pairs distinct
-        rep = estimate_expectation(m, stat, 2, MCConfig(200, 100), seed=5)
-        assert abs(rep.estimate - exact) <= 3 * rep.std_error + 1e-9
+        means = outer_stat_means(m, [stat], 2, MCConfig(200, 100), seed=5)
+        est, se = mean_and_se(means[:, 0])
+        assert abs(est - exact) <= 3 * se + 1e-9
 
     def test_conditional_acceptance_rate(self):
         # E-level acceptance of distinctness matches the mass formula shape
         model = TreeModel(TreeMeasureSpec((0.5,), 300, (0.5,), seed=3))
         stat = Statistic(3).with_pattern(0, 1, 1)
-        rep = estimate_expectation(model, stat, 3, MCConfig(300, 100), seed=6,
-                                   event=EventSpec("A_n", 3))
-        assert rep.acceptance_rate is not None
+        t = EventSpec("A_n", 3).threshold(model.grid)
+        means = outer_stat_means(model, [stat], 3, MCConfig(300, 100), seed=6,
+                                 event_threshold=t)
+        _, _, acceptance_rate = ratio_from_means(means)
+        assert combined_threshold(model, t) is not None  # the ratio form
         # infinite-cascade value: E<I(A_3)> = zeta^2
-        assert abs(rep.acceptance_rate - 0.25) <= 0.03
+        assert abs(acceptance_rate - 0.25) <= 0.03
 
 
 class TestEnumeration:
     def test_single_atom(self):
         stat = Statistic(2).with_pattern(0, 1, 1)
-        assert enumerate_statistic(single_atom(), stat, 2) == 1.0
+        assert enumerate_statistics(single_atom(), [stat], 2)[0][0] == 1.0
 
     def test_two_orthogonal_collision(self):
         m = two_orthogonal(0.5)
         stat = Statistic(2).with_pattern(0, 1, 2)
-        assert np.isclose(enumerate_statistic(m, stat, 2), 0.5, atol=1e-14)
+        assert np.isclose(enumerate_statistics(m, [stat], 2)[0][0], 0.5,
+                          atol=1e-14)
 
     def test_conditional_removes_collisions(self):
         m = two_orthogonal(0.5)
         stat = Statistic(2).with_pattern(0, 1, 1)
-        val = enumerate_statistic(m, stat, 2, EventSpec("A_n", 2))
+        t = EventSpec("A_n", 2).threshold(m.grid)
+        val = enumerate_statistics(m, [stat], 2, t)[0][0]
         assert np.isclose(val, 1.0, atol=1e-14)
 
     def test_event_null(self):
+        m = single_atom()
         with pytest.raises(EventNull):
-            enumerate_statistic(single_atom(), Statistic(2), 2,
-                                EventSpec("A_n", 2))
+            enumerate_statistics(m, [Statistic(2)], 2,
+                                 EventSpec("A_n", 2).threshold(m.grid))
 
     def test_too_large(self):
         # 30 orthogonal atoms with distinct self levels: no twins, 30^5 tuples
@@ -181,7 +197,7 @@ class TestEnumeration:
                              OverlapGrid(levels, 1.0), on_sphere=False)
         assert len(_kernels.twin_classes(m.table)) == 30
         with pytest.raises(TooLarge):
-            enumerate_statistic(m, Statistic(5), 5)
+            enumerate_statistics(m, [Statistic(5)], 5)
 
     def test_guard_counts_atoms_tried_per_pattern(self):
         # 2,500 leaves in 50 twin classes: the 7,017,550 patterns of 4
@@ -191,7 +207,7 @@ class TestEnumeration:
                                                seed=7))
         assert len(_kernels.twin_classes(m.table)) == 50
         with pytest.raises(TooLarge):
-            enumerate_statistic(m, Statistic(4), 4)
+            enumerate_statistics(m, [Statistic(4)], 4)
 
     def test_twin_classes_lift_the_guard(self):
         # 40 atoms in 4 twin classes of 10: 40^5 tuples, at most 5,428 patterns
@@ -211,9 +227,11 @@ class TestEnumeration:
         # equal weights: P(R12 = 0.3 level) = 6/9 * ... pairwise distinct = 2/3
         m = three_atoms()
         stat = Statistic(2).with_pattern(0, 1, 1)
-        assert np.isclose(enumerate_statistic(m, stat, 2), 2 / 3, atol=1e-14)
+        assert np.isclose(enumerate_statistics(m, [stat], 2)[0][0], 2 / 3,
+                          atol=1e-14)
         # conditional on distinctness it is 1
-        val = enumerate_statistic(m, stat, 2, EventSpec("A_n", 2))
+        t = EventSpec("A_n", 2).threshold(m.grid)
+        val = enumerate_statistics(m, [stat], 2, t)[0][0]
         assert np.isclose(val, 1.0, atol=1e-14)
 
 
@@ -284,10 +302,12 @@ class TestExchangeability:
         model = TreeModel(TreeMeasureSpec((0.3, 0.7), 30, (0.3, 0.6), seed=8))
         f12 = Statistic(3).with_pattern(0, 1, 2)
         f23 = Statistic(3).with_pattern(1, 2, 2)
-        a = estimate_expectation(model, f12, 3, MCConfig(400, 100), seed=3)
-        b = estimate_expectation(model, f23, 3, MCConfig(400, 100), seed=4)
-        comb = np.hypot(a.std_error, b.std_error)
-        assert abs(a.estimate - b.estimate) <= 3 * comb
+        a, a_se = mean_and_se(outer_stat_means(model, [f12], 3,
+                                               MCConfig(400, 100), seed=3)[:, 0])
+        b, b_se = mean_and_se(outer_stat_means(model, [f23], 3,
+                                               MCConfig(400, 100), seed=4)[:, 0])
+        comb = np.hypot(a_se, b_se)
+        assert abs(a - b) <= 3 * comb
 
 
 def outer_stat_means_per_draw(model, stats, n, mc, seed, event_threshold=None):
@@ -483,6 +503,20 @@ class TestScanBlocksReference:
     def test_matches_per_draw_loop(self, monkeypatch, name, threshold, draws,
                                    n):
         monkeypatch.setattr(sampler, "OUTER_BLOCK_ROWS", draws * 10)
+        self.assert_matches(name, threshold, n)
+
+    @pytest.mark.parametrize("name", ["tree", "frozen", "descended"])
+    @pytest.mark.parametrize("threshold", [None, 1])
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_draw_cap_sets_the_blocks(self, monkeypatch, name, threshold, n):
+        # OUTER_BLOCK_ROWS would hold all 30 draws; the cap groups 3
+        monkeypatch.setattr(sampler, "SCAN_BLOCK_DRAWS", 3)
+        rows = block_rows(monkeypatch)
+        self.assert_matches(name, threshold, n)
+        assert rows == [3 * 10] * 10 + [10] * 30  # then the per-draw loop
+
+    @staticmethod
+    def assert_matches(name, threshold, n):
         model = TestOuterBlocksReference.models()[name]
         mc = MCConfig(30, 10)
         got = list(filtered_level_batches(model, n, mc, 9, threshold,
@@ -494,3 +528,34 @@ class TestScanBlocksReference:
             assert measure.shares_levels(ref_measure)
             assert lv.dtype == ref.dtype and lv.shape == ref.shape
             assert lv.tobytes() == ref.tobytes()
+
+
+def block_rows(monkeypatch) -> list:
+    """The rows of each index block turned into levels from now on."""
+    rows = []
+    real = DiscreteMeasure.levels_from_indices
+
+    def counting(self, idx):
+        rows.append(len(idx))
+        return real(self, idx)
+
+    monkeypatch.setattr(DiscreteMeasure, "levels_from_indices", counting)
+    return rows
+
+
+def test_scan_blocks_hold_at_most_the_draw_cap(monkeypatch):
+    """On the benchmark's 12-atom frozen measure, a scan's blocks hold at
+    most SCAN_BLOCK_DRAWS draws, while outer_stat_means on the same sizes
+    still groups whole draws up to its row bound."""
+    model, _ = build_model(load("workloads").exact_config(0)["measure"])
+    assert model.frozen and model.measure_at(0).m == 12
+    n, mc = 6, MCConfig(200, 100)
+    rows = block_rows(monkeypatch)
+    for _ in filtered_level_batches(model, n, mc, 1, key=0xA11):
+        pass
+    cap = SCAN_BLOCK_DRAWS * mc.inner
+    assert max(rows) == cap and sum(rows) == mc.outer * mc.inner
+    rows.clear()
+    outer_stat_means(model, [Statistic(n)], n, mc, 1)
+    bound = OUTER_BLOCK_ROWS // mc.inner * mc.inner
+    assert max(rows) == bound > cap and sum(rows) == mc.outer * mc.inner

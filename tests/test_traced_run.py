@@ -7,26 +7,15 @@ applies the same check, so a change that leaves a layer unreached fails here
 too.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from perfbench_load import PERFBENCH, load
+
 ROOT = Path(__file__).resolve().parents[1]
-PERFBENCH = ROOT / "perfbench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 tracer = load("tracer")
 workloads = load("workloads")
 

@@ -6,24 +6,14 @@ a deleted import here would only show there. This resolves the sites without
 installing any wrapper.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from perfbench_load import PERFBENCH, load
 
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracer = load_tracer()
+tracer = load("tracer")
 SITES = [site for sites, *_ in tracer.ENTRY_POINTS for site in sites]
 
 
@@ -33,7 +23,7 @@ def test_entry_point_resolves(site):
     assert callable(getattr(owner, leaf))
 
 
-ROOT = TRACER.parents[1]
+ROOT = PERFBENCH.parent
 CLI_SITES = [site.split(":")[1] for site in SITES if site.startswith("cli:")]
 
 
