@@ -10,7 +10,7 @@ from .errors import (AcceptanceTooLow, BadWeights, BadZeta, EventMassTooSmall,
                      ParseError, TooLarge, TooManyAtoms, ValidationError)
 from .grid import DIAG, LevelMatrix, OverlapGrid, ViolationReport, truncate
 from .measures import (DiscreteMeasure, TreeMeasureSpec, adversarial_measure,
-                       build_tree_measure, explicit_measure, measure_from_gram)
+                       explicit_measure, measure_from_gram)
 from .models import DescendedModel, FrozenModel, TreeModel, as_model
 from .observables import ObservableSpec, Psi, Statistic, default_gg_observables
 from .pipeline import (CriterionReport, DescendConfig, LevelReport,

@@ -204,6 +204,10 @@ CHECKS = {
             "level triples, levels >= 1", [[[1, 1, 1]]]),
         "n_max": _int(6, 3)},
 }
+# The checks that read their outer measures in more than one pass: marginal
+# (two estimates), descend (scans and estimates, level after level) and
+# criterion (three estimates)
+REREADS = frozenset({"marginal", "descend", "criterion"})
 
 
 @dataclass
@@ -386,6 +390,26 @@ def build_model(measure: dict):
     return model, warnings
 
 
+def memo_plan(checks) -> list:
+    """(keep, store) for TreeModel.keep_measures before each check, by
+    Belady's rule. A check reads outer measures j < its reach: mc.outer, at
+    least psd_outer for descend, and 1 for support (measure 0). Before
+    check i the model drops the measures no check from i on reads, and
+    keeps a newly built one only if a later check reads it, or check i
+    itself reads it again."""
+    reads = []
+    for chk in checks:
+        v = _read_check(chk, "check", [])
+        reach = max(v["mc"].outer, v.get("psd_outer", 0)) if "mc" in v else 1
+        reads.append((reach, v.get("name") in REREADS))
+    plan, later = [], 0
+    for reach, rereads in reversed(reads):
+        plan.append((max(reach, later),
+                     max(later, reach if rereads else 0)))
+        later = max(later, reach)
+    return plan[::-1]
+
+
 def _run_check(chk: dict, model, seed: int, oracle: bool):
     """Dispatch one configured check. Returns (rows, json_obj); the check
     passes when every one of its rows does."""
@@ -530,11 +554,15 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
 
+    # a frozen model keeps no measures, so only a redrawn one gets a plan
+    plan = None if model.frozen else memo_plan(config.checks)
     all_rows = []
     check_summaries = []
     statuses = []
     for i, chk in enumerate(config.checks):
         start = time.time()
+        if plan:
+            model.keep_measures(*plan[i])
         rows, obj, err = [], {}, None
         try:
             rows, obj = _run_check(chk, model, derive_seed(seed, i), oracle)

@@ -452,10 +452,3 @@ def build_tree_measures(spec: TreeMeasureSpec, start: int, stop: int,
     cum.flags.writeable = False  # a model may hand these measures to every check
     return [DiscreteMeasure(None, st.grid, "tree", tree=st, cum=c, draw=(spec, j))
             for j, c in zip(range(start, stop), cum)]
-
-
-def build_tree_measure(spec: TreeMeasureSpec,
-                       structure: Optional[TreeStructure] = None) -> DiscreteMeasure:
-    """Assemble the measure: geometry, shared grid and seeded weights.
-    It is draw 0 of spec's tree, the first outer measure of TreeModel(spec)."""
-    return build_tree_measures(spec, 0, 1, structure)[0]

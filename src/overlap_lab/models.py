@@ -6,11 +6,15 @@ redraw the random weights (the outer randomness) while sharing the fixed
 geometry: outer measure j is draw j of the model spec's tree, which reads
 its own slice of one weight stream, so a range is built as one block and
 each measure is bit for bit the one built alone. They keep the measures
-they built up to MEMO_BYTES so that every check reuses them; a kept
+they built, up to MEMO_BYTES, so that later checks reuse them; a kept
 measure holds its cumulative weights, and rebuilds its weights from its
-slice of the stream only if something reads them. Frozen
-models return the same measure every time, so the outer expectation
-degenerates to the inner average.
+slice of the stream only if something reads them. Which measures are kept
+follows Belady's rule (keep an item only until its last future use): a
+run knows the outer draws each check still to come reads, and before each
+check it tells the model, through keep_measures, which draws a later read
+needs (cli.run_experiment). Frozen models return the same measure every
+time, so the outer expectation degenerates to the inner average; they
+keep nothing.
 
 A descended model represents the conditioned-and-truncated ensemble of
 the induction step: n replicas from it are n replicas of the base measure
@@ -21,6 +25,7 @@ k-fold descent composes to a single threshold, so the stack stays flat.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional
 
 from .errors import GridTooSmall
@@ -28,10 +33,10 @@ from .grid import OverlapGrid
 from .measures import (DiscreteMeasure, TreeMeasureSpec, TreeStructure,
                        build_tree_measures)
 
-# Bytes of outer measures a TreeModel keeps, counted as 8 per atom (their
-# cumulative weights; a measure redraws its weights when they are read).
-# Measures are kept first come, never evicted: every check scans j = 0, 1,
-# ... again, so the first ones are the ones reused.
+# Most bytes of outer measures a TreeModel keeps, counted as 8 per atom
+# (their cumulative weights; a measure redraws its weights when they are
+# read). Within keep_measures' bounds measures are kept first come: every
+# check scans j = 0, 1, ... again, so the first ones are the ones reused.
 MEMO_BYTES = 64 * 2**20
 
 # Most atoms a TreeModel builds in one block. A longer range is built in
@@ -62,6 +67,17 @@ class TreeModel:
         zs = ",".join(f"{z:g}" for z in spec.zetas)
         self.model_id = f"tree(q=[{qs}],B={spec.branching},z=[{zs}],seed={spec.seed})"
         self._memo = {}
+        self._store = math.inf  # keep built measures j < _store
+
+    def keep_measures(self, keep: int, store: int):
+        """Drop the kept measures j >= keep, and from now on keep a newly
+        built measure only if j < store (at most keep). A caller that knows
+        the reads to come passes, for keep, the largest number of outer
+        draws any of them reads, and for store the part of that range
+        some read after the first pass over it will reach again."""
+        for j in [j for j in self._memo if j >= keep]:
+            del self._memo[j]
+        self._store = min(keep, store)
 
     def measure_at(self, j: int) -> DiscreteMeasure:
         return next(self.measures(j, j + 1))
@@ -83,7 +99,8 @@ class TreeModel:
                 end += 1
             built = build_tree_measure(self.spec, self.structure, j, end)
             room = max(0, MEMO_BYTES // (8 * m) - len(self._memo))
-            self._memo.update(zip(range(j, end)[:room], built))
+            kept = range(j, min(end, self._store))[:room]
+            self._memo.update(zip(kept, built))
             yield from built
             j = end
 

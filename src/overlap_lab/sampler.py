@@ -130,7 +130,9 @@ def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
                 raise ValueError("outer measures of one model must share "
                                  "their pair levels")
             idx.append(measure.sample_indices(n, mc.inner, rng))
-        yield start, stop, first, first.levels_from_indices(np.concatenate(idx))
+        lv = first.levels_from_indices(np.concatenate(idx))
+        del idx  # the per-draw index arrays, not held across the yield
+        yield start, stop, first, lv
 
 
 def count_columns(counts: Sequence[int]) -> list:

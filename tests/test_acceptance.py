@@ -15,7 +15,7 @@ import overlap_lab as ol
 from overlap_lab.eigen import jacobi_decompose
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
-                                  build_tree_measure, explicit_measure,
+                                  build_tree_measures, explicit_measure,
                                   measure_from_gram)
 from overlap_lab.models import FrozenModel, TreeModel
 from overlap_lab.pipeline import DescendConfig, criterion_run, descend
@@ -112,7 +112,8 @@ def _frozen_family():
     g3 = OverlapGrid((0.3, 0.7), 0.7)
     three = measure_from_gram(gram3, np.array([0.5, 0.3, 0.2]), g3)
     adv = adversarial_measure()
-    four = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), 4))
+    four = build_tree_measures(
+        TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), 4), 0, 1)[0]
     return {"two": two, "three": three, "adversarial": adv, "tree4": four}
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from overlap_lab import cli, measures
+from overlap_lab import cli, measures, models
 from overlap_lab.cli import (build_model, emit_plot_data, main, parse_config,
                              run_experiment)
 from overlap_lab.errors import ParseError, ValidationError
@@ -377,6 +377,76 @@ def test_tree_run_computes_no_level_probs(tmp_path, monkeypatch):
         probs = model._memo[j].pair_level_probs()[1:]
         assert probs.tobytes() == P[j].tobytes()
     assert calls == [(st.m,)] * len(read)
+
+
+# The outer measures each check of small_tree_run reads: mc.outer, and
+# psd_outer = 25 for descend; support reads measure 0 alone.
+SMALL_TREE_REACH = [20, 100, 40, 40, 80, 1, 20, 20, 25, 40]
+
+
+def counting_builds(monkeypatch) -> list:
+    """The draws every TreeModel build asks models.build_tree_measure for."""
+    built = []
+    real = models.build_tree_measure
+
+    def counting(spec, structure, start, stop):
+        built.extend(range(start, stop))
+        return real(spec, structure, start, stop)
+
+    monkeypatch.setattr(models, "build_tree_measure", counting)
+    return built
+
+
+def test_memo_holds_only_draws_a_later_check_reads(tmp_path, monkeypatch):
+    """At the entry of each check the memo holds no draw j at or past the
+    reach of that check and of every later one."""
+    entries = []
+    real = cli._run_check
+
+    def recording(chk, model, seed, oracle):
+        entries.append(sorted(model._memo))
+        return real(chk, model, seed, oracle)
+
+    monkeypatch.setattr(cli, "_run_check", recording)
+    small_tree_run(tmp_path, monkeypatch)
+    assert len(entries) == len(SMALL_TREE_REACH)
+    for i, kept in enumerate(entries):
+        assert all(j < max(SMALL_TREE_REACH[i:]) for j in kept), i
+    assert len(entries[2]) == 80  # mass kept the draws marginal reads
+
+
+def test_tree_run_builds_each_measure_once(tmp_path, monkeypatch):
+    built = counting_builds(monkeypatch)
+    small_tree_run(tmp_path, monkeypatch)
+    assert sorted(built) == list(range(max(SMALL_TREE_REACH)))
+
+
+def test_deep_run_builds_each_measure_once(tmp_path, monkeypatch):
+    """perfbench's depth-3 config: criterion, the check that reaches
+    farthest, reads draws 50..79 in three passes and builds them once."""
+    built = counting_builds(monkeypatch)
+    config = write_config(tmp_path / "deep.json",
+                          load("workloads").deep_config(0))
+    assert main(["--out", str(tmp_path / "out"), "run", str(config)]) in (0, 2)
+    assert sorted(built) == list(range(80))
+
+
+def test_memo_plan_of_tree_k2():
+    """(keep, store) per check of configs/tree_k2.json: mass keeps the 800
+    draws marginal reads twice, and after marginal 400 remain."""
+    config = parse_config(ROOT / "configs" / "tree_k2.json")
+    assert cli.memo_plan(config.checks) == [
+        (1000, 1000), (1000, 800), (800, 800), (800, 800), (800, 800),
+        *[(400, 400)] * 5]
+
+
+def test_frozen_run_makes_no_memo_plan(tmp_path, monkeypatch):
+    def refuse(checks):
+        raise AssertionError("memo_plan called for a frozen model")
+
+    monkeypatch.setattr(cli, "memo_plan", refuse)
+    assert main(["--out", str(tmp_path), "oracle",
+                 str(ROOT / "configs" / "adversarial.json")]) == 2
 
 
 # sha256 of each run's report.csv. A change to a random stream or to the

@@ -104,10 +104,11 @@ class TestCheckUltrametric:
         assert check_ultrametric_batch(m.entries).triples_checked == 0
 
     def test_tree_sample_has_no_violations(self):
-        from overlap_lab.measures import TreeMeasureSpec, build_tree_measure
+        from overlap_lab.measures import TreeMeasureSpec, build_tree_measures
         from overlap_lab.sampler import MCConfig, filtered_level_batches
 
-        measure = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), 5))
+        measure = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), 5), 0, 1)[0]
         [(_, lv)] = filtered_level_batches(measure, 8, MCConfig(1, 1), 1,
                                            key=0x5CA)
         rep = check_ultrametric_batch(LevelMatrix(lv[0], measure.grid).entries)
@@ -170,10 +171,11 @@ class TestTruncate:
             truncate(m)
 
     def test_truncated_tree_sample_stays_psd(self):
-        from overlap_lab.measures import TreeMeasureSpec, build_tree_measure
+        from overlap_lab.measures import TreeMeasureSpec, build_tree_measures
         from overlap_lab.sampler import MCConfig, filtered_level_batches
 
-        measure = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), 2))
+        measure = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), 2), 0, 1)[0]
         for _, lv in filtered_level_batches(measure, 6, MCConfig(5, 1), 0,
                                             key=0x5CA):
             m = LevelMatrix(lv[0], measure.grid)

@@ -15,7 +15,7 @@ from overlap_lab.errors import (BadWeights, BadZeta, OffGridOverlap,
 from overlap_lab.grid import DIAG, OverlapGrid
 from overlap_lab import cli, measures, models, sampler
 from overlap_lab.measures import (ADVERSARIAL_GRAM, TreeMeasureSpec,
-                                  TreeStructure, adversarial_measure, build_tree_measure,
+                                  TreeStructure, adversarial_measure,
                                   build_tree_measures, counter_stream,
                                   derive_seed, explicit_measure,
                                   measure_from_gram, rng_from,
@@ -93,7 +93,8 @@ class TestTreeMeasureSpec:
 
 class TestTreeMeasure:
     def test_depth_one_orthogonal_atoms(self):
-        m = build_tree_measure(TreeMeasureSpec((0.5,), 3, (0.5,), seed=1))
+        m = build_tree_measures(TreeMeasureSpec((0.5,), 3, (0.5,), seed=1),
+                                0, 1)[0]
         assert m.m == 3
         assert m.grid.levels == (0.0, 0.5)
         assert m.grid.self_overlap == 0.5
@@ -102,7 +103,8 @@ class TestTreeMeasure:
         assert np.allclose(gram - np.diag(np.diag(gram)), 0.0, atol=1e-12)
 
     def test_depth_two_overlaps(self):
-        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), seed=2))
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), seed=2), 0, 1)[0]
         assert m.m == 4
         gram = m.atoms @ m.atoms.T
         assert np.allclose(np.diag(gram), 0.7, atol=1e-12)
@@ -112,8 +114,8 @@ class TestTreeMeasure:
         assert np.isclose(gram[0, 2], 0.0, atol=1e-12)
 
     def test_pairwise_products_hit_grid_exactly(self):
-        m = build_tree_measure(TreeMeasureSpec((0.2, 0.5, 0.9), 3, (0.2, 0.4, 0.8),
-                                               seed=7))
+        m = build_tree_measures(TreeMeasureSpec(
+            (0.2, 0.5, 0.9), 3, (0.2, 0.4, 0.8), seed=7), 0, 1)[0]
         gram = m.atoms @ m.atoms.T
         values = np.array(m.grid.levels)
         # every pair lands within 1e-12 of the level its digits predict
@@ -125,22 +127,23 @@ class TestTreeMeasure:
 
     def test_weights_normalized_and_deterministic(self):
         spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=11)
-        a = build_tree_measure(spec)
-        b = build_tree_measure(spec)
+        a = build_tree_measures(spec, 0, 1)[0]
+        b = build_tree_measures(spec, 0, 1)[0]
         assert np.isclose(a.weights.sum(), 1.0, atol=1e-12)
         assert np.array_equal(a.weights, b.weights)
-        c = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=12))
+        c = build_tree_measures(replace(spec, seed=12), 0, 1)[0]
         assert not np.array_equal(a.weights, c.weights)
 
     def test_emergent_probs_sum_to_one(self):
-        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=3))
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=3), 0, 1)[0]
         probs = m.pair_level_probs()
         assert probs[0] == 0.0 and np.isclose(probs.sum(), 1.0, atol=1e-12)
         assert all(p > 0 for p in probs[1:])
 
     def test_digit_path_pair_levels(self):
-        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 200, (0.4, 0.8),
-                                               seed=4))
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 200, (0.4, 0.8), seed=4), 0, 1)[0]
         assert m.table is None
         # leaves 0 and 1 share the first digit; 0 and 200 do not
         assert m.pair_level(0, 1) == 2
@@ -149,7 +152,8 @@ class TestTreeMeasure:
 
     def test_emergent_probs_match_sampled_pairs(self):
         # large tree exercises the digit path (no table, no dense atoms)
-        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 200, (0.4, 0.8), seed=4))
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 200, (0.4, 0.8), seed=4), 0, 1)[0]
         assert m.table is None and m.atoms is None
         probs = m.pair_level_probs()
         rng = np.random.default_rng(10)
@@ -164,8 +168,8 @@ class TestTreeMeasure:
     def test_structure_reuse_matches_fresh_build(self):
         spec = TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), seed=21)
         st = TreeStructure(spec.q, spec.branching)
-        a = build_tree_measure(spec, st)
-        b = build_tree_measure(spec)
+        a = build_tree_measures(spec, 0, 1, st)[0]
+        b = build_tree_measures(spec, 0, 1)[0]
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.table, b.table)
 
@@ -291,9 +295,14 @@ class TestTreeLeafWeightsReference:
                 leaf_weights_reference(st, zetas, seed, 0).tobytes()
 
     def test_build_tree_measure_is_draw_zero(self):
+        # models.build_tree_measure, through which a TreeModel builds, gives
+        # for (0, 1) the per-vertex draw 0 and the model's first measure
         spec = TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), seed=8)
-        a = build_tree_measure(spec)
+        st = TreeStructure(spec.q, spec.branching)
+        (a,) = models.build_tree_measure(spec, st, 0, 1)
         b = TreeModel(spec).measure_at(0)
+        want = leaf_weights_reference(st, spec.zetas, spec.seed, 0)
+        assert a.weights.tobytes() == want.tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.pair_level_probs().tobytes() == b.pair_level_probs().tobytes()
 
@@ -501,8 +510,8 @@ class TestLazyTreeAtoms:
     def test_atoms_built_on_first_read_and_shared(self):
         spec = TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), seed=2)
         st = TreeStructure(spec.q, spec.branching)
-        a = build_tree_measure(spec, st)
-        b = build_tree_measure(replace(spec, seed=3), st)
+        a = build_tree_measures(spec, 0, 1, st)[0]
+        b = build_tree_measures(replace(spec, seed=3), 0, 1, st)[0]
         assert "atoms" not in vars(st)
         assert a.atoms is st.atoms and b.atoms is st.atoms
         # level l of a pair is grid value l - 1, the diagonal included
@@ -539,7 +548,7 @@ class TestTreeCodeLevels:
     def measure(B, k, seed=3):
         spec = TreeMeasureSpec(tuple(np.linspace(0.2, 0.8, k)), B,
                                tuple(np.linspace(0.2, 0.8, k)), seed=seed)
-        return build_tree_measure(spec)
+        return build_tree_measures(spec, 0, 1)[0]
 
     def test_codes_are_ancestors_by_depth(self):
         st = TreeStructure((0.2, 0.5, 0.8), 3)
@@ -613,7 +622,7 @@ class TestTreeCodeLevels:
     def test_shares_levels_by_structure(self):
         spec = TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), seed=8)
         a, b = build_tree_measures(spec, 0, 2)
-        other = build_tree_measure(spec)
+        other = build_tree_measures(spec, 0, 1)[0]
         assert a.shares_levels(b) and not a.shares_levels(other)
         assert not a.shares_levels(adversarial_measure())
         assert not adversarial_measure().shares_levels(a)
@@ -624,8 +633,8 @@ class TestLevelBlockLayout:
     (n, n, T) block, for tree and explicit measures alike."""
 
     MEASURES = {
-        "tree": lambda: build_tree_measure(
-            TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), seed=5)),
+        "tree": lambda: build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), seed=5), 0, 1)[0],
         "explicit": adversarial_measure,
     }
 
@@ -691,6 +700,18 @@ class TestTreeModelMemo:
             self.assert_fresh(model.measure_at(j), j)
             assert len(model._memo) <= cap
         assert sorted(model._memo) == [0, 1, 2]
+
+    def test_keep_measures_drops_and_bounds_stores(self):
+        model = TreeModel(self.SPEC)
+        list(model.measures(0, 10))
+        model.keep_measures(6, 4)
+        assert sorted(model._memo) == list(range(6))
+        for j, measure in enumerate(model.measures(0, 12)):
+            self.assert_fresh(measure, j)
+        assert sorted(model._memo) == list(range(6))  # 6..11 not stored
+        model.keep_measures(3, 8)  # store never reaches past keep
+        list(model.measures(0, 12))
+        assert sorted(model._memo) == list(range(3))
 
     def test_measures_share_the_model_grid(self):
         model = TreeModel(self.SPEC)

@@ -4,7 +4,7 @@ import pytest
 from overlap_lab.errors import NullConditioning
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
-                                  build_tree_measure, explicit_measure)
+                                  build_tree_measures, explicit_measure)
 from overlap_lab.models import DescendedModel, FrozenModel, TreeModel
 from overlap_lab.pipeline import (DescendConfig, collision_identity_check,
                                   criterion_run, descend)
@@ -22,15 +22,16 @@ def k2_tree(seed=11):
 
 class TestCollisionIdentity:
     def test_tree_passes(self):
-        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), 2))
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), 2), 0, 1)[0]
         ok, witness = collision_identity_check(m)
         assert ok and witness is None
 
     @pytest.mark.parametrize("B, k", [(2, 1), (3, 2), (60, 2)])
     def test_tree_reads_codes_not_table(self, B, k):
-        m = build_tree_measure(TreeMeasureSpec(
+        m = build_tree_measures(TreeMeasureSpec(
             tuple(np.linspace(0.2, 0.8, k)), B,
-            tuple(np.linspace(0.2, 0.8, k)), seed=4))
+            tuple(np.linspace(0.2, 0.8, k)), seed=4), 0, 1)[0]
         assert collision_identity_check(m) == (True, None)
         assert "table" not in vars(m.tree)
         if m.table is not None:  # the table scan agrees
@@ -38,7 +39,8 @@ class TestCollisionIdentity:
             assert collision_identity_check(frozen) == (True, None)
 
     def test_tree_with_shared_leaf_code_fails_with_pair(self):
-        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 3, (0.3, 0.6), 2))
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 3, (0.3, 0.6), 2), 0, 1)[0]
         codes = m.tree.codes.copy()
         codes[-1, 5] = codes[-1, 4]
         m.tree.codes = codes

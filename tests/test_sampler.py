@@ -8,7 +8,7 @@ from overlap_lab.cli import build_model
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (DiscreteMeasure, TreeMeasureSpec,
                                   adversarial_measure,
-                                  build_tree_measure, counter_stream,
+                                  build_tree_measures, counter_stream,
                                   explicit_measure, measure_from_gram)
 from overlap_lab.models import (DescendedModel, FrozenModel, TreeModel,
                                 as_model)
@@ -74,8 +74,8 @@ class TestDrawReplicas:
         assert abs(p_hat - p) <= 3 * se
 
     def test_matrix_matches_indices(self):
-        for m in (three_atoms(), build_tree_measure(
-                TreeMeasureSpec((0.3, 0.7), 3, (0.3, 0.6), seed=3))):
+        for m in (three_atoms(), build_tree_measures(
+                TreeMeasureSpec((0.3, 0.7), 3, (0.3, 0.6), seed=3), 0, 1)[0]):
             idx = m.sample_indices(5, 40, np.random.default_rng(3))
             lv = m.levels_from_indices(idx)
             for t in range(len(idx)):
@@ -203,8 +203,8 @@ class TestEnumeration:
         # 2,500 leaves in 50 twin classes: the 7,017,550 patterns of 4
         # replicas fit the guard, but each of the 132,550 patterns of 3
         # replicas tries all 2,500 atoms
-        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 50, (0.3, 0.6),
-                                               seed=7))
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 50, (0.3, 0.6), seed=7), 0, 1)[0]
         assert len(_kernels.twin_classes(m.table)) == 50
         with pytest.raises(TooLarge):
             enumerate_statistics(m, [Statistic(4)], 4)
@@ -250,7 +250,8 @@ class TestConditionalLaw:
     def test_empirical_law_matches_row_sort(self):
         """Keys, their order and the frequencies equal those of sorting the
         kept level tuples as rows (np.unique over axis 0)."""
-        four = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), 4))
+        four = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), 4), 0, 1)[0]
         mc = MCConfig(5, 1_000)
         for m, n, t in ((four, 4, None), (four, 3, 2), (four, 2, 1),
                         (adversarial_measure(), 5, None)):
@@ -452,9 +453,9 @@ class TestTreeRejection:
     @pytest.mark.parametrize("B, k", [(3, 2), (2, 3), (4, 3)])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_table_mask(self, B, k, n):
-        m = build_tree_measure(TreeMeasureSpec(
+        m = build_tree_measures(TreeMeasureSpec(
             tuple(np.linspace(0.2, 0.8, k)), B,
-            tuple(np.linspace(0.2, 0.8, k)), seed=B + k))
+            tuple(np.linspace(0.2, 0.8, k)), seed=B + k), 0, 1)[0]
         mc = MCConfig(3, 1000)
         iu, ju = np.triu_indices(n, k=1)
         for t in range(1, k + 2):
@@ -469,8 +470,8 @@ class TestTreeRejection:
         assert inside.all()  # t = k + 1 admits every tuple
 
     def test_never_reads_table(self):
-        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6),
-                                               seed=2))
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=2), 0, 1)[0]
         kept = kept_levels(m, 4, MCConfig(4, 50), 1, 1)
         assert "table" not in vars(m.tree)
         assert sum(map(len, kept)) > 0

@@ -4,7 +4,7 @@ import pytest
 from overlap_lab.errors import AcceptanceTooLow, EventMassTooSmall, GridTooSmall
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
-                                  build_tree_measure, explicit_measure,
+                                  build_tree_measures, explicit_measure,
                                   measure_from_gram)
 from overlap_lab.models import DescendedModel, FrozenModel, TreeModel
 from overlap_lab.observables import (ObservableSpec, Psi, Statistic,
@@ -328,7 +328,8 @@ class TestConditionalMarginal:
 
 class TestSupport:
     def test_tree_passes_exactly(self):
-        m = build_tree_measure(TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), 3))
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 5, (0.3, 0.6), 3), 0, 1)[0]
         rep = support_check(m)
         assert rep.passed and rep.max_deviation <= 1e-12
 
