@@ -1,14 +1,13 @@
-"""Measure the false-failure rate of a tree positive control.
+"""Measure the false-failure rate of the tree positive control.
 
     python3 scripts/calibrate.py --runs 100 --label change [--src DIR]
-                                 [--config PATH] [--out CALIBRATION.json]
+                                 [--out CALIBRATION.json]
 
-Reruns --config (default configs/tree_k2.json) at seed offsets 0 .. runs -
-1. Offset s adds s to the measure seed and to the config seed together, as
-the benchmark's tree_mc workload does: --seed alone would keep the outer
-measures fixed. The config must be a tree measure whose checks are all
-positive controls, as every check of tree_k2 is, so that every failure is
-a false failure.
+Reruns configs/tree_k2.json at seed offsets 0 .. runs - 1. Offset s adds s
+to the measure seed and to the config seed together, as the benchmark's
+tree_mc workload does: --seed alone would keep the outer measures fixed.
+Every check of that config is a positive control, so every failure is a
+false failure.
 
 Per check it records failures / runs (a check fails when any of its rows
 fails or it errors) with a 95% Clopper-Pearson interval, and per report
@@ -16,8 +15,7 @@ row the mean residual beside the mean standard error and the residuals'
 standard deviation across runs: a mean residual several times
 residual_sd / sqrt(runs) is a bias, not noise. The result is
 stored under --label in --out, beside the results of other labels, so one
-file can compare two versions of the program over the same offsets and
-config; an --out that holds another config's results is refused. --src
+file can compare two versions of the program over the same offsets; --src
 picks the src/ tree to import (default: this checkout's).
 
 A measurement, not a test: it takes about 2 s a run.
@@ -90,10 +88,10 @@ def run_offset(cli, base: dict, offset: int, tmp: Path):
     return statuses, rows
 
 
-def calibrate(config: Path, runs: int) -> dict:
+def calibrate(runs: int) -> dict:
     from overlap_lab import cli
 
-    base = json.loads(config.read_text())
+    base = json.loads(CONFIG.read_text())
     fails = defaultdict(list)
     row_stats = defaultdict(lambda: {"residual": [], "se": [], "failures": 0})
     t0 = time.perf_counter()
@@ -130,24 +128,16 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=100)
     parser.add_argument("--label", required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--config", type=Path, default=CONFIG)
     parser.add_argument("--out", type=Path, default=ROOT / "CALIBRATION.json")
     args = parser.parse_args(argv)
-    config = args.config.resolve()
-    name = (str(config.relative_to(ROOT)) if config.is_relative_to(ROOT)
-            else str(config))
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if doc.get("config", name) != name:
-        print(f"error: {args.out} holds results of {doc['config']}, not "
-              f"{name}; pick another --out", file=sys.stderr)
-        return 1
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
 
-    result = calibrate(config, args.runs)
+    result = calibrate(args.runs)
     result.update(offsets=[0, args.runs], numpy=np.__version__,
                   python=platform.python_version())
-    doc.setdefault("config", name)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("config", str(CONFIG.relative_to(ROOT)))
     doc.setdefault("level", LEVEL)
     doc.setdefault("results", {})[args.label] = result
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -161,9 +161,7 @@ def top_tie_triples(levels, top):
 def eval_stats(levels_batch, vals, pack):
     """(T, S) statistic values. Each distinct factor column is computed once
     per call and multiplied into every statistic that has it, so a
-    statistic's value does not depend on its neighbours. A product starts
-    from its first column (1.0 * x is x), and a statistic without factors
-    keeps the 1.0 of out."""
+    statistic's value does not depend on its neighbours."""
     offsets, factors = pack
     bounds = offsets.tolist()
     T = levels_batch.shape[0]
@@ -171,7 +169,7 @@ def eval_stats(levels_batch, vals, pack):
     cols = {}
     tri = None
     for s in range(len(bounds) - 1):
-        v = None
+        v = np.ones(T)
         for key in factors[bounds[s] : bounds[s + 1]]:
             col = cols.get(key)
             if col is None:
@@ -189,9 +187,8 @@ def eval_stats(levels_batch, vals, pack):
                     i, j, power = args
                     col = vals[levels_batch[:, i, j]] ** float(power)
                 cols[key] = col
-            v = col if v is None else v * col
-        if v is not None:
-            out[:, s] = v
+            v = v * col
+        out[:, s] = v
     return out
 
 

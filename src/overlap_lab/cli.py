@@ -179,22 +179,47 @@ DESCEND = {"n_condition": _int(DescendConfig.n_condition, 1),
            "psd_outer": _int(DescendConfig.psd_outer, 1),
            "psd_inner": _int(DescendConfig.psd_inner, 1),
            "force": _BOOL._replace(default=DescendConfig.force)}
+
+
+class Check(NamedTuple):
+    """A check type: its fields (after CHECK's), and how it reads the outer
+    measures of a model, which memo_plan reads. reach(v) of the parsed
+    fields v is how many it reads, draws 0 .. reach - 1; rereads is whether
+    it reads that range in more than one pass. A check whose passes change
+    changes its entry here; each multi-pass check names its entry where it
+    reads."""
+
+    fields: dict
+    reach: Callable = lambda v: v["mc"].outer
+    rereads: bool = False
+
+
 CHECKS = {
-    "gg": {**_ESTIMATOR, "observables": Field(
-               lambda v: v == "default" or isinstance(v, list) and len(v) > 0,
-               'must be "default" or a nonempty list of objects', "default"),
-           "conditioned": Field(lambda v: v is None or isinstance(v, dict),
-                                "must be an object", None)},
-    "mass": {**_ESTIMATOR, "n_max": _int(5, 2)},
-    "lemma1": _F_CHECK,
-    "consistency": _F_CHECK,
-    "marginal": _ESTIMATOR, "support": {}, "positivity": _SAMPLING,
+    "gg": Check({
+        **_ESTIMATOR,
+        "observables": Field(
+            lambda v: v == "default" or isinstance(v, list) and len(v) > 0,
+            'must be "default" or a nonempty list of objects', "default"),
+        "conditioned": Field(lambda v: v is None or isinstance(v, dict),
+                             "must be an object", None)}),
+    "mass": Check({**_ESTIMATOR, "n_max": _int(5, 2)}),
+    "lemma1": Check(_F_CHECK),
+    "consistency": Check(_F_CHECK),
+    # two estimates, the conditioned one and the reference
+    "marginal": Check(_ESTIMATOR, rereads=True),
+    "support": Check({}, reach=lambda v: 1),  # measure 0 alone
+    "positivity": Check(_SAMPLING),
     # the ultra scan caches three index arrays of 24 bytes a triple for each
     # n: about 4 MB at n = 100, and 148 MB more at n = 300
-    "ultra": {**_SAMPLING, "n": _int(8, 3, 100)},
-    "descend": {**_ESTIMATOR, **DESCEND},
-    # its rows compare two estimates by z alone; abs_tol is accepted and unread
-    "criterion": {
+    "ultra": Check({**_SAMPLING, "n": _int(8, 3, 100)}),
+    # measure 0, then scans and estimates level after level; the scans read
+    # psd_outer draws
+    "descend": Check({**_ESTIMATOR, **DESCEND},
+                     reach=lambda v: max(v["mc"].outer, v["psd_outer"]),
+                     rereads=True),
+    # three estimates; its rows compare two estimates by z alone, and
+    # abs_tol is accepted and unread
+    "criterion": Check({
         **_ESTIMATOR,
         "q": Field(_is_number, "must be a number"),
         "patterns": Field(
@@ -202,12 +227,8 @@ CHECKS = {
                 _is_int_triples(p, 1) and p for p in v),
             "must be a nonempty list of nonempty lists of [a, b, c] integer "
             "level triples, levels >= 1", [[[1, 1, 1]]]),
-        "n_max": _int(6, 3)},
+        "n_max": _int(6, 3)}, rereads=True),
 }
-# The checks that read their outer measures in more than one pass: marginal
-# (two estimates), descend (scans and estimates, level after level) and
-# criterion (three estimates)
-REREADS = frozenset({"marginal", "descend", "criterion"})
 
 
 @dataclass
@@ -319,7 +340,7 @@ def _read_check(chk, where: str, problems: list) -> dict:
         problems.append(f"{where}.name: unknown check {name!r}; allowed: "
                         + ", ".join(CHECKS))
         return {}
-    v = _read(chk, {**CHECK, **CHECKS[name]}, where, f"check {name!r}",
+    v = _read(chk, {**CHECK, **CHECKS[name].fields}, where, f"check {name!r}",
               problems)
     if "mc" in v:
         v["mc"] = MCConfig(**_read(v["mc"], MC, f"{where}.mc", "mc", problems))
@@ -392,16 +413,15 @@ def build_model(measure: dict):
 
 def memo_plan(checks) -> list:
     """(keep, store) for TreeModel.keep_measures before each check, by
-    Belady's rule. A check reads outer measures j < its reach: mc.outer, at
-    least psd_outer for descend, and 1 for support (measure 0). Before
+    Belady's rule, from each check's reach and rereads in CHECKS. Before
     check i the model drops the measures no check from i on reads, and
     keeps a newly built one only if a later check reads it, or check i
     itself reads it again."""
     reads = []
     for chk in checks:
         v = _read_check(chk, "check", [])
-        reach = max(v["mc"].outer, v.get("psd_outer", 0)) if "mc" in v else 1
-        reads.append((reach, v.get("name") in REREADS))
+        check = CHECKS[v["name"]]
+        reads.append((check.reach(v), check.rereads))
     plan, later = [], 0
     for reach, rereads in reversed(reads):
         plan.append((max(reach, later),

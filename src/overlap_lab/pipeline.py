@@ -136,6 +136,8 @@ LEVEL_OBSERVABLES = (ObservableSpec(2, Psi("monomial", 1), f_pattern=_PAT),
 def descend(model, config: DescendConfig, seed: int) -> LevelReport:
     """Run every level check, recursing while levels pass (or force is set)."""
     model = as_model(model)
+    # reads measure 0, then per level a scan of psd_outer draws and estimates
+    # over mc.outer draws: cli.CHECKS["descend"].reach and .rereads
     return _descend_level(model, config, seed, is_root=True)
 
 
@@ -260,6 +262,8 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
     event = EventSpec("A_nq", 3, q)
     grid_rule("criterion", model.grid, patterns=B_patterns, events=[event])
     t = event.threshold(model.grid)
+    # two passes over mc.outer draws, three when n_max > 3:
+    # cli.CHECKS["criterion"].rereads
     below = Statistic(2).with_threshold(2, t)
     means, _ = estimates(model, [below], 2, mc, derive_seed(seed, 0xB0), None,
                          method)

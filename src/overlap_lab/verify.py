@@ -386,6 +386,7 @@ def conditional_marginal_check(model, mc: MCConfig, seed: int,
     K = model.grid.k
     cond_stats = [Statistic(2).with_pattern(0, 1, l) for l in range(1, K)]
     full_stats = [Statistic(2).with_pattern(0, 1, l) for l in range(1, K + 1)]
+    # two passes over mc.outer draws: cli.CHECKS["marginal"].rereads
     cond_means, cond_mass = estimates(model, cond_stats, 2, mc,
                                       derive_seed(seed, 1), K - 1, method)
     full_means, _ = estimates(model, full_stats, 2, mc,

@@ -379,9 +379,25 @@ def test_tree_run_computes_no_level_probs(tmp_path, monkeypatch):
     assert calls == [(st.m,)] * len(read)
 
 
-# The outer measures each check of small_tree_run reads: mc.outer, and
-# psd_outer = 25 for descend; support reads measure 0 alone.
-SMALL_TREE_REACH = [20, 100, 40, 40, 80, 1, 20, 20, 25, 40]
+def recording_reads(monkeypatch):
+    """Per check of a run, in order: the draws in the memo at its entry,
+    and the outer draws it reads, one entry per read."""
+    entries, reads = [], []
+    run_check, measures = cli._run_check, models.TreeModel.measures
+
+    def recording_check(chk, model, seed, oracle):
+        entries.append(sorted(model._memo))
+        reads.append([])
+        return run_check(chk, model, seed, oracle)
+
+    def recording_measures(self, start, stop):
+        for j, measure in enumerate(measures(self, start, stop), start):
+            reads[-1].append(j)
+            yield measure
+
+    monkeypatch.setattr(cli, "_run_check", recording_check)
+    monkeypatch.setattr(models.TreeModel, "measures", recording_measures)
+    return entries, reads
 
 
 def counting_builds(monkeypatch) -> list:
@@ -397,28 +413,37 @@ def counting_builds(monkeypatch) -> list:
     return built
 
 
-def test_memo_holds_only_draws_a_later_check_reads(tmp_path, monkeypatch):
-    """At the entry of each check the memo holds no draw j at or past the
-    reach of that check and of every later one."""
-    entries = []
-    real = cli._run_check
-
-    def recording(chk, model, seed, oracle):
-        entries.append(sorted(model._memo))
-        return real(chk, model, seed, oracle)
-
-    monkeypatch.setattr(cli, "_run_check", recording)
+def test_check_table_states_what_each_check_reads(tmp_path, monkeypatch):
+    """Each check of small_tree_run reads exactly draws 0 .. reach - 1 of
+    its CHECKS entry, and reads one of them twice exactly when the entry
+    says it rereads."""
+    _, reads = recording_reads(monkeypatch)
     small_tree_run(tmp_path, monkeypatch)
-    assert len(entries) == len(SMALL_TREE_REACH)
+    cfg = json.loads((tmp_path / "c.json").read_text())
+    assert len(reads) == len(cfg["checks"])
+    for chk, read in zip(cfg["checks"], reads):
+        v = cli._read_check(chk, "check", [])
+        check = cli.CHECKS[v["name"]]
+        assert sorted(set(read)) == list(range(check.reach(v))), v["name"]
+        assert (len(read) > len(set(read))) == check.rereads, v["name"]
+
+
+def test_memo_holds_only_draws_a_later_check_reads(tmp_path, monkeypatch):
+    """At the entry of each check the memo holds no draw that this check
+    or a later one does not read."""
+    entries, reads = recording_reads(monkeypatch)
+    small_tree_run(tmp_path, monkeypatch)
+    reach = [len(set(read)) for read in reads]
+    assert reach == [20, 100, 40, 40, 80, 1, 20, 20, 25, 40]
     for i, kept in enumerate(entries):
-        assert all(j < max(SMALL_TREE_REACH[i:]) for j in kept), i
+        assert all(j < max(reach[i:]) for j in kept), i
     assert len(entries[2]) == 80  # mass kept the draws marginal reads
 
 
 def test_tree_run_builds_each_measure_once(tmp_path, monkeypatch):
     built = counting_builds(monkeypatch)
     small_tree_run(tmp_path, monkeypatch)
-    assert sorted(built) == list(range(max(SMALL_TREE_REACH)))
+    assert sorted(built) == list(range(100))  # mass reaches farthest
 
 
 def test_deep_run_builds_each_measure_once(tmp_path, monkeypatch):
