@@ -161,7 +161,9 @@ def top_tie_triples(levels, top):
 def eval_stats(levels_batch, vals, pack):
     """(T, S) statistic values. Each distinct factor column is computed once
     per call and multiplied into every statistic that has it, so a
-    statistic's value does not depend on its neighbours."""
+    statistic's value does not depend on its neighbours. A product starts
+    from its first column, which gives the bits of starting from ones
+    (1.0 * x is x); a statistic without factors keeps its column of ones."""
     offsets, factors = pack
     bounds = offsets.tolist()
     T = levels_batch.shape[0]
@@ -169,7 +171,7 @@ def eval_stats(levels_batch, vals, pack):
     cols = {}
     tri = None
     for s in range(len(bounds) - 1):
-        v = np.ones(T)
+        v = None
         for key in factors[bounds[s] : bounds[s + 1]]:
             col = cols.get(key)
             if col is None:
@@ -187,8 +189,9 @@ def eval_stats(levels_batch, vals, pack):
                     i, j, power = args
                     col = vals[levels_batch[:, i, j]] ** float(power)
                 cols[key] = col
-            v = v * col
-        out[:, s] = v
+            v = col if v is None else v * col
+        if v is not None:
+            out[:, s] = v
     return out
 
 

@@ -24,6 +24,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
+try:
+    import resource
+except ImportError:  # no getrusage (Windows): the manifest records null
+    resource = None
+
 import numpy as np
 
 from . import __version__
@@ -542,12 +547,22 @@ def emit_plot_data(rows, path: Path):
                         _format_value(ref), _format_value(r.se)])
 
 
+def peak_rss_mb() -> Optional[float]:
+    """The process's peak resident set size so far, in MB (ru_maxrss counts
+    KiB on Linux and bytes on macOS)."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << (20 if sys.platform == "darwin" else 10))
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    out_dir=None, formats=None, seed=None,
                    oracle: bool = False) -> int:
     """Run the checks in config order, one at a time, and write the reports.
 
-    jobs is only recorded in the manifest.
+    jobs is only recorded in the manifest, and so is each check's
+    peak_rss_mb, the process's peak RSS after the check.
     """
     t0 = time.time()
     seed = config.seed if seed is None else seed
@@ -579,6 +594,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     all_rows = []
     check_summaries = []
     statuses = []
+    peaks = []  # the process's peak RSS after each check (manifest only)
     for i, chk in enumerate(config.checks):
         start = time.time()
         if plan:
@@ -597,6 +613,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
             "error": err, "wall_time_s": time.time() - start,
             "rows": [r.__dict__ for r in rows], "summary": obj,
         })
+        peaks.append(peak_rss_mb())
 
     manifest = {
         "config_hash": config.config_hash(),
@@ -606,8 +623,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         "jobs": jobs,
         "oracle": oracle,
         "checks": [{"name": s["name"], "status": s["status"],
-                    "wall_time_s": s["wall_time_s"], "error": s["error"]}
-                   for s in check_summaries],
+                    "wall_time_s": s["wall_time_s"], "error": s["error"],
+                    "peak_rss_mb": peak}
+                   for s, peak in zip(check_summaries, peaks)],
         "total_wall_time_s": time.time() - t0,
     }
     with open(out / "manifest.json", "w") as fh:

@@ -177,8 +177,9 @@ class DiscreteMeasure:
             raise TooManyAtoms("pair-level table not materialized for this measure")
         return self.table
 
-    def sample_indices(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self._cum.searchsorted(rng.random((count, n)))
+    def sample_indices(self, u: np.ndarray) -> np.ndarray:
+        """Atom indices of uniforms u (any shape): the inverse of the CDF."""
+        return self._cum.searchsorted(u)
 
     def pair_level(self, i: int, j: int) -> int:
         if self.tree is not None:

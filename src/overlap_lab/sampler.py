@@ -110,29 +110,42 @@ def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
     OUTER_BLOCK_ROWS * 64, and fewer for a caller that computes more than
     8 values a row (width) so that those stay within OUTER_BLOCK_ROWS * 8,
     and at most max_draws outer draws when a caller sets it.
-    Its measures are read lazily from one model.measures call, its draws
-    read their slices in order from one generator, and every measure of a
-    model shares one pair-level table or one set of ancestor codes (a
-    TreeModel's measures share its TreeStructure, a frozen model has one
-    measure), so the first measure of a block turns all of the block's
-    index rows into level matrices, and its grid gives their values.
+    Its measures are read lazily from one model.measures call, and every
+    measure of a model shares one pair-level table or one set of ancestor
+    codes (a TreeModel's measures share its TreeStructure, a frozen model
+    has one measure), so the first measure of a block turns all of the
+    block's index rows into level matrices, and its grid gives their values.
+
+    One block is held at a time: the generator binds no block across its
+    yield, so a consumer that drops its own references (as outer_stat_means
+    does) has freed a block before the next one is drawn.
     """
     rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n, 8 * width)
     draws = min(max(1, rows // mc.inner), max_draws or mc.outer)
     for start in range(0, mc.outer, draws):
         stop = min(start + draws, mc.outer)
         rng = counter_stream(seed, key, start * n * mc.inner)
-        measures = model.measures(start, stop)
-        first = next(measures)
-        idx = [first.sample_indices(n, mc.inner, rng)]
-        for measure in measures:
-            if not first.shares_levels(measure):
-                raise ValueError("outer measures of one model must share "
-                                 "their pair levels")
-            idx.append(measure.sample_indices(n, mc.inner, rng))
-        lv = first.levels_from_indices(np.concatenate(idx))
-        del idx  # the per-draw index arrays, not held across the yield
-        yield start, stop, first, lv
+        yield (start, stop, *_draw_block(model, n, mc.inner, start, stop, rng))
+
+
+def _draw_block(model, n: int, inner: int, start: int, stop: int, rng):
+    """(first measure, levels) of outer draws start, ..., stop - 1. The
+    block's uniforms are read in one call, which gives the bits of the
+    per-draw calls in order (random() reads one word per double); each
+    draw's searchsorted fills its own rows of one index array, and the
+    uniforms are freed before the level fill, the indices after it."""
+    u = rng.random(((stop - start) * inner, n))
+    idx = np.empty(u.shape, dtype=np.intp)
+    for r, measure in enumerate(model.measures(start, stop)):
+        if r == 0:
+            first = measure
+        elif not first.shares_levels(measure):
+            raise ValueError("outer measures of one model must share "
+                             "their pair levels")
+        rs = slice(r * inner, (r + 1) * inner)
+        idx[rs] = measure.sample_indices(u[rs])
+    del u
+    return first, first.levels_from_indices(idx)
 
 
 def count_columns(counts: Sequence[int]) -> list:
@@ -182,6 +195,7 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
                                                 len(cols)):
         out = _kernels.eval_stats(lv, first.grid.values_by_index(), pack)
         means[start:stop] = out.reshape(stop - start, mc.inner, -1).mean(axis=1)
+        del lv, out  # not held while the next block is drawn
     return means
 
 
@@ -243,6 +257,7 @@ def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
             if threshold is not None:
                 batch = batch[_kernels.all_below(batch, n, threshold)]
             yield first, batch
+        del lv, batch  # not held while the next block is drawn
 
 
 # ---------------------------------------------------------------------------

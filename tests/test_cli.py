@@ -517,6 +517,20 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert all(c["status"] == "pass" for c in manifest["checks"])
 
+    def test_manifest_records_peak_rss_after_each_check(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = parse_config(write_config(tmp_path / "c.json", tree_config(out)))
+        before = cli.peak_rss_mb()
+        assert run_experiment(cfg) == 0
+        after = cli.peak_rss_mb()
+        manifest = json.loads((out / "manifest.json").read_text())
+        peaks = [c["peak_rss_mb"] for c in manifest["checks"]]
+        assert len(peaks) == len(cfg.checks)
+        assert before <= peaks[0] and peaks == sorted(peaks)
+        assert peaks[-1] <= after
+        report = json.loads((out / "report.json").read_text())
+        assert all("peak_rss_mb" not in c for c in report["checks"])
+
     def test_failing_check_exit_two(self, tmp_path):
         out = tmp_path / "out"
         cfg = parse_config(write_config(tmp_path / "c.json", {

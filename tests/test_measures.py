@@ -158,7 +158,7 @@ class TestTreeMeasure:
         probs = m.pair_level_probs()
         rng = np.random.default_rng(10)
         n_pairs = 100_000
-        idx = m.sample_indices(2, n_pairs, rng)
+        idx = m.sample_indices(rng.random((n_pairs, 2)))
         lv = m.levels_from_indices(idx)[:, 0, 1]
         for level in (1, 2, 3):
             p_hat = np.mean(lv == level)
@@ -470,8 +470,8 @@ class TestTreeModelBlocks:
                     assert measure._cum[:-1].tobytes() == want[:-1].tobytes()
                     assert measure._cum[-1] == 1.0
                     assert not measure._cum.flags.writeable
-                    a, b = (m.sample_indices(4, 300, np.random.default_rng(j))
-                            for m in (measure, alone))
+                    u = np.random.default_rng(j).random((300, 4))
+                    a, b = (m.sample_indices(u) for m in (measure, alone))
                     assert np.array_equal(a, b)
                     assert "weights" not in vars(measure)
 
@@ -569,7 +569,7 @@ class TestTreeCodeLevels:
         assert lv.dtype == np.int16 and np.array_equal(lv, want)
         for i, j in itertools.product(range(m.m), repeat=2):
             assert m.pair_level(i, j) == m.table[i, j]
-        idx = m.sample_indices(4, 500, np.random.default_rng(B * k))
+        idx = m.sample_indices(np.random.default_rng(B * k).random((500, 4)))
         lv = m.levels_from_indices(idx)
         off = ~np.eye(4, dtype=bool)
         assert np.array_equal(lv[:, off], m.table[idx[:, :, None],
@@ -580,7 +580,7 @@ class TestTreeCodeLevels:
         B, k = 60, 2
         m = self.measure(B, k)
         assert m.m > measures.TABLE_CAP and m.table is None
-        idx = m.sample_indices(5, 2000, np.random.default_rng(4))
+        idx = m.sample_indices(np.random.default_rng(4).random((2000, 5)))
         # pairs that share one or two ancestors, and distinct leaves
         idx[:10, 1] = idx[:10, 0]
         idx[10:20, 1] = idx[10:20, 0] // B * B + (idx[10:20, 0] + 1) % B
@@ -642,7 +642,7 @@ class TestLevelBlockLayout:
     @pytest.mark.parametrize("kind", ["tree", "explicit"])
     def test_levels_are_table_gathers_in_pair_major_block(self, kind, n):
         m = self.MEASURES[kind]()
-        idx = m.sample_indices(n, 400, np.random.default_rng(n))
+        idx = m.sample_indices(np.random.default_rng(n).random((400, n)))
         idx[:5, 1] = idx[:5, 0]  # replicas on one atom
         lv = m.levels_from_indices(idx)
         want = m.table[idx[:, :, None], idx[:, None, :]]

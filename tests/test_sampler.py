@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def kept_levels(measure, n, mc, seed, threshold=None):
 class TestDrawReplicas:
     def test_single_atom_all_top(self):
         m = single_atom()
-        idx = m.sample_indices(3, 50, np.random.default_rng(1))
+        idx = m.sample_indices(np.random.default_rng(1).random((50, 3)))
         assert (idx == 0).all()
         for lv in kept_levels(m, 3, MCConfig(4, 5), 1):
             assert lv.shape == (5, 3, 3)
@@ -67,7 +69,7 @@ class TestDrawReplicas:
         m = two_orthogonal(0.3)
         rng = np.random.default_rng(2)
         n_pairs = 100_000
-        idx = m.sample_indices(2, n_pairs, rng)
+        idx = m.sample_indices(rng.random((n_pairs, 2)))
         p_hat = np.mean(idx[:, 0] == idx[:, 1])
         p = 0.3**2 + 0.7**2
         se = np.sqrt(p * (1 - p) / n_pairs)
@@ -76,7 +78,7 @@ class TestDrawReplicas:
     def test_matrix_matches_indices(self):
         for m in (three_atoms(), build_tree_measures(
                 TreeMeasureSpec((0.3, 0.7), 3, (0.3, 0.6), seed=3), 0, 1)[0]):
-            idx = m.sample_indices(5, 40, np.random.default_rng(3))
+            idx = m.sample_indices(np.random.default_rng(3).random((40, 5)))
             lv = m.levels_from_indices(idx)
             for t in range(len(idx)):
                 for a in range(5):
@@ -326,7 +328,7 @@ def outer_stat_means_per_draw(model, stats, n, mc, seed, event_threshold=None):
     for j in range(mc.outer):
         measure = model.measure_at(j)
         rng = counter_stream(seed, sampler._INNER_KEY, j * n * mc.inner)
-        idx = measure.sample_indices(n, mc.inner, rng)
+        idx = measure.sample_indices(rng.random((mc.inner, n)))
         lv = measure.levels_from_indices(idx)
         vals = measure.grid.values_by_index()
         means[j] = _kernels.eval_stats(lv, vals, pack).mean(axis=0)
@@ -347,8 +349,8 @@ def prefix_means_per_draw(model, stats, n, mc, seed, event_threshold,
     for j in range(mc.outer):
         measure = model.measure_at(j)
         rng = counter_stream(seed, sampler._INNER_KEY, j * n * mc.inner)
-        lv = measure.levels_from_indices(measure.sample_indices(n, mc.inner,
-                                                                rng))
+        lv = measure.levels_from_indices(
+            measure.sample_indices(rng.random((mc.inner, n))))
         vals = measure.grid.values_by_index()
         values = np.empty((mc.inner, len(cols)))
         for i, (st, c) in enumerate(cols):
@@ -445,6 +447,48 @@ class TestOuterBlocksReference:
             outer_stat_means(Mixed(), [Statistic(2)], 2, MCConfig(4, 5), 1)
 
 
+@pytest.mark.parametrize("name", ["tree", "tree_digits", "frozen"])
+def test_outer_stat_means_holds_one_block(monkeypatch, name):
+    """outer_stat_means holds one block at a time: a block's uniforms are
+    freed before its level fill, and its indices, levels and statistic
+    values before the next block's uniforms are read."""
+    monkeypatch.setattr(sampler, "OUTER_BLOCK_ROWS", 3 * 20)  # 3 draws a block
+    uniforms, block = [], []
+
+    def dead(refs):
+        return all(ref() is None for ref in refs)
+
+    real_sample = DiscreteMeasure.sample_indices
+    real_levels = DiscreteMeasure.levels_from_indices
+    real_eval = _kernels.eval_stats
+
+    def sample_indices(self, u):
+        assert dead(block)  # the previous block is gone
+        uniforms.append(weakref.ref(u.base))
+        return real_sample(self, u)
+
+    def levels_from_indices(self, idx):
+        assert dead(uniforms)
+        lv = real_levels(self, idx)
+        block.extend([weakref.ref(idx), weakref.ref(lv.base)])
+        return lv
+
+    def eval_stats(lv, vals, pack):
+        out = real_eval(lv, vals, pack)
+        block.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(DiscreteMeasure, "sample_indices", sample_indices)
+    monkeypatch.setattr(DiscreteMeasure, "levels_from_indices",
+                        levels_from_indices)
+    monkeypatch.setattr(_kernels, "eval_stats", eval_stats)
+    model = TestOuterBlocksReference.models()[name]
+    outer_stat_means(model, TestOuterBlocksReference.STATS, 3,
+                     MCConfig(10, 20), 9)
+    assert len(block) == 3 * 4  # four blocks: 3, 3, 3 and 1 draws
+    assert dead(block)
+
+
 class TestTreeRejection:
     """The block sampler drops a tree's tuples outside an event on the
     levels its ancestor codes give; it keeps exactly the drawn tuples whose
@@ -463,7 +507,7 @@ class TestTreeRejection:
                                                           key=0x5CA)]
             for j, lv in enumerate(got):
                 rng = counter_stream(n, 0x5CA, j * n * mc.inner)
-                idx = m.sample_indices(n, mc.inner, rng)
+                idx = m.sample_indices(rng.random((mc.inner, n)))
                 levels = m.table[idx[:, iu], idx[:, ju]]
                 inside = (levels <= t).all(axis=1)
                 assert np.array_equal(lv[:, iu, ju], levels[inside])
@@ -487,7 +531,8 @@ def filtered_level_batches_per_draw(model, n, mc, seed, threshold, key):
     for j in range(mc.outer):
         measure = model.measure_at(j)
         rng = counter_stream(seed, key, j * n * mc.inner)
-        lv = measure.levels_from_indices(measure.sample_indices(n, mc.inner, rng))
+        lv = measure.levels_from_indices(
+            measure.sample_indices(rng.random((mc.inner, n))))
         if t is not None:
             lv = lv[_kernels.all_below(lv, n, t)]
         yield measure, lv
