@@ -39,11 +39,14 @@ from .measures import (TreeMeasureSpec, adversarial_measure, derive_seed,
 from .models import FrozenModel, TreeModel
 from .observables import (MAX_MONOMIAL_POWER, ObservableSpec, Psi,
                           default_gg_observables)
-from .pipeline import DescendConfig, criterion_run, descend
-from .sampler import EventSpec, MCConfig
+from .pipeline import (DescendConfig, criterion_estimates, criterion_run,
+                       descend)
+from .sampler import EventSpec, MCConfig, sweep
 from .verify import (DEFAULT_ABS_TOL, DEFAULT_Z, conditional_marginal_check,
-                     consistency_check, distinct_mass_check, gg_residual,
-                     grid_rule, lemma1_check, method_rule, positivity_check,
+                     consistency_check, consistency_estimates,
+                     distinct_mass_check, gg_estimates, gg_residual, grid_rule,
+                     lemma1_check, lemma1_estimates, marginal_estimates,
+                     mass_estimates, method_rule, positivity_check,
                      support_check, ultrametricity_check)
 
 REQUIRED = object()
@@ -188,15 +191,26 @@ DESCEND = {"n_condition": _int(DescendConfig.n_condition, 1),
 
 class Check(NamedTuple):
     """A check type: its fields (after CHECK's), and how it reads the outer
-    measures of a model, which memo_plan reads. reach(v) of the parsed
-    fields v is how many it reads, draws 0 .. reach - 1; rereads is whether
-    it reads that range in more than one pass. A check whose passes change
-    changes its entry here; each multi-pass check names its entry where it
+    measures of a model.
+
+    A check that estimates by Monte Carlo names the function that states
+    its estimates (estimates), which it calls itself; run_experiment
+    sweeps them for every such check before the first check runs
+    (sweep_checks), and the check reads no measure. A check that scans
+    draws states what memo_plan reads: reach(v) of the parsed fields v is
+    how many draws it reads, 0 .. reach - 1, and rereads is whether it
+    reads that range in more than one pass. A check whose reads change
+    changes its entry here; each multi-pass scan names its entry where it
     reads."""
 
     fields: dict
-    reach: Callable = lambda v: v["mc"].outer
+    reach: Optional[Callable] = None
     rereads: bool = False
+    estimates: Optional[Callable] = None
+
+
+def _outer(v) -> int:
+    return v["mc"].outer
 
 
 CHECKS = {
@@ -206,19 +220,22 @@ CHECKS = {
             lambda v: v == "default" or isinstance(v, list) and len(v) > 0,
             'must be "default" or a nonempty list of objects', "default"),
         "conditioned": Field(lambda v: v is None or isinstance(v, dict),
-                             "must be an object", None)}),
-    "mass": Check({**_ESTIMATOR, "n_max": _int(5, 2)}),
-    "lemma1": Check(_F_CHECK),
-    "consistency": Check(_F_CHECK),
+                             "must be an object", None)},
+        estimates=gg_estimates),
+    "mass": Check({**_ESTIMATOR, "n_max": _int(5, 2)},
+                  estimates=mass_estimates),
+    "lemma1": Check(_F_CHECK, estimates=lemma1_estimates),
+    "consistency": Check(_F_CHECK, estimates=consistency_estimates),
     # two estimates, the conditioned one and the reference
-    "marginal": Check(_ESTIMATOR, rereads=True),
+    "marginal": Check(_ESTIMATOR, estimates=marginal_estimates),
     "support": Check({}, reach=lambda v: 1),  # measure 0 alone
-    "positivity": Check(_SAMPLING),
+    "positivity": Check(_SAMPLING, reach=_outer),
     # the ultra scan caches three index arrays of 24 bytes a triple for each
     # n: about 4 MB at n = 100, and 148 MB more at n = 300
-    "ultra": Check({**_SAMPLING, "n": _int(8, 3, 100)}),
+    "ultra": Check({**_SAMPLING, "n": _int(8, 3, 100)}, reach=_outer),
     # measure 0, then scans and estimates level after level; the scans read
-    # psd_outer draws
+    # psd_outer draws. Its estimates depend on the levels that pass, so it
+    # states them as it goes and takes no sweep
     "descend": Check({**_ESTIMATOR, **DESCEND},
                      reach=lambda v: max(v["mc"].outer, v["psd_outer"]),
                      rereads=True),
@@ -232,7 +249,7 @@ CHECKS = {
                 _is_int_triples(p, 1) and p for p in v),
             "must be a nonempty list of nonempty lists of [a, b, c] integer "
             "level triples, levels >= 1", [[[1, 1, 1]]]),
-        "n_max": _int(6, 3)}, rereads=True),
+        "n_max": _int(6, 3)}, estimates=criterion_estimates),
 }
 
 
@@ -417,16 +434,18 @@ def build_model(measure: dict):
 
 
 def memo_plan(checks) -> list:
-    """(keep, store) for TreeModel.keep_measures before each check, by
-    Belady's rule, from each check's reach and rereads in CHECKS. Before
-    check i the model drops the measures no check from i on reads, and
-    keeps a newly built one only if a later check reads it, or check i
-    itself reads it again."""
-    reads = []
+    """(keep, store) for TreeModel.keep_measures before the sweep and then
+    before each check, by Belady's rule, from each scan's reach and rereads
+    in CHECKS. The sweep reads each draw once, and a check it serves reads
+    none. Before step i the model drops the measures no step from i on
+    reads, and keeps a newly built one only if a later step reads it, or
+    step i itself reads it again."""
+    reads = [(0, False)]  # the sweep
     for chk in checks:
         v = _read_check(chk, "check", [])
         check = CHECKS[v["name"]]
-        reads.append((check.reach(v), check.rereads))
+        reads.append((0, False) if check.estimates
+                     else (check.reach(v), check.rereads))
     plan, later = [], 0
     for reach, rereads in reversed(reads):
         plan.append((max(reach, later),
@@ -435,9 +454,66 @@ def memo_plan(checks) -> list:
     return plan[::-1]
 
 
-def _run_check(chk: dict, model, seed: int, oracle: bool):
-    """Dispatch one configured check. Returns (rows, json_obj); the check
-    passes when every one of its rows does."""
+def _estimator_args(v: dict, seed: int) -> tuple:
+    """The arguments after the model that an estimating check's function and
+    its CHECKS estimates function both take, from its parsed fields v."""
+    name, mc = v["name"], v["mc"]
+    if name == "gg":
+        observables, cond = v["observables"], v["conditioned"]
+        # each observable is conditioned on its own n + 1 replicas
+        conds = [EventSpec(cond["kind"], obs.n + 1, cond["q"])
+                 for obs in observables] if cond else None
+        return observables, mc, seed, conds
+    if name == "mass":
+        return v["n_max"], mc, seed
+    if name in ("lemma1", "consistency"):
+        return v["f"], v["n"], mc, seed
+    if name == "marginal":
+        return mc, seed
+    if name == "criterion":
+        return float(v["q"]), v["patterns"], v["n_max"], mc, seed
+    raise ValueError(f"check {name!r} states no estimates")
+
+
+def sweep_checks(checks, model, seed: int):
+    """Sweep the estimates of every check that estimates by Monte Carlo, in
+    one pass over the outer draws. Returns {check index: the means served to
+    it} and the manifest's sweep entry.
+
+    A check whose estimates cannot be stated (grid_rule and its other
+    refusals) is not served, and raises the refusal itself when it runs. If
+    the sweep raises, no check is served, and each runs on its own and
+    reports its own error.
+    """
+    start = time.time()
+    owners, ests = [], []
+    for i, chk in enumerate(checks):
+        v = _read_check(chk, "check", [])
+        estimates = CHECKS[v["name"]].estimates
+        if estimates is None or v["method"] != "mc":
+            continue
+        try:
+            got = estimates(model, *_estimator_args(v, derive_seed(seed, i)))
+        except Exception:  # noqa: BLE001 - the check raises it when it runs
+            continue
+        owners.append((i, len(got)))
+        ests += got
+    err = None
+    try:
+        means = iter(sweep(model, ests))
+    except Exception as e:  # noqa: BLE001 - each check reports its own
+        owners, ests, err = [], [], f"{type(e).__name__}: {e}"
+    served = {i: [next(means) for _ in range(count)] for i, count in owners}
+    return served, {
+        "wall_time_s": time.time() - start, "estimates": len(ests),
+        "outer_draws": max((est.mc.outer for est in ests), default=0),
+        "error": err, "peak_rss_mb": peak_rss_mb()}
+
+
+def _run_check(chk: dict, model, seed: int, oracle: bool, served=None):
+    """Dispatch one configured check, with the means swept for it if any
+    (served). Returns (rows, json_obj); the check passes when every one of
+    its rows does."""
     problems = []
     v = _read_check(chk, "check", problems)
     if problems:
@@ -446,16 +522,12 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
     if "method" in v:  # the fields every estimating check reads alike
         est = {"abs_tol": float(v["abs_tol"]), "z": float(v["z"]),
                "method": "enumerate" if oracle else v["method"]}
+    args = _estimator_args(v, seed) if CHECKS[name].estimates else None
 
     if name == "gg":
-        observables, cond = v["observables"], v["conditioned"]
-        # each observable is conditioned on its own n + 1 replicas
-        conds = [EventSpec(cond["kind"], obs.n + 1, cond["q"])
-                 for obs in observables] if cond else None
-        reps = gg_residual(model, observables, mc, seed, conditioned=conds,
-                           **est)
+        reps = gg_residual(model, *args, **est, served=served)
         rows, objs = [], []
-        for obs, rep in zip(observables, reps):
+        for obs, rep in zip(v["observables"], reps):
             if isinstance(rep, Exception):
                 raise rep
             rows.append(rep.row())
@@ -465,17 +537,17 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
         return rows, {"observables": objs}
 
     if name == "mass":
-        rep = distinct_mass_check(model, v["n_max"], mc, seed, **est)
+        rep = distinct_mass_check(model, *args, **est, served=served)
         return list(rep.rows), {"p_top": rep.p_top}
 
     if name in ("lemma1", "consistency"):
         fn = lemma1_check if name == "lemma1" else consistency_check
-        rep = fn(model, v["f"], v["n"], mc, seed, **est)
+        rep = fn(model, *args, **est, served=served)
         return [rep.row(name)], {"residual": rep.residual,
                                  "se": rep.residual_se}
 
     if name == "marginal":
-        rep = conditional_marginal_check(model, mc, seed, **est)
+        rep = conditional_marginal_check(model, *args, **est, served=served)
         return list(rep.rows), {"acceptance_rate": rep.acceptance_rate}
 
     if name == "support":
@@ -498,9 +570,8 @@ def _run_check(chk: dict, model, seed: int, oracle: bool):
         return rep.rows(model.model_id), rep.to_json_dict()
 
     if name == "criterion":
-        reports = criterion_run(model, float(v["q"]), v["patterns"],
-                                v["n_max"], mc, seed, z=est["z"],
-                                method=est["method"])
+        reports = criterion_run(model, *args, z=est["z"],
+                                method=est["method"], served=served)
         rows = [row for rep in reports for row in rep.rows(model.model_id)]
         return rows, {"patterns": [r.to_json_dict() for r in reports]}
 
@@ -559,10 +630,12 @@ def peak_rss_mb() -> Optional[float]:
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    out_dir=None, formats=None, seed=None,
                    oracle: bool = False) -> int:
-    """Run the checks in config order, one at a time, and write the reports.
+    """Sweep the checks' Monte Carlo estimates (sweep_checks), then run the
+    checks in config order, one at a time, and write the reports. oracle
+    enumerates and takes no sweep.
 
-    jobs is only recorded in the manifest, and so is each check's
-    peak_rss_mb, the process's peak RSS after the check.
+    jobs is only recorded in the manifest, and so are the sweep's entry and
+    each check's peak_rss_mb, the process's peak RSS after the check.
     """
     t0 = time.time()
     seed = config.seed if seed is None else seed
@@ -591,6 +664,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 
     # a frozen model keeps no measures, so only a redrawn one gets a plan
     plan = None if model.frozen else memo_plan(config.checks)
+    if plan:
+        model.keep_measures(*plan[0])
+    served, sweep_entry = ({}, None) if oracle else sweep_checks(
+        config.checks, model, seed)
     all_rows = []
     check_summaries = []
     statuses = []
@@ -598,10 +675,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     for i, chk in enumerate(config.checks):
         start = time.time()
         if plan:
-            model.keep_measures(*plan[i])
+            model.keep_measures(*plan[i + 1])
         rows, obj, err = [], {}, None
         try:
-            rows, obj = _run_check(chk, model, derive_seed(seed, i), oracle)
+            rows, obj = _run_check(chk, model, derive_seed(seed, i), oracle,
+                                   served.get(i))
             status = "pass" if all(r.passed for r in rows) else "fail"
         except Exception as e:  # noqa: BLE001 - gather all per-check errors
             status, err = "error", f"{type(e).__name__}: {e}"
@@ -622,6 +700,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         "seed": seed,
         "jobs": jobs,
         "oracle": oracle,
+        "sweep": sweep_entry,
         "checks": [{"name": s["name"], "status": s["status"],
                     "wall_time_s": s["wall_time_s"], "error": s["error"],
                     "peak_rss_mb": peak}

@@ -178,8 +178,16 @@ class DiscreteMeasure:
         return self.table
 
     def sample_indices(self, u: np.ndarray) -> np.ndarray:
-        """Atom indices of uniforms u (any shape): the inverse of the CDF."""
-        return self._cum.searchsorted(u)
+        """Atom indices of uniforms u (any shape): the inverse of the CDF.
+
+        The search runs on the bit patterns as int64: weights are validated
+        positive, and non-negative doubles order as their bits, so every key
+        (negative, +-0, +-inf, the default NaN) gets the index of the float
+        search, without its NaN-aware compare at each step. Only a NaN with
+        its sign bit set would differ (index 0, not m); random() draws none.
+        """
+        return self._cum.view(np.int64).searchsorted(
+            np.asarray(u, dtype=np.float64).view(np.int64))
 
     def pair_level(self, i: int, j: int) -> int:
         if self.tree is not None:

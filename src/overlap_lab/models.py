@@ -5,16 +5,18 @@ time (measure_at) or a range of them in order (measures). Tree models
 redraw the random weights (the outer randomness) while sharing the fixed
 geometry: outer measure j is draw j of the model spec's tree, which reads
 its own slice of one weight stream, so a range is built as one block and
-each measure is bit for bit the one built alone. They keep the measures
-they built, up to MEMO_BYTES, so that later checks reuse them; a kept
-measure holds its cumulative weights, and rebuilds its weights from its
-slice of the stream only if something reads them. Which measures are kept
-follows Belady's rule (keep an item only until its last future use): a
-run knows the outer draws each check still to come reads, and before each
-check it tells the model, through keep_measures, which draws a later read
-needs (cli.run_experiment). Frozen models return the same measure every
-time, so the outer expectation degenerates to the inner average; they
-keep nothing.
+each measure is bit for bit the one built alone. A run reads the outer
+draws of all its Monte Carlo estimates in one pass (sampler.sweep), and
+only the scans (support, positivity, ultra and descend) read draws again
+after it. So a tree model keeps the measures it built only as a run asks,
+up to MEMO_BYTES: a kept measure holds its cumulative weights, and
+rebuilds its weights from its slice of the stream only if something reads
+them. Which measures are kept follows Belady's rule (keep an item only
+until its last future use): a run knows the outer draws each scan still
+to come reads, and before the sweep and each scan it tells the model,
+through keep_measures, which draws a later read needs (cli.memo_plan).
+Frozen models return the same measure every time, so the outer
+expectation degenerates to the inner average; they keep nothing.
 
 A descended model represents the conditioned-and-truncated ensemble of
 the induction step: n replicas from it are n replicas of the base measure
@@ -36,7 +38,7 @@ from .measures import (DiscreteMeasure, TreeMeasureSpec, TreeStructure,
 # Most bytes of outer measures a TreeModel keeps, counted as 8 per atom
 # (their cumulative weights; a measure redraws its weights when they are
 # read). Within keep_measures' bounds measures are kept first come: every
-# check scans j = 0, 1, ... again, so the first ones are the ones reused.
+# scan reads draws 0 .. reach - 1, so the first ones are the ones reused.
 MEMO_BYTES = 64 * 2**20
 
 # Most atoms a TreeModel builds in one block. A longer range is built in

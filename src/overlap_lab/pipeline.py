@@ -22,11 +22,11 @@ from .measures import DiscreteMeasure, derive_seed
 from .models import DescendedModel, as_model
 from .observables import ObservableSpec, Psi, Statistic
 # perfbench/tracer.py wraps outer_stat_means and enumerate_statistics here
-from .sampler import (EventSpec, MCConfig, count_columns,
+from .sampler import (Estimate, EventSpec, MCConfig, count_columns,
                       enumerate_statistics, filtered_level_batches,
                       influence_se, outer_stat_means, ratio_from_means)
-from .verify import (DEFAULT_ABS_TOL, DEFAULT_Z, CheckRow, estimates,
-                     gg_residual, grid_rule)
+from .verify import (DEFAULT_ABS_TOL, DEFAULT_Z, CheckRow, gg_residual,
+                     grid_rule, served_means)
 
 
 def collision_identity_check(measure: DiscreteMeasure):
@@ -247,26 +247,57 @@ class CriterionReport:
         }
 
 
-def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]],
-                  n_max: int, mc: MCConfig, seed: int,
-                  z: float = DEFAULT_Z, method: str = "mc") -> list:
-    """Conditional triple-pattern probabilities for n = 3..n_max.
+def _pattern_sets(B_patterns) -> list:
+    """Each pattern set as a list of sorted level triples."""
+    return [[tuple(sorted(int(v) for v in tri)) for tri in pat]
+            for pat in B_patterns]
 
-    Each pattern set is a list of sorted level triples; its probability is
-    the chance the first three replicas of a below-q conditioned n-tuple
-    show one of those triples (as an unordered multiset of levels).
-    """
+
+def criterion_estimates(model, q: float,
+                        B_patterns: Sequence[Sequence[Sequence[int]]],
+                        n_max: int, mc: MCConfig, seed: int) -> list:
+    """The estimates of criterion_run: P(R12 < q), then the pattern sets on
+    three below-q replicas, then, when n_max > 3, on the first n of n_max
+    for n = 4..n_max. n = 3 is the reference of every later row, so it has
+    its own stream; n = 4..n_max read the prefixes of one n_max-replica
+    pass."""
     model = as_model(model)
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     event = EventSpec("A_nq", 3, q)
     grid_rule("criterion", model.grid, patterns=B_patterns, events=[event])
     t = event.threshold(model.grid)
-    # two passes over mc.outer draws, three when n_max > 3:
-    # cli.CHECKS["criterion"].rereads
-    below = Statistic(2).with_threshold(2, t)
-    means, _ = estimates(model, [below], 2, mc, derive_seed(seed, 0xB0), None,
-                         method)
+    triples = [tri for pat in _pattern_sets(B_patterns) for tri in pat]
+
+    def pattern_stats(n):
+        return [Statistic(n).with_sorted_triple(tri) for tri in triples]
+
+    ests = [Estimate([Statistic(2).with_threshold(2, t)], 2, mc,
+                     derive_seed(seed, 0xB0)),
+            Estimate(pattern_stats(3), 3, mc, derive_seed(seed, 0xB1, 3), t)]
+    if n_max > 3:
+        ns = range(4, n_max + 1)
+        ests.append(Estimate([st for n in ns for st in pattern_stats(n)],
+                             n_max, mc, derive_seed(seed, 0xB2), t,
+                             [n for n in ns for _ in triples]))
+    return ests
+
+
+def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]],
+                  n_max: int, mc: MCConfig, seed: int,
+                  z: float = DEFAULT_Z, method: str = "mc",
+                  served=None) -> list:
+    """Conditional triple-pattern probabilities for n = 3..n_max.
+
+    Each pattern set is a list of sorted level triples; its probability is
+    the chance the first three replicas of a below-q conditioned n-tuple
+    show one of those triples (as an unordered multiset of levels).
+    served is as in verify.distinct_mass_check.
+    """
+    model = as_model(model)
+    ests = criterion_estimates(model, q, B_patterns, n_max, mc, seed)
+    got = served_means(model, ests, method, served)
+    means, _ = next(got)
     try:
         r, h, _ = ratio_from_means(means, z)
     except EventMassTooSmall as e:
@@ -276,36 +307,23 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
         raise NullConditioning(
             f"P(R12 < {q}) = {p_below:.3g} within noise of zero")
 
-    sets = [[tuple(sorted(int(v) for v in tri)) for tri in pat]
-            for pat in B_patterns]
+    sets = _pattern_sets(B_patterns)
     offsets = np.cumsum([0] + [len(pat) for pat in sets]).tolist()
-
-    def pattern_stats(n):
-        return [Statistic(n).with_sorted_triple(tri) for pat in sets
-                for tri in pat]
 
     def sequence_entry(r, h):
         return [(float(r[a:b].sum()), influence_se(h[:, a:b].sum(axis=1)))
                 for a, b in zip(offsets, offsets[1:])]
 
-    # n = 3 is the reference of every later row, so it has its own stream;
-    # n = 4..n_max read the prefixes of one n_max-replica pass
     try:
-        means, _ = estimates(model, pattern_stats(3), 3, mc,
-                             derive_seed(seed, 0xB1, 3), t, method)
+        means, _ = next(got)
         r, h, _ = ratio_from_means(means, z)
     except EventMassTooSmall as e:
         raise NullConditioning(
             f"no mass left for three below-q replicas: {e}") from e
     per_n = {3: sequence_entry(r, h)}
     if n_max > 3:
-        stats, counts = [], []
-        for n in range(4, n_max + 1):
-            stats += pattern_stats(n)
-            counts += [n] * offsets[-1]
-        means, _ = estimates(model, stats, n_max, mc, derive_seed(seed, 0xB2),
-                             t, method, counts)
-        for n, cols in count_columns(counts):
+        means, _ = next(got)
+        for n, cols in count_columns(ests[2].counts):
             try:
                 r, h, _ = ratio_from_means(np.take(means, cols, axis=1), z)
             except EventMassTooSmall:

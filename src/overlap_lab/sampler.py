@@ -4,13 +4,16 @@ Expectations are nested: an outer average over independently drawn
 measures and an inner average over i.i.d. replica tuples from each.
 Standard errors always come from the outer replication level, treating
 each drawn measure as one observation. Every draw, of the estimates of
-outer_stat_means and of the per-draw scans of filtered_level_batches, is
-read in blocks from _level_blocks: outer draw j reads a fixed slice of one
-stream per purpose (measures.counter_stream).
+sweep (outer_stat_means is its one-estimate case) and of the per-draw
+scans of filtered_level_batches, is read in blocks from _draw_block: outer
+draw j reads a fixed slice of one stream per purpose
+(measures.counter_stream). sweep serves any number of estimates from one
+pass over the outer draws, so a run reads each draw once for all of them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
@@ -34,6 +37,13 @@ _LAW_KEY = 0x1A3
 # Most replica rows of one block of outer draws (see _level_blocks); whole
 # outer draws are grouped up to this bound (one draw when inner exceeds it).
 OUTER_BLOCK_ROWS = 1 << 14
+# Most atoms of the outer measures one window of sweep holds (at least one
+# measure): 26 measures of a B = 50, k = 2 tree, whose 8-byte cumulative
+# weights make 0.5 MB. Every estimate of a sweep reads its draws of a window
+# before the next window is read, so this also caps its blocks' draws. A
+# window of 13 such measures ran a tree_k2 run about 10% slower, and one of
+# 105 peaked 2 MB higher, both in process on a 2-vCPU host.
+SWEEP_ATOMS = 1 << 16
 # Most outer draws of one block of filtered_level_batches. Its consumers read
 # one draw at a time, so a larger block only spreads the block's fixed set-up
 # (one stream seek, the per-pair gathers) over more draws, and at 16 draws
@@ -93,50 +103,60 @@ def combined_threshold(model, event_threshold: Optional[int]) -> Optional[int]:
     return min(parts) if parts else None
 
 
+def _block_draws(n: int, mc: MCConfig, width: int = 0,
+                 max_draws: Optional[int] = None) -> int:
+    """How many consecutive outer draws one block holds. A block holds up to
+    OUTER_BLOCK_ROWS replica rows (one draw when inner exceeds it), fewer
+    for n > 8 so that its level entries stay within OUTER_BLOCK_ROWS * 64,
+    and fewer for a caller that computes more than 8 values a row (width)
+    so that those stay within OUTER_BLOCK_ROWS * 8, and at most max_draws
+    outer draws when a caller sets it."""
+    rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n, 8 * width)
+    return min(max(1, rows // mc.inner), max_draws or mc.outer)
+
+
 def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
-                  width: int = 0, max_draws: Optional[int] = None):
+                  max_draws: Optional[int] = None):
     """Yield (start, stop, first measure, (rows, n, n) levels) for blocks of
-    consecutive outer draws start, ..., stop - 1. The levels are a view of
-    one pair-major (n, n, rows) block (DiscreteMeasure.levels_from_indices),
-    so each pair's levels are contiguous, as in the enumeration's blocks.
-
-    Outer draw j gets measure j of the model and reads its n * inner
-    uniforms at offset j * n * inner of the stream counter_stream(seed,
-    key), so results do not depend on how the draws are grouped or in which
-    order the blocks run.
-
-    A block holds up to OUTER_BLOCK_ROWS replica rows (one draw when inner
-    exceeds it), fewer for n > 8 so that its level entries stay within
-    OUTER_BLOCK_ROWS * 64, and fewer for a caller that computes more than
-    8 values a row (width) so that those stay within OUTER_BLOCK_ROWS * 8,
-    and at most max_draws outer draws when a caller sets it.
-    Its measures are read lazily from one model.measures call, and every
-    measure of a model shares one pair-level table or one set of ancestor
-    codes (a TreeModel's measures share its TreeStructure, a frozen model
-    has one measure), so the first measure of a block turns all of the
-    block's index rows into level matrices, and its grid gives their values.
+    consecutive outer draws start, ..., stop - 1 (_block_draws), each drawn
+    by _draw_block from the measures of one model.measures call.
 
     One block is held at a time: the generator binds no block across its
-    yield, so a consumer that drops its own references (as outer_stat_means
-    does) has freed a block before the next one is drawn.
+    yield, so a consumer that drops its own references (as
+    filtered_level_batches does) has freed a block before the next one is
+    drawn.
     """
-    rows = OUTER_BLOCK_ROWS * 64 // max(64, n * n, 8 * width)
-    draws = min(max(1, rows // mc.inner), max_draws or mc.outer)
+    draws = _block_draws(n, mc, max_draws=max_draws)
     for start in range(0, mc.outer, draws):
         stop = min(start + draws, mc.outer)
         rng = counter_stream(seed, key, start * n * mc.inner)
-        yield (start, stop, *_draw_block(model, n, mc.inner, start, stop, rng))
+        yield (start, stop, *_draw_block(model.measures(start, stop),
+                                         stop - start, n, mc.inner, rng))
 
 
-def _draw_block(model, n: int, inner: int, start: int, stop: int, rng):
-    """(first measure, levels) of outer draws start, ..., stop - 1. The
-    block's uniforms are read in one call, which gives the bits of the
-    per-draw calls in order (random() reads one word per double); each
-    draw's searchsorted fills its own rows of one index array, and the
-    uniforms are freed before the level fill, the indices after it."""
-    u = rng.random(((stop - start) * inner, n))
+def _draw_block(measures, draws: int, n: int, inner: int, rng):
+    """(first measure, levels) of draws consecutive outer draws, measures
+    giving their measures in order and rng positioned at the first one.
+
+    Outer draw j reads its n * inner uniforms at offset j * n * inner of
+    its stream (counter_stream(seed, key)), so results do not depend on how
+    the draws are grouped or in which order the blocks run. The block's
+    uniforms are read in one call, which gives the bits of the per-draw
+    calls in order (random() reads one word per double); each draw's
+    searchsorted fills its own rows of one index array, and the uniforms
+    are freed before the level fill, the indices after it.
+
+    The levels are a view of one pair-major (n, n, rows) block
+    (DiscreteMeasure.levels_from_indices), so each pair's levels are
+    contiguous, as in the enumeration's blocks. Every measure of a model
+    shares one pair-level table or one set of ancestor codes (a TreeModel's
+    measures share its TreeStructure, a frozen model has one measure), so
+    the first measure of a block turns all of the block's index rows into
+    level matrices, and its grid gives their values.
+    """
+    u = rng.random((draws * inner, n))
     idx = np.empty(u.shape, dtype=np.intp)
-    for r, measure in enumerate(model.measures(start, stop)):
+    for r, measure in enumerate(measures):
         if r == 0:
             first = measure
         elif not first.shares_levels(measure):
@@ -158,6 +178,31 @@ def count_columns(counts: Sequence[int]) -> list:
             for g, c in enumerate(distinct)]
 
 
+@dataclass(frozen=True)
+class Estimate:
+    """The arguments of one outer_stat_means call: what sweep serves."""
+
+    stats: Sequence[Statistic]
+    n: int
+    mc: MCConfig
+    seed: int
+    event_threshold: Optional[int] = None
+    counts: Optional[Sequence[int]] = None
+
+    def columns(self, model) -> list:
+        """The statistics outer_stat_means evaluates, denominators last."""
+        n, stats = self.n, self.stats
+        threshold = combined_threshold(model, self.event_threshold)
+        counts = [n] * len(stats) if self.counts is None else list(self.counts)
+        if len(counts) != len(stats) or max(counts, default=n) > n:
+            raise ValueError(f"need one replica count <= {n} per statistic")
+        groups = count_columns(counts)
+        if threshold is None:
+            return list(stats) + [Statistic(n)] * len(groups)
+        return ([s.with_threshold(c, threshold) for s, c in zip(stats, counts)]
+                + [Statistic(n).with_threshold(c, threshold) for c, _ in groups])
+
+
 def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
                      seed: int, event_threshold: Optional[int] = None,
                      counts: Optional[Sequence[int]] = None):
@@ -176,27 +221,60 @@ def outer_stat_means(model, stats: Sequence[Statistic], n: int, mc: MCConfig,
     column (count_columns). The indicators weight, never reject, so this
     is exact for every model.
 
-    The draws come in _level_blocks from the stream of _INNER_KEY.
+    This is sweep of one Estimate; the draws come from the stream of
+    _INNER_KEY.
+    """
+    return sweep(model, [Estimate(stats, n, mc, seed, event_threshold,
+                                  counts)])[0]
+
+
+def sweep(model, estimates: Sequence[Estimate]) -> list:
+    """The outer_stat_means of each estimate, from one pass over the outer
+    draws.
+
+    The pass reads the measures 0, 1, ... of the farthest estimate's outer
+    draws in order from one model.measures call, a window of at most
+    SWEEP_ATOMS atoms of measures at a time (at least one measure), and
+    holds only the window's measures. Within a window each estimate that
+    reads its draws fills its rows in blocks of consecutive draws bounded
+    by _block_draws, each drawn by _draw_block from the estimate's own
+    stream slice and evaluated by one eval_stats call, so the means are
+    bit for bit those of the estimate swept alone, whatever the windows.
+    A run that sweeps all its estimates thus reads each draw once.
     """
     model = as_model(model)
-    threshold = combined_threshold(model, event_threshold)
-    counts = [n] * len(stats) if counts is None else list(counts)
-    if len(counts) != len(stats) or max(counts, default=n) > n:
-        raise ValueError(f"need one replica count <= {n} per statistic")
-    groups = count_columns(counts)
-    if threshold is None:
-        cols = list(stats) + [Statistic(n)] * len(groups)
-    else:
-        cols = [s.with_threshold(c, threshold) for s, c in zip(stats, counts)]
-        cols += [Statistic(n).with_threshold(c, threshold) for c, _ in groups]
-    pack = pack_statistics(cols)
-    means = np.empty((mc.outer, len(cols)))
-    for start, stop, first, lv in _level_blocks(model, n, mc, seed, _INNER_KEY,
-                                                len(cols)):
-        out = _kernels.eval_stats(lv, first.grid.values_by_index(), pack)
-        means[start:stop] = out.reshape(stop - start, mc.inner, -1).mean(axis=1)
-        del lv, out  # not held while the next block is drawn
+    columns = [est.columns(model) for est in estimates]
+    packs = [pack_statistics(cols) for cols in columns]
+    means = [np.empty((est.mc.outer, len(cols))) for est, cols
+             in zip(estimates, columns)]
+    outer = max((est.mc.outer for est in estimates), default=0)
+    measures = model.measures(0, outer)
+    start = 0
+    while start < outer:
+        window = [next(measures)]
+        size = min(outer - start, max(1, SWEEP_ATOMS // window[0].m))
+        window += itertools.islice(measures, size - 1)
+        stop = start + size
+        for est, pack, out in zip(estimates, packs, means):
+            _fill(window, start, min(stop, est.mc.outer), est, pack, out)
+        del window  # not held while the next window is read
+        start = stop
     return means
+
+
+def _fill(window, start: int, stop: int, est: Estimate, pack, out):
+    """Fill out[start:stop], the means of est's draws start, ..., stop - 1,
+    from window, the measures of the draws from start on."""
+    n, inner = est.n, est.mc.inner
+    draws = _block_draws(n, est.mc, out.shape[1])
+    for a in range(start, stop, draws):
+        b = min(a + draws, stop)
+        rng = counter_stream(est.seed, _INNER_KEY, a * n * inner)
+        first, lv = _draw_block(window[a - start:b - start], b - a, n, inner,
+                                rng)
+        vals = _kernels.eval_stats(lv, first.grid.values_by_index(), pack)
+        out[a:b] = vals.reshape(b - a, inner, -1).mean(axis=1)
+        del lv, vals  # not held while the next block is drawn
 
 
 def mean_and_se(per_outer: np.ndarray):

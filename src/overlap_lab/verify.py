@@ -28,7 +28,7 @@ from .grid import check_ultrametric_batch
 from .measures import DiscreteMeasure, derive_seed
 from .models import as_model
 from .observables import ObservableSpec, Statistic, statistic_for_f
-from .sampler import (EstimateReport, EventSpec, MCConfig, combined_threshold,
+from .sampler import (Estimate, EstimateReport, MCConfig, combined_threshold,
                       count_columns, enumerate_statistics,
                       filtered_level_batches, influence_se, mean_and_se,
                       outer_stat_means, ratio_from_means)
@@ -123,22 +123,24 @@ def _f_statistic(check: str, grid, f, n: int) -> Statistic:
     raise TypeError("f must be a Statistic, an ObservableSpec, or None")
 
 
-def estimates(model, stats, n, mc, seed, event_threshold, method,
-              counts=None):
-    """Indicator-augmented outer means, or exact one-row equivalents.
+def estimates(model, est: Estimate, method: str):
+    """Indicator-augmented outer means of est (outer_stat_means), or exact
+    one-row equivalents, and the event masses of the exact path.
 
-    counts is as in outer_stat_means: the replica count of each statistic,
-    with one denominator column per distinct count after the statistics.
-    The exact path enumerates each count's statistics at that count only,
-    and reports their conditional values over a unit denominator, or over
-    a zero one where the count's event has no mass; the event mass of each
-    count is returned separately.
+    est.counts is as in outer_stat_means: the replica count of each
+    statistic, with one denominator column per distinct count after the
+    statistics. The exact path enumerates each count's statistics at that
+    count only, and reports their conditional values over a unit
+    denominator, or over a zero one where the count's event has no mass;
+    the event mass of each count is returned separately.
     """
     model = as_model(model)
     method_rule(model, method)
+    stats = est.stats
     if method == "enumerate":
-        t = combined_threshold(model, event_threshold)
-        groups = count_columns([n] * len(stats) if counts is None else counts)
+        t = combined_threshold(model, est.event_threshold)
+        groups = count_columns([est.n] * len(stats) if est.counts is None
+                               else est.counts)
         means = np.ones((1, len(stats) + len(groups)))
         masses = np.zeros(len(groups))
         for g, (c, (*cols, den)) in enumerate(groups):
@@ -150,8 +152,24 @@ def estimates(model, stats, n, mc, seed, event_threshold, method,
                 vals = means[0, den] = 0.0
             means[0, cols] = vals
         return means, (masses if t is not None else None)
-    return outer_stat_means(model, stats, n, mc, seed, event_threshold,
-                            counts), None
+    return outer_stat_means(model, stats, est.n, est.mc, est.seed,
+                            est.event_threshold, est.counts), None
+
+
+def served_means(model, ests, method: str, served=None):
+    """Yield (means, event masses) of each of a check's estimates in order:
+    the means served to it (sweep's, whose masses are None), or else each
+    computed by estimates when it is asked for, so that a check that stops
+    early computes no more than it reads."""
+    if served is None:
+        for est in ests:
+            yield estimates(model, est, method)
+        return
+    if method != "mc" or len(served) != len(ests):
+        raise ValueError("served means are the Monte Carlo means of every "
+                         "estimate of the check")
+    for means in served:
+        yield means, None
 
 
 def _gg_statistics(obs: ObservableSpec) -> list:
@@ -167,9 +185,45 @@ def _gg_statistics(obs: ObservableSpec) -> list:
     return stats + [f_stat.with_psi(obs.psi, 0, l) for l in range(1, n)]
 
 
+def _gg_events(obs, conditioned) -> tuple:
+    """(observables, one event or None per observable) of gg_residual's
+    obs and conditioned, refused unless each event covers its observable's
+    full tuple."""
+    single = isinstance(obs, ObservableSpec)
+    observables = [obs] if single else list(obs)
+    if conditioned is None:
+        return observables, [None] * len(observables)
+    events = [conditioned] if single else list(conditioned)
+    if len(events) != len(observables):
+        raise ValueError("need one conditioning event per observable")
+    if any(e.n != o.n + 1 for o, e in zip(observables, events)):
+        raise ValueError("conditioning event must cover all n+1 replicas")
+    return observables, events
+
+
+def gg_estimates(model, obs, mc: MCConfig, seed: int,
+                 conditioned=None) -> list:
+    """The one estimate of gg_residual: every group of every observable on
+    max(n) + 1 replicas, under the events' one threshold."""
+    model = as_model(model)
+    observables, events = _gg_events(obs, conditioned)
+    grid_rule("gg", model.grid, observables,
+              events=[e for e in events if e is not None])
+    thresholds = {e.threshold(model.grid) for e in events if e is not None}
+    if len(thresholds) > 1:
+        raise ValueError("the events of one pass must share one threshold")
+    event_threshold = thresholds.pop() if thresholds else None
+    stats, counts = [], []
+    for o in observables:
+        group = _gg_statistics(o)
+        stats += group
+        counts += [o.n + 1] * len(group)
+    return [Estimate(stats, max(counts), mc, seed, event_threshold, counts)]
+
+
 def gg_residual(model, obs, mc: MCConfig, seed: int,
                 conditioned=None, abs_tol: float = DEFAULT_ABS_TOL,
-                z: float = DEFAULT_Z, method: str = "mc"):
+                z: float = DEFAULT_Z, method: str = "mc", served=None):
     """Residual of the cavity identity for one observable or a list of them.
 
     lhs  = E<f(R^n) psi(R_{1,n+1})>
@@ -187,38 +241,21 @@ def gg_residual(model, obs, mc: MCConfig, seed: int,
     One observable gives its ResidualReport. A list gives one entry per
     observable: its ResidualReport, or the AcceptanceTooLow its own event
     raised, so that an event without mass at one n leaves the others'
-    reports standing.
+    reports standing. served is as in distinct_mass_check.
     """
     model = as_model(model)
     single = isinstance(obs, ObservableSpec)
-    observables = [obs] if single else list(obs)
-    if conditioned is None:
-        events = [None] * len(observables)
-    else:
-        events = [conditioned] if single else list(conditioned)
-        if len(events) != len(observables):
-            raise ValueError("need one conditioning event per observable")
-        if any(e.n != o.n + 1 for o, e in zip(observables, events)):
-            raise ValueError("conditioning event must cover all n+1 replicas")
-    grid_rule("gg", model.grid, observables,
-              events=[e for e in events if e is not None])
-    thresholds = {e.threshold(model.grid) for e in events if e is not None}
-    if len(thresholds) > 1:
-        raise ValueError("the events of one pass must share one threshold")
-    event_threshold = thresholds.pop() if thresholds else None
-
-    stats, counts, spans = [], [], []
-    for o in observables:
-        group = _gg_statistics(o)
-        spans.append((len(stats), len(stats) + len(group)))
-        stats += group
-        counts += [o.n + 1] * len(group)
-    means, masses = estimates(model, stats, max(counts), mc, seed,
-                              event_threshold, method, counts)
-    conditioned_draws = combined_threshold(model, event_threshold) is not None
+    ests = gg_estimates(model, obs, mc, seed, conditioned)
+    observables, events = _gg_events(obs, conditioned)
+    (est,) = ests
+    ends = np.cumsum([o.n + 2 for o in observables]).tolist()  # group sizes
+    spans = list(zip([0] + ends, ends))
+    (means, masses), = served_means(model, ests, method, served)
+    conditioned_draws = combined_threshold(
+        model, est.event_threshold) is not None
     inner = mc.inner if method != "enumerate" else 0
     per_count = {}
-    for g, (c, cols) in enumerate(count_columns(counts)):
+    for g, (c, cols) in enumerate(count_columns(est.counts)):
         try:
             r, h, dbar = ratio_from_means(np.take(means, cols, axis=1), z)
         except EventMassTooSmall as e:
@@ -271,17 +308,29 @@ class MassReport:
     passed: bool
 
 
-def distinct_mass_check(model, n_max: int, mc: MCConfig, seed: int,
-                        abs_tol: float = DEFAULT_ABS_TOL, z: float = DEFAULT_Z,
-                        method: str = "mc") -> MassReport:
-    """E<I(no top-level ties among n replicas)> against (1 - p_top)^(n-1)."""
+def mass_estimates(model, n_max: int, mc: MCConfig, seed: int) -> list:
+    """The one estimate of distinct_mass_check: no top-level ties among the
+    first j of n_max replicas, j = 2 .. n_max, and the top level of R12."""
     model = as_model(model)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     K = model.grid.k
     stats = [Statistic(n_max).with_threshold(j, K - 1) for j in range(2, n_max + 1)]
     stats.append(Statistic(n_max).with_pattern(0, 1, K))
-    means, _ = estimates(model, stats, n_max, mc, seed, None, method)
+    return [Estimate(stats, n_max, mc, seed)]
+
+
+def distinct_mass_check(model, n_max: int, mc: MCConfig, seed: int,
+                        abs_tol: float = DEFAULT_ABS_TOL, z: float = DEFAULT_Z,
+                        method: str = "mc", served=None) -> MassReport:
+    """E<I(no top-level ties among n replicas)> against (1 - p_top)^(n-1).
+
+    served, when given, holds the per-draw means of mass_estimates' list,
+    in order, as sweep returns them; without it the check computes them.
+    """
+    model = as_model(model)
+    ests = mass_estimates(model, n_max, mc, seed)
+    (means, _), = served_means(model, ests, method, served)
     r, h, _ = ratio_from_means(means, z)
     pbar = float(r[-1])
     rows = []
@@ -299,10 +348,8 @@ def distinct_mass_check(model, n_max: int, mc: MCConfig, seed: int,
     return MassReport(tuple(rows), pbar, bool(all_pass))
 
 
-def lemma1_check(model, f, n: int, mc: MCConfig, seed: int,
-                 abs_tol: float = DEFAULT_ABS_TOL, z: float = DEFAULT_Z,
-                 method: str = "mc") -> ResidualReport:
-    """E<f I(distinct among n+1)> - (1 - p_top) E<f I(distinct among n)>."""
+def lemma1_estimates(model, f, n: int, mc: MCConfig, seed: int) -> list:
+    """The one estimate of lemma1_check."""
     model = as_model(model)
     K = model.grid.k
     f_stat = _f_statistic("lemma1", model.grid, f, n)
@@ -311,7 +358,17 @@ def lemma1_check(model, f, n: int, mc: MCConfig, seed: int,
         f_stat.with_threshold(n, K - 1),
         Statistic(n + 1).with_pattern(0, 1, K),
     ]
-    means, _ = estimates(model, stats, n + 1, mc, seed, None, method)
+    return [Estimate(stats, n + 1, mc, seed)]
+
+
+def lemma1_check(model, f, n: int, mc: MCConfig, seed: int,
+                 abs_tol: float = DEFAULT_ABS_TOL, z: float = DEFAULT_Z,
+                 method: str = "mc", served=None) -> ResidualReport:
+    """E<f I(distinct among n+1)> - (1 - p_top) E<f I(distinct among n)>.
+    served is as in distinct_mass_check."""
+    model = as_model(model)
+    ests = lemma1_estimates(model, f, n, mc, seed)
+    (means, _), = served_means(model, ests, method, served)
     r, h, _ = ratio_from_means(means, z)
     ubar, vbar, pbar = (float(v) for v in r)
     residual = ubar - (1.0 - pbar) * vbar
@@ -327,10 +384,8 @@ def lemma1_check(model, f, n: int, mc: MCConfig, seed: int,
                           f"lemma1:n={n}", model.model_id, "", n)
 
 
-def consistency_check(model, f, n: int, mc: MCConfig, seed: int,
-                      abs_tol: float = DEFAULT_ABS_TOL, z: float = DEFAULT_Z,
-                      method: str = "mc") -> ResidualReport:
-    """Conditional expectations of f under distinctness at sizes n+1 and n."""
+def consistency_estimates(model, f, n: int, mc: MCConfig, seed: int) -> list:
+    """The one estimate of consistency_check."""
     model = as_model(model)
     f_stat = _f_statistic("consistency", model.grid, f, n)
     K = model.grid.k
@@ -340,7 +395,17 @@ def consistency_check(model, f, n: int, mc: MCConfig, seed: int,
         f_stat.with_threshold(n, K - 1),
         Statistic(n + 1).with_threshold(n, K - 1),
     ]
-    means, _ = estimates(model, stats, n + 1, mc, seed, None, method)
+    return [Estimate(stats, n + 1, mc, seed)]
+
+
+def consistency_check(model, f, n: int, mc: MCConfig, seed: int,
+                      abs_tol: float = DEFAULT_ABS_TOL, z: float = DEFAULT_Z,
+                      method: str = "mc", served=None) -> ResidualReport:
+    """Conditional expectations of f under distinctness at sizes n+1 and n.
+    served is as in distinct_mass_check."""
+    model = as_model(model)
+    ests = consistency_estimates(model, f, n, mc, seed)
+    (means, _), = served_means(model, ests, method, served)
     r, h, _ = ratio_from_means(means, z)
     ubar, abar, vbar, bbar = (float(v) for v in r)
     se_a = influence_se(h[:, 1])
@@ -370,27 +435,38 @@ class MarginalReport:
     passed: bool
 
 
-def conditional_marginal_check(model, mc: MCConfig, seed: int,
-                               abs_tol: float = DEFAULT_ABS_TOL,
-                               z: float = DEFAULT_Z,
-                               method: str = "mc") -> MarginalReport:
-    """Distinct-pair level frequencies against p_l / (1 - p_top).
-
-    The conditional side keeps only accepted (tie-free) pairs from its own
-    draw stream; the reference side estimates the level probabilities on
-    an independent stream, so the comparison exercises the conditioning
-    machinery instead of reducing to an algebraic identity.
-    """
+def marginal_estimates(model, mc: MCConfig, seed: int) -> list:
+    """The two estimates of conditional_marginal_check: the pair levels
+    below the top on distinct pairs, and every pair level, each on its own
+    stream."""
     model = as_model(model)
     grid_rule("marginal", model.grid)
     K = model.grid.k
     cond_stats = [Statistic(2).with_pattern(0, 1, l) for l in range(1, K)]
     full_stats = [Statistic(2).with_pattern(0, 1, l) for l in range(1, K + 1)]
-    # two passes over mc.outer draws: cli.CHECKS["marginal"].rereads
-    cond_means, cond_mass = estimates(model, cond_stats, 2, mc,
-                                      derive_seed(seed, 1), K - 1, method)
-    full_means, _ = estimates(model, full_stats, 2, mc,
-                              derive_seed(seed, 2), None, method)
+    return [Estimate(cond_stats, 2, mc, derive_seed(seed, 1), K - 1),
+            Estimate(full_stats, 2, mc, derive_seed(seed, 2))]
+
+
+def conditional_marginal_check(model, mc: MCConfig, seed: int,
+                               abs_tol: float = DEFAULT_ABS_TOL,
+                               z: float = DEFAULT_Z,
+                               method: str = "mc",
+                               served=None) -> MarginalReport:
+    """Distinct-pair level frequencies against p_l / (1 - p_top).
+
+    The conditional side keeps only accepted (tie-free) pairs from its own
+    draw stream; the reference side estimates the level probabilities on
+    an independent stream, so the comparison exercises the conditioning
+    machinery instead of reducing to an algebraic identity. served is as
+    in distinct_mass_check.
+    """
+    model = as_model(model)
+    ests = marginal_estimates(model, mc, seed)
+    K = model.grid.k
+    got = served_means(model, ests, method, served)
+    cond_means, cond_mass = next(got)
+    full_means, _ = next(got)
     rc, hc, dbar = ratio_from_means(cond_means, z)
     rf, hf, _ = ratio_from_means(full_means, z)
     ptop = float(rf[-1])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from overlap_lab import cli, measures, models
+from overlap_lab import cli, measures, models, verify
 from overlap_lab.cli import (build_model, emit_plot_data, main, parse_config,
                              run_experiment)
 from overlap_lab.errors import ParseError, ValidationError
@@ -342,13 +342,31 @@ def test_tree_run_never_builds_pair_table(tmp_path, monkeypatch):
     assert "table" not in model.structure.__dict__
 
 
+def memo_at_each_check(monkeypatch) -> list:
+    """A copy of the memo at the entry of each check of a run."""
+    memos = []
+    run_check = cli._run_check
+
+    def recording(chk, model, *args):
+        memos.append(dict(model._memo))
+        return run_check(chk, model, *args)
+
+    monkeypatch.setattr(cli, "_run_check", recording)
+    return memos
+
+
 def test_tree_run_keeps_only_cumulative_weights(tmp_path, monkeypatch):
     """The memo holds cumulative weights; only the support check reads a
-    measure's weights, those of measure 0."""
+    measure's weights, those of measure 0. It is read at the entry of
+    descend, the last check that reads it; no check after it does, so the
+    run ends with an empty memo."""
+    memos = memo_at_each_check(monkeypatch)
     model = small_tree_run(tmp_path, monkeypatch)
-    assert len(model._memo) > 1
-    assert [j for j, measure in model._memo.items()
+    memo = memos[8]
+    assert len(memo) > 1
+    assert [j for j, measure in memo.items()
             if "weights" in measure.__dict__] in ([], [0])
+    assert model._memo == {}
 
 
 def test_tree_run_computes_no_level_probs(tmp_path, monkeypatch):
@@ -363,39 +381,46 @@ def test_tree_run_computes_no_level_probs(tmp_path, monkeypatch):
         return real(W, B)
 
     monkeypatch.setattr(measures, "_tree_level_probs", counting)
+    memos = memo_at_each_check(monkeypatch)
     model = small_tree_run(tmp_path, monkeypatch)
     assert calls == []
-    assert [j for j, measure in model._memo.items()
+    memo = memos[8]  # at descend's entry, as the run left it
+    assert len(memo) > 1
+    assert [j for j, measure in memo.items()
             if "weights" in measure.__dict__] in ([], [0])
-    assert all(measure.grid is model.grid for measure in model._memo.values())
+    assert all(measure.grid is model.grid for measure in memo.values())
     st, spec = model.structure, model.spec
-    assert sorted(model._memo) == list(range(len(model._memo)))
-    block = tree_leaf_weights(st, spec.zetas, spec.seed, 0, len(model._memo))
+    assert sorted(memo) == list(range(len(memo)))
+    block = tree_leaf_weights(st, spec.zetas, spec.seed, 0, len(memo))
     P = real(block, st.B)
-    read = list(model._memo)[::7]
+    read = list(memo)[::7]
     for j in read:
-        probs = model._memo[j].pair_level_probs()[1:]
+        probs = memo[j].pair_level_probs()[1:]
         assert probs.tobytes() == P[j].tobytes()
     assert calls == [(st.m,)] * len(read)
 
 
 def recording_reads(monkeypatch):
-    """Per check of a run, in order: the draws in the memo at its entry,
-    and the outer draws it reads, one entry per read."""
+    """Per step of a run, the sweep and then each check in order: the draws
+    in the memo at its entry, and the outer draws it reads, one entry per
+    read."""
     entries, reads = [], []
-    run_check, measures = cli._run_check, models.TreeModel.measures
+    measures = models.TreeModel.measures
 
-    def recording_check(chk, model, seed, oracle):
-        entries.append(sorted(model._memo))
-        reads.append([])
-        return run_check(chk, model, seed, oracle)
+    def entering(step):
+        def recording(checks, model, *args):
+            entries.append(sorted(model._memo))
+            reads.append([])
+            return step(checks, model, *args)
+        return recording
 
     def recording_measures(self, start, stop):
         for j, measure in enumerate(measures(self, start, stop), start):
             reads[-1].append(j)
             yield measure
 
-    monkeypatch.setattr(cli, "_run_check", recording_check)
+    monkeypatch.setattr(cli, "sweep_checks", entering(cli.sweep_checks))
+    monkeypatch.setattr(cli, "_run_check", entering(cli._run_check))
     monkeypatch.setattr(models.TreeModel, "measures", recording_measures)
     return entries, reads
 
@@ -414,30 +439,44 @@ def counting_builds(monkeypatch) -> list:
 
 
 def test_check_table_states_what_each_check_reads(tmp_path, monkeypatch):
-    """Each check of small_tree_run reads exactly draws 0 .. reach - 1 of
-    its CHECKS entry, and reads one of them twice exactly when the entry
-    says it rereads."""
+    """The sweep of small_tree_run reads draws 0, 1, ... once each, as far
+    as its farthest estimate; a check that states its estimates in its
+    CHECKS entry reads no draw; every other check reads exactly draws
+    0 .. reach - 1 of its entry, and reads one of them twice exactly when
+    the entry says it rereads."""
     _, reads = recording_reads(monkeypatch)
     small_tree_run(tmp_path, monkeypatch)
     cfg = json.loads((tmp_path / "c.json").read_text())
+    swept, *reads = reads
     assert len(reads) == len(cfg["checks"])
+    outer = []
     for chk, read in zip(cfg["checks"], reads):
         v = cli._read_check(chk, "check", [])
         check = cli.CHECKS[v["name"]]
+        if check.estimates:
+            assert read == [], v["name"]
+            outer.append(v["mc"].outer)
+            continue
         assert sorted(set(read)) == list(range(check.reach(v))), v["name"]
         assert (len(read) > len(set(read))) == check.rereads, v["name"]
+    assert len(outer) == 6
+    assert swept == list(range(max(outer)))
 
 
 def test_memo_holds_only_draws_a_later_check_reads(tmp_path, monkeypatch):
-    """At the entry of each check the memo holds no draw that this check
-    or a later one does not read."""
+    """At the entry of the sweep and of each check the memo holds no draw
+    that this step or a later one does not read, and after the sweep it
+    holds the draws the scans read."""
     entries, reads = recording_reads(monkeypatch)
     small_tree_run(tmp_path, monkeypatch)
     reach = [len(set(read)) for read in reads]
-    assert reach == [20, 100, 40, 40, 80, 1, 20, 20, 25, 40]
+    assert reach == [100, 0, 0, 0, 0, 0, 1, 20, 20, 25, 0]
     for i, kept in enumerate(entries):
         assert all(j < max(reach[i:]) for j in kept), i
-    assert len(entries[2]) == 80  # mass kept the draws marginal reads
+    assert entries[0] == []
+    # the sweep kept the draws descend reads, the farthest scan, and no more
+    assert entries[1:-1] == [list(range(25))] * 9
+    assert entries[-1] == []  # criterion is served, and no scan follows
 
 
 def test_tree_run_builds_each_measure_once(tmp_path, monkeypatch):
@@ -457,12 +496,12 @@ def test_deep_run_builds_each_measure_once(tmp_path, monkeypatch):
 
 
 def test_memo_plan_of_tree_k2():
-    """(keep, store) per check of configs/tree_k2.json: mass keeps the 800
-    draws marginal reads twice, and after marginal 400 remain."""
+    """(keep, store) before the sweep and each check of configs/tree_k2.json:
+    the sweep keeps the 100 draws positivity and ultra read, descend's 80
+    remain after ultra, and none remain for criterion, which is served."""
     config = parse_config(ROOT / "configs" / "tree_k2.json")
     assert cli.memo_plan(config.checks) == [
-        (1000, 1000), (1000, 800), (800, 800), (800, 800), (800, 800),
-        *[(400, 400)] * 5]
+        *[(100, 100)] * 8, (100, 80), (80, 80), (0, 0)]
 
 
 def test_frozen_run_makes_no_memo_plan(tmp_path, monkeypatch):
@@ -483,13 +522,19 @@ REPORT_SHA256 = {
         "0288dfaffe3ee47e4029d61d2d2ee22057935165e9f391a045ef05eb9c7fe6e3",
     "oracle_exact":
         "16c6135fad05f5d90582f88f30474aba79024fdfd2eed8d05b78e17b9f7bd9e7",
+    "run_adversarial":
+        "d3075911fa1001aa62172fbd7e984f42af09703f54b7dd4dc1febd9d2fefde40",
+    "run_deep":
+        "48adbed2f48ea4d8dc87f085f6e67a117f4a29f2be7a3e1d0f72935253169a61",
 }
 
 
 def test_report_bytes_pinned(tmp_path, monkeypatch):
     """The report.csv of small_tree_run, of oracle on the adversarial config
-    and of oracle on the benchmark's exact config (seed 0) are byte for byte
-    the pinned ones."""
+    and of oracle on the benchmark's exact config (seed 0), of run on the
+    adversarial config (frozen-model Monte Carlo) and of run on the
+    benchmark's depth-3 config (seed 0; conditioned gg and criterion beside
+    descend and ultra) are byte for byte the pinned ones."""
     small_tree_run(tmp_path, monkeypatch)
     adv = tmp_path / "adv"
     assert main(["--out", str(adv), "oracle",
@@ -498,11 +543,141 @@ def test_report_bytes_pinned(tmp_path, monkeypatch):
     config = write_config(tmp_path / "exact.json",
                           load("workloads").exact_config(0))
     assert main(["--out", str(exact), "oracle", str(config)]) == 2
+    run_adv = tmp_path / "run_adv"
+    assert main(["--out", str(run_adv), "run",
+                 str(ROOT / "configs" / "adversarial.json")]) == 2
+    deep = tmp_path / "deep"
+    config = write_config(tmp_path / "deep.json",
+                          load("workloads").deep_config(0))
+    assert main(["--jobs", "1", "--out", str(deep), "run", str(config)]) == 0
     reports = {"small_tree_run": tmp_path / "out" / "report.csv",
                "oracle_adversarial": adv / "report.csv",
-               "oracle_exact": exact / "report.csv"}
+               "oracle_exact": exact / "report.csv",
+               "run_adversarial": run_adv / "report.csv",
+               "run_deep": deep / "report.csv"}
     assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in reports.items()} == REPORT_SHA256
+
+
+SWEPT_CHECKS = [
+    {"name": "gg", "observables": "default", "mc": {"outer": 30, "inner": 20}},
+    {"name": "gg", "conditioned": {"kind": "A_n"},
+     "mc": {"outer": 40, "inner": 20}},
+    {"name": "mass", "n_max": 4, "mc": {"outer": 50, "inner": 30}},
+    {"name": "lemma1", "n": 2, "mc": {"outer": 30, "inner": 40}},
+    {"name": "consistency", "n": 2, "mc": {"outer": 30, "inner": 40}},
+    {"name": "marginal", "mc": {"outer": 45, "inner": 30}},
+    {"name": "criterion", "q": 0.5, "n_max": 5,
+     "patterns": [[[1, 1, 1]], [[1, 1, 2]]], "mc": {"outer": 35, "inner": 30}},
+]
+
+
+class TestSweptChecks:
+    """The sweep serves every Monte Carlo estimate of a run; a check finishes
+    from the means served to it as it would from its own."""
+
+    @pytest.mark.parametrize("measure", [
+        {"type": "tree", "q": [0.3, 0.7], "branching": 10,
+         "zetas": [0.3, 0.6], "seed": 2},
+        {"type": "adversarial"}], ids=["tree", "frozen"])
+    @pytest.mark.parametrize("chk", SWEPT_CHECKS,
+                             ids=[c["name"] for c in SWEPT_CHECKS])
+    def test_same_report_served_and_unserved(self, monkeypatch, measure, chk):
+        """The rows and summary, or the error (the frozen model's conditioned
+        gg and criterion find no mass), are the same either way."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a served check estimated on its own")
+
+        def outcome(*served):
+            try:
+                return cli._run_check(chk, model, seed, False, *served)
+            except Exception as e:  # noqa: BLE001 - compared below
+                return type(e), str(e)
+
+        model, _ = build_model(measure)
+        got, entry = cli.sweep_checks([chk], model, 3)
+        assert entry["estimates"] == len(got[0]) >= 1
+        assert entry["outer_draws"] == chk["mc"]["outer"]
+        seed = measures.derive_seed(3, 0)
+        alone = outcome()
+        monkeypatch.setattr(verify, "outer_stat_means", refuse)
+        assert outcome(got[0]) == alone
+
+    def test_refusals_stay_with_their_check(self, tmp_path):
+        """A check that cannot state its estimates is not swept, and fails
+        with its own error; the others are served and pass."""
+        out = tmp_path / "out"
+        cfg = parse_config(write_config(tmp_path / "c.json", tree_config(
+            out, checks=[
+                {"name": "mass", "n_max": 3, "mc": {"outer": 40, "inner": 20}},
+                # grid_rule: level 4 is above the grid's top level 3
+                {"name": "gg", "observables": [
+                    {"n": 2, "psi": {"indicator": 4},
+                     "f_pattern": [[1, 2, 1]]}],
+                 "mc": {"outer": 30, "inner": 20}},
+                # method_rule: a tree redraws its measure
+                {"name": "lemma1", "method": "enumerate"},
+                # criterion: no grid level lies below q
+                {"name": "criterion", "q": 0.0,
+                 "mc": {"outer": 30, "inner": 20}},
+                {"name": "consistency", "mc": {"outer": 30, "inner": 20}},
+            ])))
+        assert run_experiment(cfg) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["sweep"]["estimates"] == 2  # mass and consistency
+        assert manifest["sweep"]["outer_draws"] == 40
+        assert manifest["sweep"]["error"] is None
+        status = [(c["status"], (c["error"] or "").split(":")[0])
+                  for c in manifest["checks"]]
+        assert status == [("pass", ""), ("error", "GridTooSmall"),
+                          ("error", "ValueError"),
+                          ("error", "NullConditioning"), ("pass", "")]
+
+    def test_failed_sweep_leaves_each_check_its_own_error(self, tmp_path,
+                                                          monkeypatch):
+        """An explicit measure whose two atoms meet off the grid: the sweep
+        raises, no check is served, and each swept check draws on its own and
+        reports the error, as the scan does."""
+        out = tmp_path / "out"
+        cfg = parse_config(write_config(tmp_path / "c.json", {
+            "measure": {"type": "explicit", "on_sphere": False,
+                        "grid": {"levels": [1.0], "self_overlap": 1.0},
+                        "atoms": [[1.0, 0.0], [0.6, 0.8]],
+                        "weights": [0.5, 0.5]},
+            "checks": [{"name": "gg", "mc": {"outer": 5, "inner": 10}},
+                       {"name": "mass", "n_max": 3,
+                        "mc": {"outer": 5, "inner": 10}},
+                       {"name": "ultra", "n": 3,
+                        "mc": {"outer": 5, "inner": 10}}],
+            "seed": 1,
+            "output": {"dir": str(out)}}))
+        seen = []
+        run_check = cli._run_check
+
+        def recording(chk, model, seed, oracle, served=None):
+            seen.append(served)
+            return run_check(chk, model, seed, oracle, served)
+
+        monkeypatch.setattr(cli, "_run_check", recording)
+        assert run_experiment(cfg) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        sweep = manifest["sweep"]
+        assert sweep["error"].startswith("OffGridOverlap")
+        assert (sweep["estimates"], sweep["outer_draws"]) == (0, 0)
+        assert seen == [None] * 3
+        assert [c["error"].split(":")[0] for c in manifest["checks"]] == [
+            "OffGridOverlap"] * 3
+
+    def test_oracle_takes_no_sweep(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("oracle swept")
+
+        monkeypatch.setattr(cli, "sweep_checks", refuse)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "oracle",
+                     str(ROOT / "configs" / "adversarial.json")]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["sweep"] is None
 
 
 class TestRunExperiment:
@@ -526,10 +701,24 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         peaks = [c["peak_rss_mb"] for c in manifest["checks"]]
         assert len(peaks) == len(cfg.checks)
-        assert before <= peaks[0] and peaks == sorted(peaks)
+        assert before <= manifest["sweep"]["peak_rss_mb"] <= peaks[0]
+        assert peaks == sorted(peaks)
         assert peaks[-1] <= after
         report = json.loads((out / "report.json").read_text())
         assert all("peak_rss_mb" not in c for c in report["checks"])
+        assert "sweep" not in report
+
+    def test_manifest_records_the_sweep(self, tmp_path):
+        """tree_config's one estimating check, mass, is served by the sweep:
+        one estimate over its 200 outer draws."""
+        out = tmp_path / "out"
+        cfg = parse_config(write_config(tmp_path / "c.json", tree_config(out)))
+        assert run_experiment(cfg) == 0
+        sweep = json.loads((out / "manifest.json").read_text())["sweep"]
+        assert sorted(sweep) == ["error", "estimates", "outer_draws",
+                                 "peak_rss_mb", "wall_time_s"]
+        assert (sweep["estimates"], sweep["outer_draws"]) == (1, 200)
+        assert sweep["error"] is None and sweep["wall_time_s"] >= 0.0
 
     def test_failing_check_exit_two(self, tmp_path):
         out = tmp_path / "out"

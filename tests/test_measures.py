@@ -801,3 +801,37 @@ class TestAdversarialMeasure:
         lv = m.levels_from_indices(np.array([[0, 1, 2]]))
         rep = check_ultrametric_batch(lv)
         assert rep.violations == 1
+
+
+class TestSampleIndicesIntegerSearch:
+    """sample_indices searches the cumulative weights' bit patterns as int64;
+    every key gets the index of the float search."""
+
+    @staticmethod
+    def measures():
+        tree = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=5), 0, 1)[0]
+        # a subnormal weight and one below the sum's last bit repeat a
+        # cumulative value
+        explicit = explicit_measure(np.eye(5), [0.25, 5e-324, 0.25, 1e-300,
+                                                0.5], OverlapGrid((0.0, 1.0), 1.0))
+        return {"tree": tree, "explicit": explicit}
+
+    @pytest.mark.parametrize("name", ["tree", "explicit"])
+    def test_matches_float_search(self, name):
+        m = self.measures()[name]
+        cum = m._cum
+        if name == "explicit":
+            assert len(np.unique(cum)) < len(cum)  # repeated values
+        edges = [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, -0.5, -1e-300,
+                 -5e-324, 5e-324, np.finfo(float).tiny]
+        keys = np.concatenate([cum, np.nextafter(cum, -np.inf),
+                               np.nextafter(cum, np.inf), edges,
+                               np.random.default_rng(1).random(500)])
+        got = m.sample_indices(keys)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(cum, keys))
+        # a (rows, n) block keeps its shape
+        block = keys[:len(keys) // 4 * 4].reshape(-1, 4)
+        assert np.array_equal(m.sample_indices(block),
+                              np.searchsorted(cum, block))

@@ -15,12 +15,12 @@ from overlap_lab.measures import (DiscreteMeasure, TreeMeasureSpec,
 from overlap_lab.models import (DescendedModel, FrozenModel, TreeModel,
                                 as_model)
 from overlap_lab.observables import Statistic, pack_statistics
-from overlap_lab.sampler import (OUTER_BLOCK_ROWS, SCAN_BLOCK_DRAWS, EventSpec,
-                                 MCConfig, combined_threshold,
+from overlap_lab.sampler import (OUTER_BLOCK_ROWS, SCAN_BLOCK_DRAWS, Estimate,
+                                 EventSpec, MCConfig, combined_threshold,
                                  empirical_matrix_law, enumerate_matrix_law,
                                  enumerate_statistics, filtered_level_batches,
                                  mean_and_se, outer_stat_means,
-                                 ratio_from_means, total_variation)
+                                 ratio_from_means, sweep, total_variation)
 
 from perfbench_load import load
 
@@ -445,6 +445,101 @@ class TestOuterBlocksReference:
 
         with pytest.raises(ValueError, match="share"):
             outer_stat_means(Mixed(), [Statistic(2)], 2, MCConfig(4, 5), 1)
+
+
+class TestSweepReference:
+    """sweep serves several estimates from one pass over the outer draws,
+    each bit for bit its per-draw reference, whatever the window."""
+
+    STATS4 = TestOuterBlocksReference.PREFIX_STATS
+
+    @classmethod
+    def estimates(cls):
+        """Estimates of other outer, inner, n, seeds, thresholds and counts;
+        the farthest reads 17 draws, and one reads a single draw."""
+        stats3 = TestOuterBlocksReference.STATS
+        return [Estimate(stats3, 3, MCConfig(10, 20), 9),
+                Estimate(stats3, 3, MCConfig(17, 7), 4, 1),
+                Estimate(cls.STATS4, 4, MCConfig(8, 30), 5, None, [2, 3, 3, 4]),
+                Estimate(cls.STATS4, 4, MCConfig(13, 11), 6, 1, [3, 3, 4, 4]),
+                Estimate([Statistic(2).with_pattern(0, 1, 1)], 2, MCConfig(1, 50),
+                         7)]
+
+    @staticmethod
+    def reference(model, est):
+        if est.counts is None:
+            return outer_stat_means_per_draw(model, est.stats, est.n, est.mc,
+                                             est.seed, est.event_threshold)
+        return prefix_means_per_draw(model, est.stats, est.n, est.mc, est.seed,
+                                     est.event_threshold, est.counts)
+
+    @pytest.mark.parametrize("name", ["tree", "tree_digits", "frozen",
+                                      "descended"])
+    @pytest.mark.parametrize("window, block_rows", [  # None: the module's
+        (1, None), (3, None), (None, None),
+        (5, 64), (None, 64),  # several blocks of an estimate in a window
+    ])
+    def test_matches_per_draw_loop(self, monkeypatch, name, window,
+                                   block_rows):
+        model = TestOuterBlocksReference.models()[name]
+        if window is not None:
+            monkeypatch.setattr(sampler, "SWEEP_ATOMS",
+                                window * model.measure_at(0).m)
+        if block_rows is not None:
+            monkeypatch.setattr(sampler, "OUTER_BLOCK_ROWS", block_rows)
+        ests = self.estimates()
+        got = sweep(model, ests)
+        assert len(got) == len(ests)
+        for est, means in zip(ests, got):
+            want = self.reference(model, est)
+            assert means.shape == want.shape == (est.mc.outer, means.shape[1])
+            assert means.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_reads_each_draw_once_a_window_at_a_time(self, monkeypatch,
+                                                     window):
+        """One model.measures call over draws 0 .. 16, read in windows of
+        `window` draws: each window's measures are read before any block of
+        it is drawn, and no measure of an earlier window is read again."""
+        model = TestOuterBlocksReference.models()["tree"]
+        monkeypatch.setattr(sampler, "SWEEP_ATOMS", window * model.structure.m)
+        calls, events = [], []
+        measures, sample = type(model).measures, DiscreteMeasure.sample_indices
+
+        def recording(self, start, stop):
+            calls.append((start, stop))
+            for j, measure in enumerate(measures(self, start, stop), start):
+                events.append(("read", j))
+                yield measure
+
+        def sampling(self, u):
+            events.append(("draw", None))
+            return sample(self, u)
+
+        monkeypatch.setattr(type(model), "measures", recording)
+        monkeypatch.setattr(DiscreteMeasure, "sample_indices", sampling)
+        sweep(model, self.estimates())
+        assert calls == [(0, 17)]
+        reads = [j for kind, j in events if kind == "read"]
+        assert reads == list(range(17))
+        # a window's reads all come before its draws, and its draws before
+        # the next window's reads
+        for start in range(0, 17, window):
+            stop = min(start + window, 17)
+            first, last = (events.index(("read", j)) for j in (start, stop - 1))
+            assert ("draw", None) not in events[first:last]
+            end = events.index(("read", stop)) if stop < 17 else len(events)
+            assert ("draw", None) in events[last:end]
+
+    def test_columns_refused_before_any_draw(self, monkeypatch):
+        def refuse(self, u):
+            raise AssertionError("drew before every estimate was checked")
+
+        monkeypatch.setattr(DiscreteMeasure, "sample_indices", refuse)
+        model = TestOuterBlocksReference.models()["frozen"]
+        bad = Estimate([Statistic(2)], 2, MCConfig(2, 2), 1, counts=[3])
+        with pytest.raises(ValueError, match="replica count"):
+            sweep(model, [self.estimates()[0], bad])
 
 
 @pytest.mark.parametrize("name", ["tree", "tree_digits", "frozen"])
