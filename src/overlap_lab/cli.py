@@ -190,27 +190,13 @@ DESCEND = {"n_condition": _int(DescendConfig.n_condition, 1),
 
 
 class Check(NamedTuple):
-    """A check type: its fields (after CHECK's), and how it reads the outer
-    measures of a model.
-
-    A check that estimates by Monte Carlo names the function that states
-    its estimates (estimates), which it calls itself; run_experiment
-    sweeps them for every such check before the first check runs
-    (sweep_checks), and the check reads no measure. A check that scans
-    draws states what memo_plan reads: reach(v) of the parsed fields v is
-    how many draws it reads, 0 .. reach - 1, and rereads is whether it
-    reads that range in more than one pass. A check whose reads change
-    changes its entry here; each multi-pass scan names its entry where it
-    reads."""
+    """A check type: its fields (after CHECK's), and for a check that
+    estimates by Monte Carlo the function that states its estimates, which
+    it calls itself; run_experiment sweeps them for every such check before
+    the first check runs (sweep_checks), and the check reads no measure."""
 
     fields: dict
-    reach: Optional[Callable] = None
-    rereads: bool = False
     estimates: Optional[Callable] = None
-
-
-def _outer(v) -> int:
-    return v["mc"].outer
 
 
 CHECKS = {
@@ -228,17 +214,15 @@ CHECKS = {
     "consistency": Check(_F_CHECK, estimates=consistency_estimates),
     # two estimates, the conditioned one and the reference
     "marginal": Check(_ESTIMATOR, estimates=marginal_estimates),
-    "support": Check({}, reach=lambda v: 1),  # measure 0 alone
-    "positivity": Check(_SAMPLING, reach=_outer),
+    "support": Check({}),  # measure 0 alone
+    "positivity": Check(_SAMPLING),
     # the ultra scan caches three index arrays of 24 bytes a triple for each
     # n: about 4 MB at n = 100, and 148 MB more at n = 300
-    "ultra": Check({**_SAMPLING, "n": _int(8, 3, 100)}, reach=_outer),
-    # measure 0, then scans and estimates level after level; the scans read
-    # psd_outer draws. Its estimates depend on the levels that pass, so it
-    # states them as it goes and takes no sweep
-    "descend": Check({**_ESTIMATOR, **DESCEND},
-                     reach=lambda v: max(v["mc"].outer, v["psd_outer"]),
-                     rereads=True),
+    "ultra": Check({**_SAMPLING, "n": _int(8, 3, 100)}),
+    # measure 0, then scans and estimates level after level. Its estimates
+    # depend on the levels that pass, so it states them as it goes and
+    # takes no sweep
+    "descend": Check({**_ESTIMATOR, **DESCEND}),
     # three estimates; its rows compare two estimates by z alone, and
     # abs_tol is accepted and unread
     "criterion": Check({
@@ -433,27 +417,6 @@ def build_model(measure: dict):
     return model, warnings
 
 
-def memo_plan(checks) -> list:
-    """(keep, store) for TreeModel.keep_measures before the sweep and then
-    before each check, by Belady's rule, from each scan's reach and rereads
-    in CHECKS. The sweep reads each draw once, and a check it serves reads
-    none. Before step i the model drops the measures no step from i on
-    reads, and keeps a newly built one only if a later step reads it, or
-    step i itself reads it again."""
-    reads = [(0, False)]  # the sweep
-    for chk in checks:
-        v = _read_check(chk, "check", [])
-        check = CHECKS[v["name"]]
-        reads.append((0, False) if check.estimates
-                     else (check.reach(v), check.rereads))
-    plan, later = [], 0
-    for reach, rereads in reversed(reads):
-        plan.append((max(reach, later),
-                     max(later, reach if rereads else 0)))
-        later = max(later, reach)
-    return plan[::-1]
-
-
 def _estimator_args(v: dict, seed: int) -> tuple:
     """The arguments after the model that an estimating check's function and
     its CHECKS estimates function both take, from its parsed fields v."""
@@ -478,14 +441,15 @@ def _estimator_args(v: dict, seed: int) -> tuple:
 def sweep_checks(checks, model, seed: int):
     """Sweep the estimates of every check that estimates by Monte Carlo, in
     one pass over the outer draws. Returns {check index: the means served to
-    it} and the manifest's sweep entry.
+    it} and the manifest's sweep entry, which counts the outer measures the
+    pass built (measures_built).
 
     A check whose estimates cannot be stated (grid_rule and its other
     refusals) is not served, and raises the refusal itself when it runs. If
     the sweep raises, no check is served, and each runs on its own and
     reports its own error.
     """
-    start = time.time()
+    start, built = time.time(), model.built
     owners, ests = [], []
     for i, chk in enumerate(checks):
         v = _read_check(chk, "check", [])
@@ -507,7 +471,8 @@ def sweep_checks(checks, model, seed: int):
     return served, {
         "wall_time_s": time.time() - start, "estimates": len(ests),
         "outer_draws": max((est.mc.outer for est in ests), default=0),
-        "error": err, "peak_rss_mb": peak_rss_mb()}
+        "measures_built": model.built - built, "error": err,
+        "peak_rss_mb": peak_rss_mb()}
 
 
 def _run_check(chk: dict, model, seed: int, oracle: bool, served=None):
@@ -635,7 +600,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     enumerates and takes no sweep.
 
     jobs is only recorded in the manifest, and so are the sweep's entry and
-    each check's peak_rss_mb, the process's peak RSS after the check.
+    each check's measures_built, the outer measures built while it ran, and
+    peak_rss_mb, the process's peak RSS after it.
     """
     t0 = time.time()
     seed = config.seed if seed is None else seed
@@ -662,20 +628,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    # a frozen model keeps no measures, so only a redrawn one gets a plan
-    plan = None if model.frozen else memo_plan(config.checks)
-    if plan:
-        model.keep_measures(*plan[0])
     served, sweep_entry = ({}, None) if oracle else sweep_checks(
         config.checks, model, seed)
     all_rows = []
     check_summaries = []
     statuses = []
-    peaks = []  # the process's peak RSS after each check (manifest only)
+    counts = []  # (measures built, peak RSS after) per check, manifest only
     for i, chk in enumerate(config.checks):
-        start = time.time()
-        if plan:
-            model.keep_measures(*plan[i + 1])
+        start, built = time.time(), model.built
         rows, obj, err = [], {}, None
         try:
             rows, obj = _run_check(chk, model, derive_seed(seed, i), oracle,
@@ -691,7 +651,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
             "error": err, "wall_time_s": time.time() - start,
             "rows": [r.__dict__ for r in rows], "summary": obj,
         })
-        peaks.append(peak_rss_mb())
+        counts.append((model.built - built, peak_rss_mb()))
 
     manifest = {
         "config_hash": config.config_hash(),
@@ -703,8 +663,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         "sweep": sweep_entry,
         "checks": [{"name": s["name"], "status": s["status"],
                     "wall_time_s": s["wall_time_s"], "error": s["error"],
-                    "peak_rss_mb": peak}
-                   for s, peak in zip(check_summaries, peaks)],
+                    "measures_built": built, "peak_rss_mb": peak}
+                   for s, (built, peak) in zip(check_summaries, counts)],
         "total_wall_time_s": time.time() - t0,
     }
     with open(out / "manifest.json", "w") as fh:

@@ -29,7 +29,6 @@ from .grid import LEVEL_MATCH_TOL, OverlapGrid
 
 ATOM_COUNT_GUARD = 10**6
 TABLE_CAP = 3200          # a tree's m x m pair-level table exists up to this m
-DENSE_ATOM_CAP = 8_000_000  # materialize (m, d) atom array when m*d stays below
 
 WEIGHT_SUM_TOL = 1e-12
 SPHERE_TOL = 1e-10
@@ -104,7 +103,8 @@ class DiscreteMeasure:
 
     An explicit measure keeps its pair levels in an m x m int16 table, where
     -1 marks an inner product matching no grid level (drawing such a pair
-    raises). A tree measure reads them from the ancestor codes of the
+    raises), and the squared norms of the atoms it is given, not the atoms
+    themselves. A tree measure reads them from the ancestor codes of the
     TreeStructure it shares with every measure on it, and so does its grid.
     Built by build_tree_measures, it keeps its block-validated cumulative
     weights cum and its draw = (spec, j), and redraws its weights on first
@@ -131,7 +131,6 @@ class DiscreteMeasure:
         self._cum = cum
         self.kind = kind
         self.grid = grid
-        self._atoms = atoms
         self._table = table
         self.tree = tree
         if tree is not None:
@@ -155,11 +154,6 @@ class DiscreteMeasure:
         w = tree_leaf_weights(self.tree, spec.zetas, spec.seed, j, j + 1)[0]
         w.flags.writeable = False
         return w
-
-    @property
-    def atoms(self) -> Optional[np.ndarray]:
-        """(m, d) atom coordinates; None for a tree too large to materialize."""
-        return self.tree.atoms if self.tree is not None else self._atoms
 
     @property
     def table(self) -> Optional[np.ndarray]:
@@ -340,14 +334,14 @@ class TreeStructure:
         self.k = k
         self.m = m
         self.grid = OverlapGrid((0.0, *q), q[-1])
-        self.coefs = np.sqrt(np.diff(np.array([0.0, *q])))
         # row d: each leaf's ancestor at depth d + 1; the last row is the leaf
         radix = B ** np.arange(k - 1, -1, -1, dtype=np.int64)
         self.codes = (np.arange(m, dtype=np.int64) // radix[:, None]).astype(np.int32)
         self.codes.flags.writeable = False
-        self.d = int((B ** np.arange(1, k + 1)).sum())
-        # every measure on this structure shares these arrays
-        self.norms_sq = np.full(m, float(np.sum(self.coefs**2)))
+        # every measure on this structure shares these arrays; a leaf's
+        # coordinate at depth l is sqrt(q_l - q_(l-1))
+        coefs = np.sqrt(np.diff(np.array([0.0, *q])))
+        self.norms_sq = np.full(m, float(np.sum(coefs**2)))
         self.norms_sq.flags.writeable = False
 
     @cached_property
@@ -359,21 +353,6 @@ class TreeStructure:
         for code in self.codes:
             table += code[:, None] == code[None, :]
         return table
-
-    @cached_property
-    def atoms(self) -> Optional[np.ndarray]:
-        """(m, d) leaf coordinates, built on first read; None above
-        DENSE_ATOM_CAP. No check reads them, only tests."""
-        if self.m * self.d > DENSE_ATOM_CAP:
-            return None
-        atoms = np.zeros((self.m, self.d))
-        leaves = np.arange(self.m)
-        offset = 0
-        for j, code in enumerate(self.codes):
-            atoms[leaves, offset + code] = self.coefs[j]
-            offset += self.B ** (j + 1)
-        atoms.flags.writeable = False  # shared by every measure
-        return atoms
 
 
 # The purpose key of the tree weight stream, counter_stream(seed, key).

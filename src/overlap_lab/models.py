@@ -4,19 +4,13 @@ A model yields one DiscreteMeasure per outer replication index, one at a
 time (measure_at) or a range of them in order (measures). Tree models
 redraw the random weights (the outer randomness) while sharing the fixed
 geometry: outer measure j is draw j of the model spec's tree, which reads
-its own slice of one weight stream, so a range is built as one block and
-each measure is bit for bit the one built alone. A run reads the outer
-draws of all its Monte Carlo estimates in one pass (sampler.sweep), and
-only the scans (support, positivity, ultra and descend) read draws again
-after it. So a tree model keeps the measures it built only as a run asks,
-up to MEMO_BYTES: a kept measure holds its cumulative weights, and
-rebuilds its weights from its slice of the stream only if something reads
-them. Which measures are kept follows Belady's rule (keep an item only
-until its last future use): a run knows the outer draws each scan still
-to come reads, and before the sweep and each scan it tells the model,
-through keep_measures, which draws a later read needs (cli.memo_plan).
-Frozen models return the same measure every time, so the outer
-expectation degenerates to the inner average; they keep nothing.
+its own slice of one weight stream, so a range is built in blocks and
+each measure is bit for bit the one built alone. A tree model builds
+every range it is asked for and keeps none: a run reads the outer draws
+of all its Monte Carlo estimates in one pass (sampler.sweep), and a
+reader that reads draws in more than one pass holds them itself in a
+HeldModel (pipeline.descend). Frozen models return the same measure
+every time, so the outer expectation degenerates to the inner average.
 
 A descended model represents the conditioned-and-truncated ensemble of
 the induction step: n replicas from it are n replicas of the base measure
@@ -27,19 +21,12 @@ k-fold descent composes to a single threshold, so the stack stays flat.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Optional
 
 from .errors import GridTooSmall
 from .grid import OverlapGrid
 from .measures import (DiscreteMeasure, TreeMeasureSpec, TreeStructure,
                        build_tree_measures)
-
-# Most bytes of outer measures a TreeModel keeps, counted as 8 per atom
-# (their cumulative weights; a measure redraws its weights when they are
-# read). Within keep_measures' bounds measures are kept first come: every
-# scan reads draws 0 .. reach - 1, so the first ones are the ones reused.
-MEMO_BYTES = 64 * 2**20
 
 # Most atoms a TreeModel builds in one block. A longer range is built in
 # consecutive blocks, so this bounds the memory of a block's weights and
@@ -56,7 +43,8 @@ def build_tree_measure(spec: TreeMeasureSpec, structure: TreeStructure,
 
 
 class TreeModel:
-    """Hierarchical measure with fresh per-outer-draw weights."""
+    """Hierarchical measure with fresh per-outer-draw weights. built counts
+    the outer measures it has built (the manifest's measures_built)."""
 
     frozen = False
     threshold: Optional[int] = None
@@ -68,43 +56,39 @@ class TreeModel:
         qs = ",".join(f"{v:g}" for v in spec.q)
         zs = ",".join(f"{z:g}" for z in spec.zetas)
         self.model_id = f"tree(q=[{qs}],B={spec.branching},z=[{zs}],seed={spec.seed})"
-        self._memo = {}
-        self._store = math.inf  # keep built measures j < _store
-
-    def keep_measures(self, keep: int, store: int):
-        """Drop the kept measures j >= keep, and from now on keep a newly
-        built measure only if j < store (at most keep). A caller that knows
-        the reads to come passes, for keep, the largest number of outer
-        draws any of them reads, and for store the part of that range
-        some read after the first pass over it will reach again."""
-        for j in [j for j in self._memo if j >= keep]:
-            del self._memo[j]
-        self._store = min(keep, store)
+        self.built = 0
 
     def measure_at(self, j: int) -> DiscreteMeasure:
         return next(self.measures(j, j + 1))
 
     def measures(self, start: int, stop: int):
-        """Outer measures start, ..., stop - 1, in order. Each run of them
-        that the memo lacks is built in blocks of up to BLOCK_ATOMS atoms;
-        nothing outside the range is built."""
-        m = self.structure.m
-        size = max(1, BLOCK_ATOMS // m)
-        j = start
-        while j < stop:
-            if j in self._memo:
-                yield self._memo[j]
-                j += 1
-                continue
-            end = j + 1
-            while end < min(stop, j + size) and end not in self._memo:
-                end += 1
-            built = build_tree_measure(self.spec, self.structure, j, end)
-            room = max(0, MEMO_BYTES // (8 * m) - len(self._memo))
-            kept = range(j, min(end, self._store))[:room]
-            self._memo.update(zip(kept, built))
-            yield from built
-            j = end
+        """Outer measures start, ..., stop - 1, in order, built in blocks of
+        up to BLOCK_ATOMS atoms as they are read; nothing outside the range
+        is built."""
+        size = max(1, BLOCK_ATOMS // self.structure.m)
+        for j in range(start, stop, size):
+            end = min(j + size, stop)
+            self.built += end - j
+            yield from build_tree_measure(self.spec, self.structure, j, end)
+
+
+class HeldModel:
+    """base with its outer measures 0, ..., count - 1 built once and held, so
+    that a reader that reads them in more than one pass builds them once;
+    reads past count go to base."""
+
+    def __init__(self, base, count: int):
+        self.base = base
+        self.held = list(base.measures(0, count))
+        self.frozen, self.threshold = base.frozen, base.threshold
+        self.grid, self.model_id = base.grid, base.model_id
+
+    def measure_at(self, j: int) -> DiscreteMeasure:
+        return next(self.measures(j, j + 1))
+
+    def measures(self, start: int, stop: int):
+        yield from self.held[start:stop]
+        yield from self.base.measures(max(start, len(self.held)), stop)
 
 
 class FrozenModel:
@@ -112,6 +96,7 @@ class FrozenModel:
 
     frozen = True
     threshold: Optional[int] = None
+    built = 0  # it builds no outer measure
 
     def __init__(self, measure: DiscreteMeasure):
         self.measure = measure

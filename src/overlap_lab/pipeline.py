@@ -19,7 +19,7 @@ from . import _kernels
 from .eigen import is_psd_dense
 from .errors import AcceptanceTooLow, EventMassTooSmall, NullConditioning
 from .measures import DiscreteMeasure, derive_seed
-from .models import DescendedModel, as_model
+from .models import DescendedModel, HeldModel, as_model
 from .observables import ObservableSpec, Psi, Statistic
 # perfbench/tracer.py wraps outer_stat_means and enumerate_statistics here
 from .sampler import (Estimate, EventSpec, MCConfig, count_columns,
@@ -135,9 +135,10 @@ LEVEL_OBSERVABLES = (ObservableSpec(2, Psi("monomial", 1), f_pattern=_PAT),
 
 def descend(model, config: DescendConfig, seed: int) -> LevelReport:
     """Run every level check, recursing while levels pass (or force is set)."""
-    model = as_model(model)
-    # reads measure 0, then per level a scan of psd_outer draws and estimates
-    # over mc.outer draws: cli.CHECKS["descend"].reach and .rereads
+    # the root reads measure 0, and each level draws 0 .. mc.outer - 1 (its
+    # scan and estimates) and 0 .. psd_outer - 1 (its PSD scan) again, so
+    # those draws are built once and held for every level
+    model = HeldModel(as_model(model), max(config.mc.outer, config.psd_outer))
     return _descend_level(model, config, seed, is_root=True)
 
 

@@ -342,31 +342,36 @@ def test_tree_run_never_builds_pair_table(tmp_path, monkeypatch):
     assert "table" not in model.structure.__dict__
 
 
-def memo_at_each_check(monkeypatch) -> list:
-    """A copy of the memo at the entry of each check of a run."""
-    memos = []
-    run_check = cli._run_check
+def recording_builds(monkeypatch) -> list:
+    """Per step of a run, the sweep and then each check in order: each
+    (draw, measure) that models.build_tree_measure built in it, in order."""
+    steps = []
+    real = models.build_tree_measure
 
-    def recording(chk, model, *args):
-        memos.append(dict(model._memo))
-        return run_check(chk, model, *args)
+    def entering(step):
+        def recording(*args):
+            steps.append([])
+            return step(*args)
+        return recording
 
-    monkeypatch.setattr(cli, "_run_check", recording)
-    return memos
+    def recording_build(spec, structure, start, stop):
+        built = real(spec, structure, start, stop)
+        steps[-1].extend(zip(range(start, stop), built))
+        return built
+
+    monkeypatch.setattr(cli, "sweep_checks", entering(cli.sweep_checks))
+    monkeypatch.setattr(cli, "_run_check", entering(cli._run_check))
+    monkeypatch.setattr(models, "build_tree_measure", recording_build)
+    return steps
 
 
 def test_tree_run_keeps_only_cumulative_weights(tmp_path, monkeypatch):
-    """The memo holds cumulative weights; only the support check reads a
-    measure's weights, those of measure 0. It is read at the entry of
-    descend, the last check that reads it; no check after it does, so the
-    run ends with an empty memo."""
-    memos = memo_at_each_check(monkeypatch)
-    model = small_tree_run(tmp_path, monkeypatch)
-    memo = memos[8]
-    assert len(memo) > 1
-    assert [j for j, measure in memo.items()
-            if "weights" in measure.__dict__] in ([], [0])
-    assert model._memo == {}
+    """Every measure a run builds holds its cumulative weights alone; only
+    the support check reads a measure's weights, those of its draw 0."""
+    steps = recording_builds(monkeypatch)
+    small_tree_run(tmp_path, monkeypatch)
+    assert [(i, j) for i, step in enumerate(steps) for j, measure in step
+            if "weights" in vars(measure)] == [(6, 0)]
 
 
 def test_tree_run_computes_no_level_probs(tmp_path, monkeypatch):
@@ -381,136 +386,91 @@ def test_tree_run_computes_no_level_probs(tmp_path, monkeypatch):
         return real(W, B)
 
     monkeypatch.setattr(measures, "_tree_level_probs", counting)
-    memos = memo_at_each_check(monkeypatch)
+    steps = recording_builds(monkeypatch)
     model = small_tree_run(tmp_path, monkeypatch)
     assert calls == []
-    memo = memos[8]  # at descend's entry, as the run left it
-    assert len(memo) > 1
-    assert [j for j, measure in memo.items()
-            if "weights" in measure.__dict__] in ([], [0])
-    assert all(measure.grid is model.grid for measure in memo.values())
+    held = steps[9]  # the draws descend held across its levels
+    assert [j for j, _ in held] == list(range(25))
+    assert [j for j, measure in held if "weights" in vars(measure)] == []
+    assert all(measure.grid is model.grid for _, measure in held)
     st, spec = model.structure, model.spec
-    assert sorted(memo) == list(range(len(memo)))
-    block = tree_leaf_weights(st, spec.zetas, spec.seed, 0, len(memo))
+    block = tree_leaf_weights(st, spec.zetas, spec.seed, 0, len(held))
     P = real(block, st.B)
-    read = list(memo)[::7]
-    for j in read:
-        probs = memo[j].pair_level_probs()[1:]
+    read = held[::7]
+    for j, measure in read:
+        probs = measure.pair_level_probs()[1:]
         assert probs.tobytes() == P[j].tobytes()
     assert calls == [(st.m,)] * len(read)
 
 
-def recording_reads(monkeypatch):
-    """Per step of a run, the sweep and then each check in order: the draws
-    in the memo at its entry, and the outer draws it reads, one entry per
-    read."""
-    entries, reads = [], []
-    measures = models.TreeModel.measures
-
-    def entering(step):
-        def recording(checks, model, *args):
-            entries.append(sorted(model._memo))
-            reads.append([])
-            return step(checks, model, *args)
-        return recording
-
-    def recording_measures(self, start, stop):
-        for j, measure in enumerate(measures(self, start, stop), start):
-            reads[-1].append(j)
-            yield measure
-
-    monkeypatch.setattr(cli, "sweep_checks", entering(cli.sweep_checks))
-    monkeypatch.setattr(cli, "_run_check", entering(cli._run_check))
-    monkeypatch.setattr(models.TreeModel, "measures", recording_measures)
-    return entries, reads
-
-
-def counting_builds(monkeypatch) -> list:
-    """The draws every TreeModel build asks models.build_tree_measure for."""
-    built = []
-    real = models.build_tree_measure
-
-    def counting(spec, structure, start, stop):
-        built.extend(range(start, stop))
-        return real(spec, structure, start, stop)
-
-    monkeypatch.setattr(models, "build_tree_measure", counting)
-    return built
-
-
-def test_check_table_states_what_each_check_reads(tmp_path, monkeypatch):
-    """The sweep of small_tree_run reads draws 0, 1, ... once each, as far
-    as its farthest estimate; a check that states its estimates in its
-    CHECKS entry reads no draw; every other check reads exactly draws
-    0 .. reach - 1 of its entry, and reads one of them twice exactly when
-    the entry says it rereads."""
-    _, reads = recording_reads(monkeypatch)
+def test_each_step_builds_its_range_once(tmp_path, monkeypatch):
+    """Each step of small_tree_run builds exactly the draws it reads, once:
+    the sweep draws 0 .. 99 (mass reaches farthest), support draw 0,
+    positivity and ultra 0 .. 19 each, and descend 0 .. 24
+    (max(mc.outer, psd_outer)) once across both its levels; the checks the
+    sweep serves build none. The manifest counts the same builds."""
+    steps = recording_builds(monkeypatch)
     small_tree_run(tmp_path, monkeypatch)
-    cfg = json.loads((tmp_path / "c.json").read_text())
-    swept, *reads = reads
-    assert len(reads) == len(cfg["checks"])
-    outer = []
-    for chk, read in zip(cfg["checks"], reads):
-        v = cli._read_check(chk, "check", [])
-        check = cli.CHECKS[v["name"]]
-        if check.estimates:
-            assert read == [], v["name"]
-            outer.append(v["mc"].outer)
-            continue
-        assert sorted(set(read)) == list(range(check.reach(v))), v["name"]
-        assert (len(read) > len(set(read))) == check.rereads, v["name"]
-    assert len(outer) == 6
-    assert swept == list(range(max(outer)))
+    built = [[j for j, _ in step] for step in steps]
+    assert built == [list(range(100)), [], [], [], [], [], [0],
+                     list(range(20)), list(range(20)), list(range(25)), []]
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [manifest["sweep"]["measures_built"],
+            *(c["measures_built"] for c in manifest["checks"])] == \
+        [len(b) for b in built]
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"][8]["summary"]["child"] is not None
 
 
-def test_memo_holds_only_draws_a_later_check_reads(tmp_path, monkeypatch):
-    """At the entry of the sweep and of each check the memo holds no draw
-    that this step or a later one does not read, and after the sweep it
-    holds the draws the scans read."""
-    entries, reads = recording_reads(monkeypatch)
-    small_tree_run(tmp_path, monkeypatch)
-    reach = [len(set(read)) for read in reads]
-    assert reach == [100, 0, 0, 0, 0, 0, 1, 20, 20, 25, 0]
-    for i, kept in enumerate(entries):
-        assert all(j < max(reach[i:]) for j in kept), i
-    assert entries[0] == []
-    # the sweep kept the draws descend reads, the farthest scan, and no more
-    assert entries[1:-1] == [list(range(25))] * 9
-    assert entries[-1] == []  # criterion is served, and no scan follows
-
-
-def test_tree_run_builds_each_measure_once(tmp_path, monkeypatch):
-    built = counting_builds(monkeypatch)
-    small_tree_run(tmp_path, monkeypatch)
-    assert sorted(built) == list(range(100))  # mass reaches farthest
-
-
-def test_deep_run_builds_each_measure_once(tmp_path, monkeypatch):
-    """perfbench's depth-3 config: criterion, the check that reaches
-    farthest, reads draws 50..79 in three passes and builds them once."""
-    built = counting_builds(monkeypatch)
+def test_deep_run_descent_builds_its_draws_once(tmp_path, monkeypatch):
+    """perfbench's depth-3 config: descend builds draws 0 .. 39
+    (max(mc.outer, psd_outer)) once across all its levels."""
+    steps = recording_builds(monkeypatch)
     config = write_config(tmp_path / "deep.json",
                           load("workloads").deep_config(0))
-    assert main(["--out", str(tmp_path / "out"), "run", str(config)]) in (0, 2)
-    assert sorted(built) == list(range(80))
+    assert main(["--out", str(tmp_path / "out"), "run", str(config)]) == 0
+    built = [[j for j, _ in step] for step in steps]
+    # the sweep reads criterion's 80 draws; gg and criterion are served
+    assert built == [list(range(80)), list(range(40)), [], list(range(40)),
+                     []]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    levels = {row["n"] for row in report["checks"][0]["rows"]}
+    assert len(levels) > 1
 
 
-def test_memo_plan_of_tree_k2():
-    """(keep, store) before the sweep and each check of configs/tree_k2.json:
-    the sweep keeps the 100 draws positivity and ultra read, descend's 80
-    remain after ultra, and none remain for criterion, which is served."""
-    config = parse_config(ROOT / "configs" / "tree_k2.json")
-    assert cli.memo_plan(config.checks) == [
-        *[(100, 100)] * 8, (100, 80), (80, 80), (0, 0)]
+@pytest.fixture(scope="module")
+def tree_k2_run(tmp_path_factory):
+    """run configs/tree_k2.json, the benchmark's tree workload, once for
+    the tests that read its outputs; returns its output directory."""
+    out = tmp_path_factory.mktemp("tree_k2")
+    assert main(["--out", str(out), "run",
+                 str(ROOT / "configs" / "tree_k2.json")]) == 0
+    return out
 
 
-def test_frozen_run_makes_no_memo_plan(tmp_path, monkeypatch):
-    def refuse(checks):
-        raise AssertionError("memo_plan called for a frozen model")
+def test_tree_k2_manifest_counts_measures_built(tree_k2_run):
+    """The outer tree measures each step of a tree_k2 run builds: the sweep
+    its 1,000 draws, support one, positivity and ultra 100 each and descend
+    max(80, 25) held across its levels; the served checks none."""
+    manifest = json.loads((tree_k2_run / "manifest.json").read_text())
+    assert manifest["sweep"]["measures_built"] == 1000
+    assert {c["name"]: c["measures_built"] for c in manifest["checks"]} == {
+        "gg": 0, "mass": 0, "lemma1": 0, "consistency": 0, "marginal": 0,
+        "support": 1, "positivity": 100, "ultra": 100, "descend": 80,
+        "criterion": 0}
 
-    monkeypatch.setattr(cli, "memo_plan", refuse)
-    assert main(["--out", str(tmp_path), "oracle",
-                 str(ROOT / "configs" / "adversarial.json")]) == 2
+
+def test_frozen_run_builds_no_measures(tmp_path):
+    """A frozen model builds no outer measure, under run and oracle."""
+    for command in ("run", "oracle"):
+        out = tmp_path / command
+        assert main(["--out", str(out), command,
+                     str(ROOT / "configs" / "adversarial.json")]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        sweep = manifest["sweep"] or {"measures_built": 0}  # oracle: none
+        assert sweep["measures_built"] == 0
+        assert {c["measures_built"] for c in manifest["checks"]} == {0}
 
 
 # sha256 of each run's report.csv. A change to a random stream or to the
@@ -526,15 +486,18 @@ REPORT_SHA256 = {
         "d3075911fa1001aa62172fbd7e984f42af09703f54b7dd4dc1febd9d2fefde40",
     "run_deep":
         "48adbed2f48ea4d8dc87f085f6e67a117f4a29f2be7a3e1d0f72935253169a61",
+    "run_tree_k2":
+        "a7dd88aa7241af113fceedd8344c9772357b02ba498cd6fdf3e88a19f48ff4ab",
 }
 
 
-def test_report_bytes_pinned(tmp_path, monkeypatch):
+def test_report_bytes_pinned(tmp_path, monkeypatch, tree_k2_run):
     """The report.csv of small_tree_run, of oracle on the adversarial config
     and of oracle on the benchmark's exact config (seed 0), of run on the
-    adversarial config (frozen-model Monte Carlo) and of run on the
+    adversarial config (frozen-model Monte Carlo), of run on the
     benchmark's depth-3 config (seed 0; conditioned gg and criterion beside
-    descend and ultra) are byte for byte the pinned ones."""
+    descend and ultra) and of run on configs/tree_k2.json (the benchmark's
+    tree workload) are byte for byte the pinned ones."""
     small_tree_run(tmp_path, monkeypatch)
     adv = tmp_path / "adv"
     assert main(["--out", str(adv), "oracle",
@@ -554,7 +517,8 @@ def test_report_bytes_pinned(tmp_path, monkeypatch):
                "oracle_adversarial": adv / "report.csv",
                "oracle_exact": exact / "report.csv",
                "run_adversarial": run_adv / "report.csv",
-               "run_deep": deep / "report.csv"}
+               "run_deep": deep / "report.csv",
+               "run_tree_k2": tree_k2_run / "report.csv"}
     assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in reports.items()} == REPORT_SHA256
 
@@ -715,9 +679,10 @@ class TestRunExperiment:
         cfg = parse_config(write_config(tmp_path / "c.json", tree_config(out)))
         assert run_experiment(cfg) == 0
         sweep = json.loads((out / "manifest.json").read_text())["sweep"]
-        assert sorted(sweep) == ["error", "estimates", "outer_draws",
-                                 "peak_rss_mb", "wall_time_s"]
+        assert sorted(sweep) == ["error", "estimates", "measures_built",
+                                 "outer_draws", "peak_rss_mb", "wall_time_s"]
         assert (sweep["estimates"], sweep["outer_draws"]) == (1, 200)
+        assert sweep["measures_built"] == 200
         assert sweep["error"] is None and sweep["wall_time_s"] >= 0.0
 
     def test_failing_check_exit_two(self, tmp_path):

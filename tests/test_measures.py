@@ -20,9 +20,12 @@ from overlap_lab.measures import (ADVERSARIAL_GRAM, TreeMeasureSpec,
                                   derive_seed, explicit_measure,
                                   measure_from_gram, rng_from,
                                   tree_leaf_weights)
-from overlap_lab.models import DescendedModel, TreeModel
+from overlap_lab.models import (DescendedModel, FrozenModel, HeldModel,
+                                TreeModel)
 from overlap_lab.observables import Statistic
 from overlap_lab.sampler import MCConfig, outer_stat_means
+
+from tree_reference import tree_atoms
 
 
 def pd_weights(zeta, B, seed, draws=1):
@@ -98,7 +101,8 @@ class TestTreeMeasure:
         assert m.m == 3
         assert m.grid.levels == (0.0, 0.5)
         assert m.grid.self_overlap == 0.5
-        gram = m.atoms @ m.atoms.T
+        atoms = tree_atoms(m.tree)
+        gram = atoms @ atoms.T
         assert np.allclose(np.diag(gram), 0.5, atol=1e-12)
         assert np.allclose(gram - np.diag(np.diag(gram)), 0.0, atol=1e-12)
 
@@ -106,7 +110,8 @@ class TestTreeMeasure:
         m = build_tree_measures(
             TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), seed=2), 0, 1)[0]
         assert m.m == 4
-        gram = m.atoms @ m.atoms.T
+        atoms = tree_atoms(m.tree)
+        gram = atoms @ atoms.T
         assert np.allclose(np.diag(gram), 0.7, atol=1e-12)
         # same parent: leaves (0,1) and (2,3)
         assert np.isclose(gram[0, 1], 0.3, atol=1e-12)
@@ -116,7 +121,10 @@ class TestTreeMeasure:
     def test_pairwise_products_hit_grid_exactly(self):
         m = build_tree_measures(TreeMeasureSpec(
             (0.2, 0.5, 0.9), 3, (0.2, 0.4, 0.8), seed=7), 0, 1)[0]
-        gram = m.atoms @ m.atoms.T
+        atoms = tree_atoms(m.tree)
+        assert np.allclose(np.einsum("ij,ij->i", atoms, atoms), m.norms_sq,
+                           rtol=0, atol=1e-15)
+        gram = atoms @ atoms.T
         values = np.array(m.grid.levels)
         # every pair lands within 1e-12 of the level its digits predict
         lv = m.levels_from_indices(np.arange(m.m)[None, :])[0]
@@ -151,10 +159,10 @@ class TestTreeMeasure:
         assert m.pair_level(5, 5) == 3
 
     def test_emergent_probs_match_sampled_pairs(self):
-        # large tree exercises the digit path (no table, no dense atoms)
+        # large tree exercises the digit path (no table)
         m = build_tree_measures(
             TreeMeasureSpec((0.3, 0.7), 200, (0.4, 0.8), seed=4), 0, 1)[0]
-        assert m.table is None and m.atoms is None
+        assert m.table is None
         probs = m.pair_level_probs()
         rng = np.random.default_rng(10)
         n_pairs = 100_000
@@ -409,24 +417,32 @@ class TestTreeModelBlocks:
         assert not got.weights.flags.writeable
 
     def test_blocks_across_boundaries_and_cap(self, monkeypatch):
+        """Ranges that start, end and cross inside the 4-draw blocks that
+        BLOCK_ATOMS caps are built in those blocks, each draw the one built
+        alone; every range read is built again."""
         m = self.SPEC.branching**2
-        monkeypatch.setattr(models, "MEMO_BYTES", 8 * m * 11)
         monkeypatch.setattr(models, "BLOCK_ATOMS", 4 * m)
+        built = self.counting(monkeypatch)
         model = TreeModel(self.SPEC)
-        for start, stop in [(0, 7), (5, 20), (18, 25)]:
+        asked = []
+        for start, stop in [(0, 7), (5, 20), (18, 25), (3, 4), (30, 31)]:
             got = list(model.measures(start, stop))
             assert len(got) == stop - start
             for j, measure in enumerate(got, start=start):
                 self.assert_fresh(measure, j)
+            asked.extend(range(start, stop))
         for j in (3, 12, 19, 30):
             self.assert_fresh(model.measure_at(j), j)
-        assert sorted(model._memo) == list(range(11))
+            asked.append(j)
+        assert built == asked and model.built == len(asked)
+        assert list(model.measures(9, 9)) == [] and model.built == len(asked)
 
     def counting(self, monkeypatch):
         built = []
         block_builder = models.build_tree_measure
 
         def counting(spec, structure, start, stop):
+            assert stop - start <= max(1, models.BLOCK_ATOMS // structure.m)
             built.extend(range(start, stop))
             return block_builder(spec, structure, start, stop)
 
@@ -475,50 +491,12 @@ class TestTreeModelBlocks:
                     assert np.array_equal(a, b)
                     assert "weights" not in vars(measure)
 
-    @pytest.mark.parametrize("block_atoms", [None, 2 * 25])
-    def test_no_j_under_cap_built_twice(self, monkeypatch, block_atoms):
-        cap = 40
-        monkeypatch.setattr(models, "MEMO_BYTES", 8 * 25 * cap)
-        if block_atoms is not None:
-            monkeypatch.setattr(models, "BLOCK_ATOMS", block_atoms)
-        built = self.counting(monkeypatch)
-        model = TreeModel(self.SPEC)
-        asked = [5, 13]  # out of order first, then scans as checks make them
-        model.measure_at(5)
-        model.measure_at(13)
-        for outer in (10, 30, 25, 60, 60, 5):
-            asked.extend(range(outer))
-            for start in range(0, outer, 9):
-                list(model.measures(start, min(start + 9, outer)))
-        under = [j for j in built if j < cap]
-        assert len(under) == len(set(under))
-        # past the cap, each request builds once
-        assert sorted(j for j in built if j >= cap) == \
-            sorted(j for j in asked if j >= cap)
-        assert sorted(model._memo) == list(range(cap))
-
     @pytest.mark.parametrize("outer, inner", [(1000, 150), (37, 100), (5, 1)])
     def test_scan_builds_no_draw_past_outer(self, monkeypatch, outer, inner):
         built = self.counting(monkeypatch)
         model = TreeModel(self.SPEC)
         outer_stat_means(model, [Statistic(2)], 2, MCConfig(outer, inner), 3)
-        assert sorted(built) == list(range(outer))
-        assert sorted(model._memo) == list(range(outer))
-
-
-class TestLazyTreeAtoms:
-    def test_atoms_built_on_first_read_and_shared(self):
-        spec = TreeMeasureSpec((0.3, 0.7), 4, (0.3, 0.6), seed=2)
-        st = TreeStructure(spec.q, spec.branching)
-        a = build_tree_measures(spec, 0, 1, st)[0]
-        b = build_tree_measures(replace(spec, seed=3), 0, 1, st)[0]
-        assert "atoms" not in vars(st)
-        assert a.atoms is st.atoms and b.atoms is st.atoms
-        # level l of a pair is grid value l - 1, the diagonal included
-        want = np.array(st.grid.levels)[st.table - 1]
-        assert np.allclose(a.atoms @ a.atoms.T, want, atol=1e-12)
-        with pytest.raises(ValueError):
-            a.atoms[0, 0] = 1.0
+        assert built == list(range(outer))
 
 
 def digit_levels(B, k, i, j):
@@ -676,7 +654,7 @@ class TestLevelBlockLayout:
             m.levels_from_indices(np.concatenate([on_grid, [bad]]))
 
 
-class TestTreeModelMemo:
+class TestTreeModel:
     SPEC = TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=13)
 
     def assert_fresh(self, measure, j):
@@ -686,32 +664,13 @@ class TestTreeModelMemo:
             fresh.pair_level_probs().tobytes()
 
     def test_repeat_calls_match_fresh_build(self):
+        """A tree model keeps nothing: each read builds its draw again."""
         model = TreeModel(self.SPEC)
         for j in (0, 5, 0, 5):
             self.assert_fresh(model.measure_at(j), j)
-        assert model.measure_at(5) is model.measure_at(5)
-        assert DescendedModel(model).measure_at(5) is model.measure_at(5)
-
-    def test_budget_caps_memo_first_come(self, monkeypatch):
-        cap = 3
-        monkeypatch.setattr(models, "MEMO_BYTES", 8 * self.SPEC.branching**2 * cap)
-        model = TreeModel(self.SPEC)
-        for j in [*range(8), *range(8)]:
-            self.assert_fresh(model.measure_at(j), j)
-            assert len(model._memo) <= cap
-        assert sorted(model._memo) == [0, 1, 2]
-
-    def test_keep_measures_drops_and_bounds_stores(self):
-        model = TreeModel(self.SPEC)
-        list(model.measures(0, 10))
-        model.keep_measures(6, 4)
-        assert sorted(model._memo) == list(range(6))
-        for j, measure in enumerate(model.measures(0, 12)):
-            self.assert_fresh(measure, j)
-        assert sorted(model._memo) == list(range(6))  # 6..11 not stored
-        model.keep_measures(3, 8)  # store never reaches past keep
-        list(model.measures(0, 12))
-        assert sorted(model._memo) == list(range(3))
+        assert model.measure_at(5) is not model.measure_at(5)
+        self.assert_fresh(DescendedModel(model).measure_at(5), 5)
+        assert model.built == 7
 
     def test_measures_share_the_model_grid(self):
         model = TreeModel(self.SPEC)
@@ -726,6 +685,51 @@ class TestTreeModelMemo:
         for arr in (measure.weights, measure.norms_sq):
             with pytest.raises(ValueError):
                 arr[0] = 0.5
+
+
+class TestHeldModel:
+    SPEC = TestTreeModel.SPEC
+    assert_fresh = TestTreeModel.assert_fresh
+
+    def test_serves_held_draws_as_the_same_objects(self):
+        """Draws 0 .. count - 1 are built once, at the wrap, and every read
+        of them, in any pass and through a descent, is the held object."""
+        base = TreeModel(self.SPEC)
+        model = HeldModel(base, 6)
+        assert base.built == 6 and len(model.held) == 6
+        for _ in range(3):
+            assert all(a is b for a, b in zip(model.measures(0, 6), model.held))
+        assert list(model.measures(2, 4)) == model.held[2:4]
+        assert model.measure_at(5) is model.held[5]
+        assert DescendedModel(model).measure_at(3) is model.held[3]
+        assert [*DescendedModel(model).measures(1, 3)] == model.held[1:3]
+        assert base.built == 6
+        for j, measure in enumerate(model.held):
+            self.assert_fresh(measure, j)
+        assert (model.grid, model.model_id) == (base.grid, base.model_id)
+        assert (model.frozen, model.threshold) == (False, None)
+
+    @pytest.mark.parametrize("start, stop", [(4, 10), (6, 9), (8, 8),
+                                             (11, 13)])
+    def test_serves_draws_past_count_fresh(self, start, stop):
+        """Past count, reads go to the base, which builds each draw anew,
+        bit for bit the one built alone."""
+        base = TreeModel(self.SPEC)
+        model = HeldModel(base, 6)
+        got = list(model.measures(start, stop))
+        assert len(got) == stop - start
+        for j, measure in enumerate(got, start=start):
+            assert any(measure is held for held in model.held) == (j < 6)
+            self.assert_fresh(measure, j)
+        assert base.built == 6 + max(0, stop - max(start, 6))
+        assert model.measure_at(7) is not model.measure_at(7)
+        assert base.built == 8 + max(0, stop - max(start, 6))
+
+    def test_frozen_base(self):
+        measure = adversarial_measure()
+        model = HeldModel(FrozenModel(measure), 4)
+        assert model.frozen and model.held == [measure] * 4
+        assert list(model.measures(2, 7)) == [measure] * 5
 
 
 class TestExplicitMeasure:
@@ -747,8 +751,8 @@ class TestExplicitMeasure:
         gram = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
         g = OverlapGrid((0.3, 0.7), 0.7)
         m = measure_from_gram(gram, np.full(3, 1 / 3), g)
-        assert np.allclose(m.atoms @ m.atoms.T, gram, atol=1e-12)
-        assert sorted(set(m.table.ravel().tolist())) == [1, 2]
+        assert np.allclose(m.norms_sq, np.diag(gram), rtol=0, atol=1e-12)
+        assert np.array_equal(m.table, [[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 
     def test_bad_weights(self):
         g = OverlapGrid((0.7,), 0.7)
@@ -788,7 +792,10 @@ class TestExplicitMeasure:
 class TestAdversarialMeasure:
     def test_gram_and_grid(self):
         m = adversarial_measure()
-        assert np.allclose(m.atoms @ m.atoms.T, ADVERSARIAL_GRAM, atol=1e-12)
+        # the Gram matrix's entries 0.3, 0.7, 1.0 are the grid's levels 1, 2, 3
+        assert np.array_equal(m.table, [[3, 2, 2], [2, 3, 1], [2, 1, 3]])
+        assert np.allclose(m.norms_sq, np.diag(ADVERSARIAL_GRAM), rtol=0,
+                           atol=1e-12)
         assert m.grid.levels == (0.3, 0.7, 1.0)
         assert np.allclose(m.pair_level_probs(), (0, 2 / 9, 4 / 9, 3 / 9),
                            rtol=0, atol=1e-15)

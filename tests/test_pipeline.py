@@ -10,6 +10,7 @@ from overlap_lab.pipeline import (DescendConfig, collision_identity_check,
                                   criterion_run, descend)
 from overlap_lab.sampler import MCConfig
 from test_verify import clustered_model
+from tree_reference import tree_atoms
 
 
 def k1_tree(seed=5):
@@ -35,7 +36,7 @@ class TestCollisionIdentity:
         assert collision_identity_check(m) == (True, None)
         assert "table" not in vars(m.tree)
         if m.table is not None:  # the table scan agrees
-            frozen = explicit_measure(m.atoms, m.weights, m.grid)
+            frozen = explicit_measure(tree_atoms(m.tree), m.weights, m.grid)
             assert collision_identity_check(frozen) == (True, None)
 
     def test_tree_with_shared_leaf_code_fails_with_pair(self):

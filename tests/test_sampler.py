@@ -8,8 +8,8 @@ from overlap_lab.errors import (EventMassTooSmall, EventNull, OffGridOverlap,
                                 TooLarge)
 from overlap_lab.cli import build_model
 from overlap_lab.grid import OverlapGrid
-from overlap_lab.measures import (DiscreteMeasure, TreeMeasureSpec,
-                                  adversarial_measure,
+from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
+                                  TreeMeasureSpec, adversarial_measure,
                                   build_tree_measures, counter_stream,
                                   explicit_measure, measure_from_gram)
 from overlap_lab.models import (DescendedModel, FrozenModel, TreeModel,
@@ -240,9 +240,7 @@ class TestEnumeration:
 class TestConditionalLaw:
     @pytest.mark.parametrize("weights", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2)])
     def test_adversarial_pattern_law(self, weights):
-        m = measure_from_gram(np.array(adversarial_measure().atoms @
-                                       adversarial_measure().atoms.T),
-                              np.array(weights),
+        m = measure_from_gram(ADVERSARIAL_GRAM, np.array(weights),
                               OverlapGrid((0.3, 0.7, 1.0), 1.0))
         law = enumerate_matrix_law(m, 3, event_threshold=2)
         emp = empirical_matrix_law(m, 3, MCConfig(40, 1000), seed=4,
