@@ -423,6 +423,38 @@ def test_each_step_builds_its_range_once(tmp_path, monkeypatch):
     assert report["checks"][8]["summary"]["child"] is not None
 
 
+def test_check_table_states_what_each_check_reads(tmp_path, monkeypatch):
+    """The sweep of small_tree_run builds draws 0, 1, ... once each, as far
+    as its farthest estimate; a check that states its estimates in its
+    CHECKS entry builds no draw; every other check builds draws 0, 1, ...
+    from the first, and at least one of them."""
+    steps = recording_builds(monkeypatch)
+    small_tree_run(tmp_path, monkeypatch)
+    cfg = json.loads((tmp_path / "c.json").read_text())
+    swept, *steps = [[j for j, _ in step] for step in steps]
+    assert len(steps) == len(cfg["checks"])
+    outer = []
+    for chk, built in zip(cfg["checks"], steps):
+        v = cli._read_check(chk, "check", [])
+        if cli.CHECKS[v["name"]].estimates:
+            assert built == [], v["name"]
+            outer.append(v["mc"].outer)
+            continue
+        assert built == list(range(len(built))) != [], v["name"]
+    assert len(outer) == 6
+    assert swept == list(range(max(outer)))
+
+
+def test_tree_run_builds_each_measure_once(tmp_path, monkeypatch):
+    """No step of small_tree_run builds a draw twice, and the run builds
+    draws 0 .. 99 and no other (mass reaches farthest)."""
+    steps = recording_builds(monkeypatch)
+    small_tree_run(tmp_path, monkeypatch)
+    built = [[j for j, _ in step] for step in steps]
+    assert all(len(set(step)) == len(step) for step in built)
+    assert sorted({j for step in built for j in step}) == list(range(100))
+
+
 def test_deep_run_descent_builds_its_draws_once(tmp_path, monkeypatch):
     """perfbench's depth-3 config: descend builds draws 0 .. 39
     (max(mc.outer, psd_outer)) once across all its levels."""
