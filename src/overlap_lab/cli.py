@@ -44,7 +44,7 @@ from .pipeline import (DescendConfig, criterion_estimates, criterion_run,
 from .sampler import EventSpec, MCConfig, sweep
 from .verify import (DEFAULT_ABS_TOL, DEFAULT_Z, conditional_marginal_check,
                      consistency_check, consistency_estimates,
-                     distinct_mass_check, gg_estimates, gg_residual, grid_rule,
+                     distinct_mass_check, gg_estimates, gg_residual,
                      lemma1_check, lemma1_estimates, marginal_estimates,
                      mass_estimates, method_rule, positivity_check,
                      support_check, ultrametricity_check)
@@ -757,15 +757,11 @@ def main(argv=None) -> int:
         invalid = False
         for i, chk in enumerate(config.checks):
             v = _read_check(chk, f"checks[{i}]", [])
-            # the observables, patterns and events the check itself passes
-            specs = [*(v.get("observables") or ()), *filter(None, [v.get("f")])]
-            cond = v.get("conditioned")
-            events = [EventSpec(cond["kind"], 2, cond["q"])] if cond else []
-            if v["name"] == "criterion":
-                events.append(EventSpec("A_nq", 3, float(v["q"])))
+            estimates = CHECKS[v["name"]].estimates
             try:
-                grid_rule(v["name"], model.grid, specs, v.get("patterns", ()),
-                          events)
+                # what the check states refuses what it can never run on
+                if estimates is not None:
+                    estimates(model, *_estimator_args(v, config.seed))
                 method_rule(model, v.get("method"))
             except (OverlapLabError, ValueError) as e:
                 print(f"invalid: checks[{i}]: {e}", file=sys.stderr)

@@ -24,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 
+from .eigen import is_psd_dense
 from .errors import BadWeights, BadZeta, OffGridOverlap, TooManyAtoms
 from .grid import LEVEL_MATCH_TOL, OverlapGrid
 
 ATOM_COUNT_GUARD = 10**6
-TABLE_CAP = 3200          # a tree's m x m pair-level table exists up to this m
 
 WEIGHT_SUM_TOL = 1e-12
 SPHERE_TOL = 1e-10
@@ -101,21 +101,23 @@ class TreeMeasureSpec:
 class DiscreteMeasure:
     """Finitely many atoms with positive weights summing to one.
 
-    An explicit measure keeps its pair levels in an m x m int16 table, where
-    -1 marks an inner product matching no grid level (drawing such a pair
-    raises), and the squared norms of the atoms it is given, not the atoms
-    themselves. A tree measure reads them from the ancestor codes of the
-    TreeStructure it shares with every measure on it, and so does its grid.
-    Built by build_tree_measures, it keeps its block-validated cumulative
-    weights cum and its draw = (spec, j), and redraws its weights on first
-    read. pair_level_probs computes the law of the levels from the weights.
+    A measure enters only through its weights and the Gram matrix of its
+    atoms, kept as pair levels and squared norms, never as coordinates. An
+    explicit measure keeps an m x m int16 table, where -1 marks an inner
+    product matching no grid level (drawing such a pair raises), and the
+    norms_sq it is built with. A tree measure has no table (None): it reads
+    its levels (from the ancestor codes), norms and grid from the
+    TreeStructure it shares with every measure on it. Built by
+    build_tree_measures, it keeps its block-validated cumulative weights cum
+    and its draw = (spec, j), and redraws its weights on first read.
+    pair_level_probs computes the law of the levels from the weights.
 
     levels_from_indices returns (T, n, n) level matrices as a view of a
     pair-major (n, n, T) block: each pair's T levels are contiguous.
     """
 
     def __init__(self, weights: Optional[np.ndarray], grid: Optional[OverlapGrid],
-                 kind: str, atoms: Optional[np.ndarray] = None,
+                 kind: str, norms_sq: Optional[np.ndarray] = None,
                  table: Optional[np.ndarray] = None,
                  tree: Optional["TreeStructure"] = None,
                  cum: Optional[np.ndarray] = None, draw: Optional[tuple] = None):
@@ -131,17 +133,17 @@ class DiscreteMeasure:
         self._cum = cum
         self.kind = kind
         self.grid = grid
-        self._table = table
+        self.table = table
         self.tree = tree
         if tree is not None:
             self._draw = draw
             self.norms_sq = tree.norms_sq
         elif table is None:
             raise ValueError("need a pair-level table or a tree structure")
-        elif atoms is None:
+        elif norms_sq is None:
             raise ValueError("need atom norms")
         else:
-            self.norms_sq = np.einsum("ij,ij->i", atoms, atoms)
+            self.norms_sq = norms_sq
 
     @property
     def m(self) -> int:
@@ -155,21 +157,12 @@ class DiscreteMeasure:
         w.flags.writeable = False
         return w
 
-    @property
-    def table(self) -> Optional[np.ndarray]:
-        return self.tree.table if self.tree is not None else self._table
-
     def shares_levels(self, other: "DiscreteMeasure") -> bool:
         """True when other reads pair levels from the same arrays and level
         values from an equal grid, so one levels_from_indices serves both.
         The measures of a tree share one grid object, which is tested first."""
-        return (self.tree is other.tree and self._table is other._table
+        return (self.tree is other.tree and self.table is other.table
                 and (self.grid is other.grid or self.grid == other.grid))
-
-    def require_table(self) -> np.ndarray:
-        if self.table is None:
-            raise TooManyAtoms("pair-level table not materialized for this measure")
-        return self.table
 
     def sample_indices(self, u: np.ndarray) -> np.ndarray:
         """Atom indices of uniforms u (any shape): the inverse of the CDF.
@@ -186,7 +179,7 @@ class DiscreteMeasure:
     def pair_level(self, i: int, j: int) -> int:
         if self.tree is not None:
             return 1 + int((self.tree.codes[:, i] == self.tree.codes[:, j]).sum())
-        lv = int(self._table[i, j])
+        lv = int(self.table[i, j])
         if lv < 1:
             raise OffGridOverlap(f"atoms ({i},{j}) have an off-grid inner product")
         return lv
@@ -216,7 +209,7 @@ class DiscreteMeasure:
                     row += c[i] == c[j]
                 lv[j, i] = row
         else:
-            table, cols = self._table, idx.T
+            table, cols = self.table, idx.T
             lv = np.zeros((n, n, T), dtype=np.int16)
             for i, j in itertools.permutations(range(n), 2):
                 lv[i, j] = table[cols[i], cols[j]]
@@ -233,7 +226,7 @@ class DiscreteMeasure:
             out[1:] = _tree_level_probs(self.weights, self.tree.B)
         else:
             outer = np.outer(self.weights, self.weights)
-            flat = np.bincount(self._table.ravel() + 1,
+            flat = np.bincount(self.table.ravel() + 1,
                                weights=outer.ravel(), minlength=k + 2)
             if flat[0] > 0:
                 raise OffGridOverlap("measure has off-grid pairs")
@@ -267,34 +260,48 @@ def _level_table_from_gram(gram: np.ndarray, grid: OverlapGrid,
     return table
 
 
-def explicit_measure(atoms, weights, grid: OverlapGrid, kind: str = "explicit",
-                     on_sphere: bool = True) -> DiscreteMeasure:
-    """Measure from explicit atoms; validates weights and (optionally) support.
+def _gram_measure(gram: np.ndarray, norms_sq: np.ndarray, weights,
+                  grid: OverlapGrid, kind: str, on_sphere: bool = True):
+    """Measure with pair-level table from gram and squared norms norms_sq;
+    validates weights and (optionally) support.
 
     on_sphere demands every squared norm equal the top grid level and every
     inner product sit on the grid; disable it for deliberately broken inputs.
     """
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
-    if len(atoms) != len(weights):
+    if len(gram) != len(weights):
         raise BadWeights("one weight per atom required")
-    gram = atoms @ atoms.T
     table = _level_table_from_gram(gram, grid, strict=on_sphere)
-    measure = DiscreteMeasure(weights, grid, kind, atoms=atoms, table=table)
+    measure = DiscreteMeasure(weights, grid, kind, norms_sq, table)
     if on_sphere:
-        dev = np.max(np.abs(measure.norms_sq - grid.levels[-1]))
+        dev = np.max(np.abs(norms_sq - grid.levels[-1]))
         if dev > SPHERE_TOL:
             raise OffGridOverlap(
                 f"atom norms deviate from the top level by {dev:.3e}")
     return measure
 
 
+def explicit_measure(atoms, weights, grid: OverlapGrid, kind: str = "explicit",
+                     on_sphere: bool = True) -> DiscreteMeasure:
+    """Measure from explicit atoms: their Gram matrix and squared norms
+    (_gram_measure). The atoms are not kept."""
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
+    return _gram_measure(atoms @ atoms.T, np.einsum("ij,ij->i", atoms, atoms),
+                         weights, grid, kind, on_sphere)
+
+
 def measure_from_gram(gram: np.ndarray, weights, grid: OverlapGrid,
                       kind: str = "explicit") -> DiscreteMeasure:
-    """Atoms realized by Cholesky factorization of a PSD Gram matrix."""
+    """Measure from the Gram matrix of its atoms, on the sphere: its table
+    and norms come from gram itself. gram must be positive semidefinite
+    (eigen.is_psd_dense, so at most eigen.MAX_DENSE_N atoms); a singular
+    one, such as two equal atoms, is accepted."""
     gram = np.asarray(gram, dtype=np.float64)
-    atoms = np.linalg.cholesky(gram)
-    return explicit_measure(atoms, weights, grid, kind=kind)
+    psd, lo = is_psd_dense(gram)
+    if not psd:
+        raise ValueError(f"Gram matrix is not positive semidefinite: "
+                         f"smallest eigenvalue {lo:.3e}")
+    return _gram_measure(gram, np.diag(gram).copy(), weights, grid, kind)
 
 
 ADVERSARIAL_GRAM = np.array([
@@ -343,16 +350,6 @@ class TreeStructure:
         coefs = np.sqrt(np.diff(np.array([0.0, *q])))
         self.norms_sq = np.full(m, float(np.sum(coefs**2)))
         self.norms_sq.flags.writeable = False
-
-    @cached_property
-    def table(self) -> Optional[np.ndarray]:
-        """(m, m) int16 pair levels, built on first read; None above TABLE_CAP."""
-        if self.m > TABLE_CAP:
-            return None
-        table = np.ones((self.m, self.m), dtype=np.int16)
-        for code in self.codes:
-            table += code[:, None] == code[None, :]
-        return table
 
 
 # The purpose key of the tree weight stream, counter_stream(seed, key).

@@ -8,9 +8,10 @@ its own slice of one weight stream, so a range is built in blocks and
 each measure is bit for bit the one built alone. A tree model builds
 every range it is asked for and keeps none: a run reads the outer draws
 of all its Monte Carlo estimates in one pass (sampler.sweep), and a
-reader that reads draws in more than one pass holds them itself in a
-HeldModel (pipeline.descend). Frozen models return the same measure
-every time, so the outer expectation degenerates to the inner average.
+reader that reads draws in more than one pass holds the first of them,
+within HELD_BYTES, in a HeldModel (pipeline.descend). Frozen models return
+the same measure every time, so the outer expectation degenerates to the
+inner average.
 
 A descended model represents the conditioned-and-truncated ensemble of
 the induction step: n replicas from it are n replicas of the base measure
@@ -32,6 +33,10 @@ from .measures import (DiscreteMeasure, TreeMeasureSpec, TreeStructure,
 # consecutive blocks, so this bounds the memory of a block's weights and
 # their temporaries (8 bytes an atom each) without changing any measure.
 BLOCK_ATOMS = 1 << 15
+# Most bytes of measures a HeldModel holds, at 8 bytes an atom (a tree
+# measure's cumulative weights): 134 draws of a B = 250, k = 2 tree. Past
+# it, draws are built again when read.
+HELD_BYTES = 64 * 2**20
 
 
 def build_tree_measure(spec: TreeMeasureSpec, structure: TreeStructure,
@@ -74,12 +79,16 @@ class TreeModel:
 
 class HeldModel:
     """base with its outer measures 0, ..., count - 1 built once and held, so
-    that a reader that reads them in more than one pass builds them once;
-    reads past count go to base."""
+    that a reader that reads them in more than one pass builds them once, as
+    many as HELD_BYTES holds at 8 bytes an atom (at least one); reads past
+    the held draws go to base, which builds them again, bit for bit."""
 
     def __init__(self, base, count: int):
         self.base = base
-        self.held = list(base.measures(0, count))
+        # draw 0 gives the atom count, and so how many draws to build
+        self.held = [base.measure_at(0)]
+        keep = HELD_BYTES // (8 * self.held[0].m)
+        self.held += base.measures(1, min(count, keep))
         self.frozen, self.threshold = base.frozen, base.threshold
         self.grid, self.model_id = base.grid, base.model_id
 

@@ -137,7 +137,8 @@ def descend(model, config: DescendConfig, seed: int) -> LevelReport:
     """Run every level check, recursing while levels pass (or force is set)."""
     # the root reads measure 0, and each level draws 0 .. mc.outer - 1 (its
     # scan and estimates) and 0 .. psd_outer - 1 (its PSD scan) again, so
-    # those draws are built once and held for every level
+    # those draws are built once and held for every level, as many of them
+    # as models.HELD_BYTES holds
     model = HeldModel(as_model(model), max(config.mc.outer, config.psd_outer))
     return _descend_level(model, config, seed, is_root=True)
 

@@ -34,8 +34,8 @@ ENUM_GUARD = 10**7
 _INNER_KEY = 0xD1CE
 _LAW_KEY = 0x1A3
 
-# Most replica rows of one block of outer draws (see _level_blocks); whole
-# outer draws are grouped up to this bound (one draw when inner exceeds it).
+# Most replica rows of one block of outer draws (_block_draws); whole outer
+# draws are grouped up to this bound (one draw when inner exceeds it).
 OUTER_BLOCK_ROWS = 1 << 14
 # Most atoms of the outer measures one window of sweep holds (at least one
 # measure): 26 measures of a B = 50, k = 2 tree, whose 8-byte cumulative
@@ -115,28 +115,10 @@ def _block_draws(n: int, mc: MCConfig, width: int = 0,
     return min(max(1, rows // mc.inner), max_draws or mc.outer)
 
 
-def _level_blocks(model, n: int, mc: MCConfig, seed: int, key: int,
-                  max_draws: Optional[int] = None):
-    """Yield (start, stop, first measure, (rows, n, n) levels) for blocks of
-    consecutive outer draws start, ..., stop - 1 (_block_draws), each drawn
-    by _draw_block from the measures of one model.measures call.
-
-    One block is held at a time: the generator binds no block across its
-    yield, so a consumer that drops its own references (as
-    filtered_level_batches does) has freed a block before the next one is
-    drawn.
-    """
-    draws = _block_draws(n, mc, max_draws=max_draws)
-    for start in range(0, mc.outer, draws):
-        stop = min(start + draws, mc.outer)
-        rng = counter_stream(seed, key, start * n * mc.inner)
-        yield (start, stop, *_draw_block(model.measures(start, stop),
-                                         stop - start, n, mc.inner, rng))
-
-
 def _draw_block(measures, draws: int, n: int, inner: int, rng):
     """(first measure, levels) of draws consecutive outer draws, measures
-    giving their measures in order and rng positioned at the first one.
+    giving their measures in order and rng positioned at the first one:
+    one block of sweep's or of filtered_level_batches'.
 
     Outer draw j reads its n * inner uniforms at offset j * n * inner of
     its stream (counter_stream(seed, key)), so results do not depend on how
@@ -316,10 +298,10 @@ def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
                            event_threshold: Optional[int] = None, *, key: int):
     """Yield one (measure, kept level batch) pair per outer draw.
 
-    The draws come in _level_blocks from the stream of the caller's key, at
-    most SCAN_BLOCK_DRAWS draws a block within its row bound, so that a
-    scan holds the index and level arrays of a few draws, not of up to
-    OUTER_BLOCK_ROWS rows. The measure is the first of the draw's block,
+    The draws come in blocks of _draw_block from the stream of the caller's
+    key, at most SCAN_BLOCK_DRAWS draws a block within its row bound, so
+    that a scan holds the index and level arrays of a few draws, not of up
+    to OUTER_BLOCK_ROWS rows. The measure is the first of the draw's block,
     whose grid levels every measure of the block shares.
 
     Tuples outside the combined conditioning are dropped, not redrawn:
@@ -329,37 +311,47 @@ def filtered_level_batches(model, n: int, mc: MCConfig, seed: int,
     """
     model = as_model(model)
     threshold = combined_threshold(model, event_threshold)
-    for start, stop, first, lv in _level_blocks(model, n, mc, seed, key,
-                                                max_draws=SCAN_BLOCK_DRAWS):
+    draws = _block_draws(n, mc, max_draws=SCAN_BLOCK_DRAWS)
+    for start in range(0, mc.outer, draws):
+        stop = min(start + draws, mc.outer)
+        rng = counter_stream(seed, key, start * n * mc.inner)
+        first, lv = _draw_block(model.measures(start, stop), stop - start, n,
+                                mc.inner, rng)
         for batch in lv.reshape(stop - start, mc.inner, n, n):
             if threshold is not None:
                 batch = batch[_kernels.all_below(batch, n, threshold)]
             yield first, batch
-        del lv, batch  # not held while the next block is drawn
+        del lv, batch  # one block at a time: freed before the next is drawn
 
 
 # ---------------------------------------------------------------------------
 # Exact enumeration for fixed measures
 # ---------------------------------------------------------------------------
 
-def _enum_guard(measure: DiscreteMeasure, n: int):
-    """Bound enumeration's work: m**n tuples, or P(n) patterns and m atoms
-    tried after each of the P(n - 1) patterns of n - 1 replicas, where
-    P(r) = sum_j S(r, j) C**j for C twin classes (S: Stirling numbers)."""
+def _enum_guard(measure: DiscreteMeasure, n: int) -> np.ndarray:
+    """The pair-level table that enumeration sums over, once its work is
+    bounded: m**n tuples, or P(n) patterns and m atoms tried after each of
+    the P(n - 1) patterns of n - 1 replicas, where P(r) = sum_j S(r, j) C**j
+    for C twin classes (S: Stirling numbers). A tree measure has no table,
+    and is refused."""
+    table = measure.table
+    if table is None:
+        raise ValueError("enumeration needs a pair-level table: a tree "
+                         "measure reads its levels from ancestor codes")
     if measure.m**n > ENUM_GUARD:
-        C = len(_kernels.twin_classes(measure.require_table()))
+        C = len(_kernels.twin_classes(table))
         P = [1]  # Touchard's recurrence P(r + 1) = C sum_k comb(r, k) P(k)
         for r in range(n):
             P.append(C * sum(comb(r, k) * p for k, p in enumerate(P)))
         if max(P[n], measure.m * P[n - 1]) > ENUM_GUARD:
             raise TooLarge(f"{measure.m}^{n} tuples in {C} twin classes exceed the guard")
+    return table
 
 
 def enumerate_statistics(measure: DiscreteMeasure, stats: Sequence[Statistic],
                          n: int, event_threshold: Optional[int] = None):
     """Exact conditional averages <stat | event> and the event mass."""
-    _enum_guard(measure, n)
-    table = measure.require_table()
+    table = _enum_guard(measure, n)
     t = -1 if event_threshold is None else int(event_threshold)
     vals = measure.grid.values_by_index()
     pack = pack_statistics(stats)
@@ -375,8 +367,7 @@ def enumerate_matrix_law(measure: DiscreteMeasure, n: int,
 
     Keys are row-major upper-triangle level tuples; values sum to one.
     """
-    _enum_guard(measure, n)
-    table = measure.require_table()
+    table = _enum_guard(measure, n)
     t = -1 if event_threshold is None else int(event_threshold)
     k = measure.grid.k
     keys, mass = _kernels.enum_law(measure.weights, table, n, t, k)

@@ -80,9 +80,10 @@ class ResidualReport:
 
 def grid_rule(check: str, grid, observables=(), patterns=(), events=()):
     """Raise why the named check can never run on grid, if it cannot: the
-    checks and validate read this one statement of each rule. marginal and
-    consistency condition on distinct replicas (no pair at the top level),
-    which a one-level grid never draws. criterion conditions on an A_nq
+    checks read this one statement of each rule, and validate reads it
+    through the estimates each check states. marginal and consistency
+    condition on distinct replicas (no pair at the top level), which a
+    one-level grid never draws. criterion conditions on an A_nq
     event, and gg may condition on events (EventSpec): an event holds only
     on levels below its bound, so never when no grid level lies below it.
     No pair is ever at a level above grid.k, so a check whose observables

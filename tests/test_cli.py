@@ -11,7 +11,7 @@ from overlap_lab import cli, measures, models, verify
 from overlap_lab.cli import (build_model, emit_plot_data, main, parse_config,
                              run_experiment)
 from overlap_lab.errors import ParseError, ValidationError
-from overlap_lab.measures import TABLE_CAP, tree_leaf_weights
+from overlap_lab.measures import tree_leaf_weights
 from overlap_lab.verify import CheckRow
 
 from perfbench_load import load
@@ -335,11 +335,11 @@ def small_tree_run(tmp_path, monkeypatch):
 
 
 def test_tree_run_never_builds_pair_table(tmp_path, monkeypatch):
-    """At a branching small enough for the m x m table to exist, every
-    check reads pair levels from ancestor codes."""
+    """Every check of a run on a small tree reads pair levels from ancestor
+    codes: no measure of it has an m x m table."""
     model = small_tree_run(tmp_path, monkeypatch)
-    assert model.structure.m <= TABLE_CAP
     assert "table" not in model.structure.__dict__
+    assert model.measure_at(0).table is None
 
 
 def recording_builds(monkeypatch) -> list:

@@ -12,6 +12,7 @@ from overlap_lab.measures import (TreeStructure, adversarial_measure,
                                   measure_from_gram)
 from overlap_lab.observables import Statistic, pack_statistics
 from overlap_lab.sampler import enumerate_statistics
+from tree_reference import tree_table
 
 
 def random_stats(rng, n, k):
@@ -136,7 +137,7 @@ def twin_classes_reference(table):
 class TestTwinClasses:
     def test_tree_bottom_clusters(self):
         for q, B in (((0.3, 0.6), 3), ((0.2, 0.5, 0.8), 2)):
-            table = TreeStructure(q, B).table
+            table = tree_table(TreeStructure(q, B))
             want = [tuple(range(c * B, (c + 1) * B)) for c in range(len(table) // B)]
             assert _kernels.twin_classes(table) == want
             assert twin_classes_reference(table) == want

@@ -23,9 +23,10 @@ from overlap_lab.measures import (ADVERSARIAL_GRAM, TreeMeasureSpec,
 from overlap_lab.models import (DescendedModel, FrozenModel, HeldModel,
                                 TreeModel)
 from overlap_lab.observables import Statistic
+from overlap_lab.pipeline import collision_identity_check
 from overlap_lab.sampler import MCConfig, outer_stat_means
 
-from tree_reference import tree_atoms
+from tree_reference import digit_levels, tree_atoms, tree_table
 
 
 def pd_weights(zeta, B, seed, draws=1):
@@ -179,7 +180,7 @@ class TestTreeMeasure:
         a = build_tree_measures(spec, 0, 1, st)[0]
         b = build_tree_measures(spec, 0, 1)[0]
         assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.table, b.table)
+        assert np.array_equal(a.tree.codes, b.tree.codes)
 
     def test_leaf_weights_heavier_subtrees_win(self):
         # global normalization: leaf weights sum to 1, per-vertex sums do not
@@ -499,28 +500,9 @@ class TestTreeModelBlocks:
         assert built == list(range(outer))
 
 
-def digit_levels(B, k, i, j):
-    """Reference tree pair levels: 1 + the length of the common leading run
-    of two leaves' base-B path digits, most significant first."""
-    radix = B ** np.arange(k - 1, -1, -1)
-    di = np.asarray(i)[..., None] // radix % B
-    dj = np.asarray(j)[..., None] // radix % B
-    return (np.cumprod(di == dj, axis=-1).sum(axis=-1) + 1).astype(np.int16)
-
-
-class TestTreeStructureTable:
-    @pytest.mark.parametrize("B, k", [(3, 1), (4, 2), (3, 3), (7, 2)])
-    def test_table_matches_cumprod_reference(self, B, k):
-        st = TreeStructure(tuple(np.linspace(0.2, 0.8, k)), B)
-        leaves = np.arange(st.m)
-        want = digit_levels(B, k, leaves[:, None], leaves[None, :])
-        assert st.table.dtype == np.int16
-        assert np.array_equal(st.table, want)
-
-
 class TestTreeCodeLevels:
-    """Tree pair levels come from per-depth ancestor codes; the m x m table
-    is built only when read."""
+    """Tree pair levels come from per-depth ancestor codes; a tree measure
+    has no m x m table, and tree_reference.digit_levels is the reference."""
 
     @staticmethod
     def measure(B, k, seed=3):
@@ -539,25 +521,25 @@ class TestTreeCodeLevels:
     @pytest.mark.parametrize("B, k", [(2, 1), (3, 2), (2, 3), (5, 2)])
     def test_levels_match_table(self, B, k):
         m = self.measure(B, k)
-        assert "table" not in vars(m.tree)
+        assert m.table is None
+        table = tree_table(m.tree)
         leaves = np.arange(m.m)
         lv = m.levels_from_indices(leaves[None, :])[0]
-        want = m.table.copy()
+        want = table.copy()
         np.fill_diagonal(want, 0)
         assert lv.dtype == np.int16 and np.array_equal(lv, want)
         for i, j in itertools.product(range(m.m), repeat=2):
-            assert m.pair_level(i, j) == m.table[i, j]
+            assert m.pair_level(i, j) == table[i, j]
         idx = m.sample_indices(np.random.default_rng(B * k).random((500, 4)))
         lv = m.levels_from_indices(idx)
         off = ~np.eye(4, dtype=bool)
-        assert np.array_equal(lv[:, off], m.table[idx[:, :, None],
-                                                  idx[:, None, :]][:, off])
+        assert np.array_equal(lv[:, off], table[idx[:, :, None],
+                                                idx[:, None, :]][:, off])
         assert (lv[:, ~off] == 0).all()
 
     def test_levels_above_table_cap_match_digits(self):
         B, k = 60, 2
         m = self.measure(B, k)
-        assert m.m > measures.TABLE_CAP and m.table is None
         idx = m.sample_indices(np.random.default_rng(4).random((2000, 5)))
         # pairs that share one or two ancestors, and distinct leaves
         idx[:10, 1] = idx[:10, 0]
@@ -623,7 +605,8 @@ class TestLevelBlockLayout:
         idx = m.sample_indices(np.random.default_rng(n).random((400, n)))
         idx[:5, 1] = idx[:5, 0]  # replicas on one atom
         lv = m.levels_from_indices(idx)
-        want = m.table[idx[:, :, None], idx[:, None, :]]
+        table = m.table if m.tree is None else tree_table(m.tree)
+        want = table[idx[:, :, None], idx[:, None, :]]
         want[:, np.arange(n), np.arange(n)] = DIAG
         assert lv.shape == (400, n, n) and lv.dtype == np.int16
         assert np.array_equal(lv, want)
@@ -731,6 +714,23 @@ class TestHeldModel:
         assert model.frozen and model.held == [measure] * 4
         assert list(model.measures(2, 7)) == [measure] * 5
 
+    @pytest.mark.parametrize("budget, held", [(3, 3), (1, 1), (0.5, 1)])
+    def test_holds_within_byte_budget(self, monkeypatch, budget, held):
+        """At most HELD_BYTES of draws are held, 8 bytes an atom, and at
+        least one; the draws past them are built again when read, bit for
+        bit the ones built alone."""
+        m = TreeModel(self.SPEC).structure.m
+        monkeypatch.setattr(models, "HELD_BYTES", int(budget * 8 * m))
+        base = TreeModel(self.SPEC)
+        model = HeldModel(base, 6)
+        assert len(model.held) == held and base.built == held
+        for _ in range(2):
+            got = list(model.measures(0, 6))
+            for j, measure in enumerate(got):
+                assert any(measure is h for h in model.held) == (j < held)
+                self.assert_fresh(measure, j)
+        assert base.built == held + 2 * (6 - held)
+
 
 class TestExplicitMeasure:
     def test_single_atom(self):
@@ -746,6 +746,28 @@ class TestExplicitMeasure:
         probs = m.pair_level_probs()
         assert np.isclose(probs[1], 0.5, atol=1e-12)  # different atoms
         assert np.isclose(probs[2], 0.5, atol=1e-12)  # collision
+
+    def test_singular_gram_with_equal_atoms_builds(self):
+        """Two equal atoms make the Gram matrix singular: Cholesky refuses
+        it, the PSD test does not, and the collision scan names the pair."""
+        gram = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        m = measure_from_gram(gram, [0.25, 0.25, 0.5],
+                              OverlapGrid((0.0, 1.0), 1.0))
+        assert np.array_equal(m.table, [[2, 2, 1], [2, 2, 1], [1, 1, 2]])
+        assert m.norms_sq.tolist() == [1.0, 1.0, 1.0]
+        assert collision_identity_check(m) == (False, (0, 1))
+
+    def test_non_psd_gram_refused(self):
+        # three unit vectors pairwise at -0.7: smallest eigenvalue -0.4
+        gram = np.array([[1.0, -0.7, -0.7], [-0.7, 1.0, -0.7],
+                         [-0.7, -0.7, 1.0]])
+        with pytest.raises(ValueError, match="not positive semidefinite") \
+                as err:
+            measure_from_gram(gram, np.full(3, 1 / 3),
+                              OverlapGrid((-0.7, 1.0), 1.0))
+        assert not isinstance(err.value, np.linalg.LinAlgError)
 
     def test_cholesky_three_atoms(self):
         gram = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
@@ -800,6 +822,16 @@ class TestAdversarialMeasure:
         assert np.allclose(m.pair_level_probs(), (0, 2 / 9, 4 / 9, 3 / 9),
                            rtol=0, atol=1e-15)
         assert m.kind == "adversarial"
+
+    def test_table_and_norms_keep_their_bits(self):
+        """Built from the Gram matrix, the table and norms are bit for bit
+        those of the atoms a Cholesky factor realizes."""
+        m = adversarial_measure()
+        atoms = np.linalg.cholesky(ADVERSARIAL_GRAM)
+        ref = explicit_measure(atoms, np.full(3, 1 / 3), m.grid)
+        assert m.table.dtype == ref.table.dtype
+        assert np.array_equal(m.table, ref.table)
+        assert m.norms_sq.tobytes() == ref.norms_sq.tobytes()
 
     def test_distinct_triple_always_violates(self):
         from overlap_lab.grid import check_ultrametric_batch

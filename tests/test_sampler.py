@@ -23,6 +23,7 @@ from overlap_lab.sampler import (OUTER_BLOCK_ROWS, SCAN_BLOCK_DRAWS, Estimate,
                                  ratio_from_means, sweep, total_variation)
 
 from perfbench_load import load
+from tree_reference import digit_levels, explicit_tree
 
 
 def single_atom():
@@ -205,11 +206,20 @@ class TestEnumeration:
         # 2,500 leaves in 50 twin classes: the 7,017,550 patterns of 4
         # replicas fit the guard, but each of the 132,550 patterns of 3
         # replicas tries all 2,500 atoms
-        m = build_tree_measures(
-            TreeMeasureSpec((0.3, 0.7), 50, (0.3, 0.6), seed=7), 0, 1)[0]
+        m = explicit_tree(build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 50, (0.3, 0.6), seed=7), 0, 1)[0])
         assert len(_kernels.twin_classes(m.table)) == 50
         with pytest.raises(TooLarge):
             enumerate_statistics(m, [Statistic(4)], 4)
+
+    def test_tree_measure_refused(self):
+        m = build_tree_measures(
+            TreeMeasureSpec((0.3, 0.7), 2, (0.3, 0.6), seed=7), 0, 1)[0]
+        no_table = "a tree measure reads its levels from ancestor codes"
+        with pytest.raises(ValueError, match=no_table):
+            sampler._enum_guard(m, 2)
+        with pytest.raises(ValueError, match=no_table):
+            enumerate_statistics(m, [Statistic(2)], 2)
 
     def test_twin_classes_lift_the_guard(self):
         # 40 atoms in 4 twin classes of 10: 40^5 tuples, at most 5,428 patterns
@@ -371,7 +381,6 @@ class TestOuterBlocksReference:
     def models():
         tree = TreeModel(TreeMeasureSpec((0.3, 0.7), 6, (0.3, 0.6), seed=5))
         digits = TreeModel(TreeMeasureSpec((0.3, 0.7), 60, (0.3, 0.6), seed=6))
-        assert digits.measure_at(0).table is None  # the digit path
         return {"tree": tree, "tree_digits": digits,
                 "frozen": FrozenModel(three_atoms((0.5, 0.3, 0.2))),
                 "descended": DescendedModel(tree, 1)}
@@ -601,7 +610,7 @@ class TestTreeRejection:
             for j, lv in enumerate(got):
                 rng = counter_stream(n, 0x5CA, j * n * mc.inner)
                 idx = m.sample_indices(rng.random((mc.inner, n)))
-                levels = m.table[idx[:, iu], idx[:, ju]]
+                levels = digit_levels(B, k, idx[:, iu], idx[:, ju])
                 inside = (levels <= t).all(axis=1)
                 assert np.array_equal(lv[:, iu, ju], levels[inside])
         assert inside.all()  # t = k + 1 admits every tuple
