@@ -8,7 +8,7 @@ from .errors import (AcceptanceTooLow, BadWeights, BadZeta, EventMassTooSmall,
                      EventNull, GridTooSmall, NoConvergence, NotSymmetric,
                      NullConditioning, OffGridOverlap, OverlapLabError,
                      ParseError, TooLarge, TooManyAtoms, ValidationError)
-from .grid import DIAG, LevelMatrix, OverlapGrid, ViolationReport, truncate
+from .grid import DIAG, OverlapGrid, ViolationReport
 from .measures import (DiscreteMeasure, TreeMeasureSpec, adversarial_measure,
                        explicit_measure, measure_from_gram)
 from .models import DescendedModel, FrozenModel, TreeModel, as_model

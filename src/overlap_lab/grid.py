@@ -1,14 +1,17 @@
-"""Finite overlap grids and exact level-indexed overlap matrices.
+"""Finite overlap grids and the triple scan of level-indexed overlap
+matrices.
 
-Overlap values live on a finite ascending grid q_1 < ... < q_k. Matrices
-store grid-level indices (1-based; 0 marks the diagonal), never floats,
-so events like "entry equals the top level" are exact integer comparisons.
+Overlap values live on a finite ascending grid q_1 < ... < q_k. The level
+matrices the samplers draw store grid-level indices (1-based; 0 marks the
+diagonal), never floats, so events like "entry equals the top level" are
+exact integer comparisons; grid.values_by_index()[levels] gives their
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -71,36 +74,6 @@ class ViolationReport:
     first_witness: Optional[tuple] = None  # ((a, b, c), (lab, lac, lbc))
 
 
-class LevelMatrix:
-    """Symmetric n x n matrix of grid-level indices with a DIAG diagonal."""
-
-    def __init__(self, entries: np.ndarray, grid: OverlapGrid):
-        entries = np.asarray(entries, dtype=np.int16)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("entries must be square")
-        n = entries.shape[0]
-        if not np.array_equal(entries, entries.T):
-            raise ValueError("entries must be symmetric")
-        if not np.all(np.diag(entries) == DIAG):
-            raise ValueError("diagonal entries must be DIAG")
-        off = entries[~np.eye(n, dtype=bool)]
-        if off.size and (off.min() < 1 or off.max() > grid.k):
-            raise ValueError("off-diagonal entries must be level indices in 1..k")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        self.entries = entries
-        self.grid = grid
-        self.n = n
-
-    def __eq__(self, other):
-        return (isinstance(other, LevelMatrix) and self.grid == other.grid
-                and np.array_equal(self.entries, other.entries))
-
-    def realize(self) -> np.ndarray:
-        """Dense float matrix: level values off-diagonal, self_overlap on it."""
-        return self.grid.values_by_index()[self.entries]
-
-
 def check_ultrametric_batch(levels_batch: np.ndarray) -> ViolationReport:
     """Triple scan over every triple of one (n, n) level matrix or of
     every matrix of a (T, n, n) batch.
@@ -114,24 +87,3 @@ def check_ultrametric_batch(levels_batch: np.ndarray) -> ViolationReport:
         a, b, c, lab, lac, lbc = (int(x) for x in witness)
         first = ((a, b, c), (lab, lac, lbc))
     return ViolationReport(int(checked), int(violations), first)
-
-
-def truncate(matrix: LevelMatrix) -> LevelMatrix:
-    """Entrywise minimum with the second-highest level; drops the top level."""
-    grid = matrix.grid
-    new_grid = grid.truncated()  # raises GridTooSmall for k == 1
-    entries = np.minimum(matrix.entries, grid.k - 1)
-    entries[np.diag_indices(matrix.n)] = DIAG
-    return LevelMatrix(entries, new_grid)
-
-
-def matrix_from_offdiag(n: int, offdiag_levels: Sequence[int], grid: OverlapGrid) -> LevelMatrix:
-    """Build a LevelMatrix from row-major upper-triangle level indices."""
-    entries = np.zeros((n, n), dtype=np.int16)
-    iu, ju = np.triu_indices(n, k=1)
-    vals = np.asarray(offdiag_levels, dtype=np.int16)
-    if vals.shape != iu.shape:
-        raise ValueError("wrong number of off-diagonal entries")
-    entries[iu, ju] = vals
-    entries[ju, iu] = vals
-    return LevelMatrix(entries, grid)

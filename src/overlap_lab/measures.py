@@ -256,7 +256,7 @@ def _level_table_from_gram(gram: np.ndarray, grid: OverlapGrid,
     if strict and np.any(table < 0):
         i, j = np.argwhere(table < 0)[0]
         raise OffGridOverlap(
-            f"inner product {gram[i, j]!r} of atoms ({i},{j}) matches no grid level")
+            f"inner product {float(gram[i, j])!r} of atoms ({i},{j}) matches no grid level")
     return table
 
 

@@ -299,7 +299,7 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
     model = as_model(model)
     ests = criterion_estimates(model, q, B_patterns, n_max, mc, seed)
     got = served_means(model, ests, method, served)
-    means, _ = next(got)
+    means = next(got)
     try:
         r, h, _ = ratio_from_means(means, z)
     except EventMassTooSmall as e:
@@ -317,14 +317,14 @@ def criterion_run(model, q: float, B_patterns: Sequence[Sequence[Sequence[int]]]
                 for a, b in zip(offsets, offsets[1:])]
 
     try:
-        means, _ = next(got)
+        means = next(got)
         r, h, _ = ratio_from_means(means, z)
     except EventMassTooSmall as e:
         raise NullConditioning(
             f"no mass left for three below-q replicas: {e}") from e
     per_n = {3: sequence_entry(r, h)}
     if n_max > 3:
-        means, _ = next(got)
+        means = next(got)
         for n, cols in count_columns(ests[2].counts):
             try:
                 r, h, _ = ratio_from_means(np.take(means, cols, axis=1), z)

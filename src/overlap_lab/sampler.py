@@ -267,16 +267,19 @@ def mean_and_se(per_outer: np.ndarray):
 
 
 def ratio_from_means(means: np.ndarray, z: float = 3.0):
-    """Conditional estimates from an indicator-augmented means matrix.
+    """Conditional estimates from an indicator-augmented means matrix: of
+    outer_stat_means, or the one exact row of verify.served_means, which
+    this alone conditions.
 
     Returns (ratios (S,), per-outer influence values (M, S), denominator
     mean). The influence values linearize each ratio around the means, so
     column standard deviations over sqrt(M) are delta-method standard
-    errors. Raises when the event mass is statistically indistinguishable
-    from zero. A means matrix with one denominator per replica count is read
-    one count at a time, as np.take(means, columns, axis=1) for the columns
-    of count_columns: a copy in the layout outer_stat_means returns, so that
-    the sums run in the same order.
+    errors (0.0 for one row). Raises when the event mass is zero or
+    statistically indistinguishable from zero. A means matrix with one
+    denominator per replica count is read one count at a time, as
+    np.take(means, columns, axis=1) for the columns of count_columns: a
+    copy in the layout outer_stat_means returns, so that the sums run in
+    the same order.
     """
     D = means[:, -1]
     dbar, dse = mean_and_se(D)
@@ -350,15 +353,16 @@ def _enum_guard(measure: DiscreteMeasure, n: int) -> np.ndarray:
 
 def enumerate_statistics(measure: DiscreteMeasure, stats: Sequence[Statistic],
                          n: int, event_threshold: Optional[int] = None):
-    """Exact conditional averages <stat | event> and the event mass."""
+    """Exact E[stat; event] of each statistic (the statistic times the
+    event's indicator) and the event mass, 0.0 for an event without mass:
+    the entries of an outer_stat_means row, unconditioned, for
+    ratio_from_means to condition (verify.served_means)."""
     table = _enum_guard(measure, n)
     t = -1 if event_threshold is None else int(event_threshold)
     vals = measure.grid.values_by_index()
     pack = pack_statistics(stats)
     mass, sums = _kernels.enum_stats(measure.weights, table, n, t, vals, pack)
-    if mass <= 0.0:
-        raise EventNull("conditioning event has zero mass")
-    return sums / mass, float(mass)
+    return sums, float(mass)
 
 
 def enumerate_matrix_law(measure: DiscreteMeasure, n: int,

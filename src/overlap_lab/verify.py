@@ -5,6 +5,10 @@ expectations (the event indicator multiplies the statistic and supplies
 the denominator), with delta-method standard errors computed from outer-
 level influence values. This matches the definition of the conditional
 laws and keeps structurally-zero residuals exactly zero on paired draws.
+Both paths fill one means layout (served_means): Monte Carlo with one row
+per outer draw, the exact oracle with one row of exact expectations. Only
+ratio_from_means conditions either, and it alone refuses an event without
+mass.
 
 Tolerance policy:
   * identity residuals (gg):        pass iff |r| <= max(abs_tol, z * se)
@@ -22,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AcceptanceTooLow, EventMassTooSmall, EventNull,
-                     GridTooSmall, NullConditioning)
+from .errors import (AcceptanceTooLow, EventMassTooSmall, GridTooSmall,
+                     NullConditioning)
 from .grid import check_ultrametric_batch
 from .measures import DiscreteMeasure, derive_seed
 from .models import as_model
@@ -104,8 +108,8 @@ def grid_rule(check: str, grid, observables=(), patterns=(), events=()):
 
 
 def method_rule(model, method: str):
-    """Raise why method can never run on model, if it cannot: estimates and
-    validate read this rule. Enumeration sums over the atoms of one fixed
+    """Raise why method can never run on model, if it cannot: served_means
+    and validate read this rule. Enumeration sums over the atoms of one fixed
     measure, which a model that redraws its measure does not have."""
     if method == "enumerate" and not model.frozen:
         raise ValueError("enumeration needs a frozen (fixed-measure) model")
@@ -124,53 +128,37 @@ def _f_statistic(check: str, grid, f, n: int) -> Statistic:
     raise TypeError("f must be a Statistic, an ObservableSpec, or None")
 
 
-def estimates(model, est: Estimate, method: str):
-    """Indicator-augmented outer means of est (outer_stat_means), or exact
-    one-row equivalents, and the event masses of the exact path.
+def served_means(model, ests, method: str, served=None):
+    """Yield the means of each of a check's estimates in order, in the
+    layout outer_stat_means returns: the means served to it (sweep's), or
+    else each computed when it is asked for, so that a check that stops
+    early computes no more than it reads.
 
-    est.counts is as in outer_stat_means: the replica count of each
-    statistic, with one denominator column per distinct count after the
-    statistics. The exact path enumerates each count's statistics at that
-    count only, and reports their conditional values over a unit
-    denominator, or over a zero one where the count's event has no mass;
-    the event mass of each count is returned separately.
+    The exact path fills one row of that layout: each statistic's exact
+    E[stat; event], enumerated at its own replica count only (est.counts,
+    as in outer_stat_means), then each count's event mass.
     """
+    if served is not None:
+        if method != "mc" or len(served) != len(ests):
+            raise ValueError("served means are the Monte Carlo means of "
+                             "every estimate of the check")
+        yield from served
+        return
     model = as_model(model)
     method_rule(model, method)
-    stats = est.stats
-    if method == "enumerate":
+    for est in ests:
+        if method != "enumerate":
+            yield outer_stat_means(model, est.stats, est.n, est.mc, est.seed,
+                                   est.event_threshold, est.counts)
+            continue
         t = combined_threshold(model, est.event_threshold)
-        groups = count_columns([est.n] * len(stats) if est.counts is None
+        groups = count_columns([est.n] * len(est.stats) if est.counts is None
                                else est.counts)
-        means = np.ones((1, len(stats) + len(groups)))
-        masses = np.zeros(len(groups))
-        for g, (c, (*cols, den)) in enumerate(groups):
-            try:
-                vals, masses[g] = enumerate_statistics(
-                    model.measure_at(0), [stats[i] for i in cols], c, t)
-            except EventNull:
-                # a zero denominator: ratio_from_means refuses this count
-                vals = means[0, den] = 0.0
-            means[0, cols] = vals
-        return means, (masses if t is not None else None)
-    return outer_stat_means(model, stats, est.n, est.mc, est.seed,
-                            est.event_threshold, est.counts), None
-
-
-def served_means(model, ests, method: str, served=None):
-    """Yield (means, event masses) of each of a check's estimates in order:
-    the means served to it (sweep's, whose masses are None), or else each
-    computed by estimates when it is asked for, so that a check that stops
-    early computes no more than it reads."""
-    if served is None:
-        for est in ests:
-            yield estimates(model, est, method)
-        return
-    if method != "mc" or len(served) != len(ests):
-        raise ValueError("served means are the Monte Carlo means of every "
-                         "estimate of the check")
-    for means in served:
-        yield means, None
+        means = np.empty((1, len(est.stats) + len(groups)))
+        for c, (*cols, den) in groups:
+            means[0, cols], means[0, den] = enumerate_statistics(
+                model.measure_at(0), [est.stats[i] for i in cols], c, t)
+        yield means
 
 
 def _gg_statistics(obs: ObservableSpec) -> list:
@@ -251,20 +239,18 @@ def gg_residual(model, obs, mc: MCConfig, seed: int,
     (est,) = ests
     ends = np.cumsum([o.n + 2 for o in observables]).tolist()  # group sizes
     spans = list(zip([0] + ends, ends))
-    (means, masses), = served_means(model, ests, method, served)
+    (means,) = served_means(model, ests, method, served)
     conditioned_draws = combined_threshold(
         model, est.event_threshold) is not None
     inner = mc.inner if method != "enumerate" else 0
     per_count = {}
-    for g, (c, cols) in enumerate(count_columns(est.counts)):
+    for c, cols in count_columns(est.counts):
         try:
             r, h, dbar = ratio_from_means(np.take(means, cols, axis=1), z)
         except EventMassTooSmall as e:
             per_count[c] = AcceptanceTooLow(str(e))
             continue
-        rate = float(masses[g]) if masses is not None else (
-            float(dbar) if conditioned_draws else None)
-        per_count[c] = (cols, r, h, rate)
+        per_count[c] = (cols, r, h, dbar if conditioned_draws else None)
 
     reports = []
     for o, event, (a, b) in zip(observables, events, spans):
@@ -331,7 +317,7 @@ def distinct_mass_check(model, n_max: int, mc: MCConfig, seed: int,
     """
     model = as_model(model)
     ests = mass_estimates(model, n_max, mc, seed)
-    (means, _), = served_means(model, ests, method, served)
+    (means,) = served_means(model, ests, method, served)
     r, h, _ = ratio_from_means(means, z)
     pbar = float(r[-1])
     rows = []
@@ -369,7 +355,7 @@ def lemma1_check(model, f, n: int, mc: MCConfig, seed: int,
     served is as in distinct_mass_check."""
     model = as_model(model)
     ests = lemma1_estimates(model, f, n, mc, seed)
-    (means, _), = served_means(model, ests, method, served)
+    (means,) = served_means(model, ests, method, served)
     r, h, _ = ratio_from_means(means, z)
     ubar, vbar, pbar = (float(v) for v in r)
     residual = ubar - (1.0 - pbar) * vbar
@@ -406,7 +392,7 @@ def consistency_check(model, f, n: int, mc: MCConfig, seed: int,
     served is as in distinct_mass_check."""
     model = as_model(model)
     ests = consistency_estimates(model, f, n, mc, seed)
-    (means, _), = served_means(model, ests, method, served)
+    (means,) = served_means(model, ests, method, served)
     r, h, _ = ratio_from_means(means, z)
     ubar, abar, vbar, bbar = (float(v) for v in r)
     se_a = influence_se(h[:, 1])
@@ -466,12 +452,9 @@ def conditional_marginal_check(model, mc: MCConfig, seed: int,
     ests = marginal_estimates(model, mc, seed)
     K = model.grid.k
     got = served_means(model, ests, method, served)
-    cond_means, cond_mass = next(got)
-    full_means, _ = next(got)
-    rc, hc, dbar = ratio_from_means(cond_means, z)
-    rf, hf, _ = ratio_from_means(full_means, z)
+    rc, hc, rate = ratio_from_means(next(got), z)
+    rf, hf, _ = ratio_from_means(next(got), z)
     ptop = float(rf[-1])
-    rate = float(cond_mass[0]) if cond_mass is not None else float(dbar)
     rows = []
     all_pass = True
     for i, l in enumerate(range(1, K)):

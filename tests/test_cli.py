@@ -805,6 +805,21 @@ class TestRunExperiment:
         resid = report["checks"][0]["summary"]["observables"][0]["residual"]
         assert abs(resid - 2.9 / 81) < 1e-12
 
+    def test_oracle_marginal_acceptance_rate_is_the_event_mass(self, tmp_path):
+        """The rate of an exact estimate is its event's mass: distinct atoms
+        of the benchmark's exact measure never share the top level, so no
+        top-level tie among two replicas has mass 1 - sum w_i^2."""
+        out = tmp_path / "out"
+        cfg = load("workloads").exact_config(0)
+        cfg["checks"] = [c for c in cfg["checks"] if c["name"] == "marginal"]
+        cfg["output"] = {"dir": str(out)}
+        assert run_experiment(parse_config(
+            write_config(tmp_path / "c.json", cfg)), oracle=True) == 0
+        report = json.loads((out / "report.json").read_text())
+        rate = report["checks"][0]["summary"]["acceptance_rate"]
+        w = cfg["measure"]["weights"]
+        assert abs(rate - (1.0 - sum(x * x for x in w))) <= 1e-15
+
 
 class TestOnePassPerCheck:
     """gg reads every observable from one outer_stat_means pass; criterion
@@ -869,6 +884,18 @@ class TestMainEntry:
         })
         assert main(["validate", str(p)]) == 1
         assert "invalid" in capsys.readouterr().err
+
+    def test_validate_off_grid_inner_product_reads_as_a_number(
+            self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.json", {
+            "measure": {"type": "explicit",
+                        "grid": {"levels": [0.5, 1.0], "self_overlap": 1.0},
+                        "atoms": [[1, 0], [0.6, 0.8]], "weights": [0.5, 0.5]},
+            "checks": [{"name": "support"}],
+        })
+        assert main(["validate", str(p)]) == 1
+        assert "inner product 0.6 of atoms (0,1) matches no grid level" in (
+            capsys.readouterr().err)
 
     def test_describe_measure(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.json", tree_config(tmp_path / "out"))

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from overlap_lab.eigen import is_psd_dense, jacobi_decompose
 from overlap_lab.errors import NoConvergence, NotSymmetric
-from overlap_lab.grid import OverlapGrid, matrix_from_offdiag
+from overlap_lab.grid import OverlapGrid
+from level_matrices import from_offdiag
 
 
 def cubic_roots_symmetric(A):
@@ -114,18 +115,17 @@ class TestSymmetricEigenvalues:
 class TestIsPsd:
     def test_constant_matrix_is_psd(self):
         g = OverlapGrid((0.7,), 0.7)
-        ok, lo = is_psd_dense(matrix_from_offdiag(4, [1] * 6, g).realize())
+        ok, lo = is_psd_dense(g.values_by_index()[from_offdiag(4, [1] * 6)])
         assert ok and lo >= -1e-12
 
     def test_gram_realizations_are_psd(self):
-        from overlap_lab.grid import LevelMatrix
         from overlap_lab.measures import adversarial_measure
         from overlap_lab.sampler import MCConfig, filtered_level_batches
 
         measure = adversarial_measure()
         for _, lv in filtered_level_batches(measure, 5, MCConfig(4, 1), 0,
                                             key=0x5CA):
-            ok, _ = is_psd_dense(LevelMatrix(lv[0], measure.grid).realize())
+            ok, _ = is_psd_dense(measure.grid.values_by_index()[lv[0]])
             assert ok
 
     def test_search_finds_non_gram_pattern(self):
@@ -137,12 +137,12 @@ class TestIsPsd:
             n_off = n * (n - 1) // 2
             for code in range(2**n_off):
                 bits = [(code >> i) & 1 for i in range(n_off)]
-                m = matrix_from_offdiag(n, [b + 1 for b in bits], g)
-                if eigenvalues(m.realize())[0] < -1e-6:
+                m = g.values_by_index()[from_offdiag(n, [b + 1 for b in bits])]
+                if eigenvalues(m)[0] < -1e-6:
                     found = m
                     break
             if found is not None:
                 break
         assert found is not None
-        ok, lo = is_psd_dense(found.realize())
+        ok, lo = is_psd_dense(found)
         assert not ok and lo < -1e-6

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from overlap_lab import _kernels
-from overlap_lab.errors import EventNull
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (TreeStructure, adversarial_measure,
                                   measure_from_gram)
@@ -302,8 +301,11 @@ class TestEnumerationReference:
         grid = OverlapGrid((0.3, 0.7), 0.7)
         gram = np.array([[0.7, 0.3, 0.3], [0.3, 0.7, 0.3], [0.3, 0.3, 0.7]])
         measure = measure_from_gram(gram, np.array([0.5, 0.3, 0.2]), grid)
-        with pytest.raises(EventNull):
-            enumerate_statistics(measure, [Statistic(3)], 3, 0)
+        # no level lies below level 1: the event has no mass, and the
+        # oracle returns it unrefused with all-zero sums
+        sums, mass = enumerate_statistics(measure, [Statistic(3)] * 2, 3, 0)
+        assert mass == 0.0
+        assert sums.tolist() == [0.0, 0.0]
 
 
 class TestTripleScanReference:

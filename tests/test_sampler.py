@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from overlap_lab import _kernels, sampler
-from overlap_lab.errors import (EventMassTooSmall, EventNull, OffGridOverlap,
-                                TooLarge)
+from overlap_lab.errors import EventMassTooSmall, OffGridOverlap, TooLarge
 from overlap_lab.cli import build_model
 from overlap_lab.grid import OverlapGrid
 from overlap_lab.measures import (ADVERSARIAL_GRAM, DiscreteMeasure,
@@ -183,14 +182,18 @@ class TestEnumeration:
         m = two_orthogonal(0.5)
         stat = Statistic(2).with_pattern(0, 1, 1)
         t = EventSpec("A_n", 2).threshold(m.grid)
-        val = enumerate_statistics(m, [stat], 2, t)[0][0]
-        assert np.isclose(val, 1.0, atol=1e-14)
+        sums, mass = enumerate_statistics(m, [stat], 2, t)
+        assert np.isclose(sums[0] / mass, 1.0, atol=1e-14)
 
     def test_event_null(self):
+        # an event without mass is returned, not refused: ratio_from_means
+        # refuses it
         m = single_atom()
-        with pytest.raises(EventNull):
-            enumerate_statistics(m, [Statistic(2)], 2,
-                                 EventSpec("A_n", 2).threshold(m.grid))
+        sums, mass = enumerate_statistics(
+            m, [Statistic(2), Statistic(2).with_pattern(0, 1, 1)], 2,
+            EventSpec("A_n", 2).threshold(m.grid))
+        assert mass == 0.0
+        assert sums.tolist() == [0.0, 0.0]
 
     def test_too_large(self):
         # 30 orthogonal atoms with distinct self levels: no twins, 30^5 tuples
@@ -241,10 +244,11 @@ class TestEnumeration:
         stat = Statistic(2).with_pattern(0, 1, 1)
         assert np.isclose(enumerate_statistics(m, [stat], 2)[0][0], 2 / 3,
                           atol=1e-14)
-        # conditional on distinctness it is 1
+        # conditional on distinctness it is 1: E[stat; A_2] / P(A_2)
         t = EventSpec("A_n", 2).threshold(m.grid)
-        val = enumerate_statistics(m, [stat], 2, t)[0][0]
-        assert np.isclose(val, 1.0, atol=1e-14)
+        sums, mass = enumerate_statistics(m, [stat], 2, t)
+        assert np.isclose(mass, 2 / 3, atol=1e-14)
+        assert np.isclose(sums[0] / mass, 1.0, atol=1e-14)
 
 
 class TestConditionalLaw:

@@ -9,11 +9,11 @@ from overlap_lab.measures import (TreeMeasureSpec, adversarial_measure,
 from overlap_lab.models import DescendedModel, FrozenModel, TreeModel
 from overlap_lab.observables import (ObservableSpec, Psi, Statistic,
                                      default_gg_observables, statistic_for_f)
-from overlap_lab.sampler import (EventSpec, MCConfig, influence_se,
+from overlap_lab.sampler import (Estimate, EventSpec, MCConfig, influence_se,
                                  outer_stat_means, ratio_from_means)
 from overlap_lab.verify import (conditional_marginal_check, consistency_check,
                                 distinct_mass_check, gg_residual, lemma1_check,
-                                positivity_check, support_check,
+                                positivity_check, served_means, support_check,
                                 ultrametricity_check)
 
 # exact values for the fixed 3-atom adversarial measure, worked out by
@@ -183,8 +183,10 @@ class TestGGSharedPass:
                                     observables, MCConfig(2, 2), 1,
                                     conditioned=events, method="enumerate")
         assert first.observable_id == observables[0].observable_id()
-        assert first.lhs.acceptance_rate > 0.0
+        # three distinct replicas of three equal-weight atoms: 3! / 3**3
+        assert abs(first.lhs.acceptance_rate - 2 / 9) <= 1e-15
         assert isinstance(second, AcceptanceTooLow)
+        assert str(second) == "event mass 0 (se 0) too close to zero"
         with pytest.raises(AcceptanceTooLow):
             gg_residual(FrozenModel(adversarial_measure()), observables[1],
                         MCConfig(2, 2), 1, conditioned=events[1],
@@ -197,6 +199,17 @@ class TestGGSharedPass:
         with pytest.raises(ValueError, match="one threshold"):
             gg_residual(k2_tree_model(), observables, MCConfig(5, 5), 1,
                         conditioned=events)
+
+
+class TestServedMeans:
+    def test_exact_row_is_the_means_layout(self):
+        """The exact path yields outer_stat_means' layout: E[stat; event],
+        then the event mass, unconditioned."""
+        est = Estimate([Statistic(2).with_pattern(0, 1, 1)], 2,
+                       MCConfig(2, 2), 1, event_threshold=2)
+        (means,) = served_means(adversarial_measure(), [est], "enumerate")
+        assert means.shape == (1, 2)
+        assert np.allclose(means[0], [2 / 9, 2 / 3], rtol=0.0, atol=1e-15)
 
 
 class TestDistinctMass:
